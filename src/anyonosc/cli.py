@@ -275,12 +275,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except (ConfigError, ParameterError, ValueError, OSError) as exc:
-        print(f"anyonosc: error: {exc}", file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so the compute clause comes first
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"anyonosc: compute error: {exc}", file=sys.stderr)
         return 2
+    except (ConfigError, ParameterError, ValueError, OSError) as exc:
+        print(f"anyonosc: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

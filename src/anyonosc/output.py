@@ -110,7 +110,11 @@ def write_outputs(result, config, path: str, timestamp: str | None = None):
 
 
 def write_grid_csv(grid, path: str, config=None, timestamp: str | None = None):
-    """Long-format CSV of a 2D spectrum grid plus its metadata sidecar."""
+    """Long-format CSV of a 2D spectrum grid plus its metadata sidecar.
+
+    The sidecar's conventions and config hash come from ``config`` when one
+    is given, so they agree with its config echo.
+    """
     from .sweeps import SweepResult  # local import to avoid a cycle
 
     rows = []
@@ -118,16 +122,18 @@ def write_grid_csv(grid, path: str, config=None, timestamp: str | None = None):
         for j, wv in enumerate(grid.omega_t_axis):
             v = grid.values[i, j]
             rows.append((float(wt), float(wv), float(v.real), float(v.imag)))
+    if config is not None:
+        conventions = config.conventions.as_dict()
+    else:  # the Fock route always has the appendix exchange amplitude
+        conventions = {"frequency": "appendix",
+                       "conjugation": grid.metadata.get("conjugation", ""),
+                       "jump_basis": grid.metadata.get("jump_basis", ""),
+                       "stat_dephasing": False}
+    # metadata_document fills config_sha256 from the config ("" without one)
     res = SweepResult(columns=("omega_tau", "omega_t", "re", "im"),
                       units=("omega", "omega", "arb", "arb"),
                       rows=rows,
-                      metadata={"generator": "spectrum-grid",
-                                "conventions": {
-                                    "frequency": "appendix",
-                                    "conjugation": grid.metadata.get("conjugation", ""),
-                                    "jump_basis": grid.metadata.get("jump_basis", ""),
-                                    "stat_dephasing": False},
-                                "config_sha256": ""})
+                      metadata={"generator": "spectrum-grid", "conventions": conventions})
     write_csv(res, path)
     doc = metadata_document(res, config, timestamp)
     doc["grid"] = grid.metadata

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,13 +207,6 @@ def _provenance(config: RunConfig, kind: str) -> dict:
     }
 
 
-def _pool_map(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def run_fig1(config: RunConfig) -> SweepResult:
     """Single-oscillator rates against the statistical angle.
 
@@ -231,7 +223,7 @@ def run_fig1(config: RunConfig) -> SweepResult:
         full = gamma_full_single(pt).value
         return (float(theta), gamma_stat(pt.theta, pt.z, pt.gamma), full.real, full.imag)
 
-    rows = _pool_map(one, axis.values(), config.threads)
+    rows = [one(theta) for theta in axis.values()]
     return SweepResult(
         columns=("theta", "gamma_stat", "re_gamma_full", "im_gamma_full"),
         units=("rad", "omega", "omega", "omega"),
@@ -267,8 +259,7 @@ def run_fig2(config: RunConfig) -> SweepResult:
                         gap, int(gap < threshold)))
         return out
 
-    chunks = _pool_map(one_xi, xis, config.threads)
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for xi in xis for row in one_xi(xi)]
     return SweepResult(
         columns=("theta", "xi", "re_lambda_plus", "re_lambda_minus",
                  "im_lambda_plus", "im_lambda_minus", "gap", "ep_flag"),
@@ -356,7 +347,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
             gamma_stat(pt.theta, pt.z, pt.gamma), full.real, full.imag,
             lp.real, lp.imag, lm.real, lm.imag, abs(lp - lm))
 
-    rows = _pool_map(one, list(points), config.threads)
+    rows = [one(point) for point in points]
     cols = tuple(names) + ("gamma_stat", "re_gamma_full", "im_gamma_full",
                            "re_lambda_plus", "im_lambda_plus",
                            "re_lambda_minus", "im_lambda_minus", "gap")

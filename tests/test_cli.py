@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anyonosc.cli import main
+from anyonosc.output import read_csv
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +76,58 @@ class TestCliSpectrum:
         code, out, err = run_cli(capsys, "spectrum", "--cutoff", "1", "--grid", "4")
         assert code == 1
 
+    def test_spectrum_odd_grid_is_finite(self, capsys, tmp_path):
+        # grid 17 puts detuning 0 on both axes
+        out_csv, out_svg = tmp_path / "g.csv", tmp_path / "g.svg"
+        code, _, err = run_cli(capsys, "spectrum", "--grid", "17", "--out", str(out_csv),
+                               "--svg", str(out_svg))
+        assert code == 0, err
+        _, _, rows = read_csv(str(out_csv))
+        assert np.shape(rows) == (17 * 17, 4)
+        assert np.all(np.isfinite(rows))
+        svg = out_svg.read_text()
+        assert svg.rstrip().endswith("</svg>")
+        assert "nan" not in svg.lower()
+
+    @pytest.mark.parametrize("t2", ["-5", "nan"])
+    def test_spectrum_rejects_invalid_waiting_time(self, capsys, tmp_path, t2):
+        code, out, err = run_cli(capsys, "spectrum", "--grid", "4", "--t2", t2,
+                                 "--out", str(tmp_path / "g.csv"))
+        assert code == 1
+        assert "t2" in err
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_linear_algebra_failure_is_a_compute_error(self, capsys, monkeypatch):
+        import anyonosc.cli
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(anyonosc.cli, "rephasing_response", singular)
+        code, out, err = run_cli(capsys, "spectrum", "--grid", "4")
+        assert code == 2
+        assert "compute error" in err
+
+    def test_grid_sidecar_agrees_with_its_config(self, capsys, tmp_path):
+        from anyonosc.params import AnyonParams
+        from anyonosc.spectra import GridSpec
+        from anyonosc.sweeps import Conventions, RunConfig
+
+        out_csv = tmp_path / "g.csv"
+        code, _, _ = run_cli(capsys, "spectrum", "--grid", "6", "--convention", "maintext",
+                             "--stat-dephasing", "on", "--out", str(out_csv))
+        assert code == 0
+        meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
+        assert meta["conventions"] == meta["config"]["conventions"]
+        assert meta["conventions"]["frequency"] == "maintext"
+        assert meta["conventions"]["stat_dephasing"] is True
+        cfg = RunConfig(params=AnyonParams(theta=0.0, omega=1.0, coupling_j=0.2, gamma=0.1,
+                                           beta=1.0, xi=0.0),
+                        conventions=Conventions("maintext", "modulus", "site", True),
+                        cutoff=2, grid=GridSpec(count=6, lo=-0.5, hi=0.5), t2=0.0,
+                        threads=1)
+        assert meta["config_sha256"] == cfg.sha256()
+
 
 class TestCliFigures:
     def test_fig1_deterministic_across_threads(self, capsys, tmp_path):
@@ -103,6 +156,15 @@ class TestCliFigures:
         assert (out_dir / "fig3_overlay.csv").exists()
         svgs = list(out_dir.glob("*.svg"))
         assert len(svgs) == 2
+
+    def test_fig3_odd_grid(self, capsys, tmp_path):
+        out_dir = tmp_path / "fig3"
+        code, _, err = run_cli(capsys, "fig3", "--grid", "17", "--theta-list", "0.8",
+                               "--xi-list", "0.5", "--out", str(out_dir))
+        assert code == 0, err
+        _, _, rows = read_csv(str(out_dir / "fig3_slices.csv"))
+        assert len(rows) == 17
+        assert np.all(np.isfinite(rows))
 
     def test_fig3_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "fig3", "--grid", "8")

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from anyonosc import (AnyonParams, FockSystem, GridSpec, bright_mode_overlay,
                       build_dipole, build_liouvillian, build_weff, diagonal_slice,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
-from anyonosc.spectra import (SpectrumGrid, bright_branch_detuning,
+from anyonosc.fock import resolvent_apply, trace_vector
+from anyonosc.spectra import (SpectrumGrid, bright_branch_detuning, coherence_order,
                               rephasing_response_quadrature, response_point)
 
 
@@ -162,6 +164,27 @@ class TestRephasingResponse:
         g1 = rephasing_response(system, dip, p, t2=30.0, grid=GridSpec(count=12))
         assert np.max(np.abs(g1.values)) < np.max(np.abs(g0.values))
 
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    def test_odd_grid_is_finite(self, cutoff):
+        # an odd count puts detuning 0 on the axis, where the population
+        # block of -L is singular; the pathway never solves in that block
+        g, *_ = small_grid(0.7, 0.5, n=17, cutoff=cutoff)
+        assert g.omega_tau_axis[8] == 0.0
+        assert np.all(np.isfinite(g.values))
+
+    @pytest.mark.parametrize("t2", [-5.0, float("nan"), float("inf")])
+    def test_invalid_waiting_time_rejected(self, t2):
+        system = FockSystem(cutoff=2, theta=0.3, modes=2)
+        with pytest.raises(ValueError, match="t2"):
+            rephasing_response(system, build_dipole(system), AnyonParams(theta=0.3),
+                               t2=t2, grid=GridSpec(count=4))
+
+    def test_unknown_equilibrium_state_rejected(self):
+        system = FockSystem(cutoff=2, theta=0.3, modes=2)
+        with pytest.raises(ValueError, match="rho_eq"):
+            rephasing_response(system, build_dipole(system), AnyonParams(theta=0.3),
+                               grid=GridSpec(count=4), rho_eq="Vacuum")
+
     def test_resolvent_vs_quadrature_probe(self):
         p = AnyonParams(theta=0.6, xi=0.5)
         system = FockSystem(cutoff=2, theta=0.6, modes=2)
@@ -174,6 +197,51 @@ class TestRephasingResponse:
                 direct[i, j] = response_point(system, dip, p, float(wt), float(wv))
         rel = np.max(np.abs(direct - quad)) / np.max(np.abs(direct))
         assert rel <= 1e-3
+
+
+def dense_reference(system, dip, p, axis, t2, jump_basis, conjugation, rho_eq):
+    """The pathway composed from fock.resolvent_apply on the full Liouvillian:
+    one dense LU per frequency and cell, no block structure."""
+    liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
+    rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
+    v0 = dip.mu_right @ rho0.ravel()
+    tr_mu = trace_vector(system.dim) @ dip.mu_right
+    prop = sla.expm(liouv * t2)
+    out = np.empty((axis.size, axis.size), dtype=complex)
+    for i, wtau in enumerate(axis):
+        z = dip.mu_left @ (prop @ (dip.mu_left @ resolvent_apply(liouv, -wtau, -1, v0)))
+        for j, wt in enumerate(axis):
+            out[i, j] = tr_mu @ resolvent_apply(liouv, -wt, +1, z)
+    return out * (1j) ** 3
+
+
+class TestBlockSolveEquivalence:
+    CASES = [(2, conj, basis, rho, t2)
+             for conj in ("modulus", "analytic") for basis in ("site", "deformed")
+             for rho in ("vacuum", "thermal") for t2 in (0.0, 7.5)]
+    CASES.append((3, "modulus", "deformed", "thermal", 7.5))
+
+    @pytest.mark.parametrize("cutoff,conjugation,jump_basis,rho_eq,t2", CASES)
+    def test_matches_dense_resolvent_reference(self, cutoff, conjugation, jump_basis,
+                                               rho_eq, t2):
+        p = AnyonParams(theta=0.9, xi=0.5, beta=0.5)
+        system = FockSystem(cutoff=cutoff, theta=p.theta, modes=2)
+        dip = build_dipole(system, conjugation)
+        grid = GridSpec(count=8, lo=-0.4, hi=0.4)
+        got = rephasing_response(system, dip, p, t2=t2, grid=grid, jump_basis=jump_basis,
+                                 conjugation=conjugation, rho_eq=rho_eq).values
+        want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis,
+                               conjugation, rho_eq)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
+    def test_liouvillian_is_block_diagonal_in_coherence_order(self, jump_basis):
+        system = FockSystem(cutoff=3, theta=1.3, modes=2)
+        liouv = build_liouvillian(system, AnyonParams(theta=1.3, xi=0.4), jump_basis,
+                                  "analytic", rotating=True)
+        order = coherence_order(system)
+        assert np.all(liouv[order[:, None] != order[None, :]] == 0)
+        assert np.count_nonzero(np.abs(order) == 1) == 80  # two 40-state blocks
 
 
 class TestDiagonalSlice:
