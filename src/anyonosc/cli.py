@@ -16,8 +16,8 @@ import numpy as np
 
 from .dimer import find_exceptional_point
 from .fock import FockSystem
-from .output import (csv_text, write_csv, write_grid_csv, write_grid_svg,
-                     write_metadata)
+from .output import (_grid_result, csv_text, write_csv, write_grid_csv,
+                     write_grid_svg, write_metadata)
 from .params import AnyonParams, ParameterError
 from .spectra import GridSpec, build_dipole, rephasing_response
 from .sweeps import (ConfigError, Conventions, RunConfig, SweepAxis,
@@ -192,12 +192,7 @@ def _run(args) -> int:
             write_grid_csv(g, args.out, cfg)
             print(f"wrote {args.out}", file=sys.stderr)
         else:
-            from .sweeps import SweepResult as SR
-            rows = [(float(wt), float(wv), v.real, v.imag)
-                    for wt, row in zip(g.omega_tau_axis, g.values)
-                    for wv, v in zip(g.omega_t_axis, row)]
-            sys.stdout.write(csv_text(SR(("omega_tau", "omega_t", "re", "im"),
-                                         ("omega", "omega", "arb", "arb"), rows)))
+            sys.stdout.write(csv_text(_grid_result(g)))
         if args.svg:
             write_grid_svg(g, args.svg, title=f"Re R3, theta={params.theta:.3f}, xi={params.xi:.2f}")
             print(f"wrote {args.svg}", file=sys.stderr)

@@ -109,31 +109,43 @@ def write_outputs(result, config, path: str, timestamp: str | None = None):
             write_metadata(result, config, path + ".meta.json", timestamp)]
 
 
-def write_grid_csv(grid, path: str, config=None, timestamp: str | None = None):
-    """Long-format CSV of a 2D spectrum grid plus its metadata sidecar.
+def _grid_result(grid, config=None):
+    """Long-format rows (omega_tau, omega_t, re, im) of a 2D spectrum grid,
+    omega_t varying fastest, as one SweepResult for every grid CSV (file or
+    stdout). Raises FloatingPointError on a non-finite value, before anything
+    is written.
 
-    The sidecar's conventions and config hash come from ``config`` when one
-    is given, so they agree with its config echo.
+    The conventions come from ``config`` when one is given, so a sidecar
+    agrees with its config echo; otherwise from the grid's own metadata.
     """
     from .sweeps import SweepResult  # local import to avoid a cycle
 
-    rows = []
-    for i, wt in enumerate(grid.omega_tau_axis):
-        for j, wv in enumerate(grid.omega_t_axis):
-            v = grid.values[i, j]
-            rows.append((float(wt), float(wv), float(v.real), float(v.imag)))
+    values = grid.values
+    if not np.isfinite(values).all():
+        raise FloatingPointError("non-finite value in spectrum grid")
+    omega_t = grid.omega_t_axis.tolist()
+    rows = [(wt, wv, re, im)
+            for wt, re_row, im_row in zip(grid.omega_tau_axis.tolist(), values.real.tolist(),
+                                          values.imag.tolist())
+            for wv, re, im in zip(omega_t, re_row, im_row)]
     if config is not None:
         conventions = config.conventions.as_dict()
-    else:  # the Fock route always has the appendix exchange amplitude
-        conventions = {"frequency": "appendix",
+    else:
+        conventions = {"frequency": grid.metadata.get("frequency", ""),
                        "conjugation": grid.metadata.get("conjugation", ""),
                        "jump_basis": grid.metadata.get("jump_basis", ""),
                        "stat_dephasing": False}
     # metadata_document fills config_sha256 from the config ("" without one)
-    res = SweepResult(columns=("omega_tau", "omega_t", "re", "im"),
-                      units=("omega", "omega", "arb", "arb"),
-                      rows=rows,
-                      metadata={"generator": "spectrum-grid", "conventions": conventions})
+    return SweepResult(columns=("omega_tau", "omega_t", "re", "im"),
+                       units=("omega", "omega", "arb", "arb"),
+                       rows=rows,
+                       metadata={"generator": "spectrum-grid", "conventions": conventions})
+
+
+def write_grid_csv(grid, path: str, config=None, timestamp: str | None = None):
+    """Long-format CSV of a 2D spectrum grid plus its metadata sidecar, whose
+    ``grid`` block is the grid's own metadata."""
+    res = _grid_result(grid, config)
     write_csv(res, path)
     doc = metadata_document(res, config, timestamp)
     doc["grid"] = grid.metadata
@@ -181,6 +193,8 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [om
     x_axis = np.asarray(x_axis, float)
     y_axis = np.asarray(y_axis, float)
     z = np.asarray(z, float)
+    if not np.isfinite(z).all():
+        raise ValueError("heatmap values must be finite")
     nx, ny = z.shape
     if nx != x_axis.size or ny != y_axis.size:
         raise ValueError("heatmap axes do not match grid shape")

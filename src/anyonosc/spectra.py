@@ -187,7 +187,8 @@ def rephasing_response(system: FockSystem, dipole: DipoleSet, params: AnyonParam
         "theta": params.theta, "xi": params.xi, "omega": params.omega,
         "coupling_j": params.coupling_j, "gamma": params.gamma, "beta": params.beta,
         "cutoff": system.cutoff, "t2": t2, "rho_eq": rho_eq,
-        "jump_basis": jump_basis, "conjugation": conjugation,
+        # build_hamiltonian's exchange amplitude is always J cos(theta/2)
+        "frequency": "appendix", "jump_basis": jump_basis, "conjugation": conjugation,
         "grid": {"count": grid.count, "lo": grid.lo, "hi": grid.hi},
         "axes": "detuning from carrier omega; echo convention (first interval sign -1 "
                 "at -omega_tau, third interval sign +1 at -omega_t; both axes negated "

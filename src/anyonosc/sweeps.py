@@ -194,7 +194,7 @@ class SweepResult:
                 raise ValueError("row width mismatch")
             for v in r:
                 if isinstance(v, float) and not math.isfinite(v):
-                    raise ValueError("non-finite value in sweep result")
+                    raise FloatingPointError("non-finite value in sweep result")
         return self
 
 

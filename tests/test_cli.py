@@ -108,6 +108,43 @@ class TestCliSpectrum:
         assert code == 2
         assert "compute error" in err
 
+    def test_non_finite_spectrum_is_a_compute_error(self, capsys, monkeypatch, tmp_path):
+        import anyonosc.cli
+        original = anyonosc.cli.rephasing_response
+
+        def with_nan(*args, **kwargs):
+            grid = original(*args, **kwargs)
+            grid.values[1, 2] = np.nan
+            return grid
+
+        monkeypatch.setattr(anyonosc.cli, "rephasing_response", with_nan)
+        out_csv, out_svg = tmp_path / "grid.csv", tmp_path / "grid.svg"
+        code, _, err = run_cli(capsys, "spectrum", "--grid", "4", "--out", str(out_csv),
+                               "--svg", str(out_svg))
+        assert code == 2
+        assert "compute error" in err
+        assert not out_csv.exists() and not out_svg.exists()
+        assert not (tmp_path / "grid.csv.meta.json").exists()
+
+    def test_stdout_and_file_csv_are_identical(self, capsys, tmp_path):
+        out_csv = tmp_path / "g.csv"
+        argv = ("spectrum", "--theta", "0.7", "--xi", "0.3", "--grid", "9")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_csv))
+        assert code == 0
+        assert out_csv.read_bytes() == out.encode("utf-8")
+
+    def test_grid_sidecar_records_the_fock_frequency(self, capsys, tmp_path):
+        # the Fock route always uses the appendix splitting, whatever the config says
+        out_csv = tmp_path / "g.csv"
+        code, _, _ = run_cli(capsys, "spectrum", "--grid", "4", "--convention", "maintext",
+                             "--out", str(out_csv))
+        assert code == 0
+        meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
+        assert meta["config"]["conventions"]["frequency"] == "maintext"
+        assert meta["grid"]["frequency"] == "appendix"
+
     def test_grid_sidecar_agrees_with_its_config(self, capsys, tmp_path):
         from anyonosc.params import AnyonParams
         from anyonosc.spectra import GridSpec

@@ -10,7 +10,19 @@ from anyonosc import (AnyonParams, DensityState, FockSystem,
                       build_liouvillian, build_weff, fit_decay_rate,
                       gamma_full_single, normal_mode_frequencies, propagate,
                       resolvent_apply, steady_state)
-from anyonosc.fock import left_mult, right_mult, trace_vector
+from anyonosc.fock import jump_operators, left_mult, right_mult, trace_vector
+from anyonosc.spectra import coherence_order
+
+
+def dense_kron_liouvillian(system, params, jump_basis, conjugation, rotating):
+    """Reference generator summed from dense np.kron products."""
+    eye = np.eye(system.dim, dtype=complex)
+    h = build_hamiltonian(system, params, conjugation, rotating)
+    liouv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for lop, ldag in jump_operators(system, params, jump_basis, conjugation):
+        ll = ldag @ lop
+        liouv += np.kron(lop, ldag.T) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
+    return liouv
 
 
 def coherence_block_indices(system):
@@ -199,6 +211,44 @@ class TestLiouvillian:
                 evals = np.linalg.eigvals(liouv[np.ix_(idx, idx)])
                 for lam in build_weff(p).eigenvalues:
                     assert np.min(np.abs(evals - lam)) <= 1e-10, (theta, xi, lam)
+
+
+class TestLiouvillianAssembly:
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    def test_matches_dense_kron_reference(self, cutoff, modes):
+        # the terms are summed entry by entry instead of matrix by matrix, so
+        # only the order of the additions differs from the reference
+        for theta in (0.0, 0.9, math.pi):
+            system = FockSystem(cutoff=cutoff, theta=theta, modes=modes)
+            p = AnyonParams(theta=theta, xi=0.5, beta=0.7)
+            for basis in ("site", "deformed"):
+                for conj in ("modulus", "analytic"):
+                    for rotating in (False, True):
+                        liouv = build_liouvillian(system, p, basis, conj, rotating)
+                        ref = dense_kron_liouvillian(system, p, basis, conj, rotating)
+                        err = np.max(np.abs(liouv - ref))
+                        assert err <= 1e-15 * np.max(np.abs(ref)), (theta, basis, conj, rotating)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    def test_no_entry_outside_the_coherence_blocks(self, theta):
+        system = FockSystem(cutoff=6, theta=theta, modes=2)
+        order = coherence_order(system)
+        for basis in ("site", "deformed"):
+            liouv = build_liouvillian(system, AnyonParams(theta=theta, xi=0.5), basis)
+            rows, cols = np.nonzero(liouv)
+            assert liouv.shape == (2401, 2401)
+            assert np.array_equal(order[rows], order[cols])
+
+    def test_left_and_right_multiplication_equal_krons(self):
+        rng = np.random.default_rng(11)
+        system = FockSystem(cutoff=3, theta=1.1, modes=2)
+        mu = system.lowering[0] + system.dagger(0) + system.lowering[1] + system.dagger(1)
+        for op in (mu, rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))):
+            eye = np.eye(op.shape[0], dtype=complex)
+            # every entry is one product with 1 in both, so the values are equal
+            assert np.array_equal(left_mult(op), np.kron(op, eye))
+            assert np.array_equal(right_mult(op), np.kron(eye, op.T))
 
 
 class TestPropagation:

@@ -72,6 +72,15 @@ class TestFig1:
         assert len(res.rows) == 64
         res.check()
 
+    def test_non_finite_row_is_an_arithmetic_error(self):
+        from anyonosc.sweeps import SweepResult
+        res = SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0), (1.0, float("nan"))])
+        with pytest.raises(FloatingPointError):
+            res.check()
+        res.rows = [(0.0, 1.0, 2.0)]
+        with pytest.raises(ValueError, match="row width"):
+            res.check()
+
     def test_closed_form_sweep_is_fast(self):
         import time
         cfg = RunConfig(params=AnyonParams(theta=0.0),
@@ -257,3 +266,9 @@ class TestSvg:
     def test_axis_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             svg_heatmap(np.arange(4), np.arange(5), np.zeros((4, 4)))
+
+    def test_non_finite_values_rejected(self):
+        z = np.zeros((4, 4))
+        z[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            svg_heatmap(np.arange(4), np.arange(4), z)
