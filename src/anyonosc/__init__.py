@@ -12,8 +12,8 @@ from .dimer import (ChannelSet, EffectiveMatrix, EPResult, build_weff,
                     eigen_analysis, find_exceptional_point,
                     lindblad_coefficients, normal_mode_frequencies)
 from .fock import (DensityState, FockSystem, anyon_ladder_matrix,
-                   braided_embedding, build_hamiltonian, build_liouvillian,
-                   fit_decay_rate, propagate, resolvent_apply, steady_state)
+                   build_hamiltonian, build_liouvillian, fit_decay_rate,
+                   propagate, resolvent_apply, steady_state)
 from .spectra import (DipoleSet, GridSpec, SpectrumGrid, bright_mode_overlay,
                       build_dipole, diagonal_slice, lineshape_metrics,
                       rephasing_response)
@@ -26,7 +26,7 @@ __all__ = [
     "gamma_stat", "gamma_full_single",
     "ChannelSet", "EffectiveMatrix", "EPResult", "normal_mode_frequencies",
     "lindblad_coefficients", "build_weff", "eigen_analysis", "find_exceptional_point",
-    "FockSystem", "DensityState", "anyon_ladder_matrix", "braided_embedding",
+    "FockSystem", "DensityState", "anyon_ladder_matrix",
     "build_hamiltonian", "build_liouvillian", "propagate", "steady_state",
     "resolvent_apply", "fit_decay_rate",
     "DipoleSet", "GridSpec", "SpectrumGrid", "build_dipole", "rephasing_response",

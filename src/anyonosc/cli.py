@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from .dimer import find_exceptional_point
 from .fock import FockSystem
-from .output import (_grid_result, csv_text, write_csv, write_grid_csv,
-                     write_grid_svg, write_metadata)
+from .output import csv_text, grid_result, write_grid_svg, write_outputs
 from .params import AnyonParams, ParameterError
 from .spectra import GridSpec, build_dipole, rephasing_response
 from .sweeps import (ConfigError, Conventions, RunConfig, SweepAxis,
@@ -26,6 +26,12 @@ from .sweeps import (ConfigError, Conventions, RunConfig, SweepAxis,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus before a digit starts a value, never a flag: -1e-05, -.5,
+        # and the ranges and lists -0.5:0.5 and -1,0,1
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -131,11 +137,10 @@ def _conventions_from(args) -> Conventions:
                        stat_dephasing=args.stat_dephasing == "on")
 
 
-def _emit(result, args, config):
-    if args.out:
-        write_csv(result, args.out)
-        write_metadata(result, config, args.out + ".meta.json")
-        print(f"wrote {args.out}", file=sys.stderr)
+def _emit(result, path, config):
+    if path:
+        write_outputs(result, config, path)
+        print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(csv_text(result))
 
@@ -146,7 +151,7 @@ def _run(args) -> int:
         cfg = RunConfig(params=_params_from(args),
                         sweep=(SweepAxis("theta", ax.start, ax.stop, ax.count),),
                         threads=args.threads)
-        _emit(run_fig1(cfg), args, cfg)
+        _emit(run_fig1(cfg), args.out, cfg)
         return 0
 
     if args.command == "dimer-rates":
@@ -154,7 +159,7 @@ def _run(args) -> int:
         cfg = RunConfig(params=_params_from(args), conventions=_conventions_from(args),
                         sweep=(SweepAxis("theta", ax.start, ax.stop, ax.count),),
                         threads=args.threads, xi_list=(args.xi,))
-        _emit(run_fig2(cfg), args, cfg)
+        _emit(run_fig2(cfg), args.out, cfg)
         return 0
 
     if args.command == "ep-locate":
@@ -166,14 +171,11 @@ def _run(args) -> int:
             bracket = (ax.start, ax.stop)
         ep = find_exceptional_point(params, bracket, conv.frequency, conv.conjugation,
                                     conv.stat_dephasing)
-        cfg = RunConfig(params=params, conventions=conv)
         res = SweepResult(columns=("theta_star", "gap", "ep_found", "threshold"),
                           units=("rad", "omega", "bool", "omega"),
                           rows=[(ep.theta, ep.gap, int(ep.found), ep.threshold)],
-                          metadata={"generator": "ep-locate",
-                                    "config_sha256": cfg.sha256(),
-                                    "conventions": conv.as_dict()})
-        _emit(res, args, cfg)
+                          metadata={"generator": "ep-locate"})
+        _emit(res, args.out, RunConfig(params=params, conventions=conv))
         return 0
 
     if args.command == "spectrum":
@@ -188,11 +190,7 @@ def _run(args) -> int:
                                threads=args.threads)
         cfg = RunConfig(params=params, conventions=conv, cutoff=args.cutoff,
                         grid=grid, t2=args.t2, threads=args.threads)
-        if args.out:
-            write_grid_csv(g, args.out, cfg)
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
-            sys.stdout.write(csv_text(_grid_result(g)))
+        _emit(grid_result(g), args.out, cfg)
         if args.svg:
             write_grid_svg(g, args.svg, title=f"Re R3, theta={params.theta:.3f}, xi={params.xi:.2f}")
             print(f"wrote {args.svg}", file=sys.stderr)
@@ -202,7 +200,7 @@ def _run(args) -> int:
         n = args.grid or 201
         cfg = RunConfig(params=_params_from(args), conventions=_conventions_from(args),
                         sweep=(SweepAxis("theta", 0.0, math.pi, n),), threads=args.threads)
-        _emit(run_fig1(cfg), args, cfg)
+        _emit(run_fig1(cfg), args.out, cfg)
         return 0
 
     if args.command == "fig2":
@@ -213,7 +211,7 @@ def _run(args) -> int:
                         conventions=_conventions_from(args),
                         sweep=(SweepAxis("theta", 0.0, math.pi, n),),
                         threads=args.threads, xi_list=xis)
-        _emit(run_fig2(cfg), args, cfg)
+        _emit(run_fig2(cfg), args.out, cfg)
         return 0
 
     if args.command == "fig3":
@@ -228,12 +226,8 @@ def _run(args) -> int:
                         cutoff=args.cutoff, grid=GridSpec(count=n), t2=args.t2,
                         threads=args.threads, theta_list=thetas, xi_list=xis)
         fig3 = run_fig3(cfg)
-        slices_path = os.path.join(args.out, "fig3_slices.csv")
-        overlay_path = os.path.join(args.out, "fig3_overlay.csv")
-        write_csv(fig3.slices, slices_path)
-        write_metadata(fig3.slices, cfg, slices_path + ".meta.json")
-        write_csv(fig3.overlay, overlay_path)
-        write_metadata(fig3.overlay, cfg, overlay_path + ".meta.json")
+        write_outputs(fig3.slices, cfg, os.path.join(args.out, "fig3_slices.csv"))
+        write_outputs(fig3.overlay, cfg, os.path.join(args.out, "fig3_overlay.csv"))
         if args.svg:
             for theta, xi, g in fig3.grids:
                 name = f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg"
@@ -250,13 +244,7 @@ def _run(args) -> int:
             cfg.threads = args.threads
         if args.out:
             cfg.output_path = args.out
-        res = run_sweep(cfg)
-        if cfg.output_path:
-            write_csv(res, cfg.output_path)
-            write_metadata(res, cfg, cfg.output_path + ".meta.json")
-            print(f"wrote {cfg.output_path}", file=sys.stderr)
-        else:
-            sys.stdout.write(csv_text(res))
+        _emit(run_sweep(cfg), cfg.output_path, cfg)
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

@@ -209,10 +209,15 @@ def eigen_analysis(matrix: EffectiveMatrix) -> EffectiveMatrix:
 
     lambda_+/- = (A + D +/- sqrt((A-D)^2 + 4BC))/2 with the principal branch;
     lifetimes tau = 1/(-Re lambda). Flags near-defective matrices when the
-    eigenvector condition number exceeds EP_CONDITION_MARKER.
+    eigenvector condition number exceeds EP_CONDITION_MARKER. A discriminant
+    imaginary part within round-off (1e-12 of |A-D|^2 + 4|BC|) is set to +0.0,
+    so the sign of a rounding error cannot pick the branch of the root.
     """
     (a, b), (c, d) = matrix.entries
-    root = np.sqrt((a - d) ** 2 + 4.0 * b * c)
+    disc = (a - d) ** 2 + 4.0 * b * c
+    if abs(disc.imag) <= 1e-12 * (abs(a - d) ** 2 + 4.0 * abs(b * c)):
+        disc = complex(disc.real, 0.0)
+    root = np.sqrt(disc)
     lp = 0.5 * (a + d + root)
     lm = 0.5 * (a + d - root)
     vp = _eigvec(a, b, c, d, lp)

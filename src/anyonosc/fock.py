@@ -100,12 +100,6 @@ class FockSystem:
         return rho
 
 
-def braided_embedding(cutoff: int, theta: float):
-    """Two-mode lowering pair (a1, a2) with the mode-1 phase string on a2."""
-    sys = FockSystem(cutoff, theta, modes=2)
-    return sys.lowering
-
-
 # ---------------------------------------------------------------------------
 # superoperator helpers (row-major vectorization: vec(A rho B) = (A kron B^T) vec rho)
 

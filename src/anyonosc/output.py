@@ -59,21 +59,28 @@ def read_csv(path: str):
 
 
 def metadata_document(result, config, timestamp: str | None = None) -> dict:
-    """Sidecar document: config echo, conventions, version, ISO-8601 timestamp."""
+    """Sidecar document, the one place provenance is computed.
+
+    The config echo, its SHA-256 and the conventions come from ``config``;
+    the generator name, and for a spectrum grid the ``grid`` block, come from
+    ``result.metadata``. The timestamp is ISO-8601 UTC unless given.
+    """
     if timestamp is None:
         timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-    return {
+    doc = {
         "artifact": "anyonosc",
         "version": __version__,
         "created": timestamp,
         "generator": result.metadata.get("generator", "unknown"),
-        "config_sha256": result.metadata.get("config_sha256",
-                                             config.sha256() if config is not None else ""),
-        "conventions": result.metadata.get("conventions", {}),
+        "config_sha256": config.sha256(),
+        "conventions": config.conventions.as_dict(),
         "columns": list(result.columns),
         "units": list(result.units),
-        "config": config.as_dict() if config is not None else {},
+        "config": config.as_dict(),
     }
+    if "grid" in result.metadata:
+        doc["grid"] = result.metadata["grid"]
+    return doc
 
 
 def validate_metadata(doc: dict):
@@ -103,20 +110,19 @@ def write_metadata(result, config, path: str, timestamp: str | None = None):
 def write_outputs(result, config, path: str, timestamp: str | None = None):
     """CSV plus its metadata sidecar (<path>.meta.json); returns written paths.
 
-    2D grids go through write_grid_csv / write_grid_svg instead.
+    The only writer of a CSV and its sidecar; a spectrum grid goes through
+    ``grid_result`` first.
     """
     return [write_csv(result, path),
             write_metadata(result, config, path + ".meta.json", timestamp)]
 
 
-def _grid_result(grid, config=None):
+def grid_result(grid):
     """Long-format rows (omega_tau, omega_t, re, im) of a 2D spectrum grid,
     omega_t varying fastest, as one SweepResult for every grid CSV (file or
-    stdout). Raises FloatingPointError on a non-finite value, before anything
+    stdout). The grid's own metadata rides along as the sidecar's ``grid``
+    block. Raises FloatingPointError on a non-finite value, before anything
     is written.
-
-    The conventions come from ``config`` when one is given, so a sidecar
-    agrees with its config echo; otherwise from the grid's own metadata.
     """
     from .sweeps import SweepResult  # local import to avoid a cycle
 
@@ -128,31 +134,9 @@ def _grid_result(grid, config=None):
             for wt, re_row, im_row in zip(grid.omega_tau_axis.tolist(), values.real.tolist(),
                                           values.imag.tolist())
             for wv, re, im in zip(omega_t, re_row, im_row)]
-    if config is not None:
-        conventions = config.conventions.as_dict()
-    else:
-        conventions = {"frequency": grid.metadata.get("frequency", ""),
-                       "conjugation": grid.metadata.get("conjugation", ""),
-                       "jump_basis": grid.metadata.get("jump_basis", ""),
-                       "stat_dephasing": False}
-    # metadata_document fills config_sha256 from the config ("" without one)
     return SweepResult(columns=("omega_tau", "omega_t", "re", "im"),
                        units=("omega", "omega", "arb", "arb"),
-                       rows=rows,
-                       metadata={"generator": "spectrum-grid", "conventions": conventions})
-
-
-def write_grid_csv(grid, path: str, config=None, timestamp: str | None = None):
-    """Long-format CSV of a 2D spectrum grid plus its metadata sidecar, whose
-    ``grid`` block is the grid's own metadata."""
-    res = _grid_result(grid, config)
-    write_csv(res, path)
-    doc = metadata_document(res, config, timestamp)
-    doc["grid"] = grid.metadata
-    with open(path + ".meta.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+                       rows=rows, metadata={"generator": "spectrum-grid", "grid": grid.metadata})
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,40 @@ def _apply(op, vecs):
     return np.einsum("jk,ik->ij", op, vecs)
 
 
+def _pathway(system: FockSystem, dipole: DipoleSet, params: AnyonParams, t2: float,
+             tau_axis: np.ndarray, t_axis: np.ndarray, jump_basis: str, conjugation: str,
+             rho_eq: str) -> np.ndarray:
+    """values[i, j] of the rephasing pathway at (tau_axis[i], t_axis[j]), after
+    the input checks. Each cell depends only on its own two frequencies, so a
+    grid cell and a one-point call agree bit for bit."""
+    if system.cutoff < 2:
+        raise ValueError("third-order spectra need the two-excitation manifold: cutoff >= 2")
+    if params.gamma <= 0.0:
+        raise ValueError("rephasing response requires gamma > 0 for convergent resolvents")
+    if not (math.isfinite(t2) and t2 >= 0.0):
+        raise ValueError(f"t2 must be finite and >= 0, got {t2}")
+    if rho_eq not in RHO_EQ:
+        raise ValueError(f"unknown rho_eq {rho_eq!r}; expected one of {RHO_EQ}")
+    liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
+    order = coherence_order(system)
+    rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
+    v0 = dipole.mu_right @ rho0.ravel()
+    tr_mu = trace_vector(system.dim) @ dipole.mu_right
+
+    first = _sector(order, v0)
+    x = _resolvents(liouv, order, first, 1j * tau_axis, -v0)
+    mid = _sector(order, np.any(dipole.mu_left[:, first] != 0, axis=1))
+    z = _apply(dipole.mu_left[np.ix_(mid, first)], x)
+    if t2 > 0.0:
+        for pos, idx in _blocks(order, mid):
+            z[:, pos] = _apply(sla.expm(liouv[np.ix_(idx, idx)] * t2), z[:, pos])
+    last = _sector(order, tr_mu)
+    z = _apply(dipole.mu_left[np.ix_(last, mid)], z)
+    # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
+    y = _resolvents(liouv, order, last, -1j * t_axis, -tr_mu, transpose=True)
+    return _apply(y, z) * (1j) ** 3
+
+
 def rephasing_response(system: FockSystem, dipole: DipoleSet, params: AnyonParams,
                        t2: float = 0.0, grid: GridSpec | None = None,
                        jump_basis: str = DEFAULT_JUMP_BASIS,
@@ -153,36 +187,10 @@ def rephasing_response(system: FockSystem, dipole: DipoleSet, params: AnyonParam
     frequencies) so the photon-echo feature lands at positive detunings.
     ``threads`` is accepted for interface stability; the work is array-wide.
     """
-    if system.cutoff < 2:
-        raise ValueError("third-order spectra need the two-excitation manifold: cutoff >= 2")
-    if params.gamma <= 0.0:
-        raise ValueError("rephasing response requires gamma > 0 for convergent resolvents")
-    if not (math.isfinite(t2) and t2 >= 0.0):
-        raise ValueError(f"t2 must be finite and >= 0, got {t2}")
-    if rho_eq not in RHO_EQ:
-        raise ValueError(f"unknown rho_eq {rho_eq!r}; expected one of {RHO_EQ}")
     if grid is None:
         grid = GridSpec()
     axis = grid.axis()
-    liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
-    order = coherence_order(system)
-    rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
-    v0 = dipole.mu_right @ rho0.ravel()
-    tr_mu = trace_vector(system.dim) @ dipole.mu_right
-
-    first = _sector(order, v0)
-    x = _resolvents(liouv, order, first, 1j * axis, -v0)
-    mid = _sector(order, np.any(dipole.mu_left[:, first] != 0, axis=1))
-    z = _apply(dipole.mu_left[np.ix_(mid, first)], x)
-    if t2 > 0.0:
-        for pos, idx in _blocks(order, mid):
-            z[:, pos] = _apply(sla.expm(liouv[np.ix_(idx, idx)] * t2), z[:, pos])
-    last = _sector(order, tr_mu)
-    z = _apply(dipole.mu_left[np.ix_(last, mid)], z)
-    # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
-    y = _resolvents(liouv, order, last, -1j * axis, -tr_mu, transpose=True)
-    values = _apply(y, z) * (1j) ** 3
-
+    values = _pathway(system, dipole, params, t2, axis, axis, jump_basis, conjugation, rho_eq)
     meta = {
         "theta": params.theta, "xi": params.xi, "omega": params.omega,
         "coupling_j": params.coupling_j, "gamma": params.gamma, "beta": params.beta,
@@ -205,13 +213,9 @@ def response_point(system: FockSystem, dipole: DipoleSet, params: AnyonParams,
                    conjugation: str = DEFAULT_CONJUGATION,
                    rho_eq: str = "vacuum") -> complex:
     """Single-point evaluation, bit-identical to the matching grid cell."""
-    g = GridSpec(count=2, lo=min(omega_tau, omega_t), hi=max(omega_tau, omega_t))
-    if omega_tau == omega_t:
-        g = GridSpec(count=2, lo=omega_tau, hi=omega_tau + 1.0)
-    full = rephasing_response(system, dipole, params, t2, g, jump_basis, conjugation, rho_eq)
-    i = int(np.where(np.isclose(full.omega_tau_axis, omega_tau))[0][0])
-    j = int(np.where(np.isclose(full.omega_t_axis, omega_t))[0][0])
-    return complex(full.values[i, j])
+    values = _pathway(system, dipole, params, t2, np.array([float(omega_tau)]),
+                      np.array([float(omega_t)]), jump_basis, conjugation, rho_eq)
+    return complex(values[0, 0])
 
 
 def rephasing_response_quadrature(system: FockSystem, dipole: DipoleSet, params: AnyonParams,

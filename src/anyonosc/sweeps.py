@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
                     DEFAULT_FREQUENCY_CONVENTION, FREQUENCY_CONVENTIONS,
                     build_weff, match_branches)
@@ -47,7 +46,7 @@ class Conventions:
 
     def as_dict(self) -> dict:
         return {"frequency": self.frequency, "conjugation": self.conjugation,
-                "jump_basis": self.jump_basis, "stat_dephasing": self.stat_dephasing}
+                "jump_basis": self.jump_basis, "stat_dephasing": bool(self.stat_dephasing)}
 
 
 @dataclass
@@ -65,17 +64,20 @@ class RunConfig:
     xi_list: tuple = ()
 
     def as_dict(self) -> dict:
+        """JSON echo with the types config_from_dict reads back (theta=0 and
+        theta=0.0 echo, and so hash, alike)."""
         return {
-            "params": {k: getattr(self.params, k) for k in PARAM_FIELDS},
-            "sweep": [{"name": ax.name, "start": ax.start, "stop": ax.stop, "count": ax.count}
-                      for ax in self.sweep],
+            "params": {k: float(getattr(self.params, k)) for k in PARAM_FIELDS},
+            "sweep": [{"name": ax.name, "start": float(ax.start), "stop": float(ax.stop),
+                       "count": int(ax.count)} for ax in self.sweep],
             "conventions": self.conventions.as_dict(),
             "output": {"path": self.output_path, "svg": self.svg_path},
-            "compute": {"threads": self.threads, "cutoff": self.cutoff},
-            "grid": {"count": self.grid.count, "lo": self.grid.lo, "hi": self.grid.hi},
-            "t2": self.t2,
-            "theta_list": list(self.theta_list),
-            "xi_list": list(self.xi_list),
+            "compute": {"threads": int(self.threads), "cutoff": int(self.cutoff)},
+            "grid": {"count": int(self.grid.count), "lo": float(self.grid.lo),
+                     "hi": float(self.grid.hi)},
+            "t2": float(self.t2),
+            "theta_list": [float(x) for x in self.theta_list],
+            "xi_list": [float(x) for x in self.xi_list],
         }
 
     def sha256(self) -> str:
@@ -198,15 +200,6 @@ class SweepResult:
         return self
 
 
-def _provenance(config: RunConfig, kind: str) -> dict:
-    return {
-        "generator": kind,
-        "artifact_version": __version__,
-        "config_sha256": config.sha256(),
-        "conventions": config.conventions.as_dict(),
-    }
-
-
 def run_fig1(config: RunConfig) -> SweepResult:
     """Single-oscillator rates against the statistical angle.
 
@@ -227,7 +220,7 @@ def run_fig1(config: RunConfig) -> SweepResult:
     return SweepResult(
         columns=("theta", "gamma_stat", "re_gamma_full", "im_gamma_full"),
         units=("rad", "omega", "omega", "omega"),
-        rows=rows, metadata=_provenance(config, "fig1"),
+        rows=rows, metadata={"generator": "fig1"},
     ).check()
 
 
@@ -264,7 +257,7 @@ def run_fig2(config: RunConfig) -> SweepResult:
         columns=("theta", "xi", "re_lambda_plus", "re_lambda_minus",
                  "im_lambda_plus", "im_lambda_minus", "gap", "ep_flag"),
         units=("rad", "1", "omega", "omega", "omega", "omega", "omega", "bool"),
-        rows=rows, metadata=_provenance(config, "fig2"),
+        rows=rows, metadata={"generator": "fig2"},
     ).check()
 
 
@@ -304,7 +297,7 @@ def run_fig3(config: RunConfig) -> Fig3Result:
     slices = SweepResult(
         columns=("theta", "xi", "detuning", "re", "im", "abs"),
         units=("rad", "1", "omega", "arb", "arb", "arb"),
-        rows=slice_rows, metadata=_provenance(config, "fig3-slices"),
+        rows=slice_rows, metadata={"generator": "fig3-slices"},
     ).check()
 
     overlay_rows = []
@@ -318,7 +311,7 @@ def run_fig3(config: RunConfig) -> Fig3Result:
     overlay = SweepResult(
         columns=("theta", "xi", "nu_branch_1", "nu_branch_2", "re_branch_1", "re_branch_2"),
         units=("rad", "1", "omega", "omega", "omega", "omega"),
-        rows=overlay_rows, metadata=_provenance(config, "fig3-overlay"),
+        rows=overlay_rows, metadata={"generator": "fig3-overlay"},
     ).check()
     return Fig3Result(grids, slices, overlay)
 
@@ -354,4 +347,4 @@ def run_sweep(config: RunConfig) -> SweepResult:
     units = tuple("rad" if n == "theta" else "1" if n == "xi" else "omega" for n in names) + \
         ("omega",) * 8
     return SweepResult(columns=cols, units=units, rows=rows,
-                       metadata=_provenance(config, "sweep")).check()
+                       metadata={"generator": "sweep"}).check()

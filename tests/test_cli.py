@@ -59,6 +59,66 @@ class TestCliBasics:
         assert int(row[2]) == 0
 
 
+class TestCliNegativeNumbers:
+    # argparse's default reads -1e-05 as a flag ("expected one argument")
+    @pytest.mark.parametrize("argv, code, message", [
+        (("ep-locate", "--xi", "-1e-05"), 0, None),
+        (("dimer-rates", "--xi", "-2.5E-1", "--grid", "3"), 0, None),
+        (("fig2", "--xi-list", "-.5", "--grid", "3"), 0, None),
+        (("fig3", "--xi-list", "-7.4e-05", "--theta-list", "1", "--grid", "4"), 0, None),
+        (("spectrum", "--range", "-0.3:0.3", "--grid", "3"), 0, None),
+        (("single-rates", "--theta", "-1e-3", "--grid", "3"), 1, "theta must lie in [0, pi]"),
+        (("single-rates", "--theta", "-1.", "--grid", "3"), 1, "theta must lie in [0, pi]"),
+    ], ids=["ep-locate", "dimer-rates", "fig2", "fig3", "spectrum-range", "theta-exponent",
+            "theta-trailing-dot"])
+    def test_negative_values_are_not_flags(self, capsys, tmp_path, argv, code, message):
+        got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert got == code, err
+        assert "expected one argument" not in err
+        if message:
+            assert message in err
+
+
+FILE_COMMANDS = {
+    "single-rates": ["single-rates", "--grid", "5"],
+    "dimer-rates": ["dimer-rates", "--xi", "0.5", "--grid", "5", "--stat-dephasing", "on"],
+    "ep-locate": ["ep-locate", "--xi", "1.0", "--conjugation", "analytic"],
+    "spectrum": ["spectrum", "--grid", "4", "--convention", "maintext"],
+    "fig1": ["fig1", "--grid", "5"],
+    "fig2": ["fig2", "--grid", "5", "--xi-list", "0,1"],
+    "fig3": ["fig3", "--grid", "4", "--theta-list", "0,1.5", "--xi-list", "0"],
+    "sweep": ["sweep", "--config"],
+}
+
+
+class TestCliProvenance:
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_every_sidecar_comes_from_its_config(self, capsys, tmp_path, command):
+        from anyonosc.output import validate_metadata
+        from anyonosc.sweeps import config_from_dict
+
+        argv = list(FILE_COMMANDS[command])
+        if command == "sweep":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({
+                "conventions": {"jump_basis": "deformed"},
+                "sweep": [{"name": "theta", "start": 0.0, "stop": 3.0, "count": 4}]}))
+            argv.append(str(cfg_path))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+        csvs = ([out / "fig3_slices.csv", out / "fig3_overlay.csv"] if command == "fig3"
+                else [out])
+        for path in csvs:
+            doc = validate_metadata(json.loads(path.with_name(path.name + ".meta.json").read_text()))
+            assert config_from_dict(doc["config"]).sha256() == doc["config_sha256"]
+            assert doc["conventions"] == doc["config"]["conventions"]
+            assert doc["columns"] == [h.split(" [")[0] for h in
+                                      path.read_text().split("\n")[0].split(",")]
+            if command == "spectrum":
+                assert doc["grid"]["frequency"] == "appendix"
+
+
 class TestCliSpectrum:
     def test_spectrum_csv_and_svg(self, capsys, tmp_path):
         out_csv = tmp_path / "grid.csv"

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,19 @@ class TestEigenAnalysis:
                             conjugation="modulus", stat_dephasing=False)
         eigen_analysis(w)
         assert w.near_defective
+
+    @pytest.mark.parametrize("theta, xi", [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (2.0, 1.0),
+                                           (3.0, 1.0), (math.pi, 0.3)])
+    def test_labels_do_not_follow_round_off_in_the_discriminant(self, theta, xi):
+        # eigenvalues depend on B, C only through B*C, so (B*C + d, 1) shifts
+        # Im(B*C) by d and leaves everything else alone
+        w = build_weff(AnyonParams(theta=theta, xi=xi))
+        (a, b), (c, d) = w.entries
+        for shift in (1e-18j, -1e-18j):
+            entries = np.array([[a, b * c + shift], [1.0, d]], dtype=complex)
+            nudged = eigen_analysis(dataclasses.replace(w, entries=entries))
+            for got, want in zip(nudged.eigenvalues, w.eigenvalues):
+                assert abs(got - want) <= 1e-12
 
     def test_eigenvector_condition_diverges_toward_the_exceptional_point(self):
         p = AnyonParams(theta=0.5, xi=1.0)

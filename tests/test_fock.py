@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from anyonosc import (AnyonParams, DensityState, FockSystem,
-                      anyon_ladder_matrix, braided_embedding, build_hamiltonian,
+                      anyon_ladder_matrix, build_hamiltonian,
                       build_liouvillian, build_weff, fit_decay_rate,
                       gamma_full_single, normal_mode_frequencies, propagate,
                       resolvent_apply, steady_state)
@@ -67,7 +67,7 @@ class TestLadderMatrices:
 
 class TestBraidedEmbedding:
     def test_boson_operators_commute(self):
-        a1, a2 = braided_embedding(3, 0.0)
+        a1, a2 = FockSystem(3, 0.0, modes=2).lowering
         assert np.linalg.norm(a1 @ a2 - a2 @ a1) <= 1e-14
 
     def test_fermion_string_is_parity(self):
@@ -77,7 +77,7 @@ class TestBraidedEmbedding:
 
     def test_braiding_relation_over_angles(self):
         for theta in np.linspace(0.0, math.pi, 13):
-            a1, a2 = braided_embedding(3, theta)
+            a1, a2 = FockSystem(3, theta, modes=2).lowering
             defect = np.linalg.norm(a1 @ a2 - cmath.exp(1j * theta) * a2 @ a1)
             assert defect <= 1e-13
 

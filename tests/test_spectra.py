@@ -110,6 +110,16 @@ class TestRephasingResponse:
                                float(g.omega_tau_axis[i]), float(g.omega_t_axis[j]))
             assert v == g.values[i, j]
 
+    def test_single_point_at_nearly_equal_frequencies(self):
+        # two frequencies 1e-7 apart are two cells, not one
+        _, system, dip, p = small_grid(0.9, 0.5, n=4)
+        lo, hi = 0.1, 0.1 + 1e-7
+        g = rephasing_response(system, dip, p, grid=GridSpec(count=2, lo=lo, hi=hi))
+        assert response_point(system, dip, p, lo, hi) == g.values[0, 1]
+        assert response_point(system, dip, p, hi, lo) == g.values[1, 0]
+        assert response_point(system, dip, p, lo, lo) == g.values[0, 0]
+        assert g.values[0, 1] != g.values[0, 0]
+
     def test_thread_count_does_not_change_bits(self):
         g1, system, dip, p = small_grid(1.2, 0.7, n=24)
         g8 = rephasing_response(system, dip, p, grid=GridSpec(count=24), threads=8)

@@ -4,17 +4,51 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonosc import AnyonParams, ConfigError, RunConfig, config_from_dict
 from anyonosc.output import (csv_text, metadata_document, read_csv,
                              svg_heatmap, validate_metadata, write_csv,
                              write_grid_svg, write_metadata)
+from anyonosc.dimer import CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS
+from anyonosc.fock import JUMP_BASES
 from anyonosc.spectra import GridSpec
-from anyonosc.sweeps import (SweepAxis, parse_range, run_fig1, run_fig2,
-                             run_fig3, run_sweep)
+from anyonosc.sweeps import (PARAM_FIELDS, Conventions, SweepAxis, parse_range,
+                             run_fig1, run_fig2, run_fig3, run_sweep)
+
+
+def _number(lo, hi):
+    """Ints or floats in [lo, hi]: a library config may hold either."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_conventions = st.builds(Conventions, st.sampled_from(FREQUENCY_CONVENTIONS),
+                         st.sampled_from(CONJUGATION_CONVENTIONS), st.sampled_from(JUMP_BASES),
+                         st.booleans())
+_run_configs = st.builds(
+    RunConfig,
+    params=st.builds(AnyonParams, theta=_number(0.0, math.pi), omega=_number(1e-3, 1e3),
+                     coupling_j=_finite, gamma=_number(0.0, 1e3), beta=_number(1e-3, 1e3),
+                     xi=_number(-1.0, 1.0)),
+    sweep=st.lists(st.builds(SweepAxis, st.sampled_from(PARAM_FIELDS), _finite, _finite,
+                             st.integers(2, 10_000)), max_size=3).map(tuple),
+    conventions=_conventions,
+    output_path=st.none() | st.text(), svg_path=st.none() | st.text(),
+    threads=st.integers(1, 64), cutoff=st.integers(1, 8),
+    grid=st.builds(GridSpec, st.integers(2, 4096), _finite, _finite),
+    t2=_number(0.0, 1e6),
+    theta_list=st.lists(_number(0.0, math.pi), max_size=4).map(tuple),
+    xi_list=st.lists(_number(-1.0, 1.0), max_size=4).map(tuple))
 
 
 class TestConfig:
+    @settings(deadline=None)
+    @given(_run_configs)
+    def test_sha256_survives_the_json_echo(self, cfg):
+        assert config_from_dict(cfg.as_dict()).sha256() == cfg.sha256()
+
     def test_defaults_round_trip(self):
         cfg = config_from_dict({})
         assert cfg.params.theta == 0.0
