@@ -17,7 +17,7 @@ import numpy as np
 
 from .dimer import find_exceptional_point
 from .fock import FockSystem
-from .output import csv_text, grid_result, write_grid_svg, write_outputs
+from .output import _csv_blocks, grid_result, write_grid_svg, write_outputs
 from .params import AnyonParams, ParameterError
 from .spectra import GridSpec, build_dipole, rephasing_response
 from .sweeps import (ConfigError, Conventions, RunConfig, SweepAxis,
@@ -142,7 +142,7 @@ def _emit(result, path, config):
         write_outputs(result, config, path)
         print(f"wrote {path}", file=sys.stderr)
     else:
-        sys.stdout.write(csv_text(result))
+        sys.stdout.writelines(_csv_blocks(result))
 
 
 def _run(args) -> int:
@@ -197,14 +197,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "fig1":
-        n = args.grid or 201
+        n = 201 if args.grid is None else args.grid
         cfg = RunConfig(params=_params_from(args), conventions=_conventions_from(args),
                         sweep=(SweepAxis("theta", 0.0, math.pi, n),), threads=args.threads)
         _emit(run_fig1(cfg), args.out, cfg)
         return 0
 
     if args.command == "fig2":
-        n = args.grid or 201
+        n = 201 if args.grid is None else args.grid
         beta = 1.0 if args.temp == "low" else 0.1
         xis = tuple(float(x) for x in args.xi_list.split(","))
         cfg = RunConfig(params=_params_from(args).with_(beta=beta),
@@ -218,7 +218,7 @@ def _run(args) -> int:
         if not args.out:
             raise ConfigError("fig3 writes multiple files; --out DIR is required")
         os.makedirs(args.out, exist_ok=True)
-        n = args.grid or 256
+        n = 256 if args.grid is None else args.grid
         thetas = (tuple(float(x) for x in args.theta_list.split(","))
                   if args.theta_list else tuple(np.linspace(0.0, math.pi, 9)))
         xis = tuple(float(x) for x in args.xi_list.split(","))

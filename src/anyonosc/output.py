@@ -4,6 +4,7 @@ heatmaps with overlay polylines."""
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 
 import numpy as np
@@ -14,11 +15,9 @@ METADATA_REQUIRED_KEYS = ("artifact", "version", "created", "config_sha256",
                           "conventions", "columns", "units", "generator")
 
 
-def format_number(value) -> str:
-    """Decimal serialization at 17 significant digits (round-trips doubles)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return format(float(value), ".17g")
+# Rows formatted per block: enough that the per-block cost vanishes, few enough
+# that one block's Python floats and text stay near a megabyte.
+_BLOCK_ROWS = 4096
 
 
 def _csv_field(text: str) -> str:
@@ -27,18 +26,69 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _table(result) -> np.ndarray:
+    """``result.rows`` (a list of tuples or a 2-D array) as one float64
+    (rows, columns) array. Raises ValueError on a bad row width and
+    FloatingPointError on a non-finite value."""
+    width = len(result.columns)
+    if len(result.units) != width:
+        raise ValueError("columns and units length mismatch")
+    try:
+        table = np.asarray(result.rows, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise ValueError(f"row width mismatch: {exc}") from None
+    if len(result.rows) == 0:
+        table = table.reshape(0, width)
+    if table.shape != (len(result.rows), width):
+        raise ValueError("row width mismatch")
+    if not np.isfinite(table).all():
+        raise FloatingPointError("non-finite value in result")
+    return table
+
+
+def _column_fields(column: np.ndarray):
+    """("%s", per-row text) for a column with at most half its values
+    distinct, each distinct bit pattern formatted once (so -0.0 and 0.0 stay
+    apart); ("%.17g", the values) for any other column."""
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    if 2 * bits.size > column.size:
+        return "%.17g", column
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return "%s", text[inverse]
+
+
+def _csv_blocks(result):
+    """The header line, then the rows as text in blocks of ``_BLOCK_ROWS``.
+
+    The table is built and checked before this returns, so a caller that
+    opens its file afterwards writes nothing for a bad result. Floats are
+    ``%.17g``; integers up to 2**53 in magnitude are exact in the float64
+    table and so print as integers."""
+    table = _table(result)
+    header = ",".join(_csv_field(f"{c} [{u}]") for c, u in zip(result.columns, result.units))
+    fields = [_column_fields(col) for col in table.T]
+    row = ",".join(fmt for fmt, _ in fields) + "\n"
+    width = len(fields)
+
+    def block(lo):
+        hi = min(lo + _BLOCK_ROWS, len(table))
+        flat = [None] * ((hi - lo) * width)
+        for k, (_, col) in enumerate(fields):
+            flat[k::width] = col[lo:hi].tolist()
+        return row * (hi - lo) % tuple(flat)
+
+    return itertools.chain([header + "\n"], map(block, range(0, len(table), _BLOCK_ROWS)))
+
+
 def csv_text(result) -> str:
     """CSV body with a header naming columns and units, RFC-4180, LF endings."""
-    header = [f"{c} [{u}]" for c, u in zip(result.columns, result.units)]
-    lines = [",".join(_csv_field(h) for h in header)]
-    for row in result.rows:
-        lines.append(",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_blocks(result))
 
 
 def write_csv(result, path: str):
+    blocks = _csv_blocks(result)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(result))
+        fh.writelines(blocks)
     return path
 
 
@@ -119,24 +169,22 @@ def write_outputs(result, config, path: str, timestamp: str | None = None):
 
 def grid_result(grid):
     """Long-format rows (omega_tau, omega_t, re, im) of a 2D spectrum grid,
-    omega_t varying fastest, as one SweepResult for every grid CSV (file or
-    stdout). The grid's own metadata rides along as the sidecar's ``grid``
-    block. Raises FloatingPointError on a non-finite value, before anything
-    is written.
+    omega_t varying fastest, as one SweepResult with an (N_tau * N_t, 4)
+    array of rows, for every grid CSV (file or stdout). The grid's own
+    metadata rides along as the sidecar's ``grid`` block.
     """
     from .sweeps import SweepResult  # local import to avoid a cycle
 
     values = grid.values
-    if not np.isfinite(values).all():
-        raise FloatingPointError("non-finite value in spectrum grid")
-    omega_t = grid.omega_t_axis.tolist()
-    rows = [(wt, wv, re, im)
-            for wt, re_row, im_row in zip(grid.omega_tau_axis.tolist(), values.real.tolist(),
-                                          values.imag.tolist())
-            for wv, re, im in zip(omega_t, re_row, im_row)]
+    rows = np.empty(values.shape + (4,))
+    rows[..., 0] = grid.omega_tau_axis[:, None]
+    rows[..., 1] = grid.omega_t_axis[None, :]
+    rows[..., 2] = values.real
+    rows[..., 3] = values.imag
     return SweepResult(columns=("omega_tau", "omega_t", "re", "im"),
                        units=("omega", "omega", "arb", "arb"),
-                       rows=rows, metadata={"generator": "spectrum-grid", "grid": grid.metadata})
+                       rows=rows.reshape(-1, 4),
+                       metadata={"generator": "spectrum-grid", "grid": grid.metadata})
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +239,6 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [om
     cell_w = plot_w / nx
     cell_h = plot_h / ny
 
-    def px(i):  # x pixel of column i (x axis = grid first index)
-        return _MARGIN_L + i * cell_w
-
-    def py(j):  # y pixel of row j, origin bottom-left
-        return _MARGIN_T + plot_h - (j + 1) * cell_h
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -205,19 +247,20 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [om
         f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
-    # heatmap cells, run-length merged along x for each y row
-    for j in range(ny):
-        i = 0
-        while i < nx:
-            k = i + 1
-            q = quant[i, j]
-            while k < nx and quant[k, j] == q:
-                k += 1
-            parts.append(
-                f'<rect x="{px(i):.2f}" y="{py(j):.2f}" width="{(k - i) * cell_w + 0.5:.2f}" '
-                f'height="{cell_h + 0.5:.2f}" fill="{palette[q]}"/>'
-            )
-            i = k
+    # heatmap cells: one rect per run of equal quantized color along x, for
+    # each y row in turn; a run ends where the next one starts (or at its row end)
+    rows = quant.T
+    starts = np.ones(rows.shape, bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    j, i = np.nonzero(starts)
+    run = np.diff(j * nx + i, append=nx * ny)
+    rect = ('<rect x="%.2f" y="%.2f" width="%.2f" '
+            f'height="{cell_h + 0.5:.2f}" fill="%s"/>')
+    parts.extend(rect % cell for cell in zip(
+        (_MARGIN_L + i * cell_w).tolist(),                 # x pixel of column i, x = first index
+        (_MARGIN_T + plot_h - (j + 1) * cell_h).tolist(),  # y pixel of row j, origin bottom-left
+        (run * cell_w + 0.5).tolist(),
+        np.array(palette, dtype=object)[rows[j, i]].tolist()))
     # frame
     parts.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                  'fill="none" stroke="black" stroke-width="1"/>')

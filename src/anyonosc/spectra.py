@@ -59,6 +59,8 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         if self.count < 2:
             raise ValueError("grid count must be >= 2")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"grid range needs finite endpoints, got {self.lo}:{self.hi}")
         if not self.lo < self.hi:
             raise ValueError("grid range must be increasing")
         return np.linspace(self.lo, self.hi, self.count)

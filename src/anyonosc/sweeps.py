@@ -13,6 +13,7 @@ from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
                     DEFAULT_FREQUENCY_CONVENTION, FREQUENCY_CONVENTIONS,
                     build_weff, match_branches)
 from .fock import JUMP_BASES, FockSystem
+from .output import _table
 from .params import AnyonParams, ParameterError
 from .rates import gamma_full_single, gamma_stat
 from .spectra import (DEFAULT_JUMP_BASIS, GridSpec, bright_mode_overlay,
@@ -28,10 +29,19 @@ PARAM_FIELDS = ("theta", "omega", "coupling_j", "gamma", "beta", "xi")
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """Inclusive range of ``count`` >= 2 points between finite endpoints."""
+
     name: str
     start: float
     stop: float
     count: int
+
+    def __post_init__(self):
+        if self.count < 2:
+            raise ConfigError(f"sweep axis {self.name!r} needs count >= 2, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(f"sweep axis {self.name!r} needs finite endpoints, "
+                              f"got {self.start}:{self.stop}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -113,10 +123,8 @@ def config_from_dict(doc: dict) -> RunConfig:
                 raise ConfigError(f"sweep axis missing {key!r}")
         if item["name"] not in PARAM_FIELDS:
             raise ConfigError(f"sweep axis references unknown parameter {item['name']!r}")
-        count = int(item["count"])
-        if count < 2:
-            raise ConfigError(f"sweep axis {item['name']!r} needs count >= 2, got {count}")
-        axes.append(SweepAxis(item["name"], float(item["start"]), float(item["stop"]), count))
+        axes.append(SweepAxis(item["name"], float(item["start"]), float(item["stop"]),
+                              int(item["count"])))
 
     cdoc = doc.get("conventions", {})
     _require_keys(cdoc, {"frequency", "conjugation", "jump_basis", "stat_dephasing"},
@@ -189,14 +197,9 @@ class SweepResult:
         return np.array([r[k] for r in self.rows])
 
     def check(self):
-        if len(self.columns) != len(self.units):
-            raise ValueError("columns and units length mismatch")
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ValueError("row width mismatch")
-            for v in r:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise FloatingPointError("non-finite value in sweep result")
+        """The writer's check: ValueError on a bad row width,
+        FloatingPointError on a non-finite value."""
+        _table(self)
         return self
 
 
@@ -221,7 +224,7 @@ def run_fig1(config: RunConfig) -> SweepResult:
         columns=("theta", "gamma_stat", "re_gamma_full", "im_gamma_full"),
         units=("rad", "omega", "omega", "omega"),
         rows=rows, metadata={"generator": "fig1"},
-    ).check()
+    )
 
 
 def run_fig2(config: RunConfig) -> SweepResult:
@@ -258,7 +261,7 @@ def run_fig2(config: RunConfig) -> SweepResult:
                  "im_lambda_plus", "im_lambda_minus", "gap", "ep_flag"),
         units=("rad", "1", "omega", "omega", "omega", "omega", "omega", "bool"),
         rows=rows, metadata={"generator": "fig2"},
-    ).check()
+    )
 
 
 @dataclass
@@ -298,7 +301,7 @@ def run_fig3(config: RunConfig) -> Fig3Result:
         columns=("theta", "xi", "detuning", "re", "im", "abs"),
         units=("rad", "1", "omega", "arb", "arb", "arb"),
         rows=slice_rows, metadata={"generator": "fig3-slices"},
-    ).check()
+    )
 
     overlay_rows = []
     theta_grid = np.linspace(min(thetas), max(thetas), 201) if len(thetas) > 1 else np.array(thetas)
@@ -312,7 +315,7 @@ def run_fig3(config: RunConfig) -> Fig3Result:
         columns=("theta", "xi", "nu_branch_1", "nu_branch_2", "re_branch_1", "re_branch_2"),
         units=("rad", "1", "omega", "omega", "omega", "omega"),
         rows=overlay_rows, metadata={"generator": "fig3-overlay"},
-    ).check()
+    )
     return Fig3Result(grids, slices, overlay)
 
 
@@ -347,4 +350,4 @@ def run_sweep(config: RunConfig) -> SweepResult:
     units = tuple("rad" if n == "theta" else "1" if n == "xi" else "omega" for n in names) + \
         ("omega",) * 8
     return SweepResult(columns=cols, units=units, rows=rows,
-                       metadata={"generator": "sweep"}).check()
+                       metadata={"generator": "sweep"})

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,44 @@ class TestCliNegativeNumbers:
         assert "expected one argument" not in err
         if message:
             assert message in err
+
+
+class TestCliAxisRule:
+    # one rule for every sweep axis: count >= 2 and finite endpoints, exit 1
+    @pytest.mark.parametrize("argv", [
+        ("single-rates", "--grid", "0"),
+        ("single-rates", "--grid", "1"),
+        ("dimer-rates", "--grid", "0"),
+        ("dimer-rates", "--grid", "1"),
+        ("fig1", "--grid", "0"),
+        ("fig2", "--grid", "0"),
+        ("fig3", "--grid", "0", "--theta-list", "1"),
+        ("spectrum", "--range=-inf:0", "--grid", "4"),
+        ("dimer-rates", "--range=0:nan"),
+        ("ep-locate", "--range=0:inf"),
+    ], ids=["single-rates-0", "single-rates-1", "dimer-rates-0", "dimer-rates-1", "fig1-0",
+            "fig2-0", "fig3-0", "spectrum-inf", "dimer-rates-nan", "ep-locate-inf"])
+    def test_bad_axis_is_a_validation_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1, err
+        assert "error" in err
+        assert not out.is_file() and stdout == ""
+
+    def test_non_finite_ep_result_is_refused_before_writing(self, capsys, monkeypatch,
+                                                            tmp_path):
+        import anyonosc.cli
+        from anyonosc.dimer import EPResult
+
+        monkeypatch.setattr(anyonosc.cli, "find_exceptional_point",
+                            lambda *args: EPResult(False, math.nan, math.nan, 1e-7))
+        out = tmp_path / "ep.csv"
+        code, _, err = run_cli(capsys, "ep-locate", "--out", str(out))
+        assert code == 2
+        assert "compute error" in err
+        assert not out.exists() and not (tmp_path / "ep.csv.meta.json").exists()
 
 
 FILE_COMMANDS = {

@@ -1,0 +1,267 @@
+"""Byte identity of the array-level CSV and SVG writers against the
+per-field reference writers they replaced (kept here, verbatim, as the
+reference), plus the checks the CSV writer makes before opening its file."""
+
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anyonosc.output import (_BLOCK_ROWS, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T,
+                             _csv_field, _diverging_palette, _ticks, csv_text, read_csv,
+                             svg_heatmap, write_csv)
+from anyonosc.sweeps import SweepResult
+
+
+def reference_format_number(value) -> str:
+    """Decimal serialization at 17 significant digits (round-trips doubles)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def reference_csv_text(result) -> str:
+    """CSV body with a header naming columns and units, RFC-4180, LF endings."""
+    header = [f"{c} [{u}]" for c, u in zip(result.columns, result.units)]
+    lines = [",".join(_csv_field(h) for h in header)]
+    for row in result.rows:
+        lines.append(",".join(reference_format_number(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [omega]",
+                ylabel: str = "omega_t [omega]", overlays=None,
+                width: int = 760, height: int = 640, levels: int = 64) -> str:
+    """Self-contained SVG heatmap of a real-valued grid.
+
+    Linear diverging color map symmetric about zero; horizontal runs of equal
+    quantized color are merged into single rects to keep files small. Overlay
+    polylines are drawn dashed on top. z is indexed (x_index, y_index)
+    following the spectrum grid convention (values[i, j] = (x_i, y_j)).
+    """
+    x_axis = np.asarray(x_axis, float)
+    y_axis = np.asarray(y_axis, float)
+    z = np.asarray(z, float)
+    if not np.isfinite(z).all():
+        raise ValueError("heatmap values must be finite")
+    nx, ny = z.shape
+    if nx != x_axis.size or ny != y_axis.size:
+        raise ValueError("heatmap axes do not match grid shape")
+    vmax = float(np.max(np.abs(z))) or 1.0
+    palette = _diverging_palette(levels)
+    quant = np.clip(((z / vmax) * 0.5 + 0.5) * (levels - 1), 0, levels - 1).round().astype(int)
+
+    plot_w = width - _MARGIN_L - _MARGIN_R
+    plot_h = height - _MARGIN_T - _MARGIN_B
+    cell_w = plot_w / nx
+    cell_h = plot_h / ny
+
+    def px(i):  # x pixel of column i (x axis = grid first index)
+        return _MARGIN_L + i * cell_w
+
+    def py(j):  # y pixel of row j, origin bottom-left
+        return _MARGIN_T + plot_h - (j + 1) * cell_h
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>',
+    ]
+    # heatmap cells, run-length merged along x for each y row
+    for j in range(ny):
+        i = 0
+        while i < nx:
+            k = i + 1
+            q = quant[i, j]
+            while k < nx and quant[k, j] == q:
+                k += 1
+            parts.append(
+                f'<rect x="{px(i):.2f}" y="{py(j):.2f}" width="{(k - i) * cell_w + 0.5:.2f}" '
+                f'height="{cell_h + 0.5:.2f}" fill="{palette[q]}"/>'
+            )
+            i = k
+    # frame
+    parts.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+                 'fill="none" stroke="black" stroke-width="1"/>')
+    # ticks and labels
+    for tv in _ticks(x_axis[0], x_axis[-1]):
+        frac = (tv - x_axis[0]) / (x_axis[-1] - x_axis[0])
+        xpix = _MARGIN_L + frac * plot_w
+        parts.append(f'<line x1="{xpix:.1f}" y1="{_MARGIN_T + plot_h}" x2="{xpix:.1f}" '
+                     f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
+        parts.append(f'<text x="{xpix:.1f}" y="{_MARGIN_T + plot_h + 19}" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="11">{tv:.3g}</text>')
+    for tv in _ticks(y_axis[0], y_axis[-1]):
+        frac = (tv - y_axis[0]) / (y_axis[-1] - y_axis[0])
+        ypix = _MARGIN_T + plot_h - frac * plot_h
+        parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{ypix:.1f}" x2="{_MARGIN_L}" '
+                     f'y2="{ypix:.1f}" stroke="black"/>')
+        parts.append(f'<text x="{_MARGIN_L - 8}" y="{ypix + 4:.1f}" text-anchor="end" '
+                     f'font-family="sans-serif" font-size="11">{tv:.3g}</text>')
+    parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{height - 14}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="13">{xlabel}</text>')
+    parts.append(f'<text x="20" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="13" '
+                 f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>')
+    # overlay polylines (dashed)
+    if overlays:
+        for xs, ys in overlays:
+            pts = []
+            for xv, yv in zip(xs, ys):
+                if not (x_axis[0] <= xv <= x_axis[-1] and y_axis[0] <= yv <= y_axis[-1]):
+                    continue
+                fx = (xv - x_axis[0]) / (x_axis[-1] - x_axis[0])
+                fy = (yv - y_axis[0]) / (y_axis[-1] - y_axis[0])
+                pts.append(f"{_MARGIN_L + fx * plot_w:.1f},{_MARGIN_T + plot_h - fy * plot_h:.1f}")
+            if pts:
+                parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" '
+                             'stroke-width="1.5" stroke-dasharray="6,4"/>')
+    # color scale bar
+    bar_x = width - _MARGIN_R + 20
+    bar_h = plot_h
+    seg = bar_h / levels
+    for k in range(levels):
+        parts.append(f'<rect x="{bar_x}" y="{_MARGIN_T + bar_h - (k + 1) * seg:.2f}" width="14" '
+                     f'height="{seg + 0.5:.2f}" fill="{palette[k]}"/>')
+    parts.append(f'<text x="{bar_x + 18}" y="{_MARGIN_T + 8}" font-family="sans-serif" '
+                 f'font-size="11">{vmax:.3g}</text>')
+    parts.append(f'<text x="{bar_x + 18}" y="{_MARGIN_T + bar_h}" font-family="sans-serif" '
+                 f'font-size="11">{-vmax:.3g}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+
+# -- CSV ----------------------------------------------------------------------
+
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300,
+           1.7976931348623157e308, 1.0, -1.0, 0.1, 2.0 ** 53)
+_floats = st.one_of(st.sampled_from(SPECIAL),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.builds(lambda m, s: s * m, st.floats(1e-20, 1e5), st.sampled_from((1, -1))))
+_ints = st.integers(-2 ** 53, 2 ** 53)
+# Each column kind draws one value per row; "repeated" draws every row from a
+# small pool, so the column has at most a few distinct values.
+_kinds = st.sampled_from(("float", "repeated", "int", "numpy-int", "bool"))
+
+
+@st.composite
+def _results(draw):
+    n_rows = draw(st.integers(0, 40))
+    columns = []
+    for kind in draw(st.lists(_kinds, min_size=1, max_size=5)):
+        if kind == "repeated":
+            pool = draw(st.lists(_floats, min_size=1, max_size=3))
+            values = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        else:
+            element = {"float": _floats, "int": _ints, "numpy-int": _ints.map(np.int64),
+                       "bool": st.booleans()}[kind]
+            values = draw(st.lists(element, min_size=n_rows, max_size=n_rows))
+        columns.append(values)
+    names = tuple(f"c{k}" for k in range(len(columns)))
+    rows = list(zip(*columns)) if n_rows else []
+    if draw(st.booleans()):
+        rows = np.array(rows, dtype=float).reshape(n_rows, len(columns))
+    return SweepResult(names, ("1",) * len(names), rows)
+
+
+def _assert_writes_reference_bytes(res):
+    want = reference_csv_text(res)
+    assert csv_text(res) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_csv(res, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode("utf-8")
+        columns, _, rows = read_csv(path)
+    assert columns == res.columns
+    got = np.array(rows, dtype=float).reshape(len(res.rows), len(res.columns))
+    want_bits = np.array(res.rows, dtype=float).reshape(got.shape).view(np.uint64)
+    assert np.array_equal(got.view(np.uint64), want_bits)  # -0.0 stays -0.0
+
+
+class TestCsvBytes:
+    @settings(deadline=None, max_examples=300)
+    @given(_results())
+    def test_matches_the_per_field_writer(self, res):
+        _assert_writes_reference_bytes(res)
+
+    @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                        2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
+    def test_more_rows_than_one_block(self, n_rows, as_array):
+        rng = np.random.default_rng(n_rows)
+        axis = np.linspace(-0.5, 0.5, 17)  # holds 0.0; add a -0.0 too
+        axis[3] = -0.0
+        repeated = np.resize(np.repeat(axis, 3), n_rows)
+        unique = rng.choice((-1.0, 1.0), n_rows) * 10.0 ** rng.uniform(-20, 5, n_rows)
+        unique[::97] = rng.choice(SPECIAL, unique[::97].size)
+        ints = rng.integers(-2 ** 53, 2 ** 53, n_rows, endpoint=True).tolist()
+        flags = (rng.random(n_rows) < 0.5).tolist()
+        rows = list(zip(repeated.tolist(), unique.tolist(), ints, flags))
+        if as_array:
+            rows = np.array(rows, dtype=float)
+        _assert_writes_reference_bytes(
+            SweepResult(("axis", "value", "count", "flag"), ("1", "1", "1", "bool"), rows))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
+    def test_non_finite_is_refused_before_the_file_opens(self, tmp_path, bad, as_array):
+        rows = [(0.0, 1.0), (1.0, bad)]
+        res = SweepResult(("a", "b"), ("1", "1"), np.array(rows) if as_array else rows)
+        path = tmp_path / "x.csv"
+        with pytest.raises(FloatingPointError):
+            write_csv(res, str(path))
+        with pytest.raises(FloatingPointError):
+            csv_text(res)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rows", [[(0.0, 1.0, 2.0)], [(0.0, 1.0), (1.0,)],
+                                      np.zeros((3, 3)), np.zeros(4)],
+                             ids=["wide", "ragged", "wide-array", "flat-array"])
+    def test_bad_row_width_is_refused_before_the_file_opens(self, tmp_path, rows):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="row width"):
+            write_csv(SweepResult(("a", "b"), ("1", "1"), rows), str(path))
+        assert not path.exists()
+
+
+# -- SVG ----------------------------------------------------------------------
+
+def _svg_cases():
+    rng = np.random.default_rng(5)
+    x = np.linspace(-0.5, 0.5, 64)
+    gauss = np.exp(-((x[:, None] - 0.1) ** 2 + (x[None, :] + 0.2) ** 2) / 0.02)
+    checker = np.where((np.arange(9)[:, None] + np.arange(9)) % 2 == 0, 1.0, -1.0)
+    return {
+        "zeros": np.zeros((6, 6)),
+        "constant": np.full((5, 7), 2.5),
+        "alternating": checker,
+        "alternating-rows": np.tile([1.0, -1.0], (8, 4)),
+        "2x2": np.array([[1.0, -1.0], [0.25, 0.0]]),
+        "non-square": rng.normal(size=(5, 9)),
+        "odd": rng.normal(size=(17, 17)) * np.linspace(0.0, 1.0, 17),
+        "spectrum-like": gauss - 0.5 * gauss[::-1],
+    }
+
+
+SVG_CASES = _svg_cases()
+
+
+class TestSvgBytes:
+    @pytest.mark.parametrize("case", sorted(SVG_CASES))
+    @pytest.mark.parametrize("with_overlay", [False, True], ids=["plain", "overlay"])
+    def test_matches_the_loop_writer(self, case, with_overlay):
+        z = SVG_CASES[case]
+        x = np.linspace(-0.5, 0.5, z.shape[0])
+        y = np.linspace(-0.3, 0.7, z.shape[1])
+        overlays = [(x, x), (x, 0.5 * x + 0.1)] if with_overlay else None
+        kw = dict(title=f"case {case}", overlays=overlays)
+        assert svg_heatmap(x, y, z, **kw) == reference_svg_heatmap(x, y, z, **kw)

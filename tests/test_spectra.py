@@ -120,6 +120,11 @@ class TestRephasingResponse:
         assert response_point(system, dip, p, lo, lo) == g.values[0, 0]
         assert g.values[0, 1] != g.values[0, 0]
 
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_grid_range_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(count=4, lo=lo, hi=hi).axis()
+
     def test_thread_count_does_not_change_bits(self):
         g1, system, dip, p = small_grid(1.2, 0.7, n=24)
         g8 = rephasing_response(system, dip, p, grid=GridSpec(count=24), threads=8)

@@ -74,6 +74,9 @@ class TestConfig:
             config_from_dict({"sweep": [{"name": "theta", "start": 0, "stop": 1, "count": 1}]})
         with pytest.raises(ConfigError):
             config_from_dict({"sweep": [{"name": "theta", "start": 0, "stop": 1}]})
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict({"sweep": [{"name": "xi", "start": -math.inf, "stop": 1,
+                                         "count": 5}]})
 
     def test_physical_validation_propagates(self):
         with pytest.raises(ConfigError):
