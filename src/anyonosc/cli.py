@@ -217,7 +217,6 @@ def _run(args) -> int:
     if args.command == "fig3":
         if not args.out:
             raise ConfigError("fig3 writes multiple files; --out DIR is required")
-        os.makedirs(args.out, exist_ok=True)
         n = 256 if args.grid is None else args.grid
         thetas = (tuple(float(x) for x in args.theta_list.split(","))
                   if args.theta_list else tuple(np.linspace(0.0, math.pi, 9)))
@@ -226,6 +225,9 @@ def _run(args) -> int:
                         cutoff=args.cutoff, grid=GridSpec(count=n), t2=args.t2,
                         threads=args.threads, theta_list=thetas, xi_list=xis)
         fig3 = run_fig3(cfg)
+        fig3.slices.check()
+        fig3.overlay.check()
+        os.makedirs(args.out, exist_ok=True)
         write_outputs(fig3.slices, cfg, os.path.join(args.out, "fig3_slices.csv"))
         write_outputs(fig3.overlay, cfg, os.path.join(args.out, "fig3_overlay.csv"))
         if args.svg:

@@ -1,6 +1,15 @@
 """Two-mode effective dynamics: deformed normal modes, correlated-bath channel
 coefficients, the 2x2 evolution matrix W_eff, its eigen-analysis and the
-exceptional-point locator."""
+exceptional-point locator.
+
+The W_eff layer is array-valued: ``normal_mode_frequencies``,
+``dissipative_rates`` and ``weff_entries`` take a ``ParamArrays`` (or one
+AnyonParams point), ``weff_eigenvalues`` takes entry arrays and
+``match_branches`` labels whole eigenvalue sequences, all over broadcast
+arrays. ``build_weff`` and ``eigen_analysis`` are one-point calls of the same
+code. ``lindblad_coefficients`` and ``ChannelSet`` give the channels one point
+at a time, for the Fock-space Liouvillian.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import AnyonParams
+from .params import AnyonParams, ParamArrays
 from .rates import gamma_stat, thermal_occupation
 
 FREQUENCY_CONVENTIONS = ("appendix", "maintext")
@@ -31,7 +40,8 @@ EP_GAP_FACTOR = 1e-6
 EP_CONDITION_MARKER = 1e8
 
 
-def normal_mode_frequencies(params: AnyonParams, convention: str = DEFAULT_FREQUENCY_CONVENTION):
+def normal_mode_frequencies(params: AnyonParams | ParamArrays,
+                            convention: str = DEFAULT_FREQUENCY_CONVENTION):
     """Normal-mode frequencies (omega_plus, omega_minus) of the coupled pair.
 
     convention "appendix" uses the half-angle splitting omega +/- J cos(theta/2)
@@ -40,7 +50,7 @@ def normal_mode_frequencies(params: AnyonParams, convention: str = DEFAULT_FREQU
     """
     if convention not in FREQUENCY_CONVENTIONS:
         raise ValueError(f"unknown frequency convention {convention!r}")
-    c = math.cos(params.theta / 2.0) if convention == "appendix" else math.cos(params.theta)
+    c = np.cos(params.theta / 2.0) if convention == "appendix" else np.cos(params.theta)
     return params.omega + params.coupling_j * c, params.omega - params.coupling_j * c
 
 
@@ -135,6 +145,129 @@ def lindblad_coefficients(params: AnyonParams) -> ChannelSet:
     return ChannelSet(tuple(chans), params)
 
 
+def _mul(x, y):
+    """x*y for complex arrays with each real product rounded on its own, as
+    the scalar complex product rounds them; numpy's vectorized complex
+    multiply fuses them (FMA) and differs in the last bit on about 40% of
+    inputs."""
+    x, y = np.asarray(x), np.asarray(y)
+    real = x.real * y.real - x.imag * y.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out[()]
+
+
+# lindblad_coefficients' channel order: emission +/-, absorption +/-
+_CHANNEL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def dissipative_rates(params: AnyonParams | ParamArrays,
+                      conjugation: str = DEFAULT_CONJUGATION) -> tuple:
+    """(Gamma_++, Gamma_--, Gamma_+-, Gamma_-+) over the parameter arrays.
+
+    Gamma_ij = sum_k lambda_k^(i) (lambda_k^(j))° over the four channels of
+    ``lindblad_coefficients`` (on a leading axis), each product and
+    the sum over channels evaluated as ``ChannelSet.dissipative_sum``
+    evaluates them, so a point agrees with it bit for bit.
+    """
+    if conjugation not in CONJUGATION_CONVENTIONS:
+        raise ValueError(f"unknown conjugation convention {conjugation!r}")
+    nth = thermal_occupation(params.theta, params.beta, params.omega)
+    phase = np.exp(-0.5j * np.asarray(params.theta, dtype=float))
+    sign = _CHANNEL_SIGNS.reshape((4,) + (1,) * np.ndim(nth))
+    nbar = np.array([nth + 1.0, nth + 1.0, nth, nth])
+    pref = np.sqrt(np.asarray(params.gamma, dtype=complex) * nbar)  # principal branch
+    weight = np.sqrt(np.maximum(0.0, 1.0 + sign * params.xi)) / 2.0
+    lam_plus = pref * weight
+    lam_minus = _mul(sign * pref * weight, phase)
+    if conjugation == "modulus":
+        con_plus, con_minus = np.conj(lam_plus), np.conj(lam_minus)
+    else:
+        con_plus, con_minus = lam_plus, _mul(sign * pref * weight, np.conj(phase))
+    total = 0.0 + 0.0j
+    for k in range(4):  # channel by channel, in order; the four Gamma_ij stacked
+        total = total + _mul(np.array([lam_plus[k], lam_minus[k], lam_plus[k], lam_minus[k]]),
+                             np.array([con_plus[k], con_minus[k], con_minus[k], con_plus[k]]))
+    return tuple(total)
+
+
+def weff_entries(params: AnyonParams | ParamArrays,
+                 frequency_convention: str = DEFAULT_FREQUENCY_CONVENTION,
+                 conjugation: str = DEFAULT_CONJUGATION,
+                 stat_dephasing: bool = False) -> tuple:
+    """The entries (A, B, C, D) of W_eff over the parameter arrays.
+
+    A = -i omega_+ - Gamma_++, D = -i omega_- - Gamma_--, B = -Gamma_+-,
+    C = -Gamma_-+ with Gamma_ij the channel sums under the configured
+    conjugation. stat_dephasing optionally adds the single-oscillator
+    statistical rate to both diagonal decay parts (default off).
+    """
+    wp, wm = normal_mode_frequencies(params, frequency_convention)
+    gpp, gmm, gpm, gmp = dissipative_rates(params, conjugation)
+    a = -1j * wp - gpp
+    d = -1j * wm - gmm
+    if stat_dephasing:
+        extra = gamma_stat(params.theta, params.z, params.gamma)
+        a = a - extra
+        d = d - extra
+    return a, -gpm, -gmp, d
+
+
+def _modulus(z):
+    """|z| as the C library's hypot gives it, as Python's abs(complex) does;
+    numpy's vectorized complex absolute differs from it in the last bit on
+    about a third of inputs, enough to flip the comparisons below."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
+def weff_eigenvalues(a, b, c, d) -> tuple:
+    """Closed-form eigenvalues (lambda_+, lambda_-) of the 2x2 matrices
+    ((A, B), (C, D)) over broadcast entry arrays.
+
+    lambda_+/- = (A + D +/- sqrt((A-D)^2 + 4BC))/2 with the principal branch.
+    A discriminant imaginary part within round-off (1e-12 of |A-D|^2 + 4|BC|)
+    is set to +0.0, so the sign of a rounding error cannot pick the branch of
+    the root.
+    """
+    disc = _mul(a - d, a - d) + _mul(4.0 * b, c)
+    real = np.abs(disc.imag) <= 1e-12 * (_modulus(a - d) ** 2 + 4.0 * _modulus(_mul(b, c)))
+    root = np.sqrt(np.where(real, disc.real, disc))
+    return 0.5 * (a + d + root), 0.5 * (a + d - root)
+
+
+def _eigenvector(a, b, c, d, lam) -> np.ndarray:
+    """Unit right eigenvectors of ((A, B), (C, D)) for ``lam``, the two
+    components stacked on a new leading axis.
+
+    (W - lam I) v = 0; both candidate rows solve exactly for a 2x2, pick the
+    better-conditioned one (eliminate the larger-residual row). A diagonal
+    matrix gets the canonical basis vector.
+    """
+    top = _modulus(b) + _modulus(a - lam) >= _modulus(c) + _modulus(d - lam)
+    v = np.array([np.where(top, b, lam - d), np.where(top, lam - a, c)])
+    norm = np.sqrt((v[0].real ** 2 + v[1].real ** 2) + (v[0].imag ** 2 + v[1].imag ** 2))
+    first = _modulus(a - lam) <= _modulus(d - lam)
+    canonical = np.array([first, ~first], dtype=complex)
+    return np.where(norm == 0.0, canonical, v / np.where(norm == 0.0, 1.0, norm))
+
+
+def _condition(vp, vm) -> np.ndarray:
+    """sigma_max/sigma_min of the 2x2 matrices with columns vp, vm.
+
+    In closed form from the Gram matrix: sigma_max^2 is its larger eigenvalue
+    (F + sqrt((|vp|^2 - |vm|^2)^2 + 4|vp^H vm|^2))/2, F the squared Frobenius
+    norm, and sigma_max sigma_min = |det|. inf for a singular matrix.
+    """
+    pp = (vp[0].real ** 2 + vp[1].real ** 2) + (vp[0].imag ** 2 + vp[1].imag ** 2)
+    mm = (vm[0].real ** 2 + vm[1].real ** 2) + (vm[0].imag ** 2 + vm[1].imag ** 2)
+    cross = _modulus(np.conj(vp[0]) * vm[0] + np.conj(vp[1]) * vm[1])
+    smax2 = 0.5 * (pp + mm + np.hypot(pp - mm, 2.0 * cross))
+    det = _modulus(vp[0] * vm[1] - vm[0] * vp[1])
+    return np.divide(smax2, det, out=np.full(det.shape, np.inf), where=det > 0.0)
+
+
 @dataclass
 class EffectiveMatrix:
     """W_eff with its eigen-decomposition and mode lifetimes."""
@@ -162,71 +295,32 @@ def build_weff(params: AnyonParams,
                frequency_convention: str = DEFAULT_FREQUENCY_CONVENTION,
                conjugation: str = DEFAULT_CONJUGATION,
                stat_dephasing: bool = False) -> EffectiveMatrix:
-    """Assemble the effective evolution matrix and populate its eigen-analysis.
-
-    A = -i omega_+ - Gamma_++, D = -i omega_- - Gamma_--, B = -Gamma_+-,
-    C = -Gamma_-+ with Gamma_ij the channel sums under the configured
-    conjugation. stat_dephasing optionally adds the single-oscillator
-    statistical rate to both diagonal decay parts (default off).
-    """
+    """Assemble the effective evolution matrix at one parameter point and
+    populate its eigen-analysis (``weff_entries``, then ``eigen_analysis``)."""
     wp, wm = normal_mode_frequencies(params, frequency_convention)
-    chans = lindblad_coefficients(params)
-    gpp = chans.dissipative_sum("plus", "plus", conjugation)
-    gmm = chans.dissipative_sum("minus", "minus", conjugation)
-    gpm = chans.dissipative_sum("plus", "minus", conjugation)
-    gmp = chans.dissipative_sum("minus", "plus", conjugation)
-    a = -1j * wp - gpp
-    d = -1j * wm - gmm
-    if stat_dephasing:
-        extra = gamma_stat(params.theta, params.z, params.gamma)
-        a -= extra
-        d -= extra
+    a, b, c, d = weff_entries(params, frequency_convention, conjugation, stat_dephasing)
     w = EffectiveMatrix(
-        entries=np.array([[a, -gpm], [-gmp, d]], dtype=complex),
-        omega_plus=wp, omega_minus=wm, params=params,
+        entries=np.array([[a, b], [c, d]], dtype=complex),
+        omega_plus=float(wp), omega_minus=float(wm), params=params,
         frequency_convention=frequency_convention, conjugation=conjugation,
         stat_dephasing=stat_dephasing,
     )
     return eigen_analysis(w)
 
 
-def _eigvec(a, b, c, d, lam):
-    # (W - lam I) v = 0; both candidate rows solve exactly for a 2x2,
-    # pick the better-conditioned one (eliminate the larger-residual row).
-    if abs(b) + abs(a - lam) >= abs(c) + abs(d - lam):
-        v = np.array([b, lam - a], dtype=complex)
-    else:
-        v = np.array([lam - d, c], dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0.0:  # diagonal matrix: canonical basis vector
-        v = np.array([1.0, 0.0], complex) if abs(a - lam) <= abs(d - lam) else np.array([0.0, 1.0], complex)
-        n = 1.0
-    return v / n
-
-
 def eigen_analysis(matrix: EffectiveMatrix) -> EffectiveMatrix:
     """Closed-form eigenvalues/eigenvectors and lifetimes of a 2x2 W_eff.
 
-    lambda_+/- = (A + D +/- sqrt((A-D)^2 + 4BC))/2 with the principal branch;
-    lifetimes tau = 1/(-Re lambda). Flags near-defective matrices when the
-    eigenvector condition number exceeds EP_CONDITION_MARKER. A discriminant
-    imaginary part within round-off (1e-12 of |A-D|^2 + 4|BC|) is set to +0.0,
-    so the sign of a rounding error cannot pick the branch of the root.
+    Eigenvalues from ``weff_eigenvalues``; lifetimes tau = 1/(-Re lambda).
+    Flags near-defective matrices when the eigenvector condition number
+    exceeds EP_CONDITION_MARKER.
     """
     (a, b), (c, d) = matrix.entries
-    disc = (a - d) ** 2 + 4.0 * b * c
-    if abs(disc.imag) <= 1e-12 * (abs(a - d) ** 2 + 4.0 * abs(b * c)):
-        disc = complex(disc.real, 0.0)
-    root = np.sqrt(disc)
-    lp = 0.5 * (a + d + root)
-    lm = 0.5 * (a + d - root)
-    vp = _eigvec(a, b, c, d, lp)
-    vm = _eigvec(a, b, c, d, lm)
-    vmat = np.column_stack([vp, vm])
-    sv = np.linalg.svd(vmat, compute_uv=False)
-    cond = float(sv[0] / sv[1]) if sv[1] > 0.0 else float("inf")
+    lp, lm = weff_eigenvalues(a, b, c, d)
+    vectors = _eigenvector(a, b, c, d, np.array([lp, lm]))
+    cond = float(_condition(vectors[:, 0], vectors[:, 1]))
     matrix.eigenvalues = (lp, lm)
-    matrix.right_eigenvectors = vmat
+    matrix.right_eigenvectors = vectors
     matrix.lifetimes = tuple(
         (1.0 / -l.real) if l.real < 0.0 else float("inf") for l in (lp, lm)
     )
@@ -235,15 +329,39 @@ def eigen_analysis(matrix: EffectiveMatrix) -> EffectiveMatrix:
     return matrix
 
 
-def match_branches(previous: tuple, current: tuple) -> tuple:
-    """Order `current` eigenvalues to continue the branches of `previous`.
+def match_branches(first, second) -> tuple:
+    """Label eigenvalue pairs along the last axis by branch continuity.
 
-    Nearest-neighbor matching in the complex plane between consecutive sweep
-    points: keeps the identity order unless swapping gives a smaller total move.
+    ``first[..., k]`` and ``second[..., k]`` are the two eigenvalues of sweep
+    point k in any order. Each pair after the first keeps the order of its
+    labelled predecessor unless swapping gives a smaller total move in the
+    complex plane; an exact tie keeps the raw order. Returns the relabelled
+    (first, second).
+
+    One pass: the raw keep/swap costs between consecutive raw pairs give the
+    label each point takes after a kept and after a swapped predecessor.
+    Where the two agree (a tie) the label restarts; elsewhere it flips with
+    the running XOR of the swap decisions since the last restart.
     """
-    keep = abs(current[0] - previous[0]) + abs(current[1] - previous[1])
-    swap = abs(current[1] - previous[0]) + abs(current[0] - previous[1])
-    return current if keep <= swap else (current[1], current[0])
+    first, second = np.asarray(first), np.asarray(second)
+    if first.shape[-1] < 2:
+        return first, second
+    prev0, prev1 = first[..., :-1], second[..., :-1]
+    cur0, cur1 = first[..., 1:], second[..., 1:]
+    keep = _modulus(cur0 - prev0) + _modulus(cur1 - prev1)
+    swap = _modulus(cur1 - prev0) + _modulus(cur0 - prev1)
+    after_kept = ~(keep <= swap)
+    after_swapped = ~(swap <= keep)
+    restart = after_kept == after_swapped
+    flips = np.cumsum(after_kept & ~restart, axis=-1) % 2 == 1
+    steps = np.arange(keep.shape[-1])
+    last = np.maximum.accumulate(np.where(restart, steps, -1), axis=-1)
+    at = np.maximum(last, 0)
+    start = np.where(last >= 0, np.take_along_axis(after_kept, at, axis=-1), False)
+    since = np.where(last >= 0, np.take_along_axis(flips, at, axis=-1), False)
+    swapped = np.concatenate([np.zeros(first.shape[:-1] + (1,), bool),
+                              start ^ flips ^ since], axis=-1)
+    return np.where(swapped, second, first), np.where(swapped, first, second)
 
 
 @dataclass(frozen=True)
@@ -262,7 +380,8 @@ def find_exceptional_point(params: AnyonParams,
                            coarse_points: int = 512) -> EPResult:
     """Locate the statistical angle minimizing the eigenvalue gap of W_eff.
 
-    Coarse scan over the bracket followed by golden-section refinement. An EP
+    Coarse scan over the bracket (one array evaluation) followed by
+    golden-section refinement on the one-point gap. An EP
     is declared when the refined gap falls below EP_GAP_FACTOR * gamma; the
     minimal gap is reported either way. params.theta is ignored. The default
     bracket stops short of pi, where the xi = 0 matrix becomes a scalar (a
@@ -279,7 +398,9 @@ def find_exceptional_point(params: AnyonParams,
         return build_weff(p, frequency_convention, conjugation, stat_dephasing).gap
 
     grid = np.linspace(lo, hi, coarse_points)
-    gaps = np.array([gap_at(t) for t in grid])
+    lp, lm = weff_eigenvalues(*weff_entries(ParamArrays.over(params, theta=grid),
+                                            frequency_convention, conjugation, stat_dephasing))
+    gaps = _modulus(lp - lm)
     k = int(np.argmin(gaps))
     a = grid[max(0, k - 1)]
     b = grid[min(coarse_points - 1, k + 1)]

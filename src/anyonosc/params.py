@@ -1,9 +1,16 @@
-"""Shared parameter set and small value types for the anyonic oscillator model."""
+"""Shared parameter set and small value types for the anyonic oscillator model.
+
+``AnyonParams`` is one parameter point; ``ParamArrays`` holds the same fields
+as broadcast arrays for the array-valued closed-form layer. Both are checked
+by ``check_points``, one rule with one message per parameter.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -13,6 +20,61 @@ class ParameterError(ValueError):
 # Reject beta*omega below this floor: the generalized occupation 1/(e^{bw} - e^{i theta})
 # has a pole as bw -> 0, theta -> 0, and we fail loudly instead of returning infinities.
 BETA_OMEGA_FLOOR = 1e-9
+
+
+def _exp(x):
+    """e**x elementwise by the C library's exp (the one ``math.exp`` calls),
+    evaluated once per distinct value.
+
+    numpy's own exp differs from it by one ulp on a few percent of inputs,
+    and e^{beta omega} - e^{i theta} in the occupation (and 1 - z in the
+    rates) amplifies that by up to 1/(beta omega). With this one exp an array
+    point and a one-point call agree bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size == 1:
+        return np.full(x.shape, math.exp(x.item()))[()]
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.exp(v) for v in values.tolist()])[inverse].reshape(x.shape)
+
+
+def first_violation(bad, *values):
+    """The values at the first point (C order over the broadcast shape) where
+    ``bad`` holds, as Python scalars; None when it holds nowhere."""
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad.ravel()))
+    return tuple(np.broadcast_to(v, bad.shape).ravel()[i].item() for v in values)
+
+
+def check_points(theta, omega, gamma, beta, xi):
+    """Check every parameter point of the broadcast arrays.
+
+    Raises ParameterError for the first offending point in C order, with the
+    message of the first rule it breaks, in the order theta, xi, omega,
+    gamma, beta, beta*omega floor: the error a loop constructing one
+    AnyonParams per point would raise.
+    """
+    bw = beta * omega
+    # written to hold for Python floats and arrays alike; NaN fails the ranges
+    rules = ((theta < 0.0) | (theta > math.pi) | (theta != theta),
+             (xi < -1.0) | (xi > 1.0) | (xi != xi),
+             omega <= 0.0, gamma < 0.0, beta <= 0.0, bw < BETA_OMEGA_FLOOR)
+    if not any(r.any() if isinstance(r, np.ndarray) else r for r in rules):
+        return
+    bad = np.broadcast_arrays(*rules)
+    point = first_violation(np.any(bad, axis=0), theta, xi, omega, gamma, beta, bw,
+                            np.argmax(bad, axis=0))
+    theta, xi, omega, gamma, beta, bw, rule = point
+    raise ParameterError((
+        f"theta must lie in [0, pi], got {theta}",
+        f"xi must lie in [-1, 1], got {xi}",
+        f"omega must be positive, got {omega}",
+        f"gamma must be non-negative, got {gamma}",
+        f"beta must be positive, got {beta}",
+        f"beta*omega = {bw:g} below floor {BETA_OMEGA_FLOOR:g}",
+    )[rule])
 
 
 @dataclass(frozen=True)
@@ -35,20 +97,7 @@ class AnyonParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ParameterError(f"theta must lie in [0, pi], got {self.theta}")
-        if not -1.0 <= self.xi <= 1.0:
-            raise ParameterError(f"xi must lie in [-1, 1], got {self.xi}")
-        if self.omega <= 0.0:
-            raise ParameterError(f"omega must be positive, got {self.omega}")
-        if self.gamma < 0.0:
-            raise ParameterError(f"gamma must be non-negative, got {self.gamma}")
-        if self.beta <= 0.0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
-        if self.beta * self.omega < BETA_OMEGA_FLOOR:
-            raise ParameterError(
-                f"beta*omega = {self.beta * self.omega:g} below floor {BETA_OMEGA_FLOOR:g}"
-            )
+        check_points(self.theta, self.omega, self.gamma, self.beta, self.xi)
 
     @property
     def beta_omega(self) -> float:
@@ -57,11 +106,45 @@ class AnyonParams:
     @property
     def z(self) -> float:
         """Boltzmann weight z = exp(-beta*omega), always in (0, 1)."""
-        return math.exp(-self.beta * self.omega)
+        return _exp(-self.beta * self.omega)
 
     def with_(self, **kw) -> "AnyonParams":
         """Copy with selected fields replaced (validation re-runs)."""
         return replace(self, **kw)
+
+
+@dataclass(frozen=True)
+class ParamArrays:
+    """The AnyonParams fields as float64 arrays of one broadcast shape.
+
+    Every closed-form function of ``rates`` and ``dimer`` that reads a
+    parameter set accepts one of these in place of an AnyonParams and
+    returns arrays of the broadcast shape. Construction checks every point.
+    """
+
+    theta: np.ndarray
+    omega: np.ndarray
+    coupling_j: np.ndarray
+    gamma: np.ndarray
+    beta: np.ndarray
+    xi: np.ndarray
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        values = np.broadcast_arrays(*(np.asarray(getattr(self, n), dtype=float) for n in names))
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        check_points(self.theta, self.omega, self.gamma, self.beta, self.xi)
+
+    @classmethod
+    def over(cls, base: AnyonParams, **arrays) -> "ParamArrays":
+        """``base`` with the named fields replaced by arrays."""
+        return cls(**{f.name: arrays.get(f.name, getattr(base, f.name)) for f in fields(cls)})
+
+    @property
+    def z(self) -> np.ndarray:
+        """Boltzmann weight z = exp(-beta*omega), always in (0, 1)."""
+        return _exp(-self.beta * self.omega)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,13 @@ Everything here is a pure function of its arguments: the deformed-commutator
 spectrum, the generalized (complex) thermal occupation, the statistical phase
 average and the relaxation rates, with their boson (theta = 0) and fermion
 (theta = pi) limits.
+
+``thermal_occupation``, ``phase_average``, ``gamma_stat`` and
+``gamma_full_single`` (given a ``ParamArrays``) take broadcast arrays and
+return arrays of the broadcast shape; a scalar call is the same code on 0-d
+values. A range check raises for the first offending point in C order.
+``deformed_commutator_eigenvalue``, ``q_bracket`` and
+``phase_average_series`` take scalars.
 """
 
 from __future__ import annotations
@@ -11,7 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from .params import AnyonParams, ComplexRate, ParameterError, BETA_OMEGA_FLOOR
+import numpy as np
+
+from .params import (AnyonParams, ComplexRate, ParameterError, ParamArrays,
+                     BETA_OMEGA_FLOOR, _exp, first_violation)
 
 
 def deformed_commutator_eigenvalue(n: int, theta: float) -> complex:
@@ -44,6 +54,22 @@ def q_bracket(n: int, theta: float) -> complex:
     return (1.0 - q**n) / (1.0 - q)
 
 
+def _divide(a, b):
+    """a/b for real a and complex b, divided as CPython divides complex
+    numbers (Smith's method, dividing by the scaled denominator where numpy
+    multiplies by its reciprocal), so array points keep the bits of the
+    scalar formulas and Fock-route spectra keep their bytes."""
+    a, br, bi = np.asarray(a, dtype=float), np.real(b), np.imag(b)
+    wide = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # np.where drops it
+        ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    out = np.empty(np.shape(denom), dtype=complex)
+    out.real = np.where(wide, a + 0.0 * ratio, a * ratio + 0.0) / denom
+    out.imag = np.where(wide, 0.0 - a * ratio, 0.0 * ratio - a) / denom
+    return out[()]
+
+
 def thermal_occupation(theta: float, beta: float, omega: float) -> complex:
     """Generalized thermal occupation 1/(e^{beta omega} - e^{i theta}).
 
@@ -51,10 +77,17 @@ def thermal_occupation(theta: float, beta: float, omega: float) -> complex:
     Raises ParameterError when beta*omega is below the configured floor,
     where the expression approaches its theta -> 0 pole.
     """
-    bw = beta * omega
-    if bw < BETA_OMEGA_FLOOR:
-        raise ParameterError(f"beta*omega = {bw:g} below floor {BETA_OMEGA_FLOOR:g}")
-    return 1.0 / (math.exp(bw) - cmath.exp(1j * theta))
+    bw = np.multiply(beta, omega)
+    low = first_violation(bw < BETA_OMEGA_FLOOR, bw)
+    if low is not None:
+        raise ParameterError(f"beta*omega = {low[0]:g} below floor {BETA_OMEGA_FLOOR:g}")
+    return _divide(1.0, _exp(bw) - np.exp(1j * np.asarray(theta, dtype=float)))
+
+
+def _check_z(z):
+    bad = first_violation(~((0.0 <= z) & (z < 1.0)), z)
+    if bad is not None:
+        raise ValueError(f"z must lie in [0, 1), got {bad[0]}")
 
 
 def phase_average(theta: float, z: float) -> complex:
@@ -62,9 +95,9 @@ def phase_average(theta: float, z: float) -> complex:
 
     Equals sum_n e^{i theta n} (1 - z) z^n for the Boltzmann weights z^n.
     """
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"z must lie in [0, 1), got {z}")
-    return (1.0 - z) / (1.0 - z * cmath.exp(1j * theta))
+    z = np.asarray(z)
+    _check_z(z)
+    return _divide(1.0 - z, 1.0 - z * np.exp(1j * np.asarray(theta, dtype=float)))
 
 
 def phase_average_series(theta: float, z: float, tol: float = 1e-14) -> complex:
@@ -85,23 +118,24 @@ def gamma_stat(theta: float, z: float, gamma: float) -> float:
     vanishes in the boson limit and is maximal in the fermion limit, where it
     reduces to gamma * z/(1+z).
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"z must lie in [0, 1), got {z}")
-    c = math.cos(theta)
-    if c == 1.0:  # boson limit: exactly zero, no cancellation residue
-        return 0.0
+    gamma, z = np.asarray(gamma), np.asarray(z)
+    bad = first_violation(gamma < 0.0, gamma)
+    if bad is not None:
+        raise ValueError(f"gamma must be non-negative, got {bad[0]}")
+    _check_z(z)
+    c = np.cos(theta)
     re_avg = (1.0 - z) * (1.0 - z * c) / (1.0 - 2.0 * z * c + z * z)
-    return 0.5 * gamma * (1.0 - re_avg)
+    # boson limit: exactly zero, no cancellation residue
+    return np.where(c == 1.0, 0.0, 0.5 * gamma * (1.0 - re_avg))[()]
 
 
-def gamma_full_single(params: AnyonParams) -> ComplexRate:
+def gamma_full_single(params: AnyonParams | ParamArrays) -> ComplexRate:
     """Total phase relaxation rate of a single oscillator.
 
     (gamma/2) * [2 n_theta + 1 + (1 - Re<e^{i theta N}>)], complex in general
     because n_theta is; the physical decay rate reported to users is the real
-    part. Boson limit: (gamma/2)(2n + 1).
+    part. Boson limit: (gamma/2)(2n + 1). ``params`` may be a ParamArrays,
+    and the rate then has its broadcast shape.
     """
     nth = thermal_occupation(params.theta, params.beta, params.omega)
     re_avg = phase_average(params.theta, params.z).real

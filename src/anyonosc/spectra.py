@@ -11,10 +11,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from .dimer import (DEFAULT_CONJUGATION, DEFAULT_FREQUENCY_CONVENTION, build_weff,
-                    deformed_mode_phase, match_branches)
+                    deformed_mode_phase, match_branches, weff_eigenvalues, weff_entries)
 from .fock import (FockSystem, build_liouvillian, left_mult, right_mult,
                    trace_vector)
-from .params import AnyonParams
+from .params import AnyonParams, ParamArrays
 
 DEFAULT_JUMP_BASIS = "site"  # fig-3 style spectra; logged in grid metadata
 RHO_EQ = ("vacuum", "thermal")  # equilibrium states the pathway can start from
@@ -48,21 +48,24 @@ def build_dipole(system: FockSystem, conjugation: str = DEFAULT_CONJUGATION) -> 
     return DipoleSet(mu, left_mult(mu), right_mult(mu), system.theta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
-    """Uniform detuning axes for the 2D grid, relative to the carrier omega."""
+    """Uniform detuning axes for the 2D grid, relative to the carrier omega:
+    ``count`` >= 2 points over a finite, increasing range."""
 
     count: int = 256
     lo: float = -0.5
     hi: float = 0.5
 
-    def axis(self) -> np.ndarray:
+    def __post_init__(self):
         if self.count < 2:
             raise ValueError("grid count must be >= 2")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"grid range needs finite endpoints, got {self.lo}:{self.hi}")
         if not self.lo < self.hi:
             raise ValueError("grid range must be increasing")
+
+    def axis(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
 
     @property
@@ -322,17 +325,11 @@ def bright_mode_overlay(theta_grid: np.ndarray, params: AnyonParams,
     re_first, re_second).
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
-    rows = np.empty((theta_grid.size, 5))
-    prev = None
-    for k, th in enumerate(theta_grid):
-        w = build_weff(params.with_(theta=float(th)), frequency_convention,
-                       conjugation, stat_dephasing)
-        pair = w.eigenvalues if prev is None else match_branches(prev, w.eigenvalues)
-        prev = pair
-        rows[k] = (th,
-                   -pair[0].imag - params.omega, -pair[1].imag - params.omega,
-                   pair[0].real, pair[1].real)
-    return rows
+    pts = ParamArrays.over(params, theta=theta_grid)
+    first, second = match_branches(*weff_eigenvalues(*weff_entries(
+        pts, frequency_convention, conjugation, stat_dephasing)))
+    return np.column_stack([theta_grid, -first.imag - params.omega, -second.imag - params.omega,
+                            first.real, second.real])
 
 
 def bright_branch_detuning(params: AnyonParams,

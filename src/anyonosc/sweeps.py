@@ -11,10 +11,10 @@ import numpy as np
 
 from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
                     DEFAULT_FREQUENCY_CONVENTION, FREQUENCY_CONVENTIONS,
-                    build_weff, match_branches)
+                    _modulus, match_branches, weff_eigenvalues, weff_entries)
 from .fock import JUMP_BASES, FockSystem
 from .output import _table
-from .params import AnyonParams, ParameterError
+from .params import AnyonParams, ParamArrays, ParameterError
 from .rates import gamma_full_single, gamma_stat
 from .spectra import (DEFAULT_JUMP_BASIS, GridSpec, bright_mode_overlay,
                       build_dipole, diagonal_slice, rephasing_response)
@@ -148,8 +148,11 @@ def config_from_dict(doc: dict) -> RunConfig:
     _require_keys(kdoc, {"threads", "cutoff"}, "config.compute")
     gdoc = doc.get("grid", {})
     _require_keys(gdoc, {"count", "lo", "hi"}, "config.grid")
-    grid = GridSpec(count=int(gdoc.get("count", 256)),
-                    lo=float(gdoc.get("lo", -0.5)), hi=float(gdoc.get("hi", 0.5)))
+    try:
+        grid = GridSpec(count=int(gdoc.get("count", 256)),
+                        lo=float(gdoc.get("lo", -0.5)), hi=float(gdoc.get("hi", 0.5)))
+    except ValueError as exc:
+        raise ConfigError(f"config.grid: {exc}") from exc
     threads = int(kdoc.get("threads", 1))
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -189,7 +192,7 @@ def parse_range(text: str, count: int | None = None) -> SweepAxis:
 class SweepResult:
     columns: tuple
     units: tuple
-    rows: list
+    rows: list            # list of tuples, or an (n, len(columns)) float64 array
     metadata: dict = field(default_factory=dict)
 
     def column(self, name: str) -> np.ndarray:
@@ -203,23 +206,27 @@ class SweepResult:
         return self
 
 
+def _theta_axis(config: RunConfig) -> SweepAxis:
+    axis = next((ax for ax in config.sweep if ax.name == "theta"), None)
+    return SweepAxis("theta", 0.0, math.pi, 201) if axis is None else axis
+
+
+def _eigenvalues(points: ParamArrays, conv: Conventions) -> tuple:
+    return weff_eigenvalues(*weff_entries(points, conv.frequency, conv.conjugation,
+                                          conv.stat_dephasing))
+
+
 def run_fig1(config: RunConfig) -> SweepResult:
     """Single-oscillator rates against the statistical angle.
 
     Columns: theta, Gamma_stat, Re Gamma_full, Im Gamma_full at the configured
     beta and gamma.
     """
-    axis = next((ax for ax in config.sweep if ax.name == "theta"), None)
-    if axis is None:
-        axis = SweepAxis("theta", 0.0, math.pi, 201)
-    p = config.params
-
-    def one(theta):
-        pt = p.with_(theta=float(theta))
-        full = gamma_full_single(pt).value
-        return (float(theta), gamma_stat(pt.theta, pt.z, pt.gamma), full.real, full.imag)
-
-    rows = [one(theta) for theta in axis.values()]
+    theta = _theta_axis(config).values()
+    pts = ParamArrays.over(config.params, theta=theta)
+    full = gamma_full_single(pts).value
+    rows = np.column_stack([theta, gamma_stat(pts.theta, pts.z, pts.gamma),
+                            full.real, full.imag])
     return SweepResult(
         columns=("theta", "gamma_stat", "re_gamma_full", "im_gamma_full"),
         units=("rad", "omega", "omega", "omega"),
@@ -231,36 +238,22 @@ def run_fig2(config: RunConfig) -> SweepResult:
     """Dimer mode relaxation rates over (theta, xi) with branch continuity.
 
     Columns: theta, xi, Re/Im of both branch-continued eigenvalues, gap and
-    the EP flag (gap below the detection threshold).
+    the EP flag (gap below the detection threshold). Rows run over theta
+    within each xi, the branches continued along theta.
     """
-    axis = next((ax for ax in config.sweep if ax.name == "theta"), None)
-    if axis is None:
-        axis = SweepAxis("theta", 0.0, math.pi, 201)
-    xis = config.xi_list or (0.0, 0.25, 0.5, 0.75, 1.0)
-    conv = config.conventions
-    p = config.params
-    threshold = 1e-6 * p.gamma
-
-    def one_xi(xi):
-        out = []
-        prev = None
-        for theta in axis.values():
-            w = build_weff(p.with_(theta=float(theta), xi=float(xi)),
-                           conv.frequency, conv.conjugation, conv.stat_dephasing)
-            pair = w.eigenvalues if prev is None else match_branches(prev, w.eigenvalues)
-            prev = pair
-            gap = abs(pair[0] - pair[1])
-            out.append((float(theta), float(xi),
-                        pair[0].real, pair[1].real, pair[0].imag, pair[1].imag,
-                        gap, int(gap < threshold)))
-        return out
-
-    rows = [row for xi in xis for row in one_xi(xi)]
+    theta = _theta_axis(config).values()
+    xi = np.array(config.xi_list or (0.0, 0.25, 0.5, 0.75, 1.0), dtype=float)
+    theta, xi = np.meshgrid(theta, xi)
+    lp, lm = match_branches(*_eigenvalues(
+        ParamArrays.over(config.params, theta=theta, xi=xi), config.conventions))
+    gap = _modulus(lp - lm)
+    flag = gap < 1e-6 * config.params.gamma
+    rows = np.stack([theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag], axis=-1)
     return SweepResult(
         columns=("theta", "xi", "re_lambda_plus", "re_lambda_minus",
                  "im_lambda_plus", "im_lambda_minus", "gap", "ep_flag"),
         units=("rad", "1", "omega", "omega", "omega", "omega", "omega", "bool"),
-        rows=rows, metadata={"generator": "fig2"},
+        rows=rows.reshape(-1, 8), metadata={"generator": "fig2"},
     )
 
 
@@ -293,24 +286,21 @@ def run_fig3(config: RunConfig) -> Fig3Result:
                                    threads=config.threads)
             grids.append((float(theta), float(xi), g))
             det, vals = diagonal_slice(g)
-            for nu, v in zip(det, vals):
-                slice_rows.append((float(theta), float(xi), float(nu),
-                                   float(v.real), float(v.imag), float(abs(v))))
+            slice_rows.append(np.column_stack([np.full(det.size, float(theta)),
+                                               np.full(det.size, float(xi)), det,
+                                               vals.real, vals.imag, _modulus(vals)]))
 
     slices = SweepResult(
         columns=("theta", "xi", "detuning", "re", "im", "abs"),
         units=("rad", "1", "omega", "arb", "arb", "arb"),
-        rows=slice_rows, metadata={"generator": "fig3-slices"},
+        rows=np.concatenate(slice_rows), metadata={"generator": "fig3-slices"},
     )
 
-    overlay_rows = []
     theta_grid = np.linspace(min(thetas), max(thetas), 201) if len(thetas) > 1 else np.array(thetas)
-    for xi in xis:
-        curve = bright_mode_overlay(theta_grid, p.with_(xi=float(xi)),
-                                    conv.frequency, conv.conjugation, conv.stat_dephasing)
-        for row in curve:
-            overlay_rows.append((float(row[0]), float(xi), float(row[1]), float(row[2]),
-                                 float(row[3]), float(row[4])))
+    overlay_rows = np.concatenate([
+        np.insert(bright_mode_overlay(theta_grid, p.with_(xi=float(xi)), conv.frequency,
+                                      conv.conjugation, conv.stat_dephasing), 1, xi, axis=1)
+        for xi in xis])
     overlay = SweepResult(
         columns=("theta", "xi", "nu_branch_1", "nu_branch_2", "re_branch_1", "re_branch_2"),
         units=("rad", "1", "omega", "omega", "omega", "omega"),
@@ -327,23 +317,17 @@ def run_sweep(config: RunConfig) -> SweepResult:
     """
     if not config.sweep:
         raise ConfigError("sweep config needs at least one axis")
-    conv = config.conventions
-    p = config.params
     grids = [ax.values() for ax in config.sweep]
     names = [ax.name for ax in config.sweep]
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def one(point):
-        pt = p.with_(**{n: float(v) for n, v in zip(names, point)})
-        full = gamma_full_single(pt).value
-        w = build_weff(pt, conv.frequency, conv.conjugation, conv.stat_dephasing)
-        lp, lm = w.eigenvalues
-        return tuple(float(v) for v in point) + (
-            gamma_stat(pt.theta, pt.z, pt.gamma), full.real, full.imag,
-            lp.real, lp.imag, lm.real, lm.imag, abs(lp - lm))
-
-    rows = [one(point) for point in points]
+    # a field swept twice takes its last axis, as keyword replacement would
+    pts = ParamArrays.over(config.params, **dict(zip(names, points.T)))
+    full = gamma_full_single(pts).value
+    lp, lm = _eigenvalues(pts, config.conventions)
+    rows = np.column_stack([points, gamma_stat(pts.theta, pts.z, pts.gamma),
+                            full.real, full.imag, lp.real, lp.imag, lm.real, lm.imag,
+                            _modulus(lp - lm)])
     cols = tuple(names) + ("gamma_stat", "re_gamma_full", "im_gamma_full",
                            "re_lambda_plus", "im_lambda_plus",
                            "re_lambda_minus", "im_lambda_minus", "gap")

@@ -306,6 +306,13 @@ class TestCliFigures:
         code, _, err = run_cli(capsys, "fig3", "--grid", "8")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [("--grid", "0"), ("--cutoff", "1")], ids=["grid-0", "cutoff-1"])
+    def test_fig3_validation_error_creates_no_directory(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "fig3"
+        code, _, err = run_cli(capsys, "fig3", *argv, "--theta-list", "1", "--out", str(out_dir))
+        assert code == 1, err
+        assert not out_dir.exists()
+
 
 class TestCliSweepConfig:
     def test_config_file_round(self, capsys, tmp_path):
@@ -317,6 +324,20 @@ class TestCliSweepConfig:
         code, _, _ = run_cli(capsys, "sweep", "--config", str(path), "--out", str(out_csv))
         assert code == 0
         assert len(out_csv.read_text().strip().split("\n")) == 8
+
+    @pytest.mark.parametrize("grid", [{"count": 0, "lo": 1, "hi": -1}, {"count": 1},
+                                      {"lo": 0.5, "hi": -0.5}, {"hi": math.inf}],
+                             ids=["count-0-reversed", "count-1", "reversed", "infinite"])
+    def test_invalid_grid_block_is_error(self, capsys, tmp_path, grid):
+        cfg = {"sweep": [{"name": "xi", "start": -1.0, "stop": 1.0, "count": 3}], "grid": grid}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace("Infinity", "1e999"))
+        out_csv = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path), "--out", str(out_csv))
+        assert code == 1, err
+        assert "config.grid" in err
+        assert not out_csv.exists() and not (tmp_path / "sweep.csv.meta.json").exists()
+        assert stdout == ""
 
     def test_unknown_config_key_is_error(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -267,13 +267,19 @@ class TestExceptionalPoint:
             find_exceptional_point(AnyonParams(theta=0.0), theta_bracket=(2.0, 1.0))
 
 
+def match_pair(previous, current):
+    """The label match_branches gives ``current`` right after ``previous``."""
+    first, second = match_branches([previous[0], current[0]], [previous[1], current[1]])
+    return first[1], second[1]
+
+
 class TestBranchMatching:
     def test_keeps_identity_when_closer(self):
         prev = (-0.1 - 1.0j, -0.2 - 0.8j)
         cur = (-0.11 - 1.01j, -0.19 - 0.79j)
-        assert match_branches(prev, cur) == cur
+        assert match_pair(prev, cur) == cur
 
     def test_swaps_when_swapped_is_closer(self):
         prev = (-0.1 - 1.0j, -0.2 - 0.8j)
         cur = (-0.19 - 0.79j, -0.11 - 1.01j)
-        assert match_branches(prev, cur) == (cur[1], cur[0])
+        assert match_pair(prev, cur) == (cur[1], cur[0])

@@ -37,7 +37,8 @@ _run_configs = st.builds(
     conventions=_conventions,
     output_path=st.none() | st.text(), svg_path=st.none() | st.text(),
     threads=st.integers(1, 64), cutoff=st.integers(1, 8),
-    grid=st.builds(GridSpec, st.integers(2, 4096), _finite, _finite),
+    grid=st.builds(lambda count, ends: GridSpec(count, *sorted(ends)), st.integers(2, 4096),
+                   st.tuples(_finite, _finite).filter(lambda ends: ends[0] != ends[1])),
     t2=_number(0.0, 1e6),
     theta_list=st.lists(_number(0.0, math.pi), max_size=4).map(tuple),
     xi_list=st.lists(_number(-1.0, 1.0), max_size=4).map(tuple))
