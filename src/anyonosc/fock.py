@@ -5,7 +5,8 @@ This is the brute-force oracle for the closed-form modules and the engine
 behind the 2D spectra. Superoperators are dense arrays assembled from the
 nonzeros of their Kronecker factors (``_kron_sum``): 81x81 at the default
 two-mode cutoff 2, 256x256 at cutoff 3 (fig3) and 2401x2401 at cutoff 6 (the
-criterion-6 oracle), of which 0.3% is nonzero.
+criterion-6 oracle), of which 0.3% is nonzero. The spectra solve only on the
+states a pathway reaches through its nonzeros (``spectra._closure``).
 """
 
 from __future__ import annotations

@@ -48,30 +48,34 @@ def first_violation(bad, *values):
     return tuple(np.broadcast_to(v, bad.shape).ravel()[i].item() for v in values)
 
 
-def check_points(theta, omega, gamma, beta, xi):
+def check_points(theta, omega, coupling_j, gamma, beta, xi):
     """Check every parameter point of the broadcast arrays.
 
     Raises ParameterError for the first offending point in C order, with the
     message of the first rule it breaks, in the order theta, xi, omega,
-    gamma, beta, beta*omega floor: the error a loop constructing one
-    AnyonParams per point would raise.
+    coupling_j, gamma, beta, beta*omega floor: the error a loop constructing
+    one AnyonParams per point would raise. NaN breaks every rule, +/-inf those
+    of omega, coupling_j and gamma; beta = inf (zero temperature) is allowed.
     """
     bw = beta * omega
     # written to hold for Python floats and arrays alike; NaN fails the ranges
     rules = ((theta < 0.0) | (theta > math.pi) | (theta != theta),
              (xi < -1.0) | (xi > 1.0) | (xi != xi),
-             omega <= 0.0, gamma < 0.0, beta <= 0.0, bw < BETA_OMEGA_FLOOR)
+             ~np.isfinite(omega) | (omega <= 0.0), ~np.isfinite(coupling_j),
+             ~np.isfinite(gamma) | (gamma < 0.0), (beta <= 0.0) | (beta != beta),
+             bw < BETA_OMEGA_FLOOR)
     if not any(r.any() if isinstance(r, np.ndarray) else r for r in rules):
         return
     bad = np.broadcast_arrays(*rules)
-    point = first_violation(np.any(bad, axis=0), theta, xi, omega, gamma, beta, bw,
-                            np.argmax(bad, axis=0))
-    theta, xi, omega, gamma, beta, bw, rule = point
+    point = first_violation(np.any(bad, axis=0), theta, xi, omega, coupling_j, gamma, beta,
+                            bw, np.argmax(bad, axis=0))
+    theta, xi, omega, coupling_j, gamma, beta, bw, rule = point
     raise ParameterError((
         f"theta must lie in [0, pi], got {theta}",
         f"xi must lie in [-1, 1], got {xi}",
-        f"omega must be positive, got {omega}",
-        f"gamma must be non-negative, got {gamma}",
+        f"omega must be positive and finite, got {omega}",
+        f"coupling_j must be finite, got {coupling_j}",
+        f"gamma must be non-negative and finite, got {gamma}",
         f"beta must be positive, got {beta}",
         f"beta*omega = {bw:g} below floor {BETA_OMEGA_FLOOR:g}",
     )[rule])
@@ -97,7 +101,7 @@ class AnyonParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        check_points(self.theta, self.omega, self.gamma, self.beta, self.xi)
+        check_points(self.theta, self.omega, self.coupling_j, self.gamma, self.beta, self.xi)
 
     @property
     def beta_omega(self) -> float:
@@ -134,7 +138,7 @@ class ParamArrays:
         values = np.broadcast_arrays(*(np.asarray(getattr(self, n), dtype=float) for n in names))
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
-        check_points(self.theta, self.omega, self.gamma, self.beta, self.xi)
+        check_points(self.theta, self.omega, self.coupling_j, self.gamma, self.beta, self.xi)
 
     @classmethod
     def over(cls, base: AnyonParams, **arrays) -> "ParamArrays":

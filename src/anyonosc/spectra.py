@@ -93,40 +93,30 @@ def coherence_order(system: FockSystem) -> np.ndarray:
 
     H conserves quanta and every jump lowers ket and bra together, so the
     Liouvillian is block-diagonal in this label and the dipole superoperators
-    shift it by +/- 1.
+    shift it by +/- 1. A test label: the pathway solves on ``_closure`` sets.
     """
     q = system.total_quanta
     return np.repeat(q, system.dim) - np.tile(q, system.dim)
 
 
-def _blocks(order, states):
-    """Split sorted state indices into their Delta q blocks, as pairs
-    (positions within ``states``, state indices)."""
-    labels = order[states]
-    for dq in np.unique(labels):
-        pos = np.flatnonzero(labels == dq)
-        yield pos, states[pos]
+def _closure(pattern, support):
+    """Sorted indices of the smallest L-invariant set holding ``support``:
+    every state reachable from it along the nonzeros ``pattern`` of L."""
+    reach = np.asarray(support, dtype=bool)
+    while True:
+        grown = reach | pattern[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
 
 
-def _sector(order, vec):
-    """Every state in a Delta q block where ``vec`` has support."""
-    return np.flatnonzero(np.isin(order, order[vec != 0]))
-
-
-def _resolvents(liouv, order, states, shifts, rhs, transpose=False):
-    """Row k is (shifts[k] I - L)^{-1} rhs restricted to ``states`` (or with
-    L^T), solved block by block with one batched LU per frequency."""
-    out = np.empty((shifts.size, states.size), dtype=complex)
-    for pos, idx in _blocks(order, states):
-        block = liouv[np.ix_(idx, idx)]
-        if transpose:
-            block = block.T
-        shifted = np.broadcast_to(-block, (shifts.size,) + block.shape).copy()
-        diag = np.arange(idx.size)
-        shifted[:, diag, diag] += shifts[:, None]
-        b = np.broadcast_to(rhs[idx, None], (shifts.size, idx.size, 1))
-        out[:, pos] = np.linalg.solve(shifted, b)[..., 0]
-    return out
+def _resolvents(block, shifts, rhs):
+    """Row k is (shifts[k] I - block)^{-1} rhs, one batched LU per frequency."""
+    shifted = np.broadcast_to(-block, (shifts.size,) + block.shape).copy()
+    diag = np.arange(rhs.size)
+    shifted[:, diag, diag] += shifts[:, None]
+    b = np.broadcast_to(rhs[:, None], (shifts.size, rhs.size, 1))
+    return np.linalg.solve(shifted, b)[..., 0]
 
 
 def _apply(op, vecs):
@@ -151,22 +141,21 @@ def _pathway(system: FockSystem, dipole: DipoleSet, params: AnyonParams, t2: flo
     if rho_eq not in RHO_EQ:
         raise ValueError(f"unknown rho_eq {rho_eq!r}; expected one of {RHO_EQ}")
     liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
-    order = coherence_order(system)
+    pattern = liouv != 0
     rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
     v0 = dipole.mu_right @ rho0.ravel()
     tr_mu = trace_vector(system.dim) @ dipole.mu_right
 
-    first = _sector(order, v0)
-    x = _resolvents(liouv, order, first, 1j * tau_axis, -v0)
-    mid = _sector(order, np.any(dipole.mu_left[:, first] != 0, axis=1))
+    first = _closure(pattern, v0 != 0)
+    x = _resolvents(liouv[np.ix_(first, first)], 1j * tau_axis, -v0[first])
+    mid = _closure(pattern, np.any(dipole.mu_left[:, first] != 0, axis=1))
     z = _apply(dipole.mu_left[np.ix_(mid, first)], x)
     if t2 > 0.0:
-        for pos, idx in _blocks(order, mid):
-            z[:, pos] = _apply(sla.expm(liouv[np.ix_(idx, idx)] * t2), z[:, pos])
-    last = _sector(order, tr_mu)
+        z = _apply(sla.expm(liouv[np.ix_(mid, mid)] * t2), z)
+    last = _closure(pattern, np.any(dipole.mu_left[:, mid] != 0, axis=1))
     z = _apply(dipole.mu_left[np.ix_(last, mid)], z)
     # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
-    y = _resolvents(liouv, order, last, -1j * t_axis, -tr_mu, transpose=True)
+    y = _resolvents(liouv[np.ix_(last, last)].T, -1j * t_axis, -tr_mu[last])
     return _apply(y, z) * (1j) ** 3
 
 
@@ -184,12 +173,15 @@ def rephasing_response(system: FockSystem, dipole: DipoleSet, params: AnyonParam
     omega_t (sign +1), bra-side mu, trace, times (i/hbar)^3 with hbar = 1.
     The Liouvillian is built in the rotating frame (carrier omega removed).
 
-    Every step works only on the Delta q blocks (``coherence_order``) the
-    pathway reaches: both resolvents on the coherence blocks, Delta q = +/- 1
-    for the vacuum, one batched solve per block for all frequencies; the t2
-    propagator on the blocks the first ket-side mu reaches. The display axes
-    carry the echo convention (both negated relative to the raw transform
-    frequencies) so the photon-echo feature lands at positive detunings.
+    Each interval is solved on the forward closure R of its right-hand side
+    under the nonzeros of L (``_closure``): L[rest, R] == 0, so the solves,
+    the t2 propagator and the left vectors (s I - L^T)^{-1} tr_mu restrict
+    exactly to L[R, R], one batched solve per interval for all frequencies.
+    Vacuum closures hold 2, 5 and 10 states at any cutoff (the last 6 at
+    theta = pi), so a vacuum grid does not depend on the cutoff. The display
+    axes carry the echo convention (both negated relative to the raw
+    transform frequencies) so the photon-echo feature lands at positive
+    detunings.
     ``threads`` is accepted for interface stability; the work is array-wide.
     """
     if grid is None:

@@ -118,6 +118,45 @@ class TestCliAxisRule:
         assert not out.exists() and not (tmp_path / "ep.csv.meta.json").exists()
 
 
+class TestCliNonFiniteParameters:
+    # NaN in any field, +/-inf in omega, gamma and coupling_j: a validation
+    # error naming the parameter, before any compute
+    @pytest.mark.parametrize("argv, message", [
+        (("dimer-rates", "--coupling", "nan"), "coupling_j must be finite, got nan"),
+        (("dimer-rates", "--coupling=-inf"), "coupling_j must be finite, got -inf"),
+        (("ep-locate", "--gamma", "inf"), "gamma must be non-negative and finite, got inf"),
+        (("spectrum", "--gamma", "nan", "--grid", "4"), "gamma must be non-negative and finite"),
+        (("dimer-rates", "--omega", "inf"), "omega must be positive and finite, got inf"),
+        (("fig2", "--omega", "nan", "--grid", "3"), "omega must be positive and finite, got nan"),
+        (("dimer-rates", "--beta", "nan"), "beta must be positive, got nan"),
+        (("spectrum", "--coupling", "nan", "--grid", "4"), "coupling_j must be finite, got nan"),
+    ], ids=["coupling-nan", "coupling-minus-inf", "gamma-inf", "spectrum-gamma-nan",
+            "omega-inf", "fig2-omega-nan", "beta-nan", "spectrum-coupling-nan"])
+    def test_non_finite_parameter_is_a_validation_error(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1, err
+        assert message in err
+        assert not out.exists() and stdout == ""
+
+    def test_zero_temperature_is_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "dimer-rates", "--beta", "inf", "--grid", "3")
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    def test_param_arrays_reject_one_non_finite_point(self):
+        from anyonosc import AnyonParams, ParamArrays, ParameterError
+        base = AnyonParams(theta=0.5)
+        with pytest.raises(ParameterError, match=r"coupling_j must be finite, got inf"):
+            ParamArrays.over(base, coupling_j=np.array([0.1, 0.2, math.inf, math.nan]))
+        beta = ParamArrays.over(base, beta=np.array([1.0, math.inf]))
+        assert np.all(np.isfinite(beta.z))
+
+
 FILE_COMMANDS = {
     "single-rates": ["single-rates", "--grid", "5"],
     "dimer-rates": ["dimer-rates", "--xi", "0.5", "--grid", "5", "--stat-dephasing", "on"],

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonosc import (AnyonParams, FockSystem, GridSpec, bright_mode_overlay,
                       build_dipole, build_liouvillian, build_weff, diagonal_slice,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
 from anyonosc.fock import resolvent_apply, trace_vector
-from anyonosc.spectra import (SpectrumGrid, bright_branch_detuning, coherence_order,
+from anyonosc.spectra import (SpectrumGrid, _closure, bright_branch_detuning, coherence_order,
                               rephasing_response_quadrature, response_point)
 
 
@@ -257,6 +259,68 @@ class TestBlockSolveEquivalence:
         order = coherence_order(system)
         assert np.all(liouv[order[:, None] != order[None, :]] == 0)
         assert np.count_nonzero(np.abs(order) == 1) == 80  # two 40-state blocks
+
+
+def pathway_closures(dip, liouv, rho0):
+    """R1/R2/R3 of the pathway: the closures of v0, mu_left R1 and mu_left R2."""
+    pattern = liouv != 0
+    first = _closure(pattern, dip.mu_right @ rho0.ravel() != 0)
+    mid = _closure(pattern, np.any(dip.mu_left[:, first] != 0, axis=1))
+    last = _closure(pattern, np.any(dip.mu_left[:, mid] != 0, axis=1))
+    return first, mid, last
+
+
+class TestReachableClosure:
+    @settings(deadline=None, max_examples=40)
+    @given(theta=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
+           xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
+           beta=st.floats(0.05, 20.0),
+           jump_basis=st.sampled_from(("site", "deformed")),
+           conjugation=st.sampled_from(("modulus", "analytic")),
+           rho_eq=st.sampled_from(("vacuum", "thermal")),
+           t2=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           count=st.integers(4, 6))
+    def test_closure_spectrum_matches_dense_reference(self, theta, xi, beta, jump_basis,
+                                                      conjugation, rho_eq, t2, count):
+        p = AnyonParams(theta=theta, xi=xi, beta=beta)
+        system = FockSystem(cutoff=2, theta=theta, modes=2)
+        dip = build_dipole(system, conjugation)
+        # the reference solves on the whole L, whose population block is
+        # singular at detuning 0, so no axis here (count 4 to 6) holds 0
+        grid = GridSpec(count=count, lo=-0.4, hi=0.45)
+        got = rephasing_response(system, dip, p, t2=t2, grid=grid, jump_basis=jump_basis,
+                                 conjugation=conjugation, rho_eq=rho_eq).values
+        want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis,
+                               conjugation, rho_eq)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
+        rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
+        closures = pathway_closures(dip, liouv, rho0)
+        for reach in closures:
+            rest = np.setdiff1d(np.arange(liouv.shape[0]), reach)
+            assert np.all(liouv[np.ix_(rest, reach)] == 0)
+        if rho_eq == "vacuum":
+            # at theta = pi a mode holds at most one quantum: no |20>, |02> kets
+            want_sizes = (2, 5, 6 if theta == math.pi else 10)
+            assert tuple(r.size for r in closures) == want_sizes
+
+    @pytest.mark.parametrize("theta", [0.9, 2.0])
+    @pytest.mark.parametrize("t2", [0.0, 7.5])
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
+    def test_vacuum_spectrum_does_not_depend_on_cutoff(self, jump_basis, conjugation, t2,
+                                                       theta):
+        p = AnyonParams(theta=theta, xi=0.5, beta=0.5)
+        grid = GridSpec(count=12, lo=-0.5, hi=0.5)
+        values = []
+        for cutoff in (2, 3, 4):
+            system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
+            values.append(rephasing_response(system, build_dipole(system, conjugation), p,
+                                             t2=t2, grid=grid, jump_basis=jump_basis,
+                                             conjugation=conjugation).values)
+        assert np.array_equal(values[0], values[1])
+        assert np.array_equal(values[0], values[2])
 
 
 class TestDiagonalSlice:
