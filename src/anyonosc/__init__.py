@@ -8,9 +8,9 @@ __version__ = "0.1.0"
 from .params import AnyonParams, ComplexRate, ParamArrays, ParameterError
 from .rates import (deformed_commutator_eigenvalue, gamma_full_single,
                     gamma_stat, phase_average, thermal_occupation)
-from .dimer import (ChannelSet, EffectiveMatrix, EPResult, build_weff,
+from .dimer import (EffectiveMatrix, EPResult, build_weff, channel_coefficients,
                     eigen_analysis, find_exceptional_point,
-                    lindblad_coefficients, normal_mode_frequencies)
+                    normal_mode_frequencies)
 from .fock import (DensityState, FockSystem, anyon_ladder_matrix,
                    build_hamiltonian, build_liouvillian, fit_decay_rate,
                    propagate, resolvent_apply, steady_state)
@@ -24,8 +24,8 @@ __all__ = [
     "AnyonParams", "ComplexRate", "ParamArrays", "ParameterError",
     "deformed_commutator_eigenvalue", "thermal_occupation", "phase_average",
     "gamma_stat", "gamma_full_single",
-    "ChannelSet", "EffectiveMatrix", "EPResult", "normal_mode_frequencies",
-    "lindblad_coefficients", "build_weff", "eigen_analysis", "find_exceptional_point",
+    "EffectiveMatrix", "EPResult", "normal_mode_frequencies",
+    "channel_coefficients", "build_weff", "eigen_analysis", "find_exceptional_point",
     "FockSystem", "DensityState", "anyon_ladder_matrix",
     "build_hamiltonian", "build_liouvillian", "propagate", "steady_state",
     "resolvent_apply", "fit_decay_rate",

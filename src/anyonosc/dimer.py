@@ -6,14 +6,14 @@ The W_eff layer is array-valued: ``normal_mode_frequencies``,
 ``dissipative_rates`` and ``weff_entries`` take a ``ParamArrays`` (or one
 AnyonParams point), ``weff_eigenvalues`` takes entry arrays and
 ``match_branches`` labels whole eigenvalue sequences, all over broadcast
-arrays. ``build_weff`` and ``eigen_analysis`` are one-point calls of the same
-code. ``lindblad_coefficients`` and ``ChannelSet`` give the channels one point
-at a time, for the Fock-space Liouvillian.
+arrays. ``channel_coefficients`` is the one table of the four bath channels:
+``dissipative_rates`` sums it, and the Fock-space jump operators read it.
+``build_weff`` and ``eigen_analysis`` are one-point calls of the same code;
+the exceptional-point locator scans and refines on the array gap.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -67,84 +67,6 @@ def deformed_mode_phase(theta: float) -> complex:
     return complex(np.exp(-1j * theta / 2.0))
 
 
-@dataclass(frozen=True)
-class LindbladChannel:
-    """One dissipation channel, as coefficients over the deformed mode basis.
-
-    The coefficient structure is prefactor * weight for the b~+ component and
-    sign * prefactor * weight * e^{-i theta/2} for the b~- component, with the
-    prefactor sqrt(gamma*nbar) on the principal branch.
-    """
-
-    label: str
-    prefactor: complex      # sqrt(gamma * nbar), complex for intermediate theta
-    weight: float           # sqrt(1 +/- xi)/2, real structural factor
-    sign: int               # +1 for "+" channels, -1 for "-" channels
-    phase: complex          # e^{-i theta/2}
-
-    @property
-    def lambda_plus(self) -> complex:
-        return self.prefactor * self.weight
-
-    @property
-    def lambda_minus(self) -> complex:
-        return self.sign * self.prefactor * self.weight * self.phase
-
-    def conjugated(self, which: str, conjugation: str) -> complex:
-        """The configured conjugation of lambda_plus / lambda_minus.
-
-        "modulus" conjugates the whole coefficient; "analytic" conjugates only
-        the explicit phase factor (real structural factors are unchanged and
-        the complex prefactor is left as is).
-        """
-        if conjugation == "modulus":
-            lam = self.lambda_plus if which == "plus" else self.lambda_minus
-            return np.conj(lam)
-        if conjugation == "analytic":
-            if which == "plus":
-                return self.prefactor * self.weight
-            return self.sign * self.prefactor * self.weight * np.conj(self.phase)
-        raise ValueError(f"unknown conjugation convention {conjugation!r}")
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """The four Lindblad channels (emission +/-, absorption +/-)."""
-
-    channels: tuple
-    params: AnyonParams
-
-    def __iter__(self):
-        return iter(self.channels)
-
-    def dissipative_sum(self, i: str, j: str, conjugation: str = DEFAULT_CONJUGATION) -> complex:
-        """Gamma_ij = sum_k lambda_k^(i) (lambda_k^(j))° under the chosen conjugation."""
-        total = 0.0 + 0.0j
-        for ch in self.channels:
-            lam_i = ch.lambda_plus if i == "plus" else ch.lambda_minus
-            total += lam_i * ch.conjugated(j, conjugation)
-        return total
-
-
-def lindblad_coefficients(params: AnyonParams) -> ChannelSet:
-    """Channel coefficients over the deformed mode basis.
-
-    Emission channels carry sqrt(gamma (n_theta + 1)), absorption channels
-    sqrt(gamma n_theta); the "+"/"-" channels weight the modes by
-    sqrt(1 +/- xi)/2, and the b~- component carries the relative phase
-    e^{-i theta/2} with a sign flip on the "-" channels.
-    """
-    nth = thermal_occupation(params.theta, params.beta, params.omega)
-    phase = cmath.exp(-1j * params.theta / 2.0)
-    chans = []
-    for kind, nbar in (("emission", nth + 1.0), ("absorption", nth)):
-        pref = np.sqrt(complex(params.gamma) * nbar)  # principal branch
-        for sign, tag in ((+1, "plus"), (-1, "minus")):
-            weight = math.sqrt(max(0.0, 1.0 + sign * params.xi)) / 2.0
-            chans.append(LindbladChannel(f"{kind}_{tag}", pref, weight, sign, phase))
-    return ChannelSet(tuple(chans), params)
-
-
 def _mul(x, y):
     """x*y for complex arrays with each real product rounded on its own, as
     the scalar complex product rounds them; numpy's vectorized complex
@@ -158,18 +80,22 @@ def _mul(x, y):
     return out[()]
 
 
-# lindblad_coefficients' channel order: emission +/-, absorption +/-
+# channel_coefficients' channel order: emission +/-, absorption +/-
 _CHANNEL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def dissipative_rates(params: AnyonParams | ParamArrays,
-                      conjugation: str = DEFAULT_CONJUGATION) -> tuple:
-    """(Gamma_++, Gamma_--, Gamma_+-, Gamma_-+) over the parameter arrays.
+def channel_coefficients(params: AnyonParams | ParamArrays,
+                         conjugation: str = DEFAULT_CONJUGATION) -> tuple:
+    """The four Lindblad channels (emission +/-, absorption +/-) over the
+    deformed mode basis, on a leading axis of the parameter arrays, as
+    (lambda_plus, lambda_minus, adjoint_plus, adjoint_minus).
 
-    Gamma_ij = sum_k lambda_k^(i) (lambda_k^(j))° over the four channels of
-    ``lindblad_coefficients`` (on a leading axis), each product and
-    the sum over channels evaluated as ``ChannelSet.dissipative_sum``
-    evaluates them, so a point agrees with it bit for bit.
+    Emission channels carry sqrt(gamma (n_theta + 1)), absorption channels
+    sqrt(gamma n_theta), on the principal branch; the "+"/"-" channels weight
+    the modes by sqrt(1 +/- xi)/2, and the b~- component carries the relative
+    phase e^{-i theta/2} with a sign flip on the "-" channels. The adjoints
+    follow the conjugation convention: "modulus" conjugates each whole
+    coefficient, "analytic" only the explicit phase factor.
     """
     if conjugation not in CONJUGATION_CONVENTIONS:
         raise ValueError(f"unknown conjugation convention {conjugation!r}")
@@ -182,13 +108,23 @@ def dissipative_rates(params: AnyonParams | ParamArrays,
     lam_plus = pref * weight
     lam_minus = _mul(sign * pref * weight, phase)
     if conjugation == "modulus":
-        con_plus, con_minus = np.conj(lam_plus), np.conj(lam_minus)
-    else:
-        con_plus, con_minus = lam_plus, _mul(sign * pref * weight, np.conj(phase))
+        return lam_plus, lam_minus, np.conj(lam_plus), np.conj(lam_minus)
+    return lam_plus, lam_minus, lam_plus, _mul(sign * pref * weight, np.conj(phase))
+
+
+def dissipative_rates(params: AnyonParams | ParamArrays,
+                      conjugation: str = DEFAULT_CONJUGATION) -> tuple:
+    """(Gamma_++, Gamma_--, Gamma_+-, Gamma_-+) over the parameter arrays.
+
+    Gamma_ij = sum_k lambda_k^(i) (lambda_k^(j))° over the four channels of
+    ``channel_coefficients``, each product rounded as the scalar complex
+    product rounds it and the channels summed in order.
+    """
+    lam_plus, lam_minus, adj_plus, adj_minus = channel_coefficients(params, conjugation)
     total = 0.0 + 0.0j
     for k in range(4):  # channel by channel, in order; the four Gamma_ij stacked
         total = total + _mul(np.array([lam_plus[k], lam_minus[k], lam_plus[k], lam_minus[k]]),
-                             np.array([con_plus[k], con_minus[k], con_minus[k], con_plus[k]]))
+                             np.array([adj_plus[k], adj_minus[k], adj_minus[k], adj_plus[k]]))
     return tuple(total)
 
 
@@ -321,9 +257,10 @@ def eigen_analysis(matrix: EffectiveMatrix) -> EffectiveMatrix:
     cond = float(_condition(vectors[:, 0], vectors[:, 1]))
     matrix.eigenvalues = (lp, lm)
     matrix.right_eigenvectors = vectors
-    matrix.lifetimes = tuple(
-        (1.0 / -l.real) if l.real < 0.0 else float("inf") for l in (lp, lm)
-    )
+    with np.errstate(over="ignore"):  # a subnormal decay rate: lifetime inf
+        matrix.lifetimes = tuple(
+            (1.0 / -l.real) if l.real < 0.0 else float("inf") for l in (lp, lm)
+        )
     matrix.eigenvector_condition = cond
     matrix.near_defective = cond > EP_CONDITION_MARKER
     return matrix
@@ -380,8 +317,8 @@ def find_exceptional_point(params: AnyonParams,
                            coarse_points: int = 512) -> EPResult:
     """Locate the statistical angle minimizing the eigenvalue gap of W_eff.
 
-    Coarse scan over the bracket (one array evaluation) followed by
-    golden-section refinement on the one-point gap. An EP
+    Coarse scan over the bracket followed by golden-section refinement, both
+    on one array gap function (``weff_eigenvalues`` of ``weff_entries``). An EP
     is declared when the refined gap falls below EP_GAP_FACTOR * gamma; the
     minimal gap is reported either way. params.theta is ignored. The default
     bracket stops short of pi, where the xi = 0 matrix becomes a scalar (a
@@ -394,14 +331,12 @@ def find_exceptional_point(params: AnyonParams,
         raise ValueError(f"theta bracket must satisfy 0 <= lo < hi <= pi, got {theta_bracket}")
 
     def gap_at(theta):
-        p = params.with_(theta=theta)
-        return build_weff(p, frequency_convention, conjugation, stat_dephasing).gap
+        lp, lm = weff_eigenvalues(*weff_entries(ParamArrays.over(params, theta=theta),
+                                                frequency_convention, conjugation, stat_dephasing))
+        return _modulus(lp - lm)
 
     grid = np.linspace(lo, hi, coarse_points)
-    lp, lm = weff_eigenvalues(*weff_entries(ParamArrays.over(params, theta=grid),
-                                            frequency_convention, conjugation, stat_dephasing))
-    gaps = _modulus(lp - lm)
-    k = int(np.argmin(gaps))
+    k = int(np.argmin(gap_at(grid)))
     a = grid[max(0, k - 1)]
     b = grid[min(coarse_points - 1, k + 1)]
 
@@ -421,6 +356,6 @@ def find_exceptional_point(params: AnyonParams,
             d = a + invphi * (b - a)
             fd = gap_at(d)
     theta_star = 0.5 * (a + b)
-    gap = gap_at(theta_star)
+    gap = float(gap_at(theta_star))
     threshold = EP_GAP_FACTOR * params.gamma
     return EPResult(found=gap < threshold, theta=theta_star, gap=gap, threshold=threshold)

@@ -6,7 +6,9 @@ behind the 2D spectra. Superoperators are dense arrays assembled from the
 nonzeros of their Kronecker factors (``_kron_sum``): 81x81 at the default
 two-mode cutoff 2, 256x256 at cutoff 3 (fig3) and 2401x2401 at cutoff 6 (the
 criterion-6 oracle), of which 0.3% is nonzero. The spectra solve only on the
-states a pathway reaches through its nonzeros (``spectra._closure``).
+states a pathway reaches through its nonzeros (``spectra._closure``). The
+two-mode jump operators take their coefficients from the channel table that
+also sets W_eff (``dimer.channel_coefficients``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dimer import DEFAULT_CONJUGATION, deformed_mode_phase, lindblad_coefficients
+from .dimer import DEFAULT_CONJUGATION, channel_coefficients, deformed_mode_phase
 from .params import AnyonParams
 from .rates import q_bracket, thermal_occupation
 
@@ -181,55 +183,40 @@ def jump_operators(system: FockSystem, params: AnyonParams,
       sqrt(gamma nbar (1 +/- xi)) (a1 +/- a2)/sqrt2, kept for comparison (its
       first moments do not reproduce W_eff away from xi = 0).
 
-    Single-mode systems use sqrt(gamma(n+1)) a and sqrt(gamma n) a.
+    Both read ``dimer.channel_coefficients``: the site scalar is
+    2 lambda_+ = sqrt(gamma nbar (1 +/- xi)) of each channel. Single-mode
+    systems use sqrt(gamma(n+1)) a and sqrt(gamma n) a.
     The adjoint of each pair follows the conjugation convention: Hermitian
     under "modulus", formal (unconjugated prefactors and entries) under
     "analytic".
     """
-    nth = thermal_occupation(params.theta, params.beta, params.omega)
-    pairs = []
-
-    def add(op, op_formal_dag, scalar):
-        lop = scalar * op
-        if conjugation == "modulus":
-            pairs.append((lop, lop.conj().T))
-        else:
-            pairs.append((lop, scalar * op_formal_dag))
-
     if system.modes == 1:
-        a = system.lowering[0]
-        ad = system.raising[0]
-        for nbar in (nth + 1.0, nth):
-            add(a, ad, np.sqrt(complex(params.gamma) * nbar))
-        return pairs
-
-    if jump_basis not in JUMP_BASES:
+        nth = thermal_occupation(params.theta, params.beta, params.omega)
+        a, ad = system.lowering[0], system.raising[0]
+        scalars = [np.sqrt(complex(params.gamma) * nbar) for nbar in (nth + 1.0, nth)]
+        ops = [(s * a, s * ad) for s in scalars]
+    elif jump_basis not in JUMP_BASES:
         raise ValueError(f"unknown jump basis {jump_basis!r}")
-    a1, a2 = system.lowering
-    a1d, a2d = system.raising
-    if jump_basis == "site":
-        for nbar in (nth + 1.0, nth):
-            pref = np.sqrt(complex(params.gamma) * nbar)
-            for sgn in (+1, -1):
-                w = math.sqrt(max(0.0, 1.0 + sgn * params.xi))
-                add((a1 + sgn * a2) / math.sqrt(2.0), (a1d + sgn * a2d) / math.sqrt(2.0), pref * w)
-        return pairs
-
-    # deformed basis: channels from the dimer model mapped onto Fock matrices
-    g = deformed_mode_phase(params.theta)
-    bp = (a1 + g * a2) / math.sqrt(2.0)
-    bm = (a1 - g * a2) / math.sqrt(2.0)
-    bpd = (a1d + np.conj(g) * a2d) / math.sqrt(2.0)
-    bmd = (a1d - np.conj(g) * a2d) / math.sqrt(2.0)
-    for ch in lindblad_coefficients(params):
-        op = ch.lambda_plus * bp + ch.lambda_minus * bm
-        lop = math.sqrt(2.0) * op
-        if conjugation == "modulus":
-            pairs.append((lop, lop.conj().T))
+    else:
+        lam_plus, lam_minus, adj_plus, adj_minus = channel_coefficients(params, conjugation)
+        a1, a2 = system.lowering
+        a1d, a2d = system.raising
+        root2 = math.sqrt(2.0)
+        if jump_basis == "site":
+            # a power-of-two scale does not round: 2 lambda_+ is the literal rate
+            ops = [(2.0 * lam_plus[k] * ((a1 + sgn * a2) / root2),
+                    2.0 * adj_plus[k] * ((a1d + sgn * a2d) / root2))
+                   for k, sgn in enumerate((1, -1, 1, -1))]
         else:
-            opd = ch.conjugated("plus", "analytic") * bpd + ch.conjugated("minus", "analytic") * bmd
-            pairs.append((lop, math.sqrt(2.0) * opd))
-    return pairs
+            g = deformed_mode_phase(params.theta)
+            bp, bm = (a1 + g * a2) / root2, (a1 - g * a2) / root2
+            bpd = (a1d + np.conj(g) * a2d) / root2
+            bmd = (a1d - np.conj(g) * a2d) / root2
+            ops = [(root2 * (lam_plus[k] * bp + lam_minus[k] * bm),
+                    root2 * (adj_plus[k] * bpd + adj_minus[k] * bmd)) for k in range(4)]
+    if conjugation == "modulus":
+        return [(lop, lop.conj().T) for lop, _ in ops]
+    return ops
 
 
 def build_liouvillian(system: FockSystem, params: AnyonParams,

@@ -63,10 +63,10 @@ def _divide(a, b):
     wide = np.abs(br) >= np.abs(bi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # np.where drops it
         ratio = np.where(wide, bi / br, br / bi)
-    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-    out = np.empty(np.shape(denom), dtype=complex)
-    out.real = np.where(wide, a + 0.0 * ratio, a * ratio + 0.0) / denom
-    out.imag = np.where(wide, 0.0 - a * ratio, 0.0 * ratio - a) / denom
+        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+        out = np.empty(np.shape(denom), dtype=complex)
+        out.real = np.where(wide, a + 0.0 * ratio, a * ratio + 0.0) / denom
+        out.imag = np.where(wide, 0.0 - a * ratio, 0.0 * ratio - a) / denom
     return out[()]
 
 

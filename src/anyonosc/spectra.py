@@ -143,8 +143,9 @@ def _pathway(system: FockSystem, dipole: DipoleSet, params: AnyonParams, t2: flo
     liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
     pattern = liouv != 0
     rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
-    v0 = dipole.mu_right @ rho0.ravel()
-    tr_mu = trace_vector(system.dim) @ dipole.mu_right
+    # vec(rho0 mu) and the row vector of rho -> tr(rho mu), from the d x d dipole
+    v0 = (rho0 @ dipole.mu_matrix).ravel()
+    tr_mu = dipole.mu_matrix.T.ravel()
 
     first = _closure(pattern, v0 != 0)
     x = _resolvents(liouv[np.ix_(first, first)], 1j * tau_axis, -v0[first])

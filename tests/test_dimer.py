@@ -1,13 +1,14 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from anyonosc import (AnyonParams, build_weff, eigen_analysis,
-                      find_exceptional_point, gamma_full_single,
-                      lindblad_coefficients, normal_mode_frequencies)
+from anyonosc import (AnyonParams, build_weff, channel_coefficients,
+                      eigen_analysis, find_exceptional_point,
+                      gamma_full_single, normal_mode_frequencies)
 from anyonosc.dimer import EffectiveMatrix, match_branches
 
 
@@ -45,37 +46,43 @@ class TestNormalModeFrequencies:
             normal_mode_frequencies(AnyonParams(theta=0.1), "bogus")
 
 
-class TestLindbladCoefficients:
+# channel_coefficients' leading axis: emission +, emission -, absorption +, absorption -
+EMISSION_PLUS = 0
+
+
+class TestChannelCoefficients:
     def test_perfect_correlation_kills_minus_channels(self):
-        chans = lindblad_coefficients(AnyonParams(theta=0.4, xi=1.0))
-        for ch in chans:
-            if ch.sign == -1:
-                assert ch.lambda_plus == 0.0
-                assert ch.lambda_minus == 0.0
+        lam_plus, lam_minus, _, _ = channel_coefficients(AnyonParams(theta=0.4, xi=1.0))
+        for k in (1, 3):
+            assert lam_plus[k] == 0.0
+            assert lam_minus[k] == 0.0
 
     def test_emission_coefficient_value(self):
-        chans = lindblad_coefficients(AnyonParams(theta=0.0, xi=0.0, beta=1.0, gamma=0.1))
-        em_plus = next(ch for ch in chans if ch.label == "emission_plus")
+        lam_plus, _, _, _ = channel_coefficients(AnyonParams(theta=0.0, xi=0.0, beta=1.0, gamma=0.1))
         want = math.sqrt(0.1 * (1.0 + 1.0 / (math.e - 1.0))) / 2.0
-        assert em_plus.lambda_plus == pytest.approx(want, abs=1e-12)
+        assert lam_plus[EMISSION_PLUS] == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.19887, abs=1e-5)
 
     def test_relative_phase_is_minus_half_angle(self):
         for theta in (0.3, 1.1, 2.6):
-            chans = lindblad_coefficients(AnyonParams(theta=theta, xi=0.4))
-            em_plus = next(ch for ch in chans if ch.label == "emission_plus")
-            ratio = em_plus.lambda_minus / em_plus.lambda_plus
+            lam_plus, lam_minus, _, _ = channel_coefficients(AnyonParams(theta=theta, xi=0.4))
+            ratio = lam_minus[EMISSION_PLUS] / lam_plus[EMISSION_PLUS]
             assert cmath.phase(ratio) == pytest.approx(-theta / 2.0, abs=1e-12)
 
     def test_diagonal_sum_consistent_magnitude(self):
         p = AnyonParams(theta=1.3, xi=0.6, gamma=0.1)
-        chans = lindblad_coefficients(p)
         from anyonosc.rates import thermal_occupation
         nth = thermal_occupation(p.theta, p.beta, p.omega)
-        got_mod = chans.dissipative_sum("plus", "plus", "modulus")
+        lam_plus, _, adj_plus, _ = channel_coefficients(p, "modulus")
+        got_mod = np.sum(lam_plus * adj_plus)
         assert got_mod == pytest.approx(0.1 * (abs(nth + 1) + abs(nth)) / 2.0, abs=1e-13)
-        got_ana = chans.dissipative_sum("plus", "plus", "analytic")
+        lam_plus, _, adj_plus, _ = channel_coefficients(p, "analytic")
+        got_ana = np.sum(lam_plus * adj_plus)
         assert got_ana == pytest.approx(0.1 * (2 * nth + 1) / 2.0, abs=1e-13)
+
+    def test_unknown_conjugation(self):
+        with pytest.raises(ValueError):
+            channel_coefficients(AnyonParams(theta=0.1), "bogus")
 
 
 class TestBuildWeff:
@@ -92,6 +99,14 @@ class TestBuildWeff:
         assert a.imag == pytest.approx(-1.2, abs=1e-12)
         assert -a.real == pytest.approx(gamma_full_single(p).value.real, abs=1e-12)
         assert -a.real == pytest.approx(0.1081977, abs=1e-6)
+
+    def test_subnormal_decay_rate_has_infinite_lifetime_without_warning(self):
+        # Re lambda is a negative subnormal: 1/-Re lambda overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = build_weff(AnyonParams(theta=0.3, gamma=1e-310))
+        assert all(l.real < 0.0 for l in w.eigenvalues)
+        assert w.lifetimes == (math.inf, math.inf)
 
     def test_closed_system_is_diagonal_frequencies(self):
         p = AnyonParams(theta=0.9, xi=0.5, gamma=0.0)

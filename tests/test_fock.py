@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonosc import (AnyonParams, DensityState, FockSystem,
                       anyon_ladder_matrix, build_hamiltonian,
                       build_liouvillian, build_weff, fit_decay_rate,
                       gamma_full_single, normal_mode_frequencies, propagate,
                       resolvent_apply, steady_state)
+from anyonosc.dimer import deformed_mode_phase
 from anyonosc.fock import jump_operators, left_mult, right_mult, trace_vector
+from anyonosc.rates import thermal_occupation
 from anyonosc.spectra import coherence_order
 
 
@@ -23,6 +27,37 @@ def dense_kron_liouvillian(system, params, jump_basis, conjugation, rotating):
         ll = ldag @ lop
         liouv += np.kron(lop, ldag.T) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
     return liouv
+
+
+def reference_jump_operators(system, params, jump_basis, conjugation):
+    """Two-mode jump pairs built channel by channel from per-point scalar
+    coefficients: the previous implementation, kept as the reference."""
+    nth = thermal_occupation(params.theta, params.beta, params.omega)
+    phase = cmath.exp(-1j * params.theta / 2.0)
+    a1, a2 = system.lowering
+    a1d, a2d = system.raising
+    g = deformed_mode_phase(params.theta)
+    bp = (a1 + g * a2) / math.sqrt(2.0)
+    bm = (a1 - g * a2) / math.sqrt(2.0)
+    bpd = (a1d + np.conj(g) * a2d) / math.sqrt(2.0)
+    bmd = (a1d - np.conj(g) * a2d) / math.sqrt(2.0)
+    pairs = []
+    for nbar in (nth + 1.0, nth):
+        pref = np.sqrt(complex(params.gamma) * nbar)
+        for sgn in (+1, -1):
+            if jump_basis == "site":
+                scalar = pref * math.sqrt(max(0.0, 1.0 + sgn * params.xi))
+                lop = scalar * ((a1 + sgn * a2) / math.sqrt(2.0))
+                formal = scalar * ((a1d + sgn * a2d) / math.sqrt(2.0))
+            else:
+                weight = math.sqrt(max(0.0, 1.0 + sgn * params.xi)) / 2.0
+                lam_plus = pref * weight
+                lam_minus = sgn * pref * weight * phase
+                lop = math.sqrt(2.0) * (lam_plus * bp + lam_minus * bm)
+                formal = math.sqrt(2.0) * (pref * weight * bpd
+                                           + sgn * pref * weight * np.conj(phase) * bmd)
+            pairs.append((lop, lop.conj().T if conjugation == "modulus" else formal))
+    return pairs
 
 
 def coherence_block_indices(system):
@@ -229,6 +264,23 @@ class TestLiouvillianAssembly:
                         ref = dense_kron_liouvillian(system, p, basis, conj, rotating)
                         err = np.max(np.abs(liouv - ref))
                         assert err <= 1e-15 * np.max(np.abs(ref)), (theta, basis, conj, rotating)
+
+    @settings(deadline=None, max_examples=60)
+    @given(theta=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
+           xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
+           gamma=st.floats(0.0, 2.0), beta=st.floats(0.05, 20.0),
+           cutoff=st.integers(1, 3))
+    def test_jump_operators_match_the_channel_loop(self, theta, xi, gamma, beta, cutoff):
+        system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
+        p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
+        for basis in ("site", "deformed"):
+            for conj in ("modulus", "analytic"):
+                got = jump_operators(system, p, basis, conj)
+                ref = reference_jump_operators(system, p, basis, conj)
+                assert len(got) == len(ref) == 4
+                for (lop, ldag), (rlop, rldag) in zip(got, ref):
+                    assert np.array_equal(lop, rlop), (basis, conj)
+                    assert np.array_equal(ldag, rldag), (basis, conj)
 
     @pytest.mark.parametrize("theta", [0.0, 1.3])
     def test_no_entry_outside_the_coherence_blocks(self, theta):

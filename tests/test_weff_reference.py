@@ -1,8 +1,9 @@
 """The array-valued closed-form layer against the per-point loop it replaced.
 
 The reference functions below are the previous scalar implementations of the
-rates, W_eff, its eigen-analysis, branch matching, the exceptional-point
-locator and the sweep generators, kept here verbatim (renamed, with the old
+rates, the per-point channel objects, W_eff, its eigen-analysis, branch
+matching, the exceptional-point locator and the sweep generators, kept here
+verbatim (renamed, with the old
 ``AnyonParams.z``, math.exp(-beta*omega), spelled out) as the oracle for the
 tolerances the README's Conventions section states.
 """
@@ -10,6 +11,7 @@ tolerances the README's Conventions section states.
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonosc import AnyonParams, ParameterError
-from anyonosc.dimer import (EP_CONDITION_MARKER, EP_GAP_FACTOR, ChannelSet,
-                            EffectiveMatrix, LindbladChannel, build_weff,
+from anyonosc.dimer import (DEFAULT_CONJUGATION, EP_CONDITION_MARKER, EP_GAP_FACTOR,
+                            EffectiveMatrix, build_weff, channel_coefficients,
                             dissipative_rates, find_exceptional_point,
                             match_branches, normal_mode_frequencies)
 from anyonosc.params import BETA_OMEGA_FLOOR
@@ -71,6 +73,65 @@ def reference_gamma_full_single(params) -> complex:
 def reference_normal_mode_frequencies(params, convention):
     c = math.cos(params.theta / 2.0) if convention == "appendix" else math.cos(params.theta)
     return params.omega + params.coupling_j * c, params.omega - params.coupling_j * c
+
+
+@dataclass(frozen=True)
+class LindbladChannel:
+    """One dissipation channel, as coefficients over the deformed mode basis.
+
+    The coefficient structure is prefactor * weight for the b~+ component and
+    sign * prefactor * weight * e^{-i theta/2} for the b~- component, with the
+    prefactor sqrt(gamma*nbar) on the principal branch.
+    """
+
+    label: str
+    prefactor: complex      # sqrt(gamma * nbar), complex for intermediate theta
+    weight: float           # sqrt(1 +/- xi)/2, real structural factor
+    sign: int               # +1 for "+" channels, -1 for "-" channels
+    phase: complex          # e^{-i theta/2}
+
+    @property
+    def lambda_plus(self) -> complex:
+        return self.prefactor * self.weight
+
+    @property
+    def lambda_minus(self) -> complex:
+        return self.sign * self.prefactor * self.weight * self.phase
+
+    def conjugated(self, which: str, conjugation: str) -> complex:
+        """The configured conjugation of lambda_plus / lambda_minus.
+
+        "modulus" conjugates the whole coefficient; "analytic" conjugates only
+        the explicit phase factor (real structural factors are unchanged and
+        the complex prefactor is left as is).
+        """
+        if conjugation == "modulus":
+            lam = self.lambda_plus if which == "plus" else self.lambda_minus
+            return np.conj(lam)
+        if conjugation == "analytic":
+            if which == "plus":
+                return self.prefactor * self.weight
+            return self.sign * self.prefactor * self.weight * np.conj(self.phase)
+        raise ValueError(f"unknown conjugation convention {conjugation!r}")
+
+
+@dataclass(frozen=True)
+class ChannelSet:
+    """The four Lindblad channels (emission +/-, absorption +/-)."""
+
+    channels: tuple
+    params: AnyonParams
+
+    def __iter__(self):
+        return iter(self.channels)
+
+    def dissipative_sum(self, i: str, j: str, conjugation: str = DEFAULT_CONJUGATION) -> complex:
+        """Gamma_ij = sum_k lambda_k^(i) (lambda_k^(j))° under the chosen conjugation."""
+        total = 0.0 + 0.0j
+        for ch in self.channels:
+            lam_i = ch.lambda_plus if i == "plus" else ch.lambda_minus
+            total += lam_i * ch.conjugated(j, conjugation)
+        return total
 
 
 def reference_lindblad_coefficients(params) -> ChannelSet:
@@ -326,6 +387,17 @@ class TestOnePointAgainstReference:
 
     @settings(deadline=None, max_examples=300)
     @given(_params)
+    def test_channel_table(self, p):
+        chans = list(reference_lindblad_coefficients(p))
+        for cj in ("modulus", "analytic"):
+            lam_plus, lam_minus, adj_plus, adj_minus = channel_coefficients(p, cj)
+            assert np.array_equal(lam_plus, [ch.lambda_plus for ch in chans])
+            assert np.array_equal(lam_minus, [ch.lambda_minus for ch in chans])
+            assert np.array_equal(adj_plus, [ch.conjugated("plus", cj) for ch in chans])
+            assert np.array_equal(adj_minus, [ch.conjugated("minus", cj) for ch in chans])
+
+    @settings(deadline=None, max_examples=300)
+    @given(_params)
     def test_rates_point(self, p):
         from anyonosc.rates import gamma_full_single, gamma_stat
         assert_ulps(gamma_full_single(p).value, reference_gamma_full_single(p))
@@ -490,3 +562,32 @@ class TestExceptionalPointAgainstReference:
         assert got.theta == pytest.approx(ref_theta, abs=1e-9)
         assert abs(got.gap - ref_gap) <= 2.0 * eig_bound(
             reference_build_weff(p.with_(theta=ref_theta), *conventions))
+
+    @settings(deadline=None, max_examples=25)
+    @given(_params, _conventions,
+           st.sampled_from((None, (0.1, 3.0), (0.0, math.pi))), st.integers(8, 64))
+    def test_refines_on_the_one_point_gap(self, p, conventions, bracket, coarse_points):
+        # the locator's array gap against a golden section driven by build_weff
+        def gap_at(theta):
+            return build_weff(p.with_(theta=theta), *conventions).gap
+
+        lo, hi = bracket or (0.0, math.pi - 0.01)
+        grid = np.linspace(lo, hi, coarse_points)
+        k = int(np.argmin([gap_at(t) for t in grid]))
+        a, b = grid[max(0, k - 1)], grid[min(coarse_points - 1, k + 1)]
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = gap_at(c), gap_at(d)
+        while b - a > 1e-14:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = gap_at(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = gap_at(d)
+        theta_star = 0.5 * (a + b)
+        got = find_exceptional_point(p, bracket, *conventions, coarse_points=coarse_points)
+        assert got.theta == theta_star
+        assert got.gap == gap_at(theta_star)
