@@ -8,6 +8,7 @@ Diagnostics go to stderr; data goes to files (--out) or stdout. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -63,6 +64,7 @@ def _add_output_flags(p, svg_path=True):
     p.add_argument("--threads", type=int, default=1)
 
 
+@functools.cache  # parsing does not mutate the parser: build it once per process
 def build_parser() -> _Parser:
     ap = _Parser(prog="anyonosc",
                  description="Anyonic-oscillator Lindblad rates, effective-matrix "

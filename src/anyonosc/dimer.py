@@ -84,6 +84,16 @@ def _mul(x, y):
 _CHANNEL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
+def _channel_factors(params: AnyonParams | ParamArrays) -> tuple:
+    """(pref, root, sign) of the four channels on a leading axis:
+    sqrt(gamma nbar) on the principal branch, sqrt(1 +/- xi) and +/-1."""
+    nth = thermal_occupation(params.theta, params.beta, params.omega)
+    sign = _CHANNEL_SIGNS.reshape((4,) + (1,) * np.ndim(nth))
+    nbar = np.array([nth + 1.0, nth + 1.0, nth, nth])
+    pref = np.sqrt(np.asarray(params.gamma, dtype=complex) * nbar)  # principal branch
+    return pref, np.sqrt(np.maximum(0.0, 1.0 + sign * params.xi)), sign
+
+
 def channel_coefficients(params: AnyonParams | ParamArrays,
                          conjugation: str = DEFAULT_CONJUGATION) -> tuple:
     """The four Lindblad channels (emission +/-, absorption +/-) over the
@@ -99,17 +109,25 @@ def channel_coefficients(params: AnyonParams | ParamArrays,
     """
     if conjugation not in CONJUGATION_CONVENTIONS:
         raise ValueError(f"unknown conjugation convention {conjugation!r}")
-    nth = thermal_occupation(params.theta, params.beta, params.omega)
+    pref, root, sign = _channel_factors(params)
     phase = np.exp(-0.5j * np.asarray(params.theta, dtype=float))
-    sign = _CHANNEL_SIGNS.reshape((4,) + (1,) * np.ndim(nth))
-    nbar = np.array([nth + 1.0, nth + 1.0, nth, nth])
-    pref = np.sqrt(np.asarray(params.gamma, dtype=complex) * nbar)  # principal branch
-    weight = np.sqrt(np.maximum(0.0, 1.0 + sign * params.xi)) / 2.0
+    weight = root / 2.0
     lam_plus = pref * weight
     lam_minus = _mul(sign * pref * weight, phase)
     if conjugation == "modulus":
         return lam_plus, lam_minus, np.conj(lam_plus), np.conj(lam_minus)
     return lam_plus, lam_minus, lam_plus, _mul(sign * pref * weight, np.conj(phase))
+
+
+def site_coefficients(params: AnyonParams | ParamArrays) -> np.ndarray:
+    """sqrt(gamma nbar (1 +/- xi)) of the four channels of
+    ``channel_coefficients``, the scalars of the site-basis jumps.
+
+    Equal to 2 lambda_plus wherever that product is normal; formed directly,
+    because halving a subnormal drops its last bit.
+    """
+    pref, root, _ = _channel_factors(params)
+    return pref * root
 
 
 def dissipative_rates(params: AnyonParams | ParamArrays,

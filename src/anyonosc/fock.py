@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .dimer import DEFAULT_CONJUGATION, channel_coefficients, deformed_mode_phase
+from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION, channel_coefficients,
+                    deformed_mode_phase, site_coefficients)
 from .params import AnyonParams
 from .rates import q_bracket, thermal_occupation
 
@@ -183,13 +183,16 @@ def jump_operators(system: FockSystem, params: AnyonParams,
       sqrt(gamma nbar (1 +/- xi)) (a1 +/- a2)/sqrt2, kept for comparison (its
       first moments do not reproduce W_eff away from xi = 0).
 
-    Both read ``dimer.channel_coefficients``: the site scalar is
-    2 lambda_+ = sqrt(gamma nbar (1 +/- xi)) of each channel. Single-mode
-    systems use sqrt(gamma(n+1)) a and sqrt(gamma n) a.
+    The deformed basis reads ``dimer.channel_coefficients``, the site basis
+    the literal scalars sqrt(gamma nbar (1 +/- xi)) of the same channels
+    (``dimer.site_coefficients``). Single-mode systems use sqrt(gamma(n+1)) a
+    and sqrt(gamma n) a.
     The adjoint of each pair follows the conjugation convention: Hermitian
     under "modulus", formal (unconjugated prefactors and entries) under
     "analytic".
     """
+    if conjugation not in CONJUGATION_CONVENTIONS:
+        raise ValueError(f"unknown conjugation convention {conjugation!r}")
     if system.modes == 1:
         nth = thermal_occupation(params.theta, params.beta, params.omega)
         a, ad = system.lowering[0], system.raising[0]
@@ -198,16 +201,14 @@ def jump_operators(system: FockSystem, params: AnyonParams,
     elif jump_basis not in JUMP_BASES:
         raise ValueError(f"unknown jump basis {jump_basis!r}")
     else:
-        lam_plus, lam_minus, adj_plus, adj_minus = channel_coefficients(params, conjugation)
         a1, a2 = system.lowering
         a1d, a2d = system.raising
         root2 = math.sqrt(2.0)
         if jump_basis == "site":
-            # a power-of-two scale does not round: 2 lambda_+ is the literal rate
-            ops = [(2.0 * lam_plus[k] * ((a1 + sgn * a2) / root2),
-                    2.0 * adj_plus[k] * ((a1d + sgn * a2d) / root2))
-                   for k, sgn in enumerate((1, -1, 1, -1))]
+            ops = [(s * ((a1 + sgn * a2) / root2), s * ((a1d + sgn * a2d) / root2))
+                   for s, sgn in zip(site_coefficients(params), (1, -1, 1, -1))]
         else:
+            lam_plus, lam_minus, adj_plus, adj_minus = channel_coefficients(params, conjugation)
             g = deformed_mode_phase(params.theta)
             bp, bm = (a1 + g * a2) / root2, (a1 - g * a2) / root2
             bpd = (a1d + np.conj(g) * a2d) / root2
@@ -265,18 +266,53 @@ class DensityState:
         sym = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(sym).min())
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return np.trace(op @ self.matrix)
+
+# coefficients b_0..b_13 of the [13/13] Pade numerator p(x) (the denominator
+# is p(-x)) and the 1-norm theta_13 up to which it is accurate to double
+# precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by [13/13] Pade scaling and squaring (Higham 2005).
+
+    Scales by 2^-s until the 1-norm is at most theta_13 and applies the
+    approximant as r - I = 2 (V - U)^{-1} U. The s squarings act on x = r - I
+    as x <- 2x + x^2, so the modes whose eigenvalues sit near 1 (the kept
+    trace, slow relaxation) keep their relative accuracy: squaring r itself
+    multiplies the rounding of its entries near 1 by up to 2^s.
+    """
+    a = np.asarray(a)
+    norm = np.linalg.norm(a, 1)
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential needs finite entries")
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    x = 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        x = 2.0 * x + x @ x
+    return eye + x
 
 
 def propagate(liouv: np.ndarray, state: DensityState, t: float) -> DensityState:
-    """Propagate the vectorized state through exp(L t) (scaling-and-squaring)."""
+    """Propagate the vectorized state through exp(L t) (``expm``)."""
     if t < 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
     if t == 0.0:
         return DensityState(state.matrix.copy())
     d = state.matrix.shape[0]
-    vec = sla.expm(liouv * t) @ state.matrix.ravel()
+    vec = expm(liouv * t) @ state.matrix.ravel()
     return DensityState(vec.reshape(d, d))
 
 
@@ -298,20 +334,17 @@ def resolvent_apply(liouv: np.ndarray, omega: float, sign: int, vector: np.ndarr
 
     Equals -int_0^inf e^{-sign i omega t} e^{Lt} v dt whenever the integral
     converges. sign +1 is the ket-evolution interval, -1 the conjugate
-    (rephasing) interval. Optionally returns a one-norm condition estimate of
-    the shifted matrix.
+    (rephasing) interval. Solved by ``np.linalg.solve``, the LAPACK path of the
+    spectra's batched resolvents. Optionally returns the exact one-norm
+    condition number of the shifted matrix.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     shifted = sign * 1j * omega * np.eye(liouv.shape[0], dtype=complex) - liouv
-    lu, piv = sla.lu_factor(shifted)
-    x = sla.lu_solve((lu, piv), -np.asarray(vector, dtype=complex))
+    x = np.linalg.solve(shifted, -np.asarray(vector, dtype=complex))
     if not return_condition:
         return x
-    gecon = sla.get_lapack_funcs(("gecon",), (shifted,))[0]
-    rcond, _ = gecon(lu, np.linalg.norm(shifted, 1), norm="1")
-    cond = float(1.0 / rcond) if rcond > 0 else float("inf")
-    return x, cond
+    return x, float(np.linalg.cond(shifted, 1))
 
 
 def fit_decay_rate(times: np.ndarray, series: np.ndarray, residual_tol: float = 1e-2):

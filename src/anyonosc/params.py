@@ -104,10 +104,6 @@ class AnyonParams:
         check_points(self.theta, self.omega, self.coupling_j, self.gamma, self.beta, self.xi)
 
     @property
-    def beta_omega(self) -> float:
-        return self.beta * self.omega
-
-    @property
     def z(self) -> float:
         """Boltzmann weight z = exp(-beta*omega), always in (0, 1)."""
         return _exp(-self.beta * self.omega)

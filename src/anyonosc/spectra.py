@@ -8,11 +8,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .dimer import (DEFAULT_CONJUGATION, DEFAULT_FREQUENCY_CONVENTION, build_weff,
                     deformed_mode_phase, match_branches, weff_eigenvalues, weff_entries)
-from .fock import (FockSystem, build_liouvillian, left_mult, right_mult,
+from .fock import (FockSystem, build_liouvillian, expm, left_mult, right_mult,
                    trace_vector)
 from .params import AnyonParams, ParamArrays
 
@@ -152,7 +151,7 @@ def _pathway(system: FockSystem, dipole: DipoleSet, params: AnyonParams, t2: flo
     mid = _closure(pattern, np.any(dipole.mu_left[:, first] != 0, axis=1))
     z = _apply(dipole.mu_left[np.ix_(mid, first)], x)
     if t2 > 0.0:
-        z = _apply(sla.expm(liouv[np.ix_(mid, mid)] * t2), z)
+        z = _apply(expm(liouv[np.ix_(mid, mid)] * t2), z)
     last = _closure(pattern, np.any(dipole.mu_left[:, mid] != 0, axis=1))
     z = _apply(dipole.mu_left[np.ix_(last, mid)], z)
     # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
@@ -234,7 +233,7 @@ def rephasing_response_quadrature(system: FockSystem, dipole: DipoleSet, params:
     nsteps = int(round(horizon / dt))
     if nsteps % 2 == 1:
         nsteps += 1
-    step = sla.expm(liouv * dt)
+    step = expm(liouv * dt)
     times = np.arange(nsteps + 1) * dt
     simpson = np.ones(nsteps + 1)
     simpson[1:-1:2] = 4.0
@@ -253,7 +252,7 @@ def rephasing_response_quadrature(system: FockSystem, dipole: DipoleSet, params:
         phases = np.exp(-sign * 1j * w * times)
         return -(simpson * phases) @ traj
 
-    prop_t2 = sla.expm(liouv * t2) if t2 > 0.0 else None
+    prop_t2 = expm(liouv * t2) if t2 > 0.0 else None
     n = len(axis)
     out = np.empty((n, n), dtype=complex)
     first_traj = trajectory(v0)

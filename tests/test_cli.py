@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from anyonosc.cli import main
+import anyonosc
+from anyonosc.cli import build_parser, main
 from anyonosc.output import read_csv
 
 
@@ -17,6 +20,36 @@ def run_cli(capsys, *argv):
 
 
 class TestCliBasics:
+    def test_parser_is_built_once_and_parses_without_state(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["fig3", "--t2", "5", "--svg", "--out", "d"])
+        assert (first.t2, first.svg) == (5.0, True)
+        later = parser.parse_args(["spectrum"])
+        assert (later.t2, later.svg, later.out) == (0.0, None, None)
+        assert parser.parse_args(["fig3"]).t2 == 0.0
+
+    def test_a_cli_process_never_imports_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a spectrum with t2 > 0 (expm),
+        # the closed-form commands and the writers must not pull scipy in
+        src = os.path.dirname(os.path.dirname(os.path.abspath(anyonosc.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        grid = str(tmp_path / "grid.csv")
+        code = "\n".join([
+            "import sys",
+            "import anyonosc.cli as cli",
+            f"assert cli.main(['spectrum', '--t2', '5', '--grid', '8', '--out', {grid!r},"
+            f" '--svg', {grid + '.svg'!r}]) == 0",
+            "assert cli.main(['ep-locate', '--xi', '1.0']) == 0",
+            "assert cli.main(['dimer-rates', '--grid', '5']) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+
     def test_single_rates_to_stdout(self, capsys):
         code, out, err = run_cli(capsys, "single-rates", "--grid", "5")
         assert code == 0

@@ -9,7 +9,8 @@ import pytest
 from anyonosc import (AnyonParams, build_weff, channel_coefficients,
                       eigen_analysis, find_exceptional_point,
                       gamma_full_single, normal_mode_frequencies)
-from anyonosc.dimer import EffectiveMatrix, match_branches
+from anyonosc.dimer import EffectiveMatrix, match_branches, site_coefficients
+from anyonosc.rates import thermal_occupation
 
 
 def brute_force_eigs(entries):
@@ -83,6 +84,19 @@ class TestChannelCoefficients:
     def test_unknown_conjugation(self):
         with pytest.raises(ValueError):
             channel_coefficients(AnyonParams(theta=0.1), "bogus")
+
+    def test_site_scalars_are_twice_lambda_plus_without_the_halving(self):
+        for theta, xi in ((0.0, 0.0), (0.7, 0.3), (2.9, -1.0)):
+            p = AnyonParams(theta=theta, xi=xi, beta=0.8)
+            lam_plus, _, _, _ = channel_coefficients(p)
+            assert np.array_equal(site_coefficients(p), 2.0 * lam_plus)
+        # a subnormal theta gives n_theta a subnormal imaginary part; halving
+        # it drops the last bit, so 2 lambda_+ is not the literal scalar
+        p = AnyonParams(theta=2.2250738585e-313, xi=0.0, gamma=2.0, beta=1.0)
+        nbar = thermal_occupation(p.theta, p.beta, p.omega)
+        absorption = np.sqrt(complex(p.gamma) * nbar) * 1.0
+        assert site_coefficients(p)[2] == absorption
+        assert 2.0 * channel_coefficients(p)[0][2] != absorption
 
 
 class TestBuildWeff:

@@ -4,18 +4,19 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anyonosc import (AnyonParams, DensityState, FockSystem,
-                      anyon_ladder_matrix, build_hamiltonian,
+                      anyon_ladder_matrix, build_dipole, build_hamiltonian,
                       build_liouvillian, build_weff, fit_decay_rate,
                       gamma_full_single, normal_mode_frequencies, propagate,
                       resolvent_apply, steady_state)
 from anyonosc.dimer import deformed_mode_phase
-from anyonosc.fock import jump_operators, left_mult, right_mult, trace_vector
+from anyonosc.fock import (JUMP_BASES, expm, jump_operators, left_mult, right_mult,
+                           trace_vector)
 from anyonosc.rates import thermal_occupation
-from anyonosc.spectra import coherence_order
+from anyonosc.spectra import _closure, coherence_order
 
 
 def dense_kron_liouvillian(system, params, jump_basis, conjugation, rotating):
@@ -67,6 +68,23 @@ def coherence_block_indices(system):
     ket = np.repeat(q, d)
     bra = np.tile(q, d)
     return np.where(ket - bra == 1)[0]
+
+
+def population_block(system, params, jump_basis, conjugation, rho_eq):
+    """L[R2, R2] of the rephasing pathway: the t2 propagator's block, on the
+    closure of what the first ket-side dipole reaches (as in spectra)."""
+    dip = build_dipole(system, conjugation)
+    liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
+    pattern = liouv != 0
+    rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
+    first = _closure(pattern, (rho0 @ dip.mu_matrix).ravel() != 0)
+    mid = _closure(pattern, np.any(dip.mu_left[:, first] != 0, axis=1))
+    return liouv[np.ix_(mid, mid)]
+
+
+# bath ranges of the exponential and trace properties (those of the jump property)
+BATH = dict(theta=st.floats(0.0, math.pi), xi=st.floats(-1.0, 1.0),
+            gamma=st.floats(0.0, 2.0), beta=st.floats(0.05, 20.0))
 
 
 class TestLadderMatrices:
@@ -270,6 +288,9 @@ class TestLiouvillianAssembly:
            xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
            gamma=st.floats(0.0, 2.0), beta=st.floats(0.05, 20.0),
            cutoff=st.integers(1, 3))
+    # a subnormal theta: n_theta's imaginary part is subnormal and would lose
+    # its last bit if the site scalar were formed as 2 * (scalar / 2)
+    @example(theta=2.2250738585e-313, xi=0.0, gamma=2.0, beta=1.0, cutoff=1)
     def test_jump_operators_match_the_channel_loop(self, theta, xi, gamma, beta, cutoff):
         system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
         p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
@@ -281,6 +302,16 @@ class TestLiouvillianAssembly:
                 for (lop, ldag), (rlop, rldag) in zip(got, ref):
                     assert np.array_equal(lop, rlop), (basis, conj)
                     assert np.array_equal(ldag, rldag), (basis, conj)
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_unknown_conjugation_rejected(self, modes):
+        system = FockSystem(cutoff=2, theta=0.5, modes=modes)
+        p = AnyonParams(theta=0.5)
+        with pytest.raises(ValueError, match="conjugation"):
+            build_liouvillian(system, p, conjugation="bogus")
+        for basis in JUMP_BASES:
+            with pytest.raises(ValueError, match="conjugation"):
+                jump_operators(system, p, basis, "bogus")
 
     @pytest.mark.parametrize("theta", [0.0, 1.3])
     def test_no_entry_outside_the_coherence_blocks(self, theta):
@@ -303,7 +334,50 @@ class TestLiouvillianAssembly:
             assert np.array_equal(right_mult(op), np.kron(eye, op.T))
 
 
+class TestExpm:
+    @settings(deadline=None, max_examples=80)
+    @given(**BATH, cutoff=st.integers(2, 3), jump_basis=st.sampled_from(JUMP_BASES),
+           conjugation=st.sampled_from(("modulus", "analytic")),
+           rho_eq=st.sampled_from(("vacuum", "thermal")), t2=st.floats(0.0, 50.0))
+    def test_population_blocks_match_scipy(self, theta, xi, gamma, beta, cutoff,
+                                           jump_basis, conjugation, rho_eq, t2):
+        p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
+        block = t2 * population_block(FockSystem(cutoff, theta, 2), p, jump_basis,
+                                      conjugation, rho_eq)
+        ref = sla.expm(block)
+        # the reference's error grows with its s = log2(|Lt|_1 / theta_13)
+        # squarings: at |Lt|_1 = 4.8e4 (gamma 2, beta 0.05, t2 50) scipy is
+        # 2.7e-13 from a 40-digit exponential, expm 5.6e-16
+        growth = max(1.0, np.linalg.norm(block, 1) / 250.0)
+        tol = 1e-13 * max(1.0, np.max(np.abs(ref))) * growth
+        assert np.max(np.abs(expm(block) - ref)) <= tol
+
+    def test_zero_and_diagonal(self):
+        assert np.max(np.abs(expm(np.zeros((3, 3), dtype=complex)) - np.eye(3))) <= 1e-15
+        d = np.array([-30.0, 0.5j, 2.0 - 1.0j])
+        err = np.max(np.abs(expm(np.diag(d)) - np.diag(np.exp(d))))
+        assert err <= 1e-14 * np.max(np.abs(np.exp(d)))
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
+
+
 class TestPropagation:
+    @settings(deadline=None, max_examples=60)
+    @given(**BATH, cutoff=st.integers(1, 3), modes=st.sampled_from((1, 2)),
+           jump_basis=st.sampled_from(JUMP_BASES),
+           rho_eq=st.sampled_from(("vacuum", "thermal")), t=st.floats(0.0, 50.0))
+    def test_trace_is_kept(self, theta, xi, gamma, beta, cutoff, modes, jump_basis,
+                           rho_eq, t):
+        # "modulus" only: "analytic" generators can grow without bound
+        system = FockSystem(cutoff, theta, modes)
+        p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
+        liouv = build_liouvillian(system, p, jump_basis, "modulus")
+        rho = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
+        out = propagate(liouv, DensityState(rho), t)
+        assert out.trace_defect() <= 1e-12
+
     def test_zero_time_is_identity(self):
         sys1 = FockSystem(cutoff=3, theta=0.0, modes=1)
         liouv = build_liouvillian(sys1, AnyonParams(theta=0.0))
@@ -397,6 +471,21 @@ class TestResolvent:
         shifted = 1j * 0.17 * np.eye(liouv.shape[0]) - liouv
         assert np.linalg.norm(shifted @ x + v) <= 1e-10 * np.linalg.norm(v)
         assert cond >= 1.0
+
+    def test_condition_is_the_exact_one_norm_condition(self):
+        sys2 = FockSystem(cutoff=2, theta=0.6, modes=2)
+        liouv = build_liouvillian(sys2, AnyonParams(theta=0.6, xi=0.3))
+        v = np.ones(liouv.shape[0], dtype=complex)
+        for omega in (-0.4, 0.17, 1.0):
+            _, cond = resolvent_apply(liouv, omega, -1, v, return_condition=True)
+            shifted = -1j * omega * np.eye(liouv.shape[0]) - liouv
+            exact = np.linalg.norm(shifted, 1) * np.linalg.norm(np.linalg.inv(shifted), 1)
+            assert cond == pytest.approx(exact, rel=1e-10)
+            # LAPACK's gecon estimate from scipy's LU bounds it from below
+            lu, _ = sla.lu_factor(shifted)
+            gecon = sla.get_lapack_funcs(("gecon",), (shifted,))[0]
+            rcond, _ = gecon(lu, np.linalg.norm(shifted, 1), norm="1")
+            assert cond >= (1.0 - 1e-12) / rcond
 
     def test_single_decaying_mode_lorentzian(self):
         # 1x1 generator lambda = -i w0 - G: the conjugate interval (sign -1)
