@@ -14,9 +14,8 @@ from .dimer import (EffectiveMatrix, EPResult, build_weff, channel_coefficients,
 from .fock import (DensityState, FockSystem, anyon_ladder_matrix,
                    build_hamiltonian, build_liouvillian, fit_decay_rate,
                    propagate, resolvent_apply, steady_state)
-from .spectra import (DipoleSet, GridSpec, SpectrumGrid, bright_mode_overlay,
-                      build_dipole, diagonal_slice, lineshape_metrics,
-                      rephasing_response)
+from .spectra import (GridSpec, SpectrumGrid, bright_mode_overlay, build_dipole,
+                      diagonal_slice, lineshape_metrics, rephasing_response)
 from .sweeps import (ConfigError, RunConfig, SweepResult, config_from_dict,
                      load_config, run_fig1, run_fig2, run_fig3, run_sweep)
 
@@ -29,7 +28,7 @@ __all__ = [
     "FockSystem", "DensityState", "anyon_ladder_matrix",
     "build_hamiltonian", "build_liouvillian", "propagate", "steady_state",
     "resolvent_apply", "fit_decay_rate",
-    "DipoleSet", "GridSpec", "SpectrumGrid", "build_dipole", "rephasing_response",
+    "GridSpec", "SpectrumGrid", "build_dipole", "rephasing_response",
     "diagonal_slice", "lineshape_metrics", "bright_mode_overlay",
     "RunConfig", "SweepResult", "ConfigError", "config_from_dict", "load_config",
     "run_fig1", "run_fig2", "run_fig3", "run_sweep",

@@ -2,8 +2,8 @@
 Lindblad superoperator construction, propagation, resolvents and decay fits.
 
 This is the brute-force oracle for the closed-form modules and the engine
-behind the 2D spectra. Superoperators are dense arrays assembled from the
-nonzeros of their Kronecker factors (``_kron_sum``): 81x81 at the default
+behind the 2D spectra. The Liouvillian is a dense array assembled from the
+nonzeros of its Kronecker factors (``_kron_sum``): 81x81 at the default
 two-mode cutoff 2, 256x256 at cutoff 3 (fig3) and 2401x2401 at cutoff 6 (the
 criterion-6 oracle), of which 0.3% is nonzero. The spectra solve only on the
 states a pathway reaches through its nonzeros (``spectra._closure``). The
@@ -121,20 +121,6 @@ def _kron_sum(terms, dim: int) -> np.ndarray:
         cols = (ja[:, None] * dim + jb).ravel()
         np.add.at(out, (rows, cols), np.multiply.outer(coeff * a[ia, ja], b[ib, jb]).ravel())
     return out
-
-
-def left_mult(op: np.ndarray) -> np.ndarray:
-    dim = op.shape[0]
-    return _kron_sum([(1.0, op, np.eye(dim))], dim)
-
-
-def right_mult(op: np.ndarray) -> np.ndarray:
-    dim = op.shape[0]
-    return _kron_sum([(1.0, np.eye(dim), op.T)], dim)
-
-
-def trace_vector(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex).ravel()
 
 
 def build_hamiltonian(system: FockSystem, params: AnyonParams,

@@ -1,6 +1,6 @@
-"""Third-order rephasing 2D spectra: braided dipole superoperators, frequency
-grids via resolvent solves, diagonal-slice lineshapes and the bright-mode
-overlay curves."""
+"""Third-order rephasing 2D spectra: the braided d x d dipole acting from the
+ket or bra side, frequency grids via resolvent solves, diagonal-slice
+lineshapes and the bright-mode overlay curves."""
 
 from __future__ import annotations
 
@@ -11,26 +11,15 @@ import numpy as np
 
 from .dimer import (DEFAULT_CONJUGATION, DEFAULT_FREQUENCY_CONVENTION, build_weff,
                     deformed_mode_phase, match_branches, weff_eigenvalues, weff_entries)
-from .fock import (FockSystem, build_liouvillian, expm, left_mult, right_mult,
-                   trace_vector)
+from .fock import FockSystem, build_liouvillian, expm
 from .params import AnyonParams, ParamArrays
 
 DEFAULT_JUMP_BASIS = "site"  # fig-3 style spectra; logged in grid metadata
 RHO_EQ = ("vacuum", "thermal")  # equilibrium states the pathway can start from
 
 
-@dataclass
-class DipoleSet:
-    """Dipole matrix and its ket/bra superoperator forms."""
-
-    mu_matrix: np.ndarray
-    mu_left: np.ndarray    # ket-side action rho -> mu rho   (mu^{(+)})
-    mu_right: np.ndarray   # bra-side action rho -> rho mu   (mu^{(-)})
-    theta: float
-
-
-def build_dipole(system: FockSystem, conjugation: str = DEFAULT_CONJUGATION) -> DipoleSet:
-    """Braided dipole: the mode-1 phase string dresses the local mode-2 terms.
+def build_dipole(system: FockSystem, conjugation: str = DEFAULT_CONJUGATION) -> np.ndarray:
+    """Braided d x d dipole: the mode-1 phase string dresses the local mode-2 terms.
 
     Built as the sum of the braided pair operators, mu = a1 + a1° + a2 + a2°,
     which equals the string-dressed form
@@ -39,18 +28,19 @@ def build_dipole(system: FockSystem, conjugation: str = DEFAULT_CONJUGATION) -> 
     a2° a1 of the worked two-mode algebra. Every pathway that raises mode 2
     past an occupied mode 1 picks up the exchange phase; at theta = 0 the
     strings are trivial and mu reduces to the plain sum of site dipoles.
+    On row-major vectorized states (index ket * d + bra) the ket-side action
+    rho -> mu rho is mu (x) 1 and the bra-side action rho -> rho mu is 1 (x) mu^T.
     """
     if system.modes != 2:
         raise ValueError("dipole requires a two-mode system")
     a1, a2 = system.lowering
-    mu = a1 + system.dagger(0, conjugation) + a2 + system.dagger(1, conjugation)
-    return DipoleSet(mu, left_mult(mu), right_mult(mu), system.theta)
+    return a1 + system.dagger(0, conjugation) + a2 + system.dagger(1, conjugation)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform detuning axes for the 2D grid, relative to the carrier omega:
-    ``count`` >= 2 points over a finite, increasing range."""
+    ``count`` >= 2 strictly increasing points over a finite range and span."""
 
     count: int = 256
     lo: float = -0.5
@@ -63,6 +53,9 @@ class GridSpec:
             raise ValueError(f"grid range needs finite endpoints, got {self.lo}:{self.hi}")
         if not self.lo < self.hi:
             raise ValueError("grid range must be increasing")
+        if not (math.isfinite(self.hi - self.lo) and np.all(np.diff(self.axis()) > 0.0)):
+            raise ValueError(f"grid range {self.lo}:{self.hi} cannot hold {self.count} distinct "
+                             "detunings with a finite step")
 
     def axis(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -91,8 +84,8 @@ def coherence_order(system: FockSystem) -> np.ndarray:
     """Delta q = (ket quanta - bra quanta) of every row-major vectorized state.
 
     H conserves quanta and every jump lowers ket and bra together, so the
-    Liouvillian is block-diagonal in this label and the dipole superoperators
-    shift it by +/- 1. A test label: the pathway solves on ``_closure`` sets.
+    Liouvillian is block-diagonal in this label and the dipole on either side
+    shifts it by +/- 1. A test label: the pathway solves on ``_closure`` sets.
     """
     q = system.total_quanta
     return np.repeat(q, system.dim) - np.tile(q, system.dim)
@@ -107,6 +100,19 @@ def _closure(pattern, support):
         if np.array_equal(grown, reach):
             return np.flatnonzero(reach)
         reach = grown
+
+
+def _ket_dipole(pattern, mu, cols):
+    """The closure ``rows`` of what the ket-side dipole mu (x) 1 reaches from
+    the states ``cols``, and its block (mu (x) 1)[rows, cols]. A row-major
+    state index is ket * d + bra, and mu acts on the ket alone."""
+    d = mu.shape[0]
+    support = np.zeros((d, d), dtype=bool)
+    support.flat[cols] = True
+    rows = _closure(pattern, ((mu != 0) @ support).ravel())
+    ket_r, bra_r = np.divmod(rows, d)
+    ket_c, bra_c = np.divmod(cols, d)
+    return rows, np.where(bra_r[:, None] == bra_c, mu[np.ix_(ket_r, ket_c)], 0)
 
 
 def _resolvents(block, shifts, rhs):
@@ -125,7 +131,7 @@ def _apply(op, vecs):
     return np.einsum("jk,ik->ij", op, vecs)
 
 
-def _pathway(system: FockSystem, dipole: DipoleSet, params: AnyonParams, t2: float,
+def _pathway(system: FockSystem, mu: np.ndarray, params: AnyonParams, t2: float,
              tau_axis: np.ndarray, t_axis: np.ndarray, jump_basis: str, conjugation: str,
              rho_eq: str) -> np.ndarray:
     """values[i, j] of the rephasing pathway at (tau_axis[i], t_axis[j]), after
@@ -142,24 +148,24 @@ def _pathway(system: FockSystem, dipole: DipoleSet, params: AnyonParams, t2: flo
     liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
     pattern = liouv != 0
     rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
-    # vec(rho0 mu) and the row vector of rho -> tr(rho mu), from the d x d dipole
-    v0 = (rho0 @ dipole.mu_matrix).ravel()
-    tr_mu = dipole.mu_matrix.T.ravel()
+    # vec(rho0 mu) and the row vector of rho -> tr(rho mu)
+    v0 = (rho0 @ mu).ravel()
+    tr_mu = mu.T.ravel()
 
     first = _closure(pattern, v0 != 0)
     x = _resolvents(liouv[np.ix_(first, first)], 1j * tau_axis, -v0[first])
-    mid = _closure(pattern, np.any(dipole.mu_left[:, first] != 0, axis=1))
-    z = _apply(dipole.mu_left[np.ix_(mid, first)], x)
+    mid, mu_mid = _ket_dipole(pattern, mu, first)
+    z = _apply(mu_mid, x)
     if t2 > 0.0:
         z = _apply(expm(liouv[np.ix_(mid, mid)] * t2), z)
-    last = _closure(pattern, np.any(dipole.mu_left[:, mid] != 0, axis=1))
-    z = _apply(dipole.mu_left[np.ix_(last, mid)], z)
+    last, mu_last = _ket_dipole(pattern, mu, mid)
+    z = _apply(mu_last, z)
     # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
     y = _resolvents(liouv[np.ix_(last, last)].T, -1j * t_axis, -tr_mu[last])
     return _apply(y, z) * (1j) ** 3
 
 
-def rephasing_response(system: FockSystem, dipole: DipoleSet, params: AnyonParams,
+def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
                        t2: float = 0.0, grid: GridSpec | None = None,
                        jump_basis: str = DEFAULT_JUMP_BASIS,
                        conjugation: str = DEFAULT_CONJUGATION,
@@ -204,18 +210,21 @@ def rephasing_response(system: FockSystem, dipole: DipoleSet, params: AnyonParam
     return SpectrumGrid(axis.copy(), axis.copy(), t2, values, meta)
 
 
-def response_point(system: FockSystem, dipole: DipoleSet, params: AnyonParams,
+def response_point(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
                    omega_tau: float, omega_t: float, t2: float = 0.0,
                    jump_basis: str = DEFAULT_JUMP_BASIS,
                    conjugation: str = DEFAULT_CONJUGATION,
                    rho_eq: str = "vacuum") -> complex:
     """Single-point evaluation, bit-identical to the matching grid cell."""
+    for name, value in (("omega_tau", omega_tau), ("omega_t", omega_t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     values = _pathway(system, dipole, params, t2, np.array([float(omega_tau)]),
                       np.array([float(omega_t)]), jump_basis, conjugation, rho_eq)
     return complex(values[0, 0])
 
 
-def rephasing_response_quadrature(system: FockSystem, dipole: DipoleSet, params: AnyonParams,
+def rephasing_response_quadrature(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
                                   axis: np.ndarray, t2: float = 0.0,
                                   jump_basis: str = DEFAULT_JUMP_BASIS,
                                   conjugation: str = DEFAULT_CONJUGATION,
@@ -226,9 +235,8 @@ def rephasing_response_quadrature(system: FockSystem, dipole: DipoleSet, params:
     replacing every resolvent solve. Independent of the LU path."""
     axis = np.asarray(axis, dtype=float)
     liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
-    rho0 = system.vacuum_projector()
-    v0 = dipole.mu_right @ rho0.ravel()
-    tr_mu = trace_vector(system.dim) @ dipole.mu_right
+    v0 = (system.vacuum_projector() @ dipole).ravel()
+    tr_mu = dipole.T.ravel()
     horizon = horizon_factor / params.gamma
     nsteps = int(round(horizon / dt))
     if nsteps % 2 == 1:
@@ -257,10 +265,10 @@ def rephasing_response_quadrature(system: FockSystem, dipole: DipoleSet, params:
     out = np.empty((n, n), dtype=complex)
     first_traj = trajectory(v0)
     for i, wtau in enumerate(axis):
-        z = dipole.mu_left @ integral(first_traj, -1, -wtau)
+        z = (dipole @ integral(first_traj, -1, -wtau).reshape(system.dim, -1)).ravel()
         if prop_t2 is not None:
             z = prop_t2 @ z
-        z = dipole.mu_left @ z
+        z = (dipole @ z.reshape(system.dim, -1)).ravel()
         third_traj = trajectory(z)
         for j, wt in enumerate(axis):
             out[i, j] = np.dot(tr_mu, integral(third_traj, +1, -wt))

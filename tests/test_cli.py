@@ -114,7 +114,8 @@ class TestCliNegativeNumbers:
 
 
 class TestCliAxisRule:
-    # one rule for every sweep axis: count >= 2 and finite endpoints, exit 1
+    # one rule for every sweep axis: count >= 2 and finite endpoints, exit 1;
+    # a spectrum axis also needs a finite span and distinct detunings
     @pytest.mark.parametrize("argv", [
         ("single-rates", "--grid", "0"),
         ("single-rates", "--grid", "1"),
@@ -126,8 +127,11 @@ class TestCliAxisRule:
         ("spectrum", "--range=-inf:0", "--grid", "4"),
         ("dimer-rates", "--range=0:nan"),
         ("ep-locate", "--range=0:inf"),
+        ("spectrum", "--grid", "3", "--range=-1e308:1e308"),
+        ("spectrum", "--grid", "3", "--range=0:5e-324"),
     ], ids=["single-rates-0", "single-rates-1", "dimer-rates-0", "dimer-rates-1", "fig1-0",
-            "fig2-0", "fig3-0", "spectrum-inf", "dimer-rates-nan", "ep-locate-inf"])
+            "fig2-0", "fig3-0", "spectrum-inf", "dimer-rates-nan", "ep-locate-inf",
+            "spectrum-span-overflow", "spectrum-equal-detunings"])
     def test_bad_axis_is_a_validation_error(self, capsys, tmp_path, argv):
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -398,8 +402,11 @@ class TestCliSweepConfig:
         assert len(out_csv.read_text().strip().split("\n")) == 8
 
     @pytest.mark.parametrize("grid", [{"count": 0, "lo": 1, "hi": -1}, {"count": 1},
-                                      {"lo": 0.5, "hi": -0.5}, {"hi": math.inf}],
-                             ids=["count-0-reversed", "count-1", "reversed", "infinite"])
+                                      {"lo": 0.5, "hi": -0.5}, {"hi": math.inf},
+                                      {"count": 3, "lo": -1e308, "hi": 1e308},
+                                      {"count": 3, "lo": 0.0, "hi": 5e-324}],
+                             ids=["count-0-reversed", "count-1", "reversed", "infinite",
+                                  "span-overflow", "equal-detunings"])
     def test_invalid_grid_block_is_error(self, capsys, tmp_path, grid):
         cfg = {"sweep": [{"name": "xi", "start": -1.0, "stop": 1.0, "count": 3}], "grid": grid}
         path = tmp_path / "cfg.json"

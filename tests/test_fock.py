@@ -13,8 +13,7 @@ from anyonosc import (AnyonParams, DensityState, FockSystem,
                       gamma_full_single, normal_mode_frequencies, propagate,
                       resolvent_apply, steady_state)
 from anyonosc.dimer import deformed_mode_phase
-from anyonosc.fock import (JUMP_BASES, expm, jump_operators, left_mult, right_mult,
-                           trace_vector)
+from anyonosc.fock import JUMP_BASES, expm, jump_operators
 from anyonosc.rates import thermal_occupation
 from anyonosc.spectra import _closure, coherence_order
 
@@ -73,12 +72,13 @@ def coherence_block_indices(system):
 def population_block(system, params, jump_basis, conjugation, rho_eq):
     """L[R2, R2] of the rephasing pathway: the t2 propagator's block, on the
     closure of what the first ket-side dipole reaches (as in spectra)."""
-    dip = build_dipole(system, conjugation)
+    mu = build_dipole(system, conjugation)
+    mu_left = np.kron(mu, np.eye(system.dim))  # ket-side rho -> mu rho, row-major
     liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
     pattern = liouv != 0
     rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
-    first = _closure(pattern, (rho0 @ dip.mu_matrix).ravel() != 0)
-    mid = _closure(pattern, np.any(dip.mu_left[:, first] != 0, axis=1))
+    first = _closure(pattern, (rho0 @ mu).ravel() != 0)
+    mid = _closure(pattern, np.any(mu_left[:, first] != 0, axis=1))
     return liouv[np.ix_(mid, mid)]
 
 
@@ -195,7 +195,7 @@ class TestLiouvillian:
             sys2 = FockSystem(cutoff=2, theta=theta, modes=2)
             for basis in ("site", "deformed"):
                 liouv = build_liouvillian(sys2, AnyonParams(theta=theta, xi=0.6), basis)
-                assert np.linalg.norm(trace_vector(sys2.dim) @ liouv) <= 1e-12
+                assert np.linalg.norm(np.eye(sys2.dim).ravel() @ liouv) <= 1e-12
 
     def test_trace_preserved_on_random_hermitian_inputs(self):
         rng = np.random.default_rng(3)
@@ -322,16 +322,6 @@ class TestLiouvillianAssembly:
             rows, cols = np.nonzero(liouv)
             assert liouv.shape == (2401, 2401)
             assert np.array_equal(order[rows], order[cols])
-
-    def test_left_and_right_multiplication_equal_krons(self):
-        rng = np.random.default_rng(11)
-        system = FockSystem(cutoff=3, theta=1.1, modes=2)
-        mu = system.lowering[0] + system.dagger(0) + system.lowering[1] + system.dagger(1)
-        for op in (mu, rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))):
-            eye = np.eye(op.shape[0], dtype=complex)
-            # every entry is one product with 1 in both, so the values are equal
-            assert np.array_equal(left_mult(op), np.kron(op, eye))
-            assert np.array_equal(right_mult(op), np.kron(eye, op.T))
 
 
 class TestExpm:
@@ -504,7 +494,7 @@ class TestResolvent:
         liouv = build_liouvillian(sys2, p)
         rho = sys2.vacuum_projector()
         mu = sys2.lowering[0] + sys2.raising[0] + sys2.lowering[1] + sys2.raising[1]
-        v = right_mult(mu) @ rho.ravel()  # pure coherence-sector vector
+        v = (rho @ mu).ravel()  # vec(rho mu): a pure coherence-sector vector
         omega, sign = 0.21, -1
         x = resolvent_apply(liouv, omega, sign, v)
         horizon, dt = 20.0 / p.gamma, 0.05

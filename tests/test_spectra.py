@@ -10,9 +10,9 @@ from anyonosc import (AnyonParams, FockSystem, GridSpec, bright_mode_overlay,
                       build_dipole, build_liouvillian, build_weff, diagonal_slice,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
-from anyonosc.fock import resolvent_apply, trace_vector
-from anyonosc.spectra import (SpectrumGrid, _closure, bright_branch_detuning, coherence_order,
-                              rephasing_response_quadrature, response_point)
+from anyonosc.fock import resolvent_apply
+from anyonosc.spectra import (SpectrumGrid, _closure, _ket_dipole, bright_branch_detuning,
+                              coherence_order, rephasing_response_quadrature, response_point)
 
 
 def small_grid(theta, xi, n=48, **kw):
@@ -37,7 +37,7 @@ class TestDipole:
             want = (a1.conj().T + a1
                     + np.conj(string) @ np.kron(eye, a.conj().T)
                     + string @ np.kron(eye, a))
-            assert np.linalg.norm(dip.mu_matrix - want) <= 1e-13
+            assert np.linalg.norm(dip - want) <= 1e-13
 
     def test_fermion_string_is_parity_on_mode_two_terms(self):
         system = FockSystem(cutoff=2, theta=math.pi, modes=2)
@@ -47,15 +47,15 @@ class TestDipole:
         i11 = 1 * d + 1
         i01 = 0 * d + 1
         i10 = 1 * d + 0
-        assert dip.mu_matrix[i11, i10] == pytest.approx(-1.0)  # raise mode 2 past n1 = 1
-        assert dip.mu_matrix[i11, i01] == pytest.approx(+1.0)  # raise mode 1: no string
+        assert dip[i11, i10] == pytest.approx(-1.0)  # raise mode 2 past n1 = 1
+        assert dip[i11, i01] == pytest.approx(+1.0)  # raise mode 1: no string
 
     def test_boson_point_is_plain_site_sum(self):
         system = FockSystem(cutoff=2, theta=0.0, modes=2)
         dip = build_dipole(system)
         a1, a2 = system.lowering
         plain = a1 + a1.conj().T + a2 + a2.conj().T
-        assert np.array_equal(dip.mu_matrix, plain)
+        assert np.array_equal(dip, plain)
 
     def test_vacuum_two_pathways(self):
         for theta in (0.0, 1.1, 2.4, math.pi):
@@ -63,7 +63,7 @@ class TestDipole:
             dip = build_dipole(system)
             vac = np.zeros(system.dim, complex)
             vac[0] = 1.0
-            val = vac.conj() @ (dip.mu_matrix @ (dip.mu_matrix @ vac))
+            val = vac.conj() @ (dip @ (dip @ vac))
             assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_connects_neighboring_manifolds(self):
@@ -73,7 +73,7 @@ class TestDipole:
         for i in range(system.dim):
             for j in range(system.dim):
                 if abs(q[i] - q[j]) != 1:
-                    assert abs(dip.mu_matrix[i, j]) <= 1e-15
+                    assert abs(dip[i, j]) <= 1e-15
 
     def test_single_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -122,10 +122,21 @@ class TestRephasingResponse:
         assert response_point(system, dip, p, lo, lo) == g.values[0, 0]
         assert g.values[0, 1] != g.values[0, 0]
 
-    @pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    # endpoints, then span and step: -1e308:1e308 overflows hi - lo, and the
+    # last two ranges round neighbouring detunings to one float
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0),
+                                        (-1e308, 1e308), (0.0, 5e-324), (1.0, 1.0 + 2e-16)])
     def test_grid_range_must_be_finite(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             GridSpec(count=4, lo=lo, hi=hi).axis()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega_tau", "omega_t"])
+    def test_single_point_rejects_non_finite_frequencies(self, name, bad):
+        _, system, dip, p = small_grid(0.9, 0.5, n=4)
+        freqs = {"omega_tau": 0.1, "omega_t": 0.2, name: bad}
+        with pytest.raises(ValueError, match=name):
+            response_point(system, dip, p, freqs["omega_tau"], freqs["omega_t"])
 
     def test_thread_count_does_not_change_bits(self):
         g1, system, dip, p = small_grid(1.2, 0.7, n=24)
@@ -137,13 +148,10 @@ class TestRephasingResponse:
         dip = build_dipole(system)
         a1, a2 = system.lowering
         plain = a1 + a1.conj().T + a2 + a2.conj().T
-        assert np.array_equal(dip.mu_matrix, plain)
+        assert np.array_equal(dip, plain)
         p = AnyonParams(theta=0.0, xi=0.0)
-        from anyonosc.spectra import DipoleSet
-        from anyonosc.fock import left_mult, right_mult
-        plain_dip = DipoleSet(plain, left_mult(plain), right_mult(plain), 0.0)
         ga = rephasing_response(system, dip, p, grid=GridSpec(count=16))
-        gb = rephasing_response(system, plain_dip, p, grid=GridSpec(count=16))
+        gb = rephasing_response(system, plain, p, grid=GridSpec(count=16))
         assert np.array_equal(ga.values, gb.values)
 
     def test_cutoff_two_vs_three_agreement(self):
@@ -216,17 +224,25 @@ class TestRephasingResponse:
         assert rel <= 1e-3
 
 
+def dipole_superoperators(mu):
+    """Ket-side mu (x) 1 and bra-side 1 (x) mu^T on row-major vectorized states,
+    built with np.kron independently of the library's block gather."""
+    eye = np.eye(mu.shape[0])
+    return np.kron(mu, eye), np.kron(eye, mu.T)
+
+
 def dense_reference(system, dip, p, axis, t2, jump_basis, conjugation, rho_eq):
     """The pathway composed from fock.resolvent_apply on the full Liouvillian:
     one dense LU per frequency and cell, no block structure."""
     liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
     rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
-    v0 = dip.mu_right @ rho0.ravel()
-    tr_mu = trace_vector(system.dim) @ dip.mu_right
+    mu_left, mu_right = dipole_superoperators(dip)
+    v0 = mu_right @ rho0.ravel()
+    tr_mu = np.eye(system.dim).ravel() @ mu_right
     prop = sla.expm(liouv * t2)
     out = np.empty((axis.size, axis.size), dtype=complex)
     for i, wtau in enumerate(axis):
-        z = dip.mu_left @ (prop @ (dip.mu_left @ resolvent_apply(liouv, -wtau, -1, v0)))
+        z = mu_left @ (prop @ (mu_left @ resolvent_apply(liouv, -wtau, -1, v0)))
         for j, wt in enumerate(axis):
             out[i, j] = tr_mu @ resolvent_apply(liouv, -wt, +1, z)
     return out * (1j) ** 3
@@ -264,9 +280,10 @@ class TestBlockSolveEquivalence:
 def pathway_closures(dip, liouv, rho0):
     """R1/R2/R3 of the pathway: the closures of v0, mu_left R1 and mu_left R2."""
     pattern = liouv != 0
-    first = _closure(pattern, dip.mu_right @ rho0.ravel() != 0)
-    mid = _closure(pattern, np.any(dip.mu_left[:, first] != 0, axis=1))
-    last = _closure(pattern, np.any(dip.mu_left[:, mid] != 0, axis=1))
+    mu_left, mu_right = dipole_superoperators(dip)
+    first = _closure(pattern, mu_right @ rho0.ravel() != 0)
+    mid = _closure(pattern, np.any(mu_left[:, first] != 0, axis=1))
+    last = _closure(pattern, np.any(mu_left[:, mid] != 0, axis=1))
     return first, mid, last
 
 
@@ -300,12 +317,18 @@ class TestReachableClosure:
         for reach in closures:
             rest = np.setdiff1d(np.arange(liouv.shape[0]), reach)
             assert np.all(liouv[np.ix_(rest, reach)] == 0)
+        # the library gathers its ket-side blocks from the d x d dipole
+        mu_left, _ = dipole_superoperators(dip)
+        for cols, rows in zip(closures, closures[1:]):
+            got_rows, block = _ket_dipole(liouv != 0, dip, cols)
+            assert np.array_equal(got_rows, rows)
+            assert np.array_equal(block, mu_left[np.ix_(rows, cols)])
         if rho_eq == "vacuum":
             # at theta = pi a mode holds at most one quantum: no |20>, |02> kets
             want_sizes = (2, 5, 6 if theta == math.pi else 10)
             assert tuple(r.size for r in closures) == want_sizes
 
-    @pytest.mark.parametrize("theta", [0.9, 2.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.9, 2.0, math.pi])
     @pytest.mark.parametrize("t2", [0.0, 7.5])
     @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
     @pytest.mark.parametrize("jump_basis", ["site", "deformed"])

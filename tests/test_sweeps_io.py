@@ -24,6 +24,16 @@ def _number(lo, hi):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _grid_or_none(count, ends):
+    """GridSpec over the sorted ends, or None where GridSpec refuses the range."""
+    try:
+        return GridSpec(count, *sorted(ends))
+    except ValueError:
+        return None
+
+
 _conventions = st.builds(Conventions, st.sampled_from(FREQUENCY_CONVENTIONS),
                          st.sampled_from(CONJUGATION_CONVENTIONS), st.sampled_from(JUMP_BASES),
                          st.booleans())
@@ -37,8 +47,8 @@ _run_configs = st.builds(
     conventions=_conventions,
     output_path=st.none() | st.text(), svg_path=st.none() | st.text(),
     threads=st.integers(1, 64), cutoff=st.integers(1, 8),
-    grid=st.builds(lambda count, ends: GridSpec(count, *sorted(ends)), st.integers(2, 4096),
-                   st.tuples(_finite, _finite).filter(lambda ends: ends[0] != ends[1])),
+    grid=st.builds(_grid_or_none, st.integers(2, 4096),
+                   st.tuples(_finite, _finite)).filter(lambda grid: grid is not None),
     t2=_number(0.0, 1e6),
     theta_list=st.lists(_number(0.0, math.pi), max_size=4).map(tuple),
     xi_list=st.lists(_number(-1.0, 1.0), max_size=4).map(tuple))
