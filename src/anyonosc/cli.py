@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .fock import FockSystem
 from .output import _csv_blocks, grid_result, write_grid_svg, write_outputs
 from .params import AnyonParams, ParameterError
 from .spectra import GridSpec, build_dipole, rephasing_response
-from .sweeps import (ConfigError, Conventions, RunConfig, SweepAxis,
-                     SweepResult, load_config, parse_range, run_fig1,
-                     run_fig2, run_fig3, run_sweep)
+from .sweeps import (ConfigError, Conventions, RunConfig, SweepResult,
+                     load_config, parse_range, run_fig1, run_fig2, run_fig3,
+                     run_sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,11 +58,12 @@ def _add_convention_flags(p):
                    help="add the statistical dephasing rate to the diagonals")
 
 
-def _add_output_flags(p, svg_path=True):
-    p.add_argument("--out", help="output CSV path (stdout when omitted)")
-    if svg_path:
-        p.add_argument("--svg", help="optional SVG heatmap path")
+def _add_output_flags(p, out_help="output CSV path (stdout when omitted)"):
+    p.add_argument("--out", help=out_help)
     p.add_argument("--threads", type=int, default=1)
+
+
+THETA_RANGE = f"0:{math.pi!r}"
 
 
 @functools.cache  # parsing does not mutate the parser: build it once per process
@@ -73,22 +75,22 @@ def build_parser() -> _Parser:
 
     p1 = sub.add_parser("single-rates", help="single-oscillator rates over theta")
     _add_param_flags(p1)
-    p1.add_argument("--range", default="0:3.141592653589793", help="theta range lo:hi")
+    p1.add_argument("--range", default=THETA_RANGE, help="theta range lo:hi")
     p1.add_argument("--grid", type=int, default=201, help="number of sweep points")
-    _add_output_flags(p1, svg_path=False)
+    _add_output_flags(p1)
 
     p2 = sub.add_parser("dimer-rates", help="effective-matrix eigenvalues over theta")
     _add_param_flags(p2)
     _add_convention_flags(p2)
-    p2.add_argument("--range", default="0:3.141592653589793", help="theta range lo:hi")
+    p2.add_argument("--range", default=THETA_RANGE, help="theta range lo:hi")
     p2.add_argument("--grid", type=int, default=201)
-    _add_output_flags(p2, svg_path=False)
+    _add_output_flags(p2)
 
     p3 = sub.add_parser("ep-locate", help="locate the exceptional point in theta")
     _add_param_flags(p3)
     _add_convention_flags(p3)
     p3.add_argument("--range", default=None, help="theta bracket lo:hi (default 0:pi-0.01)")
-    _add_output_flags(p3, svg_path=False)
+    _add_output_flags(p3)
 
     p4 = sub.add_parser("spectrum", help="one rephasing 2D spectrum grid")
     _add_param_flags(p4)
@@ -97,6 +99,7 @@ def build_parser() -> _Parser:
     p4.add_argument("--t2", type=float, default=0.0, help="waiting time")
     p4.add_argument("--grid", type=int, default=256, help="points per axis")
     p4.add_argument("--range", default="-0.5:0.5", help="detuning range lo:hi")
+    p4.add_argument("--svg", help="optional SVG heatmap path")
     _add_output_flags(p4)
 
     for name, helptxt in (("fig1", "statistical-rate sweep preset"),
@@ -104,8 +107,10 @@ def build_parser() -> _Parser:
                           ("fig3", "2D-spectra panels preset")):
         pf = sub.add_parser(name, help=helptxt)
         _add_param_flags(pf)
-        _add_convention_flags(pf)
-        pf.add_argument("--grid", type=int, default=None, help="sweep/axis point count")
+        if name != "fig1":  # the single-oscillator rates read no convention
+            _add_convention_flags(pf)
+        pf.add_argument("--grid", type=int, default=256 if name == "fig3" else 201,
+                        help="sweep/axis point count")
         if name == "fig2":
             pf.add_argument("--temp", choices=("low", "high"), default="low",
                             help="temperature regime (beta*omega = 1 or 0.1)")
@@ -118,8 +123,7 @@ def build_parser() -> _Parser:
             pf.add_argument("--xi-list", default="0,1")
             pf.add_argument("--svg", action="store_true",
                             help="also render one SVG heatmap per grid")
-        pf.add_argument("--out", help="output path (fig3: directory)")
-        pf.add_argument("--threads", type=int, default=1)
+        _add_output_flags(pf, "output path (fig3: directory)")
 
     p8 = sub.add_parser("sweep", help="generic sweep from a JSON config")
     p8.add_argument("--config", required=True, help="JSON config path")
@@ -128,15 +132,37 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _params_from(args) -> AnyonParams:
-    return AnyonParams(theta=args.theta, omega=args.omega, coupling_j=args.coupling,
-                       gamma=args.gamma, beta=args.beta, xi=args.xi)
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
 
 
-def _conventions_from(args) -> Conventions:
-    return Conventions(frequency=args.convention, conjugation=args.conjugation,
-                       jump_basis=args.jump_basis,
-                       stat_dephasing=args.stat_dephasing == "on")
+def _config(args) -> RunConfig:
+    """The one RunConfig of a subcommand, read from the flags it defines; a
+    flag the command lacks keeps its RunConfig default."""
+    flags = vars(args)
+    params = AnyonParams(theta=args.theta, omega=args.omega, coupling_j=args.coupling,
+                         gamma=args.gamma, beta=args.beta, xi=args.xi)
+    kw = {"threads": args.threads}
+    if "convention" in flags:
+        kw["conventions"] = Conventions(args.convention, args.conjugation, args.jump_basis,
+                                        args.stat_dephasing == "on")
+    if "cutoff" in flags:  # spectrum and fig3 evaluate on a detuning grid
+        ax = parse_range(flags.get("range", "-0.5:0.5"), 2)
+        kw.update(cutoff=args.cutoff, t2=args.t2,
+                  grid=GridSpec(count=args.grid, lo=ax.start, hi=ax.stop))
+    elif flags.get("range", THETA_RANGE):  # the rest on a theta axis; ep-locate's is optional
+        ax = parse_range(flags.get("range", THETA_RANGE), flags.get("grid", 2))
+        kw["sweep"] = (replace(ax, name="theta"),)
+    if "temp" in flags:
+        params = params.with_(beta=1.0 if args.temp == "low" else 0.1)
+    if "theta_list" in flags:
+        kw["theta_list"] = (_floats(args.theta_list) if args.theta_list
+                            else tuple(np.linspace(0.0, math.pi, 9)))
+    if "xi_list" in flags:
+        kw["xi_list"] = _floats(args.xi_list)
+    elif args.command == "dimer-rates":
+        kw["xi_list"] = (args.xi,)
+    return RunConfig(params=params, **kw)
 
 
 def _emit(result, path, config):
@@ -148,84 +174,45 @@ def _emit(result, path, config):
 
 
 def _run(args) -> int:
-    if args.command == "single-rates":
-        ax = parse_range(args.range, args.grid)
-        cfg = RunConfig(params=_params_from(args),
-                        sweep=(SweepAxis("theta", ax.start, ax.stop, ax.count),),
-                        threads=args.threads)
+    if args.command == "sweep":
+        cfg = load_config(args.config)
+        cfg = replace(cfg, output_path=args.out or cfg.output_path,
+                      threads=cfg.threads if args.threads is None else args.threads)
+        _emit(run_sweep(cfg), cfg.output_path, cfg)
+        return 0
+
+    cfg = _config(args)
+    params, conv = cfg.params, cfg.conventions
+    if args.command in ("single-rates", "fig1"):
         _emit(run_fig1(cfg), args.out, cfg)
-        return 0
 
-    if args.command == "dimer-rates":
-        ax = parse_range(args.range, args.grid)
-        cfg = RunConfig(params=_params_from(args), conventions=_conventions_from(args),
-                        sweep=(SweepAxis("theta", ax.start, ax.stop, ax.count),),
-                        threads=args.threads, xi_list=(args.xi,))
+    elif args.command in ("dimer-rates", "fig2"):
         _emit(run_fig2(cfg), args.out, cfg)
-        return 0
 
-    if args.command == "ep-locate":
-        params = _params_from(args)
-        conv = _conventions_from(args)
-        bracket = None
-        if args.range:
-            ax = parse_range(args.range, 2)
-            bracket = (ax.start, ax.stop)
+    elif args.command == "ep-locate":
+        bracket = next(((ax.start, ax.stop) for ax in cfg.sweep), None)
         ep = find_exceptional_point(params, bracket, conv.frequency, conv.conjugation,
                                     conv.stat_dephasing)
         res = SweepResult(columns=("theta_star", "gap", "ep_found", "threshold"),
                           units=("rad", "omega", "bool", "omega"),
                           rows=[(ep.theta, ep.gap, int(ep.found), ep.threshold)],
                           metadata={"generator": "ep-locate"})
-        _emit(res, args.out, RunConfig(params=params, conventions=conv))
-        return 0
+        _emit(res, args.out, cfg)
 
-    if args.command == "spectrum":
-        params = _params_from(args)
-        conv = _conventions_from(args)
-        rng = parse_range(args.range, 2)
-        grid = GridSpec(count=args.grid, lo=rng.start, hi=rng.stop)
-        system = FockSystem(cutoff=args.cutoff, theta=params.theta, modes=2)
+    elif args.command == "spectrum":
+        system = FockSystem(cutoff=cfg.cutoff, theta=params.theta, modes=2)
         dip = build_dipole(system, conv.conjugation)
-        g = rephasing_response(system, dip, params, t2=args.t2, grid=grid,
+        g = rephasing_response(system, dip, params, t2=cfg.t2, grid=cfg.grid,
                                jump_basis=conv.jump_basis, conjugation=conv.conjugation,
-                               threads=args.threads)
-        cfg = RunConfig(params=params, conventions=conv, cutoff=args.cutoff,
-                        grid=grid, t2=args.t2, threads=args.threads)
+                               threads=cfg.threads)
         _emit(grid_result(g), args.out, cfg)
         if args.svg:
             write_grid_svg(g, args.svg, title=f"Re R3, theta={params.theta:.3f}, xi={params.xi:.2f}")
             print(f"wrote {args.svg}", file=sys.stderr)
-        return 0
 
-    if args.command == "fig1":
-        n = 201 if args.grid is None else args.grid
-        cfg = RunConfig(params=_params_from(args), conventions=_conventions_from(args),
-                        sweep=(SweepAxis("theta", 0.0, math.pi, n),), threads=args.threads)
-        _emit(run_fig1(cfg), args.out, cfg)
-        return 0
-
-    if args.command == "fig2":
-        n = 201 if args.grid is None else args.grid
-        beta = 1.0 if args.temp == "low" else 0.1
-        xis = tuple(float(x) for x in args.xi_list.split(","))
-        cfg = RunConfig(params=_params_from(args).with_(beta=beta),
-                        conventions=_conventions_from(args),
-                        sweep=(SweepAxis("theta", 0.0, math.pi, n),),
-                        threads=args.threads, xi_list=xis)
-        _emit(run_fig2(cfg), args.out, cfg)
-        return 0
-
-    if args.command == "fig3":
+    elif args.command == "fig3":
         if not args.out:
             raise ConfigError("fig3 writes multiple files; --out DIR is required")
-        n = 256 if args.grid is None else args.grid
-        thetas = (tuple(float(x) for x in args.theta_list.split(","))
-                  if args.theta_list else tuple(np.linspace(0.0, math.pi, 9)))
-        xis = tuple(float(x) for x in args.xi_list.split(","))
-        cfg = RunConfig(params=_params_from(args), conventions=_conventions_from(args),
-                        cutoff=args.cutoff, grid=GridSpec(count=n), t2=args.t2,
-                        threads=args.threads, theta_list=thetas, xi_list=xis)
         fig3 = run_fig3(cfg)
         fig3.slices.check()
         fig3.overlay.check()
@@ -240,18 +227,7 @@ def _run(args) -> int:
                                title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}",
                                overlays=[(diag, diag)])
         print(f"wrote fig3 outputs under {args.out}", file=sys.stderr)
-        return 0
-
-    if args.command == "sweep":
-        cfg = load_config(args.config)
-        if args.threads is not None:
-            cfg.threads = args.threads
-        if args.out:
-            cfg.output_path = args.out
-        _emit(run_sweep(cfg), cfg.output_path, cfg)
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    return 0
 
 
 def main(argv=None) -> int:

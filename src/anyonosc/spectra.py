@@ -53,16 +53,16 @@ class GridSpec:
             raise ValueError(f"grid range needs finite endpoints, got {self.lo}:{self.hi}")
         if not self.lo < self.hi:
             raise ValueError("grid range must be increasing")
-        if not (math.isfinite(self.hi - self.lo) and np.all(np.diff(self.axis()) > 0.0)):
+        if not (math.isfinite(float(self.hi) - float(self.lo))
+                and np.all(np.diff(self.axis()) > 0.0)):
             raise ValueError(f"grid range {self.lo}:{self.hi} cannot hold {self.count} distinct "
                              "detunings with a finite step")
 
     def axis(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
-
-    @property
-    def step(self) -> float:
-        return (self.hi - self.lo) / (self.count - 1)
+        # near the float maximum linspace's last product may round to inf
+        # before hi replaces it: the axis itself is finite
+        with np.errstate(over="ignore"):
+            return np.linspace(self.lo, self.hi, self.count)
 
 
 @dataclass

@@ -29,7 +29,8 @@ PARAM_FIELDS = ("theta", "omega", "coupling_j", "gamma", "beta", "xi")
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """Inclusive range of ``count`` >= 2 points between finite endpoints."""
+    """Inclusive range of ``count`` >= 2 points between finite endpoints
+    a finite span apart."""
 
     name: str
     start: float
@@ -39,39 +40,53 @@ class SweepAxis:
     def __post_init__(self):
         if self.count < 2:
             raise ConfigError(f"sweep axis {self.name!r} needs count >= 2, got {self.count}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError(f"sweep axis {self.name!r} needs finite endpoints, "
+        # a non-finite endpoint makes the span non-finite too
+        if not math.isfinite(float(self.stop) - float(self.start)):
+            raise ConfigError(f"sweep axis {self.name!r} needs finite endpoints and span, "
                               f"got {self.start}:{self.stop}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Conventions:
     frequency: str = DEFAULT_FREQUENCY_CONVENTION
     conjugation: str = DEFAULT_CONJUGATION
     jump_basis: str = DEFAULT_JUMP_BASIS
     stat_dephasing: bool = False
 
+    def __post_init__(self):
+        if self.frequency not in FREQUENCY_CONVENTIONS:
+            raise ConfigError(f"unknown frequency convention {self.frequency!r}")
+        if self.conjugation not in CONJUGATION_CONVENTIONS:
+            raise ConfigError(f"unknown conjugation convention {self.conjugation!r}")
+        if self.jump_basis not in JUMP_BASES:
+            raise ConfigError(f"unknown jump basis {self.jump_basis!r}")
+
     def as_dict(self) -> dict:
         return {"frequency": self.frequency, "conjugation": self.conjugation,
                 "jump_basis": self.jump_basis, "stat_dephasing": bool(self.stat_dephasing)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     params: AnyonParams = field(default_factory=lambda: AnyonParams(theta=0.0))
     sweep: tuple = ()
     conventions: Conventions = field(default_factory=Conventions)
     output_path: str | None = None
-    svg_path: str | None = None
     threads: int = 1
     cutoff: int = 2
     grid: GridSpec = field(default_factory=GridSpec)
     t2: float = 0.0
     theta_list: tuple = ()
     xi_list: tuple = ()
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.cutoff < 1:
+            raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
 
     def as_dict(self) -> dict:
         """JSON echo with the types config_from_dict reads back (theta=0 and
@@ -81,7 +96,7 @@ class RunConfig:
             "sweep": [{"name": ax.name, "start": float(ax.start), "stop": float(ax.stop),
                        "count": int(ax.count)} for ax in self.sweep],
             "conventions": self.conventions.as_dict(),
-            "output": {"path": self.output_path, "svg": self.svg_path},
+            "output": {"path": self.output_path},
             "compute": {"threads": int(self.threads), "cutoff": int(self.cutoff)},
             "grid": {"count": int(self.grid.count), "lo": float(self.grid.lo),
                      "hi": float(self.grid.hi)},
@@ -129,21 +144,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     cdoc = doc.get("conventions", {})
     _require_keys(cdoc, {"frequency", "conjugation", "jump_basis", "stat_dephasing"},
                   "config.conventions")
-    conv = Conventions(
-        frequency=cdoc.get("frequency", DEFAULT_FREQUENCY_CONVENTION),
-        conjugation=cdoc.get("conjugation", DEFAULT_CONJUGATION),
-        jump_basis=cdoc.get("jump_basis", DEFAULT_JUMP_BASIS),
-        stat_dephasing=bool(cdoc.get("stat_dephasing", False)),
-    )
-    if conv.frequency not in FREQUENCY_CONVENTIONS:
-        raise ConfigError(f"unknown frequency convention {conv.frequency!r}")
-    if conv.conjugation not in CONJUGATION_CONVENTIONS:
-        raise ConfigError(f"unknown conjugation convention {conv.conjugation!r}")
-    if conv.jump_basis not in JUMP_BASES:
-        raise ConfigError(f"unknown jump basis {conv.jump_basis!r}")
+    conv = Conventions(**dict(cdoc, stat_dephasing=bool(cdoc.get("stat_dephasing", False))))
 
     odoc = doc.get("output", {})
-    _require_keys(odoc, {"path", "svg"}, "config.output")
+    _require_keys(odoc, {"path"}, "config.output")
     kdoc = doc.get("compute", {})
     _require_keys(kdoc, {"threads", "cutoff"}, "config.compute")
     gdoc = doc.get("grid", {})
@@ -153,16 +157,10 @@ def config_from_dict(doc: dict) -> RunConfig:
                         lo=float(gdoc.get("lo", -0.5)), hi=float(gdoc.get("hi", 0.5)))
     except ValueError as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
-    threads = int(kdoc.get("threads", 1))
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    cutoff = int(kdoc.get("cutoff", 2))
-    if cutoff < 1:
-        raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
 
     return RunConfig(params=params, sweep=tuple(axes), conventions=conv,
-                     output_path=odoc.get("path"), svg_path=odoc.get("svg"),
-                     threads=threads, cutoff=cutoff, grid=grid,
+                     output_path=odoc.get("path"), threads=int(kdoc.get("threads", 1)),
+                     cutoff=int(kdoc.get("cutoff", 2)), grid=grid,
                      t2=float(doc.get("t2", 0.0)),
                      theta_list=tuple(float(x) for x in doc.get("theta_list", [])),
                      xi_list=tuple(float(x) for x in doc.get("xi_list", [])))

@@ -390,6 +390,84 @@ class TestCliFigures:
         assert not out_dir.exists()
 
 
+class TestCliRunConfig:
+    # every command builds one RunConfig, and RunConfig and Conventions check
+    # themselves: a flag and a config key meet the same rule
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--grid", "4", "--threads", "0"),
+        ("spectrum", "--grid", "4", "--threads", "-4"),
+        ("ep-locate", "--threads", "0"),
+        ("fig1", "--grid", "5", "--threads", "0"),
+        ("spectrum", "--grid", "4", "--cutoff", "0"),
+    ], ids=["spectrum-threads-0", "spectrum-threads-minus-4", "ep-locate-threads-0",
+            "fig1-threads-0", "spectrum-cutoff-0"])
+    def test_flag_below_one_is_a_validation_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1, err
+        assert "must be >= 1" in err
+        assert list(tmp_path.iterdir()) == [] and stdout == ""
+
+    def test_sweep_threads_override_is_checked(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": [{"name": "xi", "start": -1, "stop": 1,
+                                               "count": 3}]}))
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path),
+                                    "--threads", "0", "--out", str(out))
+        assert code == 1, err
+        assert "threads must be >= 1, got 0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
+
+    def test_ep_locate_range_is_recorded(self, capsys, tmp_path):
+        from anyonosc.sweeps import config_from_dict
+
+        docs = {}
+        for bracket in ("0:3.1315926535897933", "0.1:1.0"):
+            out = tmp_path / f"ep{len(docs)}.csv"
+            code, _, err = run_cli(capsys, "ep-locate", "--xi", "1", "--range", bracket,
+                                   "--out", str(out))
+            assert code == 0, err
+            docs[bracket] = json.loads(out.with_name(out.name + ".meta.json").read_text())
+        assert len({doc["config_sha256"] for doc in docs.values()}) == 2
+        for bracket, doc in docs.items():
+            (axis,) = config_from_dict(doc["config"]).sweep
+            lo, hi = (float(x) for x in bracket.split(":"))
+            assert (axis.name, axis.start, axis.stop, axis.count) == ("theta", lo, hi, 2)
+
+    def test_fig1_takes_no_convention_flags(self, capsys, tmp_path):
+        out = tmp_path / "fig1.csv"
+        code, stdout, err = run_cli(capsys, "fig1", "--conjugation", "analytic",
+                                    "--out", str(out))
+        assert code == 1
+        assert "unrecognized arguments" in err
+        assert not out.exists() and stdout == ""
+
+    def test_output_svg_key_is_unknown(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"output": {"svg": "out.svg"},
+                                    "sweep": [{"name": "xi", "start": -1, "stop": 1,
+                                               "count": 3}]}))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path),
+                                    "--out", str(tmp_path / "sweep.csv"))
+        assert code == 1
+        assert "unknown keys in config.output: ['svg']" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
+
+    def test_sweep_axis_span_must_be_finite(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": [{"name": "coupling_j", "start": -1e308,
+                                               "stop": 1e308, "count": 3}]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, "sweep", "--config", str(path),
+                                        "--out", str(tmp_path / "sweep.csv"))
+        assert code == 1, err
+        assert "sweep axis 'coupling_j' needs finite endpoints and span" in err
+        assert caught == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
+
+
 class TestCliSweepConfig:
     def test_config_file_round(self, capsys, tmp_path):
         cfg = {"params": {"theta": 0.3, "gamma": 0.1},

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +131,17 @@ class TestRephasingResponse:
     def test_grid_range_must_be_finite(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             GridSpec(count=4, lo=lo, hi=hi).axis()
+
+    @pytest.mark.parametrize("count, lo", [(4096, 0.0), (3, 1e300), (2, 1e308)])
+    def test_grid_up_to_the_float_maximum_is_silent(self, count, lo):
+        # linspace's last product may round past the maximum before hi
+        # replaces it; the grid is accepted and its axis is finite
+        hi = sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            axis = GridSpec(count=count, lo=lo, hi=hi).axis()
+        assert axis[0] == lo and axis[-1] == hi
+        assert np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["omega_tau", "omega_t"])

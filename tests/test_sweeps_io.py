@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -34,6 +35,14 @@ def _grid_or_none(count, ends):
         return None
 
 
+def _axis_or_none(name, ends, count):
+    """SweepAxis over the ends, or None where SweepAxis refuses the span."""
+    try:
+        return SweepAxis(name, *ends, count)
+    except ConfigError:
+        return None
+
+
 _conventions = st.builds(Conventions, st.sampled_from(FREQUENCY_CONVENTIONS),
                          st.sampled_from(CONJUGATION_CONVENTIONS), st.sampled_from(JUMP_BASES),
                          st.booleans())
@@ -42,10 +51,11 @@ _run_configs = st.builds(
     params=st.builds(AnyonParams, theta=_number(0.0, math.pi), omega=_number(1e-3, 1e3),
                      coupling_j=_finite, gamma=_number(0.0, 1e3), beta=_number(1e-3, 1e3),
                      xi=_number(-1.0, 1.0)),
-    sweep=st.lists(st.builds(SweepAxis, st.sampled_from(PARAM_FIELDS), _finite, _finite,
-                             st.integers(2, 10_000)), max_size=3).map(tuple),
+    sweep=st.lists(st.builds(_axis_or_none, st.sampled_from(PARAM_FIELDS),
+                             st.tuples(_finite, _finite), st.integers(2, 10_000))
+                   .filter(lambda axis: axis is not None), max_size=3).map(tuple),
     conventions=_conventions,
-    output_path=st.none() | st.text(), svg_path=st.none() | st.text(),
+    output_path=st.none() | st.text(),
     threads=st.integers(1, 64), cutoff=st.integers(1, 8),
     grid=st.builds(_grid_or_none, st.integers(2, 4096),
                    st.tuples(_finite, _finite)).filter(lambda grid: grid is not None),
@@ -78,6 +88,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"conventions": {"conjugation": "sloppy"}})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Conventions(frequency="printed"), "unknown frequency convention"),
+        (lambda: Conventions(conjugation="sloppy"), "unknown conjugation convention"),
+        (lambda: Conventions(jump_basis="normal"), "unknown jump basis"),
+        (lambda: RunConfig(threads=0), "threads must be >= 1, got 0"),
+        (lambda: RunConfig(cutoff=0), "cutoff must be >= 1, got 0"),
+        (lambda: dataclasses.replace(RunConfig(), threads=-4), "threads must be >= 1"),
+    ], ids=["frequency", "conjugation", "jump-basis", "threads", "cutoff", "replace"])
+    def test_config_types_check_themselves(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
+
+    def test_config_types_are_frozen(self):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.threads = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.conventions.frequency = "maintext"
+
     def test_sweep_axis_validation(self):
         with pytest.raises(ConfigError):
             config_from_dict({"sweep": [{"name": "nope", "start": 0, "stop": 1, "count": 5}]})
@@ -88,6 +117,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             config_from_dict({"sweep": [{"name": "xi", "start": -math.inf, "stop": 1,
                                          "count": 5}]})
+        with pytest.raises(ConfigError, match="'coupling_j' needs finite endpoints and span"):
+            SweepAxis("coupling_j", -1e308, 1e308, 3)
 
     def test_physical_validation_propagates(self):
         with pytest.raises(ConfigError):

@@ -196,9 +196,10 @@ def reference_eigen_analysis(matrix: EffectiveMatrix) -> EffectiveMatrix:
     cond = float(sv[0] / sv[1]) if sv[1] > 0.0 else float("inf")
     matrix.eigenvalues = (lp, lm)
     matrix.right_eigenvectors = vmat
-    matrix.lifetimes = tuple(
-        (1.0 / -l.real) if l.real < 0.0 else float("inf") for l in (lp, lm)
-    )
+    with np.errstate(over="ignore"):  # a subnormal decay rate: lifetime inf
+        matrix.lifetimes = tuple(
+            (1.0 / -l.real) if l.real < 0.0 else float("inf") for l in (lp, lm)
+        )
     matrix.eigenvector_condition = cond
     matrix.near_defective = cond > EP_CONDITION_MARKER
     return matrix
