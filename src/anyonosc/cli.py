@@ -29,7 +29,8 @@ from .sweeps import (ConfigError, Conventions, RunConfig, SweepResult,
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no prefix matching: fig3's --theta would read as --theta-list
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # a minus before a digit starts a value, never a flag: -1e-05, -.5,
         # and the ranges and lists -0.5:0.5 and -1,0,1
         self._negative_number_matcher = re.compile(r"-\.?\d")
@@ -38,13 +39,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_param_flags(p):
-    p.add_argument("--theta", type=float, default=0.0, help="statistical angle [rad]")
-    p.add_argument("--xi", type=float, default=0.0, help="bath correlation in [-1, 1]")
-    p.add_argument("--beta", type=float, default=1.0, help="inverse temperature (beta*omega)")
-    p.add_argument("--gamma", type=float, default=0.1, help="bath coupling rate [omega]")
-    p.add_argument("--coupling", type=float, default=0.2, help="hopping J [omega]")
-    p.add_argument("--omega", type=float, default=1.0, help="mode frequency (unit scale)")
+# flag -> (AnyonParams field, help); a command defines only the flags its
+# output reads, and a flag it lacks keeps the AnyonParams default
+PARAM_FLAGS = {
+    "theta": ("theta", "statistical angle [rad]"),
+    "xi": ("xi", "bath correlation in [-1, 1]"),
+    "beta": ("beta", "inverse temperature (beta*omega)"),
+    "gamma": ("gamma", "bath coupling rate [omega]"),
+    "coupling": ("coupling_j", "hopping J [omega]"),
+    "omega": ("omega", "mode frequency (unit scale)"),
+}
+_DEFAULTS = AnyonParams(theta=0.0)
+
+
+def _add_param_flags(p, *names):
+    for name in names:
+        field, helptxt = PARAM_FLAGS[name]
+        p.add_argument(f"--{name}", type=float, default=getattr(_DEFAULTS, field), help=helptxt)
 
 
 def _add_convention_flags(p):
@@ -73,27 +84,29 @@ def build_parser() -> _Parser:
                              "analysis and rephasing 2D spectra")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # theta is swept (or bracketed) by every command but spectrum, and the
+    # single-oscillator rates read neither xi nor J
     p1 = sub.add_parser("single-rates", help="single-oscillator rates over theta")
-    _add_param_flags(p1)
+    _add_param_flags(p1, "beta", "gamma", "omega")
     p1.add_argument("--range", default=THETA_RANGE, help="theta range lo:hi")
     p1.add_argument("--grid", type=int, default=201, help="number of sweep points")
     _add_output_flags(p1)
 
     p2 = sub.add_parser("dimer-rates", help="effective-matrix eigenvalues over theta")
-    _add_param_flags(p2)
+    _add_param_flags(p2, "xi", "beta", "gamma", "coupling", "omega")
     _add_convention_flags(p2)
     p2.add_argument("--range", default=THETA_RANGE, help="theta range lo:hi")
     p2.add_argument("--grid", type=int, default=201)
     _add_output_flags(p2)
 
     p3 = sub.add_parser("ep-locate", help="locate the exceptional point in theta")
-    _add_param_flags(p3)
+    _add_param_flags(p3, "xi", "beta", "gamma", "coupling", "omega")
     _add_convention_flags(p3)
     p3.add_argument("--range", default=None, help="theta bracket lo:hi (default 0:pi-0.01)")
     _add_output_flags(p3)
 
     p4 = sub.add_parser("spectrum", help="one rephasing 2D spectrum grid")
-    _add_param_flags(p4)
+    _add_param_flags(p4, *PARAM_FLAGS)
     _add_convention_flags(p4)
     p4.add_argument("--cutoff", type=int, default=2)
     p4.add_argument("--t2", type=float, default=0.0, help="waiting time")
@@ -102,11 +115,14 @@ def build_parser() -> _Parser:
     p4.add_argument("--svg", help="optional SVG heatmap path")
     _add_output_flags(p4)
 
-    for name, helptxt in (("fig1", "statistical-rate sweep preset"),
-                          ("fig2", "dimer bifurcation sweep preset"),
-                          ("fig3", "2D-spectra panels preset")):
+    # xi comes from --xi-list and theta from the sweep or --theta-list;
+    # fig2's --temp sets beta
+    for name, helptxt, flags in (
+            ("fig1", "statistical-rate sweep preset", ("beta", "gamma", "omega")),
+            ("fig2", "dimer bifurcation sweep preset", ("gamma", "coupling", "omega")),
+            ("fig3", "2D-spectra panels preset", ("beta", "gamma", "coupling", "omega"))):
         pf = sub.add_parser(name, help=helptxt)
-        _add_param_flags(pf)
+        _add_param_flags(pf, *flags)
         if name != "fig1":  # the single-oscillator rates read no convention
             _add_convention_flags(pf)
         pf.add_argument("--grid", type=int, default=256 if name == "fig3" else 201,
@@ -140,8 +156,8 @@ def _config(args) -> RunConfig:
     """The one RunConfig of a subcommand, read from the flags it defines; a
     flag the command lacks keeps its RunConfig default."""
     flags = vars(args)
-    params = AnyonParams(theta=args.theta, omega=args.omega, coupling_j=args.coupling,
-                         gamma=args.gamma, beta=args.beta, xi=args.xi)
+    params = _DEFAULTS.with_(**{field: flags[name] for name, (field, _) in PARAM_FLAGS.items()
+                                if name in flags})
     kw = {"threads": args.threads}
     if "convention" in flags:
         kw["conventions"] = Conventions(args.convention, args.conjugation, args.jump_basis,
@@ -151,6 +167,8 @@ def _config(args) -> RunConfig:
         kw.update(cutoff=args.cutoff, t2=args.t2,
                   grid=GridSpec(count=args.grid, lo=ax.start, hi=ax.stop))
     elif flags.get("range", THETA_RANGE):  # the rest on a theta axis; ep-locate's is optional
+        if "grid" not in flags and flags["range"].count(":") != 1:
+            raise ConfigError(f"--range takes a theta bracket lo:hi, got {flags['range']!r}")
         ax = parse_range(flags.get("range", THETA_RANGE), flags.get("grid", 2))
         kw["sweep"] = (replace(ax, name="theta"),)
     if "temp" in flags:
@@ -161,7 +179,7 @@ def _config(args) -> RunConfig:
     if "xi_list" in flags:
         kw["xi_list"] = _floats(args.xi_list)
     elif args.command == "dimer-rates":
-        kw["xi_list"] = (args.xi,)
+        kw["xi_list"] = (params.xi,)
     return RunConfig(params=params, **kw)
 
 

@@ -2,11 +2,13 @@
 Lindblad superoperator construction, propagation, resolvents and decay fits.
 
 This is the brute-force oracle for the closed-form modules and the engine
-behind the 2D spectra. The Liouvillian is a dense array assembled from the
-nonzeros of its Kronecker factors (``_kron_sum``): 81x81 at the default
-two-mode cutoff 2, 256x256 at cutoff 3 (fig3) and 2401x2401 at cutoff 6 (the
-criterion-6 oracle), of which 0.3% is nonzero. The spectra solve only on the
-states a pathway reaches through its nonzeros (``spectra._closure``). The
+behind the 2D spectra. The Liouvillian is one list of (c, A, B) Kronecker
+terms over d x d factors (``liouvillian_terms``) with two consumers: the
+dense array assembled from the nonzeros of the factors (``_kron_sum``,
+81x81 at the default two-mode cutoff 2 and 2401x2401, 0.3% nonzero, at
+cutoff 6 for the criterion-6 oracle), and a gather of any block L[S, S]
+straight from the factors (``liouvillian_gather``), bit-identical to the
+dense block. The spectra gather only the blocks their pathway touches. The
 two-mode jump operators take their coefficients from the channel table that
 also sets W_eff (``dimer.channel_coefficients``).
 """
@@ -40,6 +42,13 @@ def anyon_ladder_matrix(cutoff: int, theta: float) -> np.ndarray:
     for n in range(1, d):
         a[n - 1, n] = np.sqrt(q_bracket(n, theta))
     return a
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices: the same products, without its
+    n-dimensional bookkeeping."""
+    n, m = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
 
 
 class FockSystem:
@@ -77,9 +86,9 @@ class FockSystem:
             self.dim = d * d
             p = self.phase_string
             pinv = np.conj(p)
-            self.lowering = (np.kron(a, eye), np.kron(p, a))
-            self.raising = (np.kron(adag, eye), np.kron(pinv, adag))
-            self.number_ops = (np.kron(number, eye), np.kron(eye, number))
+            self.lowering = (_kron(a, eye), _kron(p, a))
+            self.raising = (_kron(adag, eye), _kron(pinv, adag))
+            self.number_ops = (_kron(number, eye), _kron(eye, number))
         self.total_quanta = np.sum(self.number_ops, axis=0).real.diagonal().round().astype(int)
 
     def dagger(self, mode: int, conjugation: str = DEFAULT_CONJUGATION) -> np.ndarray:
@@ -206,17 +215,17 @@ def jump_operators(system: FockSystem, params: AnyonParams,
     return ops
 
 
-def build_liouvillian(system: FockSystem, params: AnyonParams,
+def liouvillian_terms(system: FockSystem, params: AnyonParams,
                       jump_basis: str = "deformed",
                       conjugation: str = DEFAULT_CONJUGATION,
-                      rotating: bool = False) -> np.ndarray:
-    """Vectorized generator of d rho/dt = -i[H, rho] + sum_k D[L_k] rho.
+                      rotating: bool = False) -> list:
+    """Generator of d rho/dt = -i[H, rho] + sum_k D[L_k] rho as (c, A, B) terms,
+    L = sum c A (x) B on row-major vectorized states, with d x d factors.
 
     D[L] rho = L rho L° - (L°L rho + rho L°L)/2 with L° the configured
     adjoint. Trace preservation holds for any adjoint pair by construction.
-    The dense result is assembled from the nonzeros of the Kronecker factors
-    of -i(H (x) 1 - 1 (x) H^T) and, per jump, L (x) L°^T - (L°L (x) 1 +
-    1 (x) (L°L)^T)/2, never from dense Kronecker products.
+    The terms are -i(H (x) 1 - 1 (x) H^T) and, per jump, L (x) L°^T -
+    (L°L (x) 1 + 1 (x) (L°L)^T)/2, in that order.
     """
     h = build_hamiltonian(system, params, conjugation, rotating)
     eye = np.eye(system.dim)
@@ -225,7 +234,41 @@ def build_liouvillian(system: FockSystem, params: AnyonParams,
         ll = ldag @ lop
         # vec(L rho L°) = (L kron L°^T) vec(rho): sandwich terms are single krons
         terms += [(1.0, lop, ldag.T), (-0.5, ll, eye), (-0.5, eye, ll.T)]
-    return _kron_sum(terms, system.dim)
+    return terms
+
+
+def build_liouvillian(system: FockSystem, params: AnyonParams,
+                      jump_basis: str = "deformed",
+                      conjugation: str = DEFAULT_CONJUGATION,
+                      rotating: bool = False) -> np.ndarray:
+    """The dense d^2 x d^2 generator of ``liouvillian_terms``, assembled from
+    the nonzeros of its Kronecker factors, never from dense Kronecker
+    products."""
+    return _kron_sum(liouvillian_terms(system, params, jump_basis, conjugation, rotating),
+                     system.dim)
+
+
+def liouvillian_gather(terms, dim: int):
+    """The function states -> L[states, states] of the generator sum c A (x) B,
+    gathered from the d x d factors without the d^2 x d^2 array.
+
+    Entry (s, t) sums (c A)[s // d, t // d] B[s % d, t % d] in term order
+    from zero, as ``_kron_sum`` does, so a block equals the dense
+    ``_kron_sum(terms, dim)[np.ix_(states, states)]`` bit for bit: a term
+    that vanishes at an entry adds a zero.
+    """
+    scaled = [(coeff * a).ravel() for coeff, a, _ in terms]
+    right = [b.ravel() for _, _, b in terms]
+
+    def block(states: np.ndarray) -> np.ndarray:
+        ket, bra = np.divmod(states, dim)
+        ket, bra = ket[:, None] * dim + ket, bra[:, None] * dim + bra
+        out = np.zeros(ket.shape, dtype=complex)
+        for a, b in zip(scaled, right):
+            out += a[ket] * b[bra]
+        return out
+
+    return block
 
 
 # ---------------------------------------------------------------------------

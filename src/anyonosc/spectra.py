@@ -11,7 +11,7 @@ import numpy as np
 
 from .dimer import (DEFAULT_CONJUGATION, DEFAULT_FREQUENCY_CONVENTION, build_weff,
                     deformed_mode_phase, match_branches, weff_eigenvalues, weff_entries)
-from .fock import FockSystem, build_liouvillian, expm
+from .fock import FockSystem, build_liouvillian, expm, liouvillian_gather, liouvillian_terms
 from .params import AnyonParams, ParamArrays
 
 DEFAULT_JUMP_BASIS = "site"  # fig-3 style spectra; logged in grid metadata
@@ -85,7 +85,7 @@ def coherence_order(system: FockSystem) -> np.ndarray:
 
     H conserves quanta and every jump lowers ket and bra together, so the
     Liouvillian is block-diagonal in this label and the dipole on either side
-    shifts it by +/- 1. A test label: the pathway solves on ``_closure`` sets.
+    shifts it by +/- 1.
     """
     q = system.total_quanta
     return np.repeat(q, system.dim) - np.tile(q, system.dim)
@@ -102,17 +102,46 @@ def _closure(pattern, support):
         reach = grown
 
 
-def _ket_dipole(pattern, mu, cols):
+def _reach(system: FockSystem, params: AnyonParams, jump_basis: str, conjugation: str):
+    """The function support -> (R, L[R, R]) of one pathway's rotating-frame
+    Liouvillian: the closure R of the row-major states ``support`` (a boolean
+    mask) and its block, gathered from the d x d factors.
+
+    L maps a manifold pair (n, m) of ket and bra quanta only into (n, m) and
+    (n - 1, m - 1), so the closure lies in the states that share a Delta q
+    with the support and hold at most the support's largest ket quanta at
+    that Delta q. ``_closure`` runs on the nonzeros of their block alone.
+    """
+    gather = liouvillian_gather(liouvillian_terms(system, params, jump_basis, conjugation,
+                                                  rotating=True), system.dim)
+    order = coherence_order(system)
+    order -= order.min()
+    ket_q = np.repeat(system.total_quanta, system.dim)
+
+    def reach(support):
+        support = support.ravel()
+        top = np.full(order.max() + 1, -1)  # largest support ket quanta per Delta q
+        np.maximum.at(top, order[support], ket_q[support])
+        states = np.flatnonzero(ket_q <= top[order])
+        block = gather(states)
+        inner = _closure(block != 0, support[states])
+        return states[inner], block[np.ix_(inner, inner)]
+
+    return reach
+
+
+def _ket_dipole(reach, mu, cols):
     """The closure ``rows`` of what the ket-side dipole mu (x) 1 reaches from
-    the states ``cols``, and its block (mu (x) 1)[rows, cols]. A row-major
-    state index is ket * d + bra, and mu acts on the ket alone."""
+    the states ``cols``, with L[rows, rows] from ``reach`` and the block
+    (mu (x) 1)[rows, cols]. A row-major state index is ket * d + bra, and mu
+    acts on the ket alone."""
     d = mu.shape[0]
     support = np.zeros((d, d), dtype=bool)
     support.flat[cols] = True
-    rows = _closure(pattern, ((mu != 0) @ support).ravel())
+    rows, liouv = reach((mu != 0) @ support)
     ket_r, bra_r = np.divmod(rows, d)
     ket_c, bra_c = np.divmod(cols, d)
-    return rows, np.where(bra_r[:, None] == bra_c, mu[np.ix_(ket_r, ket_c)], 0)
+    return rows, liouv, np.where(bra_r[:, None] == bra_c, mu[np.ix_(ket_r, ket_c)], 0)
 
 
 def _resolvents(block, shifts, rhs):
@@ -145,23 +174,22 @@ def _pathway(system: FockSystem, mu: np.ndarray, params: AnyonParams, t2: float,
         raise ValueError(f"t2 must be finite and >= 0, got {t2}")
     if rho_eq not in RHO_EQ:
         raise ValueError(f"unknown rho_eq {rho_eq!r}; expected one of {RHO_EQ}")
-    liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
-    pattern = liouv != 0
+    reach = _reach(system, params, jump_basis, conjugation)
     rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
     # vec(rho0 mu) and the row vector of rho -> tr(rho mu)
     v0 = (rho0 @ mu).ravel()
     tr_mu = mu.T.ravel()
 
-    first = _closure(pattern, v0 != 0)
-    x = _resolvents(liouv[np.ix_(first, first)], 1j * tau_axis, -v0[first])
-    mid, mu_mid = _ket_dipole(pattern, mu, first)
+    first, l_first = reach(v0 != 0)
+    x = _resolvents(l_first, 1j * tau_axis, -v0[first])
+    mid, l_mid, mu_mid = _ket_dipole(reach, mu, first)
     z = _apply(mu_mid, x)
     if t2 > 0.0:
-        z = _apply(expm(liouv[np.ix_(mid, mid)] * t2), z)
-    last, mu_last = _ket_dipole(pattern, mu, mid)
+        z = _apply(expm(l_mid * t2), z)
+    last, l_last, mu_last = _ket_dipole(reach, mu, mid)
     z = _apply(mu_last, z)
     # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
-    y = _resolvents(liouv[np.ix_(last, last)].T, -1j * t_axis, -tr_mu[last])
+    y = _resolvents(l_last.T, -1j * t_axis, -tr_mu[last])
     return _apply(y, z) * (1j) ** 3
 
 
@@ -180,11 +208,14 @@ def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonPara
     The Liouvillian is built in the rotating frame (carrier omega removed).
 
     Each interval is solved on the forward closure R of its right-hand side
-    under the nonzeros of L (``_closure``): L[rest, R] == 0, so the solves,
-    the t2 propagator and the left vectors (s I - L^T)^{-1} tr_mu restrict
-    exactly to L[R, R], one batched solve per interval for all frequencies.
-    Vacuum closures hold 2, 5 and 10 states at any cutoff (the last 6 at
-    theta = pi), so a vacuum grid does not depend on the cutoff. The display
+    under the nonzeros of L: L[rest, R] == 0, so the solves, the t2
+    propagator and the left vectors (s I - L^T)^{-1} tr_mu restrict exactly
+    to L[R, R], one batched solve per interval for all frequencies. The
+    closure is found on a manifold-pair block that holds it (``_reach``), and
+    only that block is gathered from the d x d factors; the d^2 x d^2
+    Liouvillian is never built. Vacuum closures hold 2, 5 and 10 states at any
+    cutoff (the last 6 at theta = pi), so a vacuum grid does not depend on
+    the cutoff, nor does its cost. The display
     axes carry the echo convention (both negated relative to the raw
     transform frequencies) so the photon-echo feature lands at positive
     detunings.

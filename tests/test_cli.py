@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import anyonosc
-from anyonosc.cli import build_parser, main
+from anyonosc.cli import PARAM_FLAGS, build_parser, main
 from anyonosc.output import read_csv
 
 
@@ -68,9 +69,9 @@ class TestCliBasics:
         assert (tmp_path / "rates.csv.meta.json").exists()
 
     def test_validation_error_exit_code(self, capsys):
-        code, out, err = run_cli(capsys, "single-rates", "--theta", "9.0")
+        code, out, err = run_cli(capsys, "single-rates", "--beta", "-1")
         assert code == 1
-        assert "error" in err
+        assert "beta must be positive" in err
 
     def test_unknown_flag_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "single-rates", "--bogus", "1")
@@ -101,8 +102,8 @@ class TestCliNegativeNumbers:
         (("fig2", "--xi-list", "-.5", "--grid", "3"), 0, None),
         (("fig3", "--xi-list", "-7.4e-05", "--theta-list", "1", "--grid", "4"), 0, None),
         (("spectrum", "--range", "-0.3:0.3", "--grid", "3"), 0, None),
-        (("single-rates", "--theta", "-1e-3", "--grid", "3"), 1, "theta must lie in [0, pi]"),
-        (("single-rates", "--theta", "-1.", "--grid", "3"), 1, "theta must lie in [0, pi]"),
+        (("spectrum", "--theta", "-1e-3", "--grid", "3"), 1, "theta must lie in [0, pi]"),
+        (("spectrum", "--theta", "-1.", "--grid", "3"), 1, "theta must lie in [0, pi]"),
     ], ids=["ep-locate", "dimer-rates", "fig2", "fig3", "spectrum-range", "theta-exponent",
             "theta-trailing-dot"])
     def test_negative_values_are_not_flags(self, capsys, tmp_path, argv, code, message):
@@ -466,6 +467,99 @@ class TestCliRunConfig:
         assert "sweep axis 'coupling_j' needs finite endpoints and span" in err
         assert caught == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
+
+
+# a small run of every subcommand but sweep, and a non-default value for
+# each parameter flag
+FLAG_COMMANDS = {
+    "single-rates": ("single-rates", "--grid", "5"),
+    "dimer-rates": ("dimer-rates", "--grid", "5", "--xi", "0.5"),
+    "ep-locate": ("ep-locate", "--xi", "1.0"),
+    "spectrum": ("spectrum", "--grid", "4"),
+    "fig1": ("fig1", "--grid", "5"),
+    "fig2": ("fig2", "--grid", "5", "--xi-list", "0,1"),
+    "fig3": ("fig3", "--grid", "4", "--theta-list", "1.5", "--xi-list", "0.5"),
+}
+FLAG_VALUES = {"theta": "0.9", "xi": "0.6", "beta": "2.5", "gamma": "0.17",
+               "coupling": "0.35", "omega": "1.3"}
+
+
+def output_bytes(capsys, tmp_path, argv):
+    """Exit code and the data bytes of one run: stdout, or fig3's two CSVs."""
+    if argv[0] != "fig3":
+        code, out, err = run_cli(capsys, *argv)
+        return code, out.encode(), err
+    out_dir = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    data = b"".join((out_dir / name).read_bytes() for name in
+                    ("fig3_slices.csv", "fig3_overlay.csv")) if code == 0 else b""
+    return code, data, err
+
+
+class TestCliFlagsSelectSomething:
+    def test_table_covers_every_command(self):
+        (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(FLAG_COMMANDS) | {"sweep"}
+
+    @pytest.mark.parametrize("command", sorted(FLAG_COMMANDS))
+    def test_every_parameter_flag_changes_the_output(self, capsys, tmp_path, command):
+        argv = FLAG_COMMANDS[command]
+        defined = sorted(set(PARAM_FLAGS) & set(vars(build_parser().parse_args(argv))))
+        assert defined, command
+        code, base, err = output_bytes(capsys, tmp_path, argv)
+        assert code == 0, err
+        for flag in defined:
+            code, got, err = output_bytes(capsys, tmp_path,
+                                          (*argv, f"--{flag}", FLAG_VALUES[flag]))
+            assert code == 0, (flag, err)
+            assert got != base, f"{command} --{flag} changes no output byte"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("single-rates", "theta"), ("dimer-rates", "theta"), ("fig1", "theta"),
+        ("fig2", "theta"), ("ep-locate", "theta"), ("fig3", "theta"),
+        ("single-rates", "xi"), ("fig1", "xi"), ("fig2", "xi"), ("fig3", "xi"),
+        ("single-rates", "coupling"), ("fig1", "coupling"), ("fig2", "beta"),
+    ])
+    def test_flag_that_selects_nothing_is_refused(self, capsys, tmp_path, command, flag):
+        # fig2 and fig3 have --theta-list/--xi-list: no prefix matching either
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *FLAG_COMMANDS[command], f"--{flag}",
+                                    FLAG_VALUES[flag], "--out", str(out))
+        assert code == 1
+        assert f"unrecognized arguments: --{flag}" in err
+        assert not out.exists() and stdout == ""
+
+    def test_fig2_temperature_comes_from_temp(self, capsys):
+        # --beta was read and then overwritten by the --temp preset
+        low = run_cli(capsys, "fig2", "--grid", "3")[1]
+        high = run_cli(capsys, "fig2", "--grid", "3", "--temp", "high")[1]
+        assert low != high
+        code, stdout, err = run_cli(capsys, "fig2", "--grid", "3", "--beta", "3")
+        assert code == 1 and stdout == ""
+        assert "unrecognized arguments: --beta 3" in err
+
+    def test_ep_locate_range_count_is_refused(self, capsys, tmp_path):
+        # the coarse scan's point count is fixed: a count would be echoed, not used
+        out = tmp_path / "ep.csv"
+        code, stdout, err = run_cli(capsys, "ep-locate", "--xi", "1", "--range", "0.1:1.0:50",
+                                    "--out", str(out))
+        assert code == 1
+        assert "--range takes a theta bracket lo:hi, got '0.1:1.0:50'" in err
+        assert list(tmp_path.iterdir()) == [] and stdout == ""
+
+
+class TestCliSpectraNeverBuildTheDenseLiouvillian:
+    def test_cutoff_six_spectrum_without_kron_sum(self, capsys, monkeypatch, tmp_path):
+        # the dense d^2 x d^2 assembly (2401^2 at cutoff 6) is the oracle's only
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectra path assembled the dense Liouvillian")
+
+        monkeypatch.setattr(anyonosc.fock, "_kron_sum", refuse)
+        out = tmp_path / "grid.csv"
+        code, _, err = run_cli(capsys, "spectrum", "--cutoff", "6", "--grid", "16",
+                               "--theta", "1.2", "--xi", "0.5", "--t2", "3", "--out", str(out))
+        assert code == 0, err
+        assert len(read_csv(str(out))[2]) == 16 * 16
 
 
 class TestCliSweepConfig:

@@ -13,7 +13,8 @@ from anyonosc import (AnyonParams, DensityState, FockSystem,
                       gamma_full_single, normal_mode_frequencies, propagate,
                       resolvent_apply, steady_state)
 from anyonosc.dimer import deformed_mode_phase
-from anyonosc.fock import JUMP_BASES, expm, jump_operators
+from anyonosc.fock import (JUMP_BASES, expm, jump_operators, liouvillian_gather,
+                           liouvillian_terms)
 from anyonosc.rates import thermal_occupation
 from anyonosc.spectra import _closure, coherence_order
 
@@ -302,6 +303,29 @@ class TestLiouvillianAssembly:
                 for (lop, ldag), (rlop, rldag) in zip(got, ref):
                     assert np.array_equal(lop, rlop), (basis, conj)
                     assert np.array_equal(ldag, rldag), (basis, conj)
+
+    @settings(deadline=None, max_examples=60)
+    @given(theta=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
+           xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
+           gamma=st.floats(0.0, 2.0), beta=st.floats(0.05, 20.0),
+           cutoff=st.integers(1, 4), jump_basis=st.sampled_from(JUMP_BASES),
+           conjugation=st.sampled_from(("modulus", "analytic")), rotating=st.booleans(),
+           picks=st.lists(st.integers(0, 624), min_size=1, max_size=40))
+    # the subnormal theta of the jump property, on every state of cutoff 1
+    @example(theta=2.2250738585e-313, xi=0.0, gamma=2.0, beta=1.0, cutoff=1,
+             jump_basis="site", conjugation="analytic", rotating=True, picks=list(range(16)))
+    def test_block_gather_is_the_dense_block(self, theta, xi, gamma, beta, cutoff, jump_basis,
+                                             conjugation, rotating, picks):
+        system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
+        p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
+        # a random sorted set of row-major states (d^2 = 625 at cutoff 4)
+        states = np.unique(np.array(picks) % system.dim ** 2)
+        gather = liouvillian_gather(liouvillian_terms(system, p, jump_basis, conjugation,
+                                                      rotating), system.dim)
+        got = gather(states)
+        want = build_liouvillian(system, p, jump_basis, conjugation, rotating)[
+            np.ix_(states, states)]
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_unknown_conjugation_rejected(self, modes):
