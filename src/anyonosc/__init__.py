@@ -16,8 +16,9 @@ from .fock import (DensityState, FockSystem, anyon_ladder_matrix,
                    propagate, resolvent_apply, steady_state)
 from .spectra import (GridSpec, SpectrumGrid, bright_mode_overlay, build_dipole,
                       diagonal_slice, lineshape_metrics, rephasing_response)
-from .sweeps import (ConfigError, RunConfig, SweepResult, config_from_dict,
-                     load_config, run_fig1, run_fig2, run_fig3, run_sweep)
+from .output import SweepResult
+from .sweeps import (ConfigError, RunConfig, config_from_dict, load_config,
+                     run_fig1, run_fig2, run_fig3, run_sweep)
 
 __all__ = [
     "AnyonParams", "ComplexRate", "ParamArrays", "ParameterError",

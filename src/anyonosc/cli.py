@@ -18,13 +18,11 @@ from dataclasses import replace
 import numpy as np
 
 from .dimer import find_exceptional_point
-from .fock import FockSystem
-from .output import _csv_blocks, grid_result, write_grid_svg, write_outputs
+from .output import SweepResult, _csv_blocks, grid_result, write_grid_svg, write_outputs
 from .params import AnyonParams, ParameterError
-from .spectra import GridSpec, build_dipole, rephasing_response
-from .sweeps import (ConfigError, Conventions, RunConfig, SweepResult,
-                     load_config, parse_range, run_fig1, run_fig2, run_fig3,
-                     run_sweep)
+from .spectra import GridSpec
+from .sweeps import (ConfigError, Conventions, RunConfig, SweepAxis, load_config,
+                     parse_range, run_fig1, run_fig2, run_fig3, run_spectrum, run_sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,14 +161,11 @@ def _config(args) -> RunConfig:
         kw["conventions"] = Conventions(args.convention, args.conjugation, args.jump_basis,
                                         args.stat_dephasing == "on")
     if "cutoff" in flags:  # spectrum and fig3 evaluate on a detuning grid
-        ax = parse_range(flags.get("range", "-0.5:0.5"), 2)
-        kw.update(cutoff=args.cutoff, t2=args.t2,
-                  grid=GridSpec(count=args.grid, lo=ax.start, hi=ax.stop))
+        lo, hi = parse_range(flags.get("range", "-0.5:0.5"))
+        kw.update(cutoff=args.cutoff, t2=args.t2, grid=GridSpec(count=args.grid, lo=lo, hi=hi))
     elif flags.get("range", THETA_RANGE):  # the rest on a theta axis; ep-locate's is optional
-        if "grid" not in flags and flags["range"].count(":") != 1:
-            raise ConfigError(f"--range takes a theta bracket lo:hi, got {flags['range']!r}")
-        ax = parse_range(flags.get("range", THETA_RANGE), flags.get("grid", 2))
-        kw["sweep"] = (replace(ax, name="theta"),)
+        kw["sweep"] = (SweepAxis("theta", *parse_range(flags.get("range", THETA_RANGE)),
+                                 flags.get("grid", 2)),)
     if "temp" in flags:
         params = params.with_(beta=1.0 if args.temp == "low" else 0.1)
     if "theta_list" in flags:
@@ -218,11 +213,7 @@ def _run(args) -> int:
         _emit(res, args.out, cfg)
 
     elif args.command == "spectrum":
-        system = FockSystem(cutoff=cfg.cutoff, theta=params.theta, modes=2)
-        dip = build_dipole(system, conv.conjugation)
-        g = rephasing_response(system, dip, params, t2=cfg.t2, grid=cfg.grid,
-                               jump_basis=conv.jump_basis, conjugation=conv.conjugation,
-                               threads=cfg.threads)
+        g = run_spectrum(cfg, params)
         _emit(grid_result(g), args.out, cfg)
         if args.svg:
             write_grid_svg(g, args.svg, title=f"Re R3, theta={params.theta:.3f}, xi={params.xi:.2f}")
@@ -232,8 +223,6 @@ def _run(args) -> int:
         if not args.out:
             raise ConfigError("fig3 writes multiple files; --out DIR is required")
         fig3 = run_fig3(cfg)
-        fig3.slices.check()
-        fig3.overlay.check()
         os.makedirs(args.out, exist_ok=True)
         write_outputs(fig3.slices, cfg, os.path.join(args.out, "fig3_slices.csv"))
         write_outputs(fig3.overlay, cfg, os.path.join(args.out, "fig3_overlay.csv"))

@@ -229,10 +229,6 @@ class EffectiveMatrix:
     entries: np.ndarray                 # 2x2 complex (A, B; C, D)
     omega_plus: float
     omega_minus: float
-    params: AnyonParams
-    frequency_convention: str
-    conjugation: str
-    stat_dephasing: bool
     eigenvalues: tuple | None = None            # (lambda_plus, lambda_minus)
     right_eigenvectors: np.ndarray | None = None  # columns
     lifetimes: tuple | None = None
@@ -253,12 +249,8 @@ def build_weff(params: AnyonParams,
     populate its eigen-analysis (``weff_entries``, then ``eigen_analysis``)."""
     wp, wm = normal_mode_frequencies(params, frequency_convention)
     a, b, c, d = weff_entries(params, frequency_convention, conjugation, stat_dephasing)
-    w = EffectiveMatrix(
-        entries=np.array([[a, b], [c, d]], dtype=complex),
-        omega_plus=float(wp), omega_minus=float(wm), params=params,
-        frequency_convention=frequency_convention, conjugation=conjugation,
-        stat_dephasing=stat_dephasing,
-    )
+    w = EffectiveMatrix(entries=np.array([[a, b], [c, d]], dtype=complex),
+                        omega_plus=float(wp), omega_minus=float(wm))
     return eigen_analysis(w)
 
 

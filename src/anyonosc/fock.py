@@ -225,8 +225,12 @@ def liouvillian_terms(system: FockSystem, params: AnyonParams,
     D[L] rho = L rho L° - (L°L rho + rho L°L)/2 with L° the configured
     adjoint. Trace preservation holds for any adjoint pair by construction.
     The terms are -i(H (x) 1 - 1 (x) H^T) and, per jump, L (x) L°^T -
-    (L°L (x) 1 + 1 (x) (L°L)^T)/2, in that order.
+    (L°L (x) 1 + 1 (x) (L°L)^T)/2, in that order. The system's ladder
+    matrices and the parameters must share one theta.
     """
+    if system.theta != params.theta:
+        raise ValueError(f"FockSystem theta {system.theta!r} differs from "
+                         f"params theta {params.theta!r}")
     h = build_hamiltonian(system, params, conjugation, rotating)
     eye = np.eye(system.dim)
     terms = [(-1j, h, eye), (1j, eye, h.T)]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import datetime as _dt
 import itertools
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,30 +21,46 @@ METADATA_REQUIRED_KEYS = ("artifact", "version", "created", "config_sha256",
 _BLOCK_ROWS = 4096
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """One CSV's columns, units and rows, and the generator's metadata.
+
+    Checks itself where it is made: ``rows`` (tuples or a 2-D array) becomes
+    one read-only float64 (rows, columns) table, with ValueError on a bad row
+    width and FloatingPointError on a non-finite value, so a writer never
+    opens a file for a bad result.
+    """
+
+    columns: tuple
+    units: tuple
+    rows: np.ndarray
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        width = len(self.columns)
+        if len(self.units) != width:
+            raise ValueError("columns and units length mismatch")
+        try:
+            table = np.asarray(self.rows, dtype=float).view()
+        except ValueError as exc:  # ragged rows
+            raise ValueError(f"row width mismatch: {exc}") from None
+        if table.size == 0:
+            table = table.reshape(0, width)
+        if table.shape != (len(self.rows), width):
+            raise ValueError("row width mismatch")
+        if not np.isfinite(table).all():
+            raise FloatingPointError("non-finite value in result")
+        table.flags.writeable = False
+        object.__setattr__(self, "rows", table)
+
+    def column(self, name: str) -> np.ndarray:
+        return self.rows[:, self.columns.index(name)]
+
+
 def _csv_field(text: str) -> str:
     if any(ch in text for ch in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _table(result) -> np.ndarray:
-    """``result.rows`` (a list of tuples or a 2-D array) as one float64
-    (rows, columns) array. Raises ValueError on a bad row width and
-    FloatingPointError on a non-finite value."""
-    width = len(result.columns)
-    if len(result.units) != width:
-        raise ValueError("columns and units length mismatch")
-    try:
-        table = np.asarray(result.rows, dtype=float)
-    except ValueError as exc:  # ragged rows
-        raise ValueError(f"row width mismatch: {exc}") from None
-    if len(result.rows) == 0:
-        table = table.reshape(0, width)
-    if table.shape != (len(result.rows), width):
-        raise ValueError("row width mismatch")
-    if not np.isfinite(table).all():
-        raise FloatingPointError("non-finite value in result")
-    return table
 
 
 def _column_fields(column: np.ndarray):
@@ -60,11 +77,9 @@ def _column_fields(column: np.ndarray):
 def _csv_blocks(result):
     """The header line, then the rows as text in blocks of ``_BLOCK_ROWS``.
 
-    The table is built and checked before this returns, so a caller that
-    opens its file afterwards writes nothing for a bad result. Floats are
-    ``%.17g``; integers up to 2**53 in magnitude are exact in the float64
-    table and so print as integers."""
-    table = _table(result)
+    Floats are ``%.17g``; integers up to 2**53 in magnitude are exact in the
+    float64 table and so print as integers."""
+    table = result.rows
     header = ",".join(_csv_field(f"{c} [{u}]") for c, u in zip(result.columns, result.units))
     fields = [_column_fields(col) for col in table.T]
     row = ",".join(fmt for fmt, _ in fields) + "\n"
@@ -112,8 +127,9 @@ def metadata_document(result, config, timestamp: str | None = None) -> dict:
     """Sidecar document, the one place provenance is computed.
 
     The config echo, its SHA-256 and the conventions come from ``config``;
-    the generator name, and for a spectrum grid the ``grid`` block, come from
-    ``result.metadata``. The timestamp is ISO-8601 UTC unless given.
+    the generator name, and for a spectrum grid or the fig3 slices the
+    ``grid`` block, come from ``result.metadata``. The timestamp is ISO-8601
+    UTC unless given.
     """
     if timestamp is None:
         timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
@@ -173,8 +189,6 @@ def grid_result(grid):
     array of rows, for every grid CSV (file or stdout). The grid's own
     metadata rides along as the sidecar's ``grid`` block.
     """
-    from .sweeps import SweepResult  # local import to avoid a cycle
-
     values = grid.values
     rows = np.empty(values.shape + (4,))
     rows[..., 0] = grid.omega_tau_axis[:, None]

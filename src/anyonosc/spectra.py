@@ -69,8 +69,9 @@ class GridSpec:
 class SpectrumGrid:
     """R(3)(omega_tau, t2, omega_t) on a uniform detuning grid.
 
-    values[i, j] is indexed (omega_tau_i, omega_t_j). metadata records every
-    convention needed to regenerate the grid.
+    values[i, j] is indexed (omega_tau_i, omega_t_j). metadata records what
+    the run configuration cannot show: the equilibrium state, the splitting
+    the Fock Hamiltonian used, and the axis, sign and prefactor conventions.
     """
 
     omega_tau_axis: np.ndarray
@@ -226,12 +227,9 @@ def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonPara
     axis = grid.axis()
     values = _pathway(system, dipole, params, t2, axis, axis, jump_basis, conjugation, rho_eq)
     meta = {
-        "theta": params.theta, "xi": params.xi, "omega": params.omega,
-        "coupling_j": params.coupling_j, "gamma": params.gamma, "beta": params.beta,
-        "cutoff": system.cutoff, "t2": t2, "rho_eq": rho_eq,
+        "rho_eq": rho_eq,
         # build_hamiltonian's exchange amplitude is always J cos(theta/2)
-        "frequency": "appendix", "jump_basis": jump_basis, "conjugation": conjugation,
-        "grid": {"count": grid.count, "lo": grid.lo, "hi": grid.hi},
+        "frequency": "appendix",
         "axes": "detuning from carrier omega; echo convention (first interval sign -1 "
                 "at -omega_tau, third interval sign +1 at -omega_t; both axes negated "
                 "for display so the echo lands at positive detuning)",

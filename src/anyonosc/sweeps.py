@@ -13,10 +13,10 @@ from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
                     DEFAULT_FREQUENCY_CONVENTION, FREQUENCY_CONVENTIONS,
                     _modulus, match_branches, weff_eigenvalues, weff_entries)
 from .fock import JUMP_BASES, FockSystem
-from .output import _table
+from .output import SweepResult
 from .params import AnyonParams, ParamArrays, ParameterError
 from .rates import gamma_full_single, gamma_stat
-from .spectra import (DEFAULT_JUMP_BASIS, GridSpec, bright_mode_overlay,
+from .spectra import (DEFAULT_JUMP_BASIS, GridSpec, SpectrumGrid, bright_mode_overlay,
                       build_dipole, diagonal_slice, rephasing_response)
 
 
@@ -175,33 +175,13 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(doc)
 
 
-def parse_range(text: str, count: int | None = None) -> SweepAxis:
-    """Range grammar start:stop[:count] with inclusive endpoints."""
+def parse_range(text: str) -> tuple:
+    """The command-line range grammar lo:hi, as (lo, hi); a point count
+    comes from --grid, never from the range."""
     parts = text.split(":")
-    if len(parts) == 2 and count is not None:
-        lo, hi = float(parts[0]), float(parts[1])
-        return SweepAxis("range", lo, hi, count)
-    if len(parts) == 3:
-        return SweepAxis("range", float(parts[0]), float(parts[1]), int(parts[2]))
-    raise ConfigError(f"range must be start:stop:count (or start:stop with --grid), got {text!r}")
-
-
-@dataclass
-class SweepResult:
-    columns: tuple
-    units: tuple
-    rows: list            # list of tuples, or an (n, len(columns)) float64 array
-    metadata: dict = field(default_factory=dict)
-
-    def column(self, name: str) -> np.ndarray:
-        k = self.columns.index(name)
-        return np.array([r[k] for r in self.rows])
-
-    def check(self):
-        """The writer's check: ValueError on a bad row width,
-        FloatingPointError on a non-finite value."""
-        _table(self)
-        return self
+    if len(parts) != 2:
+        raise ConfigError(f"--range takes lo:hi, got {text!r}")
+    return float(parts[0]), float(parts[1])
 
 
 def _theta_axis(config: RunConfig) -> SweepAxis:
@@ -255,6 +235,16 @@ def run_fig2(config: RunConfig) -> SweepResult:
     )
 
 
+def run_spectrum(config: RunConfig, params: AnyonParams) -> SpectrumGrid:
+    """The rephasing grid of ``config`` (cutoff, t2, grid, conventions) at the
+    parameter point ``params``, for the spectrum command and every fig3 panel."""
+    conv = config.conventions
+    system = FockSystem(cutoff=config.cutoff, theta=params.theta, modes=2)
+    return rephasing_response(system, build_dipole(system, conv.conjugation), params,
+                              t2=config.t2, grid=config.grid, jump_basis=conv.jump_basis,
+                              conjugation=conv.conjugation, threads=config.threads)
+
+
 @dataclass
 class Fig3Result:
     grids: list           # [(theta, xi, SpectrumGrid)]
@@ -276,22 +266,19 @@ def run_fig3(config: RunConfig) -> Fig3Result:
     slice_rows = []
     for xi in xis:
         for theta in thetas:
-            pt = p.with_(theta=float(theta), xi=float(xi))
-            system = FockSystem(cutoff=config.cutoff, theta=pt.theta, modes=2)
-            dip = build_dipole(system, conv.conjugation)
-            g = rephasing_response(system, dip, pt, t2=config.t2, grid=config.grid,
-                                   jump_basis=conv.jump_basis, conjugation=conv.conjugation,
-                                   threads=config.threads)
+            g = run_spectrum(config, p.with_(theta=float(theta), xi=float(xi)))
             grids.append((float(theta), float(xi), g))
             det, vals = diagonal_slice(g)
             slice_rows.append(np.column_stack([np.full(det.size, float(theta)),
                                                np.full(det.size, float(xi)), det,
                                                vals.real, vals.imag, _modulus(vals)]))
 
+    # every panel's grid block is the same: the slices carry it once
     slices = SweepResult(
         columns=("theta", "xi", "detuning", "re", "im", "abs"),
         units=("rad", "1", "omega", "arb", "arb", "arb"),
-        rows=np.concatenate(slice_rows), metadata={"generator": "fig3-slices"},
+        rows=np.concatenate(slice_rows),
+        metadata={"generator": "fig3-slices", "grid": g.metadata},
     )
 
     theta_grid = np.linspace(min(thetas), max(thetas), 201) if len(thetas) > 1 else np.array(thetas)
@@ -311,10 +298,17 @@ def run_sweep(config: RunConfig) -> SweepResult:
     """Generic closed-form sweep over the configured axes.
 
     Rows are the cartesian product of the axes in order; per row the
-    single-oscillator rates and the dimer eigenvalues are evaluated.
+    single-oscillator rates and the dimer eigenvalues are evaluated. A config
+    key the sweep does not read must keep its RunConfig default.
     """
     if not config.sweep:
         raise ConfigError("sweep config needs at least one axis")
+    default = RunConfig()
+    unread = [key for key, attr in (("t2", "t2"), ("grid", "grid"), ("theta_list", "theta_list"),
+                                    ("xi_list", "xi_list"), ("compute.cutoff", "cutoff"))
+              if getattr(config, attr) != getattr(default, attr)]
+    if unread:
+        raise ConfigError(f"sweep config sets keys a sweep does not read: {unread}")
     grids = [ax.values() for ax in config.sweep]
     names = [ax.name for ax in config.sweep]
     mesh = np.meshgrid(*grids, indexing="ij")

@@ -142,18 +142,24 @@ class TestCliAxisRule:
         assert "error" in err
         assert not out.is_file() and stdout == ""
 
-    def test_non_finite_ep_result_is_refused_before_writing(self, capsys, monkeypatch,
-                                                            tmp_path):
+    # a bad result refuses itself when it is made: nothing reaches a file or stdout
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    @pytest.mark.parametrize("theta, gap, code, message", [
+        (math.nan, math.nan, 2, "compute error"),
+        ((1.0, 2.0), 0.0, 1, "row width mismatch"),
+    ], ids=["non-finite", "ragged"])
+    def test_bad_ep_result_is_refused_before_writing(self, capsys, monkeypatch, tmp_path,
+                                                     to_file, theta, gap, code, message):
         import anyonosc.cli
         from anyonosc.dimer import EPResult
 
         monkeypatch.setattr(anyonosc.cli, "find_exceptional_point",
-                            lambda *args: EPResult(False, math.nan, math.nan, 1e-7))
-        out = tmp_path / "ep.csv"
-        code, _, err = run_cli(capsys, "ep-locate", "--out", str(out))
-        assert code == 2
-        assert "compute error" in err
-        assert not out.exists() and not (tmp_path / "ep.csv.meta.json").exists()
+                            lambda *args: EPResult(False, theta, gap, 1e-7))
+        argv = ("--out", str(tmp_path / "ep.csv")) if to_file else ()
+        got, stdout, err = run_cli(capsys, "ep-locate", *argv)
+        assert got == code
+        assert message in err
+        assert list(tmp_path.iterdir()) == [] and stdout == ""
 
 
 class TestCliNonFiniteParameters:
@@ -274,33 +280,52 @@ class TestCliSpectrum:
         assert not (tmp_path / "g.csv").exists()
 
     def test_linear_algebra_failure_is_a_compute_error(self, capsys, monkeypatch):
-        import anyonosc.cli
+        import anyonosc.sweeps
 
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(anyonosc.cli, "rephasing_response", singular)
+        monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", singular)
         code, out, err = run_cli(capsys, "spectrum", "--grid", "4")
         assert code == 2
         assert "compute error" in err
 
-    def test_non_finite_spectrum_is_a_compute_error(self, capsys, monkeypatch, tmp_path):
-        import anyonosc.cli
-        original = anyonosc.cli.rephasing_response
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_non_finite_spectrum_is_a_compute_error(self, capsys, monkeypatch, tmp_path,
+                                                    to_file):
+        import anyonosc.sweeps
+        original = anyonosc.sweeps.rephasing_response
 
         def with_nan(*args, **kwargs):
             grid = original(*args, **kwargs)
             grid.values[1, 2] = np.nan
             return grid
 
-        monkeypatch.setattr(anyonosc.cli, "rephasing_response", with_nan)
+        monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", with_nan)
         out_csv, out_svg = tmp_path / "grid.csv", tmp_path / "grid.svg"
-        code, _, err = run_cli(capsys, "spectrum", "--grid", "4", "--out", str(out_csv),
-                               "--svg", str(out_svg))
+        argv = ("--out", str(out_csv)) if to_file else ()
+        code, stdout, err = run_cli(capsys, "spectrum", "--grid", "4", *argv,
+                                    "--svg", str(out_svg))
         assert code == 2
         assert "compute error" in err
-        assert not out_csv.exists() and not out_svg.exists()
-        assert not (tmp_path / "grid.csv.meta.json").exists()
+        assert list(tmp_path.iterdir()) == [] and stdout == ""
+
+    def test_non_finite_fig3_panel_creates_no_directory(self, capsys, monkeypatch, tmp_path):
+        # the slices check themselves inside run_fig3, before the directory exists
+        import anyonosc.sweeps
+        original = anyonosc.sweeps.rephasing_response
+
+        def with_nan(*args, **kwargs):
+            grid = original(*args, **kwargs)
+            grid.values[2, 2] = np.inf
+            return grid
+
+        monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", with_nan)
+        code, _, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1",
+                               "--svg", "--out", str(tmp_path / "fig3"))
+        assert code == 2
+        assert "compute error" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_and_file_csv_are_identical(self, capsys, tmp_path):
         out_csv = tmp_path / "g.csv"
@@ -312,7 +337,8 @@ class TestCliSpectrum:
         assert out_csv.read_bytes() == out.encode("utf-8")
 
     def test_grid_sidecar_records_the_fock_frequency(self, capsys, tmp_path):
-        # the Fock route always uses the appendix splitting, whatever the config says
+        # the Fock route always uses the appendix splitting, whatever the config
+        # says; the spectrum and the fig3 slices say so in one grid block
         out_csv = tmp_path / "g.csv"
         code, _, _ = run_cli(capsys, "spectrum", "--grid", "4", "--convention", "maintext",
                              "--out", str(out_csv))
@@ -320,6 +346,16 @@ class TestCliSpectrum:
         meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
         assert meta["config"]["conventions"]["frequency"] == "maintext"
         assert meta["grid"]["frequency"] == "appendix"
+        assert set(meta["grid"]) == {"rho_eq", "frequency", "axes", "first_interval_axis",
+                                     "prefactor"}
+        code, _, _ = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1",
+                             "--convention", "maintext", "--out", str(tmp_path / "fig3"))
+        assert code == 0
+        slices = json.loads((tmp_path / "fig3" / "fig3_slices.csv.meta.json").read_text())
+        overlay = json.loads((tmp_path / "fig3" / "fig3_overlay.csv.meta.json").read_text())
+        assert slices["config"]["conventions"]["frequency"] == "maintext"
+        assert slices["grid"] == meta["grid"]
+        assert "grid" not in overlay
 
     def test_grid_sidecar_agrees_with_its_config(self, capsys, tmp_path):
         from anyonosc.params import AnyonParams
@@ -538,14 +574,23 @@ class TestCliFlagsSelectSomething:
         assert code == 1 and stdout == ""
         assert "unrecognized arguments: --beta 3" in err
 
-    def test_ep_locate_range_count_is_refused(self, capsys, tmp_path):
-        # the coarse scan's point count is fixed: a count would be echoed, not used
-        out = tmp_path / "ep.csv"
-        code, stdout, err = run_cli(capsys, "ep-locate", "--xi", "1", "--range", "0.1:1.0:50",
-                                    "--out", str(out))
-        assert code == 1
-        assert "--range takes a theta bracket lo:hi, got '0.1:1.0:50'" in err
-        assert list(tmp_path.iterdir()) == [] and stdout == ""
+    # --range is lo:hi on every command and the count comes from --grid alone
+    # (ep-locate's coarse scan has a fixed count): a count in the range would
+    # be echoed, or win over --grid, without a word
+    @pytest.mark.parametrize("argv, text", [
+        (("ep-locate", "--xi", "1", "--range", "0.1:1.0:50"), "0.1:1.0:50"),
+        (("single-rates", "--range", "0:1:5", "--grid", "7"), "0:1:5"),
+        (("dimer-rates", "--range", "0:1:5"), "0:1:5"),
+        (("spectrum", "--range=-0.5:0.5:64", "--grid", "4"), "-0.5:0.5:64"),
+        (("spectrum", "--range=0.5"), "0.5"),
+    ], ids=["ep-locate", "single-rates", "dimer-rates", "spectrum", "spectrum-one-end"])
+    def test_range_takes_lo_hi_only(self, capsys, tmp_path, argv, text):
+        out = tmp_path / "out.csv"
+        for extra in (("--out", str(out)), ()):
+            code, stdout, err = run_cli(capsys, *argv, *extra)
+            assert code == 1
+            assert f"--range takes lo:hi, got {text!r}" in err
+            assert list(tmp_path.iterdir()) == [] and stdout == ""
 
 
 class TestCliSpectraNeverBuildTheDenseLiouvillian:
@@ -589,6 +634,40 @@ class TestCliSweepConfig:
         assert "config.grid" in err
         assert not out_csv.exists() and not (tmp_path / "sweep.csv.meta.json").exists()
         assert stdout == ""
+
+    def test_key_the_sweep_does_not_read_is_error(self, capsys, tmp_path):
+        # t2, grid, theta_list, xi_list and compute.cutoff never reach a sweep's
+        # bytes: set to other than their defaults they would only move the hash
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "sweep": [{"name": "xi", "start": -1.0, "stop": 1.0, "count": 3}], "t2": 2.0,
+            "grid": {"count": 8}, "theta_list": [0.5], "xi_list": [0.1],
+            "compute": {"cutoff": 4, "threads": 2}}))
+        out_csv = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path), "--out", str(out_csv))
+        assert code == 1
+        assert ("sweep config sets keys a sweep does not read: "
+                "['t2', 'grid', 'theta_list', 'xi_list', 'compute.cutoff']") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
+
+    def test_sweep_sidecar_config_replays(self, capsys, tmp_path):
+        # the echo holds the defaults of the keys a sweep does not read, so
+        # the sidecar's config reruns to the same bytes and the same hash
+        out_csv = tmp_path / "sweep.csv"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"theta": 0.3},
+                                    "sweep": [{"name": "xi", "start": -1, "stop": 1,
+                                               "count": 4}],
+                                    "output": {"path": str(out_csv)},
+                                    "t2": 0.0, "grid": {"count": 256}}))
+        assert run_cli(capsys, "sweep", "--config", str(path))[0] == 0
+        data = out_csv.read_bytes()
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        path.write_text(json.dumps(meta["config"]))
+        assert run_cli(capsys, "sweep", "--config", str(path))[0] == 0
+        assert out_csv.read_bytes() == data
+        replayed = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert replayed["config_sha256"] == meta["config_sha256"]
 
     def test_unknown_config_key_is_error(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -5,12 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonosc import (AnyonParams, build_weff, channel_coefficients,
                       eigen_analysis, find_exceptional_point,
                       gamma_full_single, normal_mode_frequencies)
-from anyonosc.dimer import EffectiveMatrix, match_branches, site_coefficients
-from anyonosc.rates import thermal_occupation
+from anyonosc.dimer import EffectiveMatrix, match_branches, site_coefficients, weff_entries
+from anyonosc.rates import gamma_stat, thermal_occupation
 
 
 def brute_force_eigs(entries):
@@ -192,9 +194,7 @@ class TestBuildWeff:
 class TestEigenAnalysis:
     def test_diagonal_matrix_is_trivial(self):
         entries = np.diag([-1.2j - 0.1, -0.8j - 0.1])
-        w = EffectiveMatrix(entries=entries, omega_plus=1.2, omega_minus=0.8,
-                            params=AnyonParams(theta=0.0), frequency_convention="appendix",
-                            conjugation="modulus", stat_dephasing=False)
+        w = EffectiveMatrix(entries=entries, omega_plus=1.2, omega_minus=0.8)
         eigen_analysis(w)
         assert multiset_close(w.eigenvalues, np.diag(entries), 1e-15)
         assert not w.near_defective
@@ -214,9 +214,7 @@ class TestEigenAnalysis:
     def test_near_defective_flag_on_synthetic_defective_matrix(self):
         # [[a, 1], [eps, a]] has eigenvectors (1, +/-sqrt(eps)): condition ~ 1/sqrt(eps)
         entries = np.array([[-0.1 - 1j, 1.0], [1e-20, -0.1 - 1j]], dtype=complex)
-        w = EffectiveMatrix(entries=entries, omega_plus=1.0, omega_minus=1.0,
-                            params=AnyonParams(theta=0.0), frequency_convention="appendix",
-                            conjugation="modulus", stat_dephasing=False)
+        w = EffectiveMatrix(entries=entries, omega_plus=1.0, omega_minus=1.0)
         eigen_analysis(w)
         assert w.near_defective
 
@@ -312,3 +310,77 @@ class TestBranchMatching:
         prev = (-0.1 - 1.0j, -0.2 - 0.8j)
         cur = (-0.19 - 0.79j, -0.11 - 1.01j)
         assert match_pair(prev, cur) == (cur[1], cur[0])
+
+    @settings(deadline=None, max_examples=200)
+    @given(parts=st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.0)),
+                          min_size=8, max_size=48).filter(lambda v: len(v) % 4 == 0),
+           flips=st.lists(st.booleans(), min_size=48, max_size=48))
+    def test_labels_unchanged_under_signed_zero_flips(self, parts, flips):
+        # -0.0 and 0.0 are one value: flipping the sign of any zero part of
+        # either eigenvalue moves no point onto the other branch
+        raw = np.array(parts).reshape(2, -1, 2)  # (pair, point, re/im)
+        flip = np.array(flips[:raw.size]).reshape(raw.shape)
+        other = np.where(flip & (raw == 0.0), -raw, raw)
+
+        def pairs(values):
+            z = np.empty(values.shape[:-1], dtype=complex)
+            z.real, z.imag = values[..., 0], values[..., 1]
+            return z
+
+        want = match_branches(*pairs(raw))
+        got = match_branches(*pairs(other))
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)  # == ignores the sign of a zero
+
+
+def _endpoint_weff(p, fermion, frequency, stat_dephasing):
+    """W_eff at theta = 0 (boson) or pi (fermion) from the closed forms: the
+    channel sums are g (1, xi) with g = gamma (2n + 1)/2, and the fermion
+    off-diagonals carry the phase e^{-i pi/2} = -i of the minus mode."""
+    x = math.exp(p.beta * p.omega)
+    n = 1.0 / (x + 1.0) if fermion else 1.0 / (x - 1.0)
+    g = 0.5 * p.gamma * (2.0 * n + 1.0)
+    split = 0.0 if fermion and frequency == "appendix" else -p.coupling_j if fermion \
+        else p.coupling_j
+    extra = p.gamma * p.z / (1.0 + p.z) if fermion and stat_dephasing else 0.0
+    off = 1j * g * p.xi if fermion else g * p.xi
+    return np.array([[-1j * (p.omega + split) - g - extra, -off],
+                     [-np.conj(off) if fermion else -off, -1j * (p.omega - split) - g - extra]])
+
+
+class TestBosonFermionEndpoints:
+    @settings(deadline=None, max_examples=100)
+    @given(beta=st.floats(0.05, 20.0), omega=st.floats(0.1, 10.0), gamma=st.floats(0.0, 2.0),
+           coupling=st.floats(0.0, 1.0), xi=st.floats(-1.0, 1.0),
+           frequency=st.sampled_from(("appendix", "maintext")),
+           conjugation=st.sampled_from(("modulus", "analytic")), stat=st.booleans())
+    def test_rates_and_weff_at_theta_zero_and_pi(self, beta, omega, gamma, coupling, xi,
+                                                 frequency, conjugation, stat):
+        for theta, fermion in ((0.0, False), (math.pi, True)):
+            p = AnyonParams(theta=theta, beta=beta, omega=omega, gamma=gamma,
+                            coupling_j=coupling, xi=xi)
+            x, z = math.exp(beta * omega), p.z
+            nth = complex(thermal_occupation(theta, beta, omega))
+            rate = complex(gamma_full_single(p).value)
+            stat_rate = float(gamma_stat(theta, z, gamma))
+            if fermion:  # e^{i pi} is -1 to within one rounding of sin(pi)
+                assert nth == pytest.approx(1.0 / (x + 1.0), rel=1e-15, abs=0.0)
+                # on the scale of gamma: 1 - Re<e^{i theta N}> cancels for small z
+                assert abs(stat_rate - gamma * z / (1.0 + z)) <= 1e-15 * max(gamma, 1e-300)
+                fermi = 1.0 / (x + 1.0)
+                want = 0.5 * gamma * (2.0 * fermi + 1.0 + 1.0 - (1.0 - z) / (1.0 + z))
+                assert rate == pytest.approx(want, rel=1e-14, abs=1e-300)
+            else:  # the boson point is exact
+                assert nth == 1.0 / (x - 1.0)
+                assert stat_rate == 0.0
+                assert rate == 0.5 * gamma * (2.0 / (x - 1.0) + 1.0)
+            got = np.array(weff_entries(p, frequency, conjugation, stat)).reshape(2, 2)
+            want = _endpoint_weff(p, fermion, frequency, stat)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale, (theta, got, want)
+            # the one-point eigen-analysis sees the same matrix; near an
+            # exceptional point the eigenvalues move like the root of the entries'
+            (a, b), (c, d) = want
+            w = build_weff(p, frequency, conjugation, stat)
+            tol = 1e-12 * scale + math.sqrt(1e-14 * (abs(a - d) ** 2 + 4.0 * abs(b * c)))
+            assert multiset_close(w.eigenvalues, np.linalg.eigvals(want), tol)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from anyonosc import (AnyonParams, DensityState, FockSystem,
                       anyon_ladder_matrix, build_dipole, build_hamiltonian,
-                      build_liouvillian, build_weff, fit_decay_rate,
+                      build_liouvillian, build_weff, channel_coefficients, fit_decay_rate,
                       gamma_full_single, normal_mode_frequencies, propagate,
                       resolvent_apply, steady_state)
 from anyonosc.dimer import deformed_mode_phase
@@ -82,6 +82,10 @@ def population_block(system, params, jump_basis, conjugation, rho_eq):
     mid = _closure(pattern, np.any(mu_left[:, first] != 0, axis=1))
     return liouv[np.ix_(mid, mid)]
 
+
+# zero of either sign, subnormals and the smallest normal float
+TINY = st.sampled_from((0.0, -0.0, 5e-324, 2.2250738585e-313, 1e-310,
+                        2.2250738585072014e-308))
 
 # bath ranges of the exponential and trace properties (those of the jump property)
 BATH = dict(theta=st.floats(0.0, math.pi), xi=st.floats(-1.0, 1.0),
@@ -284,25 +288,41 @@ class TestLiouvillianAssembly:
                         err = np.max(np.abs(liouv - ref))
                         assert err <= 1e-15 * np.max(np.abs(ref)), (theta, basis, conj, rotating)
 
-    @settings(deadline=None, max_examples=60)
-    @given(theta=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
-           xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
-           gamma=st.floats(0.0, 2.0), beta=st.floats(0.05, 20.0),
-           cutoff=st.integers(1, 3))
+    @settings(deadline=None, max_examples=100)
+    @given(theta=st.one_of(st.sampled_from((0.0, math.pi)), TINY, st.floats(0.0, math.pi)),
+           xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), TINY, TINY.map(lambda v: -v),
+                        st.floats(-1.0, 1.0)),
+           gamma=st.one_of(TINY, st.floats(0.0, 2.0)), beta=st.floats(0.05, 20.0),
+           cutoff=st.integers(1, 3), flips=st.tuples(st.booleans(), st.booleans(),
+                                                     st.booleans()))
     # a subnormal theta: n_theta's imaginary part is subnormal and would lose
     # its last bit if the site scalar were formed as 2 * (scalar / 2)
-    @example(theta=2.2250738585e-313, xi=0.0, gamma=2.0, beta=1.0, cutoff=1)
-    def test_jump_operators_match_the_channel_loop(self, theta, xi, gamma, beta, cutoff):
+    @example(theta=2.2250738585e-313, xi=0.0, gamma=2.0, beta=1.0, cutoff=1,
+             flips=(False, False, False))
+    def test_jump_operators_match_the_channel_loop(self, theta, xi, gamma, beta, cutoff,
+                                                   flips):
+        # subnormal and signed-zero theta, xi and gamma too: the channel table
+        # and both bases stay finite, and a zero of either sign is one value
         system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
         p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
-        for basis in ("site", "deformed"):
-            for conj in ("modulus", "analytic"):
+        q = AnyonParams(beta=beta, **{name: -getattr(p, name) if flip and getattr(p, name) == 0.0
+                                      else getattr(p, name)
+                                      for name, flip in zip(("theta", "xi", "gamma"), flips)})
+        flipped = FockSystem(cutoff=cutoff, theta=q.theta, modes=2)
+        for conj in ("modulus", "analytic"):
+            table = np.array(channel_coefficients(p, conj))
+            assert np.all(np.isfinite(table))
+            assert np.array_equal(table, np.array(channel_coefficients(q, conj)))
+            for basis in ("site", "deformed"):
                 got = jump_operators(system, p, basis, conj)
                 ref = reference_jump_operators(system, p, basis, conj)
+                other = jump_operators(flipped, q, basis, conj)
                 assert len(got) == len(ref) == 4
-                for (lop, ldag), (rlop, rldag) in zip(got, ref):
+                for (lop, ldag), (rlop, rldag), (olop, oldag) in zip(got, ref, other):
+                    assert np.all(np.isfinite(lop)) and np.all(np.isfinite(ldag))
                     assert np.array_equal(lop, rlop), (basis, conj)
                     assert np.array_equal(ldag, rldag), (basis, conj)
+                    assert np.array_equal(lop, olop) and np.array_equal(ldag, oldag)
 
     @settings(deadline=None, max_examples=60)
     @given(theta=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
@@ -336,6 +356,28 @@ class TestLiouvillianAssembly:
         for basis in JUMP_BASES:
             with pytest.raises(ValueError, match="conjugation"):
                 jump_operators(system, p, basis, "bogus")
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_system_and_params_must_share_theta(self, modes):
+        # the ladder matrices carry the system's theta and the Hamiltonian and
+        # jumps the parameters': unchecked, a mismatch gives a finite spectrum
+        # whose provenance names only the parameters' angle
+        from anyonosc.spectra import rephasing_response, rephasing_response_quadrature
+        system = FockSystem(cutoff=2, theta=0.3, modes=modes)
+        p = AnyonParams(theta=1.2, xi=0.5)
+        message = "FockSystem theta 0.3 differs from params theta 1.2"
+        with pytest.raises(ValueError, match=message):
+            liouvillian_terms(system, p)
+        with pytest.raises(ValueError, match=message):
+            build_liouvillian(system, p)
+        if modes == 2:
+            dip = build_dipole(system)
+            with pytest.raises(ValueError, match=message):
+                rephasing_response(system, dip, p)
+            with pytest.raises(ValueError, match=message):
+                rephasing_response_quadrature(system, dip, p, np.array([0.1]))
+        # signed zeros are one angle
+        liouvillian_terms(FockSystem(cutoff=2, theta=-0.0, modes=modes), AnyonParams(theta=0.0))
 
     @pytest.mark.parametrize("theta", [0.0, 1.3])
     def test_no_entry_outside_the_coherence_blocks(self, theta):

@@ -1,6 +1,7 @@
 """Byte identity of the array-level CSV and SVG writers against the
 per-field reference writers they replaced (kept here, verbatim, as the
-reference), plus the checks the CSV writer makes before opening its file."""
+reference), plus the checks a result makes on itself, before any writer can
+open a file for it."""
 
 import math
 import os
@@ -12,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonosc.output import (_BLOCK_ROWS, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T,
-                             _csv_field, _diverging_palette, _ticks, csv_text, read_csv,
-                             svg_heatmap, write_csv)
-from anyonosc.sweeps import SweepResult
+                             SweepResult, _csv_field, _diverging_palette, _ticks, csv_text,
+                             read_csv, svg_heatmap, write_csv)
 
 
 def reference_format_number(value) -> str:
@@ -24,11 +24,14 @@ def reference_format_number(value) -> str:
     return format(float(value), ".17g")
 
 
-def reference_csv_text(result) -> str:
-    """CSV body with a header naming columns and units, RFC-4180, LF endings."""
+def reference_csv_text(result, rows) -> str:
+    """CSV body with a header naming columns and units, RFC-4180, LF endings.
+
+    ``rows`` are the values as the generator made them (ints, bools, numpy
+    scalars), before SweepResult holds them as one float64 table."""
     header = [f"{c} [{u}]" for c, u in zip(result.columns, result.units)]
     lines = [",".join(_csv_field(h) for h in header)]
-    for row in result.rows:
+    for row in rows:
         lines.append(",".join(reference_format_number(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -169,11 +172,11 @@ def _results(draw):
     rows = list(zip(*columns)) if n_rows else []
     if draw(st.booleans()):
         rows = np.array(rows, dtype=float).reshape(n_rows, len(columns))
-    return SweepResult(names, ("1",) * len(names), rows)
+    return SweepResult(names, ("1",) * len(names), rows), rows
 
 
-def _assert_writes_reference_bytes(res):
-    want = reference_csv_text(res)
+def _assert_writes_reference_bytes(res, rows):
+    want = reference_csv_text(res, rows)
     assert csv_text(res) == want
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
@@ -183,15 +186,15 @@ def _assert_writes_reference_bytes(res):
         columns, _, rows = read_csv(path)
     assert columns == res.columns
     got = np.array(rows, dtype=float).reshape(len(res.rows), len(res.columns))
-    want_bits = np.array(res.rows, dtype=float).reshape(got.shape).view(np.uint64)
+    want_bits = np.array(rows, dtype=float).reshape(got.shape).view(np.uint64)
     assert np.array_equal(got.view(np.uint64), want_bits)  # -0.0 stays -0.0
 
 
 class TestCsvBytes:
     @settings(deadline=None, max_examples=300)
     @given(_results())
-    def test_matches_the_per_field_writer(self, res):
-        _assert_writes_reference_bytes(res)
+    def test_matches_the_per_field_writer(self, made):
+        _assert_writes_reference_bytes(*made)
 
     @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                         2 * _BLOCK_ROWS + 3])
@@ -209,28 +212,34 @@ class TestCsvBytes:
         if as_array:
             rows = np.array(rows, dtype=float)
         _assert_writes_reference_bytes(
-            SweepResult(("axis", "value", "count", "flag"), ("1", "1", "1", "bool"), rows))
+            SweepResult(("axis", "value", "count", "flag"), ("1", "1", "1", "bool"), rows),
+            rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
-    def test_non_finite_is_refused_before_the_file_opens(self, tmp_path, bad, as_array):
+    def test_non_finite_is_refused_where_the_result_is_made(self, bad, as_array):
         rows = [(0.0, 1.0), (1.0, bad)]
-        res = SweepResult(("a", "b"), ("1", "1"), np.array(rows) if as_array else rows)
-        path = tmp_path / "x.csv"
-        with pytest.raises(FloatingPointError):
-            write_csv(res, str(path))
-        with pytest.raises(FloatingPointError):
-            csv_text(res)
-        assert not path.exists()
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            SweepResult(("a", "b"), ("1", "1"), np.array(rows) if as_array else rows)
 
     @pytest.mark.parametrize("rows", [[(0.0, 1.0, 2.0)], [(0.0, 1.0), (1.0,)],
                                       np.zeros((3, 3)), np.zeros(4)],
                              ids=["wide", "ragged", "wide-array", "flat-array"])
-    def test_bad_row_width_is_refused_before_the_file_opens(self, tmp_path, rows):
-        path = tmp_path / "x.csv"
+    def test_bad_row_width_is_refused_where_the_result_is_made(self, rows):
         with pytest.raises(ValueError, match="row width"):
-            write_csv(SweepResult(("a", "b"), ("1", "1"), rows), str(path))
-        assert not path.exists()
+            SweepResult(("a", "b"), ("1", "1"), rows)
+
+    def test_a_result_is_one_read_only_table(self):
+        rows = np.array([[0.0, 1.0], [2.0, 3.0]])
+        res = SweepResult(("a", "b"), ("1", "1"), rows)
+        with pytest.raises(ValueError, match="read-only"):
+            res.rows[0, 0] = math.nan
+        assert rows.flags.writeable  # the caller's array keeps its flags
+        assert res.rows.dtype == np.float64 and res.rows.shape == (2, 2)
+        assert np.array_equal(res.column("b"), [1.0, 3.0])
+        assert SweepResult(("a",), ("1",), []).rows.shape == (0, 1)
+        with pytest.raises(ValueError, match="columns and units"):
+            SweepResult(("a", "b"), ("1",), rows)
 
 
 # -- SVG ----------------------------------------------------------------------

@@ -145,6 +145,23 @@ class TestRephasingResponse:
         assert axis[0] == lo and axis[-1] == hi
         assert np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0.0)
 
+    @settings(deadline=None, max_examples=300)
+    @given(count=st.integers(2, 4096),
+           ends=st.lists(st.one_of(
+               st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, sys.float_info.max,
+                                -sys.float_info.max)),
+               st.floats(allow_nan=False, allow_infinity=False)), min_size=2, max_size=2))
+    def test_any_finite_grid_is_refused_or_strictly_increasing(self, count, ends):
+        lo, hi = ends
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                axis = GridSpec(count=count, lo=lo, hi=hi).axis()
+            except ValueError:
+                return
+        assert axis.size == count and axis[0] == lo and axis[-1] == hi
+        assert np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["omega_tau", "omega_t"])
     def test_single_point_rejects_non_finite_frequencies(self, name, bad):
@@ -180,11 +197,13 @@ class TestRephasingResponse:
         rel = np.max(np.abs(vals[2] - vals[3])) / np.max(np.abs(vals[3]))
         assert rel <= 1e-3
 
-    def test_metadata_is_complete(self):
+    def test_metadata_holds_what_the_config_cannot_show(self):
+        # parameters, cutoff, t2, conventions and the grid are the run
+        # config's echo; the grid keeps only the facts of its own making
         g, *_ = small_grid(0.4, 0.3, n=8)
-        for key in ("theta", "xi", "gamma", "beta", "cutoff", "t2", "jump_basis",
-                    "conjugation", "grid", "axes", "rho_eq"):
-            assert key in g.metadata
+        assert set(g.metadata) == {"rho_eq", "frequency", "axes", "first_interval_axis",
+                                   "prefactor"}
+        assert (g.metadata["rho_eq"], g.metadata["frequency"]) == ("vacuum", "appendix")
 
     def test_thermal_equilibrium_option(self):
         p = AnyonParams(theta=0.3, xi=0.2, beta=0.5)
@@ -247,19 +266,26 @@ def dipole_superoperators(mu):
 
 
 def dense_reference(system, dip, p, axis, t2, jump_basis, conjugation, rho_eq):
-    """The pathway composed from fock.resolvent_apply on the full Liouvillian:
-    one dense LU per frequency and cell, no block structure."""
+    """The pathway composed from fock.resolvent_apply, one dense LU per
+    frequency and cell, each interval on its closure in the whole L
+    (``pathway_closures``, found here from the dense pattern, with no library
+    block code). L[rest, R] == 0 makes the restriction exact, and the
+    coherences the pathway never reaches (undamped at xi = +/-1) cannot make
+    the reference singular or inaccurate."""
     liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
     rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
+    first, mid, last = pathway_closures(dip, liouv, rho0)
     mu_left, mu_right = dipole_superoperators(dip)
-    v0 = mu_right @ rho0.ravel()
-    tr_mu = np.eye(system.dim).ravel() @ mu_right
-    prop = sla.expm(liouv * t2)
+    v0 = (mu_right @ rho0.ravel())[first]
+    tr_mu = (np.eye(system.dim).ravel() @ mu_right)[last]
+    l_first, l_mid, l_last = (liouv[np.ix_(r, r)] for r in (first, mid, last))
+    prop = sla.expm(l_mid * t2)
+    mu_mid, mu_last = mu_left[np.ix_(mid, first)], mu_left[np.ix_(last, mid)]
     out = np.empty((axis.size, axis.size), dtype=complex)
     for i, wtau in enumerate(axis):
-        z = mu_left @ (prop @ (mu_left @ resolvent_apply(liouv, -wtau, -1, v0)))
+        z = mu_last @ (prop @ (mu_mid @ resolvent_apply(l_first, -wtau, -1, v0)))
         for j, wt in enumerate(axis):
-            out[i, j] = tr_mu @ resolvent_apply(liouv, -wt, +1, z)
+            out[i, j] = tr_mu @ resolvent_apply(l_last, -wt, +1, z)
     return out * (1j) ** 3
 
 
@@ -344,10 +370,11 @@ class TestReachableClosure:
         p = AnyonParams(theta=theta, xi=xi, beta=beta)
         system = FockSystem(cutoff=2, theta=theta, modes=2)
         dip = build_dipole(system, conjugation)
-        # the reference solves on the whole L, whose population block is
-        # singular at detuning 0 and whose undamped xi = +/-1 coherences sit
-        # at multiples of J cos(theta/2) up to 2J = 0.4: no axis here (count
-        # 4 to 6) holds 0, and it ends outside [-0.4, 0.4]
+        # the reference solves each interval on its closure in the whole L, so
+        # neither the singular population block at detuning 0 nor the
+        # undamped xi = +/-1 coherences at multiples of J cos(theta/2) that
+        # the pathway never reaches enter it; this axis (count 4 to 6) also
+        # holds no 0 and ends outside [-0.4, 0.4]
         grid = GridSpec(count=count, lo=-0.41, hi=0.45)
         got = rephasing_response(system, dip, p, t2=t2, grid=grid, jump_basis=jump_basis,
                                  conjugation=conjugation, rho_eq=rho_eq).values

@@ -125,12 +125,12 @@ class TestConfig:
             config_from_dict({"params": {"theta": 9.0}})
 
     def test_parse_range(self):
-        ax = parse_range("0:3.14:100")
-        assert (ax.start, ax.stop, ax.count) == (0.0, 3.14, 100)
-        ax = parse_range("-0.5:0.5", count=32)
-        assert (ax.start, ax.stop, ax.count) == (-0.5, 0.5, 32)
-        with pytest.raises(ConfigError):
-            parse_range("1:2:3:4")
+        # lo:hi only: a point count comes from --grid, never from the range
+        assert parse_range("0:3.14") == (0.0, 3.14)
+        assert parse_range("-0.5:0.5") == (-0.5, 0.5)
+        for text in ("0:3.14:100", "1:2:3:4", "0.5"):
+            with pytest.raises(ConfigError, match=f"--range takes lo:hi, got {text!r}"):
+                parse_range(text)
 
 
 class TestFig1:
@@ -148,17 +148,18 @@ class TestFig1:
         cfg = RunConfig(params=AnyonParams(theta=0.0),
                         sweep=(SweepAxis("theta", 0.0, math.pi, 64),))
         res = run_fig1(cfg)
-        assert len(res.rows) == 64
-        res.check()
+        assert res.rows.shape == (64, 4) and res.rows.dtype == np.float64
 
-    def test_non_finite_row_is_an_arithmetic_error(self):
+    def test_a_bad_result_refuses_itself(self):
+        # the writer's checks happen where a result is made
         from anyonosc.sweeps import SweepResult
-        res = SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0), (1.0, float("nan"))])
         with pytest.raises(FloatingPointError):
-            res.check()
-        res.rows = [(0.0, 1.0, 2.0)]
+            SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0), (1.0, float("nan"))])
         with pytest.raises(ValueError, match="row width"):
-            res.check()
+            SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0, 2.0)])
+        res = SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.rows = [(0.0, 1.0, 2.0)]
 
     def test_closed_form_sweep_is_fast(self):
         import time
@@ -215,8 +216,13 @@ class TestFig3:
         assert len(out.grids) == 2
         assert len(out.slices.rows) == 2 * 16
         assert out.overlay.columns[0] == "theta"
+        # the grid block holds only what the config echo cannot show, and
+        # the slices carry the same block as every panel
         for _, _, g in out.grids:
-            assert g.metadata["jump_basis"] == "site"
+            assert set(g.metadata) == {"rho_eq", "frequency", "axes", "first_interval_axis",
+                                       "prefactor"}
+            assert g.metadata == out.slices.metadata["grid"]
+        assert "grid" not in out.overlay.metadata
 
     def test_cutoff_validation(self):
         with pytest.raises(ConfigError):
@@ -235,6 +241,19 @@ class TestGenericSweep:
     def test_requires_axes(self):
         with pytest.raises(ConfigError):
             run_sweep(RunConfig(params=AnyonParams(theta=0.0)))
+
+    @pytest.mark.parametrize("change, key", [
+        ({"t2": 3.0}, "t2"), ({"grid": GridSpec(count=8)}, "grid"),
+        ({"theta_list": (0.5,)}, "theta_list"), ({"xi_list": (0.0,)}, "xi_list"),
+        ({"cutoff": 3}, "compute.cutoff"),
+    ])
+    def test_a_key_the_sweep_does_not_read_is_refused(self, change, key):
+        cfg = RunConfig(sweep=(SweepAxis("theta", 0.0, 3.0, 5),), **change)
+        with pytest.raises(ConfigError, match=rf"does not read: \['{key}'\]"):
+            run_sweep(cfg)
+        # explicit defaults are what the sweep reads anyway
+        defaults = RunConfig()
+        run_sweep(dataclasses.replace(cfg, **{k: getattr(defaults, k) for k in change}))
 
     def test_determinism_across_threads(self):
         cfg1 = RunConfig(params=AnyonParams(theta=0.0), threads=1,
@@ -351,3 +370,43 @@ class TestSvg:
         z[2, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             svg_heatmap(np.arange(4), np.arange(4), z)
+
+
+def _sibling_imports(path):
+    """The package modules one module imports, at any depth of its code
+    (``from . import __version__`` reads the package, not a module)."""
+    import ast
+    names = set()
+    for node in ast.walk(ast.parse(open(path, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            names.add(node.module)
+    return names
+
+
+class TestModuleStructure:
+    def test_package_imports_form_no_cycle(self):
+        import anyonosc
+        root = os.path.dirname(anyonosc.__file__)
+        graph = {name[:-3]: _sibling_imports(os.path.join(root, name))
+                 for name in os.listdir(root) if name.endswith(".py") and name != "__init__.py"}
+        assert "sweeps" not in graph["output"]
+        done = set()
+
+        def visit(module, path):
+            assert module not in path, f"import cycle {' -> '.join(path + (module,))}"
+            if module not in done:
+                for dep in graph[module]:
+                    visit(dep, path + (module,))
+                done.add(module)
+
+        for module in graph:
+            visit(module, ())
+
+    def test_sweep_result_lives_in_output(self):
+        import anyonosc.cli
+        import anyonosc.output
+        import anyonosc.sweeps
+        assert anyonosc.sweeps.SweepResult is anyonosc.output.SweepResult
+        # the spectrum command and every fig3 panel go through run_spectrum
+        assert not hasattr(anyonosc.cli, "FockSystem")
+        assert not hasattr(anyonosc.cli, "rephasing_response")

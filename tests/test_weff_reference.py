@@ -160,12 +160,8 @@ def reference_build_weff(params, frequency_convention="appendix", conjugation="m
         extra = reference_gamma_stat(params.theta, reference_z(params), params.gamma)
         a -= extra
         d -= extra
-    w = EffectiveMatrix(
-        entries=np.array([[a, -gpm], [-gmp, d]], dtype=complex),
-        omega_plus=wp, omega_minus=wm, params=params,
-        frequency_convention=frequency_convention, conjugation=conjugation,
-        stat_dephasing=stat_dephasing,
-    )
+    w = EffectiveMatrix(entries=np.array([[a, -gpm], [-gmp, d]], dtype=complex),
+                        omega_plus=wp, omega_minus=wm)
     return reference_eigen_analysis(w)
 
 
