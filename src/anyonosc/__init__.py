@@ -11,9 +11,8 @@ from .rates import (deformed_commutator_eigenvalue, gamma_full_single,
 from .dimer import (EffectiveMatrix, EPResult, build_weff, channel_coefficients,
                     eigen_analysis, find_exceptional_point,
                     normal_mode_frequencies)
-from .fock import (DensityState, FockSystem, anyon_ladder_matrix,
-                   build_hamiltonian, build_liouvillian, fit_decay_rate,
-                   propagate, resolvent_apply, steady_state)
+from .fock import (FockSystem, anyon_ladder_matrix, build_hamiltonian,
+                   build_liouvillian, fit_decay_rate, resolvent_apply)
 from .spectra import (GridSpec, SpectrumGrid, bright_mode_overlay, build_dipole,
                       diagonal_slice, lineshape_metrics, rephasing_response)
 from .output import SweepResult
@@ -26,8 +25,7 @@ __all__ = [
     "gamma_stat", "gamma_full_single",
     "EffectiveMatrix", "EPResult", "normal_mode_frequencies",
     "channel_coefficients", "build_weff", "eigen_analysis", "find_exceptional_point",
-    "FockSystem", "DensityState", "anyon_ladder_matrix",
-    "build_hamiltonian", "build_liouvillian", "propagate", "steady_state",
+    "FockSystem", "anyon_ladder_matrix", "build_hamiltonian", "build_liouvillian",
     "resolvent_apply", "fit_decay_rate",
     "GridSpec", "SpectrumGrid", "build_dipole", "rephasing_response",
     "diagonal_slice", "lineshape_metrics", "bright_mode_overlay",

@@ -1,5 +1,5 @@
 """Truncated Fock-space backend: braided ladder matrices, Hamiltonian and
-Lindblad superoperator construction, propagation, resolvents and decay fits.
+Lindblad superoperator construction, exponential, resolvents and decay fits.
 
 This is the brute-force oracle for the closed-form modules and the engine
 behind the 2D spectra. The Liouvillian is one list of (c, A, B) Kronecker
@@ -16,7 +16,6 @@ also sets W_eff (``dimer.channel_coefficients``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,12 +102,6 @@ class FockSystem:
     def vacuum_projector(self) -> np.ndarray:
         rho = np.zeros((self.dim, self.dim), dtype=complex)
         rho[0, 0] = 1.0
-        return rho
-
-    def thermal_diagonal(self, params: AnyonParams) -> np.ndarray:
-        """Diagonal Boltzmann state over total quanta (optional rho_eq)."""
-        w = np.exp(-params.beta * params.omega * self.total_quanta)
-        rho = np.diag(w / w.sum()).astype(complex)
         return rho
 
 
@@ -276,29 +269,7 @@ def liouvillian_gather(terms, dim: int):
 
 
 # ---------------------------------------------------------------------------
-# states and propagation
-
-@dataclass
-class DensityState:
-    """Density matrix with defect diagnostics instead of hard positivity checks
-    (positivity is not guaranteed for intermediate theta)."""
-
-    matrix: np.ndarray
-
-    @property
-    def trace(self) -> complex:
-        return np.trace(self.matrix)
-
-    def trace_defect(self) -> float:
-        return abs(self.trace - 1.0)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T))
-
-    def min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(sym).min())
-
+# matrix exponential and resolvent
 
 # coefficients b_0..b_13 of the [13/13] Pade numerator p(x) (the denominator
 # is p(-x)) and the 1-norm theta_13 up to which it is accurate to double
@@ -338,55 +309,30 @@ def expm(a: np.ndarray) -> np.ndarray:
     return eye + x
 
 
-def propagate(liouv: np.ndarray, state: DensityState, t: float) -> DensityState:
-    """Propagate the vectorized state through exp(L t) (``expm``)."""
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t == 0.0:
-        return DensityState(state.matrix.copy())
-    d = state.matrix.shape[0]
-    vec = expm(liouv * t) @ state.matrix.ravel()
-    return DensityState(vec.reshape(d, d))
-
-
-def steady_state(liouv: np.ndarray) -> DensityState:
-    """Unit-trace kernel vector of the generator (smallest singular vector)."""
-    dim2 = liouv.shape[0]
-    d = int(round(math.sqrt(dim2)))
-    _, _, vh = np.linalg.svd(liouv)
-    rho = vh[-1].conj().reshape(d, d)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
-        raise np.linalg.LinAlgError("kernel vector is traceless; no stationary state found")
-    return DensityState(rho / tr)
-
-
-def resolvent_apply(liouv: np.ndarray, omega: float, sign: int, vector: np.ndarray,
-                    return_condition: bool = False):
+def resolvent_apply(liouv: np.ndarray, omega: float, sign: int,
+                    vector: np.ndarray) -> np.ndarray:
     """Frequency-domain solve x = (sign*i*omega*I - L)^{-1} (-vector).
 
     Equals -int_0^inf e^{-sign i omega t} e^{Lt} v dt whenever the integral
     converges. sign +1 is the ket-evolution interval, -1 the conjugate
     (rephasing) interval. Solved by ``np.linalg.solve``, the LAPACK path of the
-    spectra's batched resolvents. Optionally returns the exact one-norm
-    condition number of the shifted matrix.
+    spectra's batched resolvents; the dense reference the spectra's block
+    solves are tested against.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     shifted = sign * 1j * omega * np.eye(liouv.shape[0], dtype=complex) - liouv
-    x = np.linalg.solve(shifted, -np.asarray(vector, dtype=complex))
-    if not return_condition:
-        return x
-    return x, float(np.linalg.cond(shifted, 1))
+    return np.linalg.solve(shifted, -np.asarray(vector, dtype=complex))
 
 
 def fit_decay_rate(times: np.ndarray, series: np.ndarray, residual_tol: float = 1e-2):
     """Least-squares fit of A e^{(-rate - i freq) t} to a complex series.
 
-    Log-linear fit with unwrapped phase; returns (rate, freq, residual) where
-    residual is the normalized misfit of the reconstructed exponential. A
-    residual above ``residual_tol`` marks a non-exponential signal (e.g. the
-    polynomial-times-exponential dynamics near an exceptional point).
+    Log-linear fit with unwrapped phase; returns (rate, freq, residual,
+    flagged) where residual is the normalized misfit of the reconstructed
+    exponential and flagged is residual > ``residual_tol``, which marks a
+    non-exponential signal (e.g. the polynomial-times-exponential dynamics
+    near an exceptional point).
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=complex)

@@ -114,19 +114,20 @@ def phase_average_series(theta: float, z: float, tol: float = 1e-14) -> complex:
 def gamma_stat(theta: float, z: float, gamma: float) -> float:
     """Statistical contribution to the coherence relaxation rate.
 
-    (gamma/2) * [1 - (1-z)(1 - z cos theta)/(1 - 2 z cos theta + z^2)];
-    vanishes in the boson limit and is maximal in the fermion limit, where it
-    reduces to gamma * z/(1+z).
+    (gamma/2)(1 - Re<e^{i theta N}>) = (gamma/2) z (1 - cos theta)(1 + z)/D,
+    D = 1 - 2 z cos theta + z^2 summed as (1 - z)^2 + 2 z (1 - cos theta): no
+    term cancels, so the rate keeps its relative accuracy at every z and
+    theta. Exactly zero when cos theta == 1 (the boson limit); gamma z/(1+z)
+    at the fermion point.
     """
     gamma, z = np.asarray(gamma), np.asarray(z)
     bad = first_violation(gamma < 0.0, gamma)
     if bad is not None:
         raise ValueError(f"gamma must be non-negative, got {bad[0]}")
     _check_z(z)
-    c = np.cos(theta)
-    re_avg = (1.0 - z) * (1.0 - z * c) / (1.0 - 2.0 * z * c + z * z)
-    # boson limit: exactly zero, no cancellation residue
-    return np.where(c == 1.0, 0.0, 0.5 * gamma * (1.0 - re_avg))[()]
+    one_minus_c = 1.0 - np.cos(theta)
+    denom = (1.0 - z) ** 2 + 2.0 * z * one_minus_c
+    return (0.5 * gamma * z * one_minus_c * (1.0 + z) / denom)[()]
 
 
 def gamma_full_single(params: AnyonParams | ParamArrays) -> ComplexRate:

@@ -15,7 +15,6 @@ from .fock import FockSystem, build_liouvillian, expm, liouvillian_gather, liouv
 from .params import AnyonParams, ParamArrays
 
 DEFAULT_JUMP_BASIS = "site"  # fig-3 style spectra; logged in grid metadata
-RHO_EQ = ("vacuum", "thermal")  # equilibrium states the pathway can start from
 
 
 def build_dipole(system: FockSystem, conjugation: str = DEFAULT_CONJUGATION) -> np.ndarray:
@@ -162,8 +161,8 @@ def _apply(op, vecs):
 
 
 def _pathway(system: FockSystem, mu: np.ndarray, params: AnyonParams, t2: float,
-             tau_axis: np.ndarray, t_axis: np.ndarray, jump_basis: str, conjugation: str,
-             rho_eq: str) -> np.ndarray:
+             tau_axis: np.ndarray, t_axis: np.ndarray, jump_basis: str,
+             conjugation: str) -> np.ndarray:
     """values[i, j] of the rephasing pathway at (tau_axis[i], t_axis[j]), after
     the input checks. Each cell depends only on its own two frequencies, so a
     grid cell and a one-point call agree bit for bit."""
@@ -173,12 +172,9 @@ def _pathway(system: FockSystem, mu: np.ndarray, params: AnyonParams, t2: float,
         raise ValueError("rephasing response requires gamma > 0 for convergent resolvents")
     if not (math.isfinite(t2) and t2 >= 0.0):
         raise ValueError(f"t2 must be finite and >= 0, got {t2}")
-    if rho_eq not in RHO_EQ:
-        raise ValueError(f"unknown rho_eq {rho_eq!r}; expected one of {RHO_EQ}")
     reach = _reach(system, params, jump_basis, conjugation)
-    rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
-    # vec(rho0 mu) and the row vector of rho -> tr(rho mu)
-    v0 = (rho0 @ mu).ravel()
+    # vec(rho0 mu) from the vacuum rho0 and the row vector of rho -> tr(rho mu)
+    v0 = (system.vacuum_projector() @ mu).ravel()
     tr_mu = mu.T.ravel()
 
     first, l_first = reach(v0 != 0)
@@ -197,12 +193,12 @@ def _pathway(system: FockSystem, mu: np.ndarray, params: AnyonParams, t2: float,
 def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
                        t2: float = 0.0, grid: GridSpec | None = None,
                        jump_basis: str = DEFAULT_JUMP_BASIS,
-                       conjugation: str = DEFAULT_CONJUGATION,
-                       rho_eq: str = "vacuum",
-                       threads: int = 1) -> SpectrumGrid:
+                       conjugation: str = DEFAULT_CONJUGATION) -> SpectrumGrid:
     """Rephasing third-order response on a 2D detuning grid.
 
-    Pathway, applied right to left exactly in the printed order: bra-side
+    The pathway starts from the vacuum, the only stationary state of a
+    generator whose jumps all lower, as the third-order response formula
+    assumes. Applied right to left exactly in the printed order: bra-side
     mu, conjugate-interval resolvent at omega_tau (sign -1), ket-side mu,
     population propagation over t2, ket-side mu, ket-interval resolvent at
     omega_t (sign +1), bra-side mu, trace, times (i/hbar)^3 with hbar = 1.
@@ -214,20 +210,19 @@ def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonPara
     to L[R, R], one batched solve per interval for all frequencies. The
     closure is found on a manifold-pair block that holds it (``_reach``), and
     only that block is gathered from the d x d factors; the d^2 x d^2
-    Liouvillian is never built. Vacuum closures hold 2, 5 and 10 states at any
-    cutoff (the last 6 at theta = pi), so a vacuum grid does not depend on
-    the cutoff, nor does its cost. The display
+    Liouvillian is never built. The closures hold 2, 5 and 10 states at any
+    cutoff (the last 6 at theta = pi), so a grid does not depend on the
+    cutoff, nor does its cost. The display
     axes carry the echo convention (both negated relative to the raw
     transform frequencies) so the photon-echo feature lands at positive
     detunings.
-    ``threads`` is accepted for interface stability; the work is array-wide.
     """
     if grid is None:
         grid = GridSpec()
     axis = grid.axis()
-    values = _pathway(system, dipole, params, t2, axis, axis, jump_basis, conjugation, rho_eq)
+    values = _pathway(system, dipole, params, t2, axis, axis, jump_basis, conjugation)
     meta = {
-        "rho_eq": rho_eq,
+        "rho_eq": "vacuum",
         # build_hamiltonian's exchange amplitude is always J cos(theta/2)
         "frequency": "appendix",
         "axes": "detuning from carrier omega; echo convention (first interval sign -1 "
@@ -242,14 +237,13 @@ def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonPara
 def response_point(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
                    omega_tau: float, omega_t: float, t2: float = 0.0,
                    jump_basis: str = DEFAULT_JUMP_BASIS,
-                   conjugation: str = DEFAULT_CONJUGATION,
-                   rho_eq: str = "vacuum") -> complex:
+                   conjugation: str = DEFAULT_CONJUGATION) -> complex:
     """Single-point evaluation, bit-identical to the matching grid cell."""
     for name, value in (("omega_tau", omega_tau), ("omega_t", omega_t)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     values = _pathway(system, dipole, params, t2, np.array([float(omega_tau)]),
-                      np.array([float(omega_t)]), jump_basis, conjugation, rho_eq)
+                      np.array([float(omega_t)]), jump_basis, conjugation)
     return complex(values[0, 0])
 
 

@@ -242,7 +242,7 @@ def run_spectrum(config: RunConfig, params: AnyonParams) -> SpectrumGrid:
     system = FockSystem(cutoff=config.cutoff, theta=params.theta, modes=2)
     return rephasing_response(system, build_dipole(system, conv.conjugation), params,
                               t2=config.t2, grid=config.grid, jump_basis=conv.jump_basis,
-                              conjugation=conv.conjugation, threads=config.threads)
+                              conjugation=conv.conjugation)
 
 
 @dataclass

@@ -7,11 +7,10 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anyonosc import (AnyonParams, DensityState, FockSystem,
-                      anyon_ladder_matrix, build_dipole, build_hamiltonian,
-                      build_liouvillian, build_weff, channel_coefficients, fit_decay_rate,
-                      gamma_full_single, normal_mode_frequencies, propagate,
-                      resolvent_apply, steady_state)
+from anyonosc import (AnyonParams, FockSystem, anyon_ladder_matrix, build_dipole,
+                      build_hamiltonian, build_liouvillian, build_weff, channel_coefficients,
+                      fit_decay_rate, gamma_full_single, normal_mode_frequencies,
+                      resolvent_apply)
 from anyonosc.dimer import deformed_mode_phase
 from anyonosc.fock import (JUMP_BASES, expm, jump_operators, liouvillian_gather,
                            liouvillian_terms)
@@ -70,15 +69,18 @@ def coherence_block_indices(system):
     return np.where(ket - bra == 1)[0]
 
 
-def population_block(system, params, jump_basis, conjugation, rho_eq):
-    """L[R2, R2] of the rephasing pathway: the t2 propagator's block, on the
-    closure of what the first ket-side dipole reaches (as in spectra)."""
+def population_block(system, params, jump_basis, conjugation, whole):
+    """A Delta q = 0 block of the rotating L: the whole block when ``whole``,
+    else L[R2, R2], the t2 propagator's block on the closure of what the
+    first ket-side dipole reaches from the vacuum (as in spectra)."""
+    liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
+    if whole:
+        states = np.flatnonzero(coherence_order(system) == 0)
+        return liouv[np.ix_(states, states)]
     mu = build_dipole(system, conjugation)
     mu_left = np.kron(mu, np.eye(system.dim))  # ket-side rho -> mu rho, row-major
-    liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
     pattern = liouv != 0
-    rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(params)
-    first = _closure(pattern, (rho0 @ mu).ravel() != 0)
+    first = _closure(pattern, (system.vacuum_projector() @ mu).ravel() != 0)
     mid = _closure(pattern, np.any(mu_left[:, first] != 0, axis=1))
     return liouv[np.ix_(mid, mid)]
 
@@ -394,12 +396,14 @@ class TestExpm:
     @settings(deadline=None, max_examples=80)
     @given(**BATH, cutoff=st.integers(2, 3), jump_basis=st.sampled_from(JUMP_BASES),
            conjugation=st.sampled_from(("modulus", "analytic")),
-           rho_eq=st.sampled_from(("vacuum", "thermal")), t2=st.floats(0.0, 50.0))
+           whole=st.booleans(), t2=st.floats(0.0, 50.0))
     def test_population_blocks_match_scipy(self, theta, xi, gamma, beta, cutoff,
-                                           jump_basis, conjugation, rho_eq, t2):
+                                           jump_basis, conjugation, whole, t2):
+        # the whole Delta q = 0 block (19 states at cutoff 2, 44 at cutoff 3)
+        # puts larger matrices than the 5-state vacuum R2 through expm
         p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
         block = t2 * population_block(FockSystem(cutoff, theta, 2), p, jump_basis,
-                                      conjugation, rho_eq)
+                                      conjugation, whole)
         ref = sla.expm(block)
         # the reference's error grows with its s = log2(|Lt|_1 / theta_13)
         # squarings: at |Lt|_1 = 4.8e4 (gamma 2, beta 0.05, t2 50) scipy is
@@ -423,30 +427,26 @@ class TestPropagation:
     @settings(deadline=None, max_examples=60)
     @given(**BATH, cutoff=st.integers(1, 3), modes=st.sampled_from((1, 2)),
            jump_basis=st.sampled_from(JUMP_BASES),
-           rho_eq=st.sampled_from(("vacuum", "thermal")), t=st.floats(0.0, 50.0))
+           boltzmann=st.booleans(), t=st.floats(0.0, 50.0))
     def test_trace_is_kept(self, theta, xi, gamma, beta, cutoff, modes, jump_basis,
-                           rho_eq, t):
+                           boltzmann, t):
         # "modulus" only: "analytic" generators can grow without bound
         system = FockSystem(cutoff, theta, modes)
         p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
         liouv = build_liouvillian(system, p, jump_basis, "modulus")
-        rho = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
-        out = propagate(liouv, DensityState(rho), t)
-        assert out.trace_defect() <= 1e-12
-
-    def test_zero_time_is_identity(self):
-        sys1 = FockSystem(cutoff=3, theta=0.0, modes=1)
-        liouv = build_liouvillian(sys1, AnyonParams(theta=0.0))
-        rho = DensityState(sys1.vacuum_projector())
-        out = propagate(liouv, rho, 0.0)
-        assert np.array_equal(out.matrix, rho.matrix)
+        rho = system.vacuum_projector()
+        if boltzmann:
+            w = np.exp(-p.beta * p.omega * system.total_quanta)
+            rho = np.diag(w / w.sum()).astype(complex)
+        out = expm(liouv * t) @ rho.ravel()
+        assert abs(np.trace(out.reshape(rho.shape)) - 1.0) <= 1e-12
 
     def test_steady_state_is_fixed_point(self):
         sys1 = FockSystem(cutoff=6, theta=0.0, modes=1)
         liouv = build_liouvillian(sys1, AnyonParams(theta=0.0, gamma=0.1))
-        ss = steady_state(liouv)
-        out = propagate(liouv, ss, 50.0)
-        assert np.linalg.norm(out.matrix - ss.matrix) <= 1e-8
+        kernel = np.linalg.svd(liouv)[2][-1].conj()  # smallest right singular vector
+        ss = kernel / np.trace(kernel.reshape(7, 7))
+        assert np.linalg.norm(expm(liouv * 50.0) @ ss - ss) <= 1e-8
 
     def test_coherence_decay_rate_matches_closed_form(self):
         p = AnyonParams(theta=0.0, gamma=0.1, beta=1.0)
@@ -457,10 +457,10 @@ class TestPropagation:
         rho = sys1.vacuum_projector()
         alpha = 0.2
         disp = sla.expm(alpha * sys1.raising[0] - np.conj(alpha) * sys1.lowering[0])
-        rho = DensityState(disp @ rho @ disp.conj().T)
+        rho = disp @ rho @ disp.conj().T
         times = np.linspace(0.0, 5.0 / p.gamma, 60)
         step = sla.expm(liouv * (times[1] - times[0]))
-        vec = rho.matrix.ravel()
+        vec = rho.ravel()
         series = []
         for _ in times:
             series.append(np.trace(a @ vec.reshape(9, 9)))
@@ -499,21 +499,9 @@ class TestPropagation:
             liouv = build_liouvillian(sys2, p, "site")
             m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
             rho = m @ m.conj().T
-            rho = DensityState(rho / np.trace(rho))
-            out = propagate(liouv, rho, 10.0 / p.gamma)
-            assert out.hermiticity_defect() <= 1e-11
-
-    def test_density_state_diagnostics(self):
-        rho = DensityState(np.diag([0.5, 0.5, 0.0]).astype(complex))
-        assert rho.trace_defect() <= 1e-15
-        assert rho.hermiticity_defect() <= 1e-15
-        assert rho.min_eigenvalue() >= -1e-12
-
-    def test_negative_time_rejected(self):
-        sys1 = FockSystem(cutoff=2, theta=0.0, modes=1)
-        liouv = build_liouvillian(sys1, AnyonParams(theta=0.0))
-        with pytest.raises(ValueError):
-            propagate(liouv, DensityState(sys1.vacuum_projector()), -1.0)
+            rho = rho / np.trace(rho)
+            out = (expm(liouv * (10.0 / p.gamma)) @ rho.ravel()).reshape(9, 9)
+            assert np.linalg.norm(out - out.conj().T) <= 1e-11
 
 
 class TestResolvent:
@@ -523,25 +511,21 @@ class TestResolvent:
         liouv = build_liouvillian(sys2, p)
         rng = np.random.default_rng(4)
         v = rng.normal(size=liouv.shape[0]) + 1j * rng.normal(size=liouv.shape[0])
-        x, cond = resolvent_apply(liouv, 0.17, +1, v, return_condition=True)
+        x = resolvent_apply(liouv, 0.17, +1, v)
         shifted = 1j * 0.17 * np.eye(liouv.shape[0]) - liouv
         assert np.linalg.norm(shifted @ x + v) <= 1e-10 * np.linalg.norm(v)
-        assert cond >= 1.0
 
-    def test_condition_is_the_exact_one_norm_condition(self):
+    def test_forward_error_within_the_condition_bound(self):
         sys2 = FockSystem(cutoff=2, theta=0.6, modes=2)
         liouv = build_liouvillian(sys2, AnyonParams(theta=0.6, xi=0.3))
         v = np.ones(liouv.shape[0], dtype=complex)
         for omega in (-0.4, 0.17, 1.0):
-            _, cond = resolvent_apply(liouv, omega, -1, v, return_condition=True)
+            x = resolvent_apply(liouv, omega, -1, v)
             shifted = -1j * omega * np.eye(liouv.shape[0]) - liouv
-            exact = np.linalg.norm(shifted, 1) * np.linalg.norm(np.linalg.inv(shifted), 1)
-            assert cond == pytest.approx(exact, rel=1e-10)
-            # LAPACK's gecon estimate from scipy's LU bounds it from below
-            lu, _ = sla.lu_factor(shifted)
-            gecon = sla.get_lapack_funcs(("gecon",), (shifted,))[0]
-            rcond, _ = gecon(lu, np.linalg.norm(shifted, 1), norm="1")
-            assert cond >= (1.0 - 1e-12) / rcond
+            ref = sla.lu_solve(sla.lu_factor(shifted), -v)  # scipy's own LU
+            cond = np.linalg.cond(shifted, 1)
+            err = np.linalg.norm(x - ref, 1) / np.linalg.norm(ref, 1)
+            assert err <= 64 * np.finfo(float).eps * cond
 
     def test_single_decaying_mode_lorentzian(self):
         # 1x1 generator lambda = -i w0 - G: the conjugate interval (sign -1)

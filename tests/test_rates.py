@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from anyonosc import (AnyonParams, ParameterError, deformed_commutator_eigenvalue,
                       gamma_full_single, gamma_stat, phase_average,
@@ -105,6 +107,15 @@ class TestGammaStat:
     def test_fermion_closed_form(self):
         for z in np.linspace(0.01, 0.95, 20):
             assert gamma_stat(math.pi, z, 0.1) == pytest.approx(0.1 * z / (1 + z), abs=1e-12)
+
+    @given(beta_omega=st.floats(1e-9, 700.0), gamma=st.floats(1e-3, 1e3))
+    @example(beta_omega=20.0, gamma=0.1)
+    @example(beta_omega=30.0, gamma=0.1)
+    @example(beta_omega=40.0, gamma=0.1)  # 1 - Re<e^{i theta N}> rounds to 0 here
+    def test_fermion_limit_keeps_relative_accuracy(self, beta_omega, gamma):
+        z = math.exp(-beta_omega)
+        want = gamma * z / (1.0 + z)
+        assert abs(gamma_stat(math.pi, z, gamma) - want) <= 8 * np.finfo(float).eps * want
 
     def test_half_angle_against_series_oracle(self):
         z, g = 1.0 / math.e, 0.1

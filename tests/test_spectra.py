@@ -14,7 +14,7 @@ from anyonosc import (AnyonParams, FockSystem, GridSpec, bright_mode_overlay,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
 from anyonosc.fock import resolvent_apply
-from anyonosc.spectra import (RHO_EQ, SpectrumGrid, _ket_dipole, _reach,
+from anyonosc.spectra import (SpectrumGrid, _ket_dipole, _reach,
                               bright_branch_detuning, coherence_order,
                               rephasing_response_quadrature, response_point)
 
@@ -170,11 +170,6 @@ class TestRephasingResponse:
         with pytest.raises(ValueError, match=name):
             response_point(system, dip, p, freqs["omega_tau"], freqs["omega_t"])
 
-    def test_thread_count_does_not_change_bits(self):
-        g1, system, dip, p = small_grid(1.2, 0.7, n=24)
-        g8 = rephasing_response(system, dip, p, grid=GridSpec(count=24), threads=8)
-        assert np.array_equal(g1.values, g8.values)
-
     def test_braided_equals_unbraided_at_boson_point(self):
         system = FockSystem(cutoff=2, theta=0.0, modes=2)
         dip = build_dipole(system)
@@ -205,16 +200,6 @@ class TestRephasingResponse:
                                    "prefactor"}
         assert (g.metadata["rho_eq"], g.metadata["frequency"]) == ("vacuum", "appendix")
 
-    def test_thermal_equilibrium_option(self):
-        p = AnyonParams(theta=0.3, xi=0.2, beta=0.5)
-        system = FockSystem(cutoff=2, theta=0.3, modes=2)
-        dip = build_dipole(system)
-        gv = rephasing_response(system, dip, p, grid=GridSpec(count=12))
-        gt = rephasing_response(system, dip, p, grid=GridSpec(count=12), rho_eq="thermal")
-        assert gt.metadata["rho_eq"] == "thermal"
-        assert np.all(np.isfinite(gt.values))
-        assert not np.array_equal(gv.values, gt.values)
-
     def test_waiting_time_damps_the_signal(self):
         p = AnyonParams(theta=0.5, xi=0.4)
         system = FockSystem(cutoff=2, theta=0.5, modes=2)
@@ -238,12 +223,6 @@ class TestRephasingResponse:
             rephasing_response(system, build_dipole(system), AnyonParams(theta=0.3),
                                t2=t2, grid=GridSpec(count=4))
 
-    def test_unknown_equilibrium_state_rejected(self):
-        system = FockSystem(cutoff=2, theta=0.3, modes=2)
-        with pytest.raises(ValueError, match="rho_eq"):
-            rephasing_response(system, build_dipole(system), AnyonParams(theta=0.3),
-                               grid=GridSpec(count=4), rho_eq="Vacuum")
-
     def test_resolvent_vs_quadrature_probe(self):
         p = AnyonParams(theta=0.6, xi=0.5)
         system = FockSystem(cutoff=2, theta=0.6, modes=2)
@@ -265,7 +244,7 @@ def dipole_superoperators(mu):
     return np.kron(mu, eye), np.kron(eye, mu.T)
 
 
-def dense_reference(system, dip, p, axis, t2, jump_basis, conjugation, rho_eq):
+def dense_reference(system, dip, p, axis, t2, jump_basis, conjugation):
     """The pathway composed from fock.resolvent_apply, one dense LU per
     frequency and cell, each interval on its closure in the whole L
     (``pathway_closures``, found here from the dense pattern, with no library
@@ -273,7 +252,7 @@ def dense_reference(system, dip, p, axis, t2, jump_basis, conjugation, rho_eq):
     coherences the pathway never reaches (undamped at xi = +/-1) cannot make
     the reference singular or inaccurate."""
     liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
-    rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
+    rho0 = system.vacuum_projector()
     first, mid, last = pathway_closures(dip, liouv, rho0)
     mu_left, mu_right = dipole_superoperators(dip)
     v0 = (mu_right @ rho0.ravel())[first]
@@ -290,22 +269,19 @@ def dense_reference(system, dip, p, axis, t2, jump_basis, conjugation, rho_eq):
 
 
 class TestBlockSolveEquivalence:
-    CASES = [(2, conj, basis, rho, t2)
+    CASES = [(cutoff, conj, basis, t2) for cutoff in (2, 3)
              for conj in ("modulus", "analytic") for basis in ("site", "deformed")
-             for rho in ("vacuum", "thermal") for t2 in (0.0, 7.5)]
-    CASES.append((3, "modulus", "deformed", "thermal", 7.5))
+             for t2 in (0.0, 7.5)]
 
-    @pytest.mark.parametrize("cutoff,conjugation,jump_basis,rho_eq,t2", CASES)
-    def test_matches_dense_resolvent_reference(self, cutoff, conjugation, jump_basis,
-                                               rho_eq, t2):
+    @pytest.mark.parametrize("cutoff,conjugation,jump_basis,t2", CASES)
+    def test_matches_dense_resolvent_reference(self, cutoff, conjugation, jump_basis, t2):
         p = AnyonParams(theta=0.9, xi=0.5, beta=0.5)
         system = FockSystem(cutoff=cutoff, theta=p.theta, modes=2)
         dip = build_dipole(system, conjugation)
         grid = GridSpec(count=8, lo=-0.4, hi=0.4)
         got = rephasing_response(system, dip, p, t2=t2, grid=grid, jump_basis=jump_basis,
-                                 conjugation=conjugation, rho_eq=rho_eq).values
-        want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis,
-                               conjugation, rho_eq)
+                                 conjugation=conjugation).values
+        want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis, conjugation)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
@@ -357,16 +333,15 @@ class TestReachableClosure:
            beta=st.floats(0.05, 20.0),
            jump_basis=st.sampled_from(("site", "deformed")),
            conjugation=st.sampled_from(("modulus", "analytic")),
-           rho_eq=st.sampled_from(("vacuum", "thermal")),
            t2=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
            count=st.integers(4, 6))
     # at xi = 1 the site basis leaves b_- undamped: the whole L has the
     # eigenvalue -2iJ = -0.4i on the unreached |2_-><0| coherence, exactly
     # singular at the old axis end -0.4 for this draw
     @example(theta=1e-14, xi=1.0, beta=1.05078125, jump_basis="site",
-             conjugation="analytic", rho_eq="vacuum", t2=0.0, count=4)
+             conjugation="analytic", t2=0.0, count=4)
     def test_closure_spectrum_matches_dense_reference(self, theta, xi, beta, jump_basis,
-                                                      conjugation, rho_eq, t2, count):
+                                                      conjugation, t2, count):
         p = AnyonParams(theta=theta, xi=xi, beta=beta)
         system = FockSystem(cutoff=2, theta=theta, modes=2)
         dip = build_dipole(system, conjugation)
@@ -377,36 +352,32 @@ class TestReachableClosure:
         # holds no 0 and ends outside [-0.4, 0.4]
         grid = GridSpec(count=count, lo=-0.41, hi=0.45)
         got = rephasing_response(system, dip, p, t2=t2, grid=grid, jump_basis=jump_basis,
-                                 conjugation=conjugation, rho_eq=rho_eq).values
-        want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis,
-                               conjugation, rho_eq)
+                                 conjugation=conjugation).values
+        want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis, conjugation)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
-        rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
-        closures = pathway_closures(dip, liouv, rho0)
+        closures = pathway_closures(dip, liouv, system.vacuum_projector())
         for reach in closures:
             rest = np.setdiff1d(np.arange(liouv.shape[0]), reach)
             assert np.all(liouv[np.ix_(rest, reach)] == 0)
-        if rho_eq == "vacuum":
-            # at theta = pi a mode holds at most one quantum: no |20>, |02> kets
-            want_sizes = (2, 5, 6 if theta == math.pi else 10)
-            assert tuple(r.size for r in closures) == want_sizes
+        # at theta = pi a mode holds at most one quantum: no |20>, |02> kets
+        want_sizes = (2, 5, 6 if theta == math.pi else 10)
+        assert tuple(r.size for r in closures) == want_sizes
 
     @settings(deadline=None, max_examples=40)
     @given(theta=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
            xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
            beta=st.floats(0.05, 20.0), cutoff=st.integers(2, 4),
            jump_basis=st.sampled_from(("site", "deformed")),
-           conjugation=st.sampled_from(("modulus", "analytic")),
-           rho_eq=st.sampled_from(("vacuum", "thermal")))
+           conjugation=st.sampled_from(("modulus", "analytic")))
     def test_manifold_rule_closures_match_the_dense_pattern(self, theta, xi, beta, cutoff,
-                                                            jump_basis, conjugation, rho_eq):
+                                                            jump_basis, conjugation):
         p = AnyonParams(theta=theta, xi=xi, beta=beta)
         system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
         dip = build_dipole(system, conjugation)
         liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
-        rho0 = system.vacuum_projector() if rho_eq == "vacuum" else system.thermal_diagonal(p)
+        rho0 = system.vacuum_projector()
         want = pathway_closures(dip, liouv, rho0)
         sets, blocks, mus = library_closures(system, dip, p, jump_basis, conjugation, rho0)
         for reach, got, block in zip(want, sets, blocks):
@@ -417,17 +388,20 @@ class TestReachableClosure:
         for cols, rows, block in zip(want, want[1:], mus):
             assert np.array_equal(block, mu_left[np.ix_(rows, cols)])
 
-    @pytest.mark.parametrize("rho_eq", RHO_EQ)
-    def test_pathway_never_assembles_the_dense_liouvillian(self, monkeypatch, rho_eq):
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
+    def test_pathway_never_assembles_the_dense_liouvillian(self, monkeypatch, jump_basis,
+                                                           conjugation):
         def refuse(*args, **kwargs):
             raise AssertionError("dense d^2 x d^2 assembly on the spectra path")
 
         p = AnyonParams(theta=0.9, xi=0.5, beta=0.5)
         system = FockSystem(cutoff=4, theta=p.theta, modes=2)
-        dip = build_dipole(system)
+        dip = build_dipole(system, conjugation)
+        kw = {"jump_basis": jump_basis, "conjugation": conjugation}
         monkeypatch.setattr(anyonosc.fock, "_kron_sum", refuse)
-        grid = rephasing_response(system, dip, p, t2=2.0, grid=GridSpec(count=4), rho_eq=rho_eq)
-        point = response_point(system, dip, p, -0.5, 0.5, t2=2.0, rho_eq=rho_eq)
+        grid = rephasing_response(system, dip, p, t2=2.0, grid=GridSpec(count=4), **kw)
+        point = response_point(system, dip, p, -0.5, 0.5, t2=2.0, **kw)
         assert point == grid.values[0, -1]
 
     @pytest.mark.parametrize("theta", [0.0, 0.9, 2.0, math.pi])
