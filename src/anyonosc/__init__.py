@@ -5,12 +5,11 @@ Liouvillian oracle."""
 
 __version__ = "0.1.0"
 
-from .params import AnyonParams, ComplexRate, ParamArrays, ParameterError
+from .params import AnyonParams, ParamArrays, ParameterError
 from .rates import (deformed_commutator_eigenvalue, gamma_full_single,
                     gamma_stat, phase_average, thermal_occupation)
 from .dimer import (EffectiveMatrix, EPResult, build_weff, channel_coefficients,
-                    eigen_analysis, find_exceptional_point,
-                    normal_mode_frequencies)
+                    find_exceptional_point, normal_mode_frequencies)
 from .fock import (FockSystem, anyon_ladder_matrix, build_hamiltonian,
                    build_liouvillian, fit_decay_rate, resolvent_apply)
 from .spectra import (GridSpec, SpectrumGrid, bright_mode_overlay, build_dipole,
@@ -20,11 +19,11 @@ from .sweeps import (ConfigError, RunConfig, config_from_dict, load_config,
                      run_fig1, run_fig2, run_fig3, run_sweep)
 
 __all__ = [
-    "AnyonParams", "ComplexRate", "ParamArrays", "ParameterError",
+    "AnyonParams", "ParamArrays", "ParameterError",
     "deformed_commutator_eigenvalue", "thermal_occupation", "phase_average",
     "gamma_stat", "gamma_full_single",
     "EffectiveMatrix", "EPResult", "normal_mode_frequencies",
-    "channel_coefficients", "build_weff", "eigen_analysis", "find_exceptional_point",
+    "channel_coefficients", "build_weff", "find_exceptional_point",
     "FockSystem", "anyon_ladder_matrix", "build_hamiltonian", "build_liouvillian",
     "resolvent_apply", "fit_decay_rate",
     "GridSpec", "SpectrumGrid", "build_dipole", "rephasing_response",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import re
 import sys
@@ -17,12 +16,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dimer import find_exceptional_point
+from .dimer import CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS, find_exceptional_point
+from .fock import JUMP_BASES
 from .output import SweepResult, _csv_blocks, grid_result, write_grid_svg, write_outputs
-from .params import AnyonParams, ParameterError
+from .params import ParameterError
 from .spectra import GridSpec
-from .sweeps import (ConfigError, Conventions, RunConfig, SweepAxis, load_config,
-                     parse_range, run_fig1, run_fig2, run_fig3, run_spectrum, run_sweep)
+from .sweeps import (FIG2_XI, FIG3_THETAS, FIG3_XI, THETA_AXIS, ConfigError, Conventions,
+                     RunConfig, SweepAxis, load_config, parse_range, run_fig1, run_fig2,
+                     run_fig3, run_spectrum, run_sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # flag -> (AnyonParams field, help); a command defines only the flags its
-# output reads, and a flag it lacks keeps the AnyonParams default
+# output reads, and a flag it lacks keeps the RunConfig default
 PARAM_FLAGS = {
     "theta": ("theta", "statistical angle [rad]"),
     "xi": ("xi", "bath correlation in [-1, 1]"),
@@ -47,32 +48,35 @@ PARAM_FLAGS = {
     "coupling": ("coupling_j", "hopping J [omega]"),
     "omega": ("omega", "mode frequency (unit scale)"),
 }
-_DEFAULTS = AnyonParams(theta=0.0)
+_DEFAULTS = RunConfig()
 
 
 def _add_param_flags(p, *names):
     for name in names:
-        field, helptxt = PARAM_FLAGS[name]
-        p.add_argument(f"--{name}", type=float, default=getattr(_DEFAULTS, field), help=helptxt)
+        field, text = PARAM_FLAGS[name]
+        p.add_argument(f"--{name}", type=float, default=getattr(_DEFAULTS.params, field), help=text)
 
 
 def _add_convention_flags(p):
-    p.add_argument("--convention", choices=("appendix", "maintext"), default="appendix",
+    conv = _DEFAULTS.conventions
+    p.add_argument("--convention", choices=FREQUENCY_CONVENTIONS, default=conv.frequency,
                    help="normal-mode frequency convention")
-    p.add_argument("--conjugation", choices=("modulus", "analytic"), default="modulus",
+    p.add_argument("--conjugation", choices=CONJUGATION_CONVENTIONS, default=conv.conjugation,
                    help="channel-coefficient conjugation convention")
-    p.add_argument("--jump-basis", choices=("site", "deformed"), default="site",
+    p.add_argument("--jump-basis", choices=JUMP_BASES, default=conv.jump_basis,
                    help="Liouvillian jump-operator basis")
-    p.add_argument("--stat-dephasing", choices=("on", "off"), default="off",
+    p.add_argument("--stat-dephasing", choices=("on", "off"),
+                   default="on" if conv.stat_dephasing else "off",
                    help="add the statistical dephasing rate to the diagonals")
 
 
 def _add_output_flags(p, out_help="output CSV path (stdout when omitted)"):
     p.add_argument("--out", help=out_help)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=_DEFAULTS.threads)
 
 
-THETA_RANGE = f"0:{math.pi!r}"
+THETA_RANGE = f"{THETA_AXIS.start!r}:{THETA_AXIS.stop!r}"
+GRID_RANGE = f"{_DEFAULTS.grid.lo!r}:{_DEFAULTS.grid.hi!r}"
 
 
 @functools.cache  # parsing does not mutate the parser: build it once per process
@@ -87,14 +91,14 @@ def build_parser() -> _Parser:
     p1 = sub.add_parser("single-rates", help="single-oscillator rates over theta")
     _add_param_flags(p1, "beta", "gamma", "omega")
     p1.add_argument("--range", default=THETA_RANGE, help="theta range lo:hi")
-    p1.add_argument("--grid", type=int, default=201, help="number of sweep points")
+    p1.add_argument("--grid", type=int, default=THETA_AXIS.count, help="number of sweep points")
     _add_output_flags(p1)
 
     p2 = sub.add_parser("dimer-rates", help="effective-matrix eigenvalues over theta")
     _add_param_flags(p2, "xi", "beta", "gamma", "coupling", "omega")
     _add_convention_flags(p2)
     p2.add_argument("--range", default=THETA_RANGE, help="theta range lo:hi")
-    p2.add_argument("--grid", type=int, default=201)
+    p2.add_argument("--grid", type=int, default=THETA_AXIS.count)
     _add_output_flags(p2)
 
     p3 = sub.add_parser("ep-locate", help="locate the exceptional point in theta")
@@ -106,10 +110,10 @@ def build_parser() -> _Parser:
     p4 = sub.add_parser("spectrum", help="one rephasing 2D spectrum grid")
     _add_param_flags(p4, *PARAM_FLAGS)
     _add_convention_flags(p4)
-    p4.add_argument("--cutoff", type=int, default=2)
-    p4.add_argument("--t2", type=float, default=0.0, help="waiting time")
-    p4.add_argument("--grid", type=int, default=256, help="points per axis")
-    p4.add_argument("--range", default="-0.5:0.5", help="detuning range lo:hi")
+    p4.add_argument("--cutoff", type=int, default=_DEFAULTS.cutoff)
+    p4.add_argument("--t2", type=float, default=_DEFAULTS.t2, help="waiting time")
+    p4.add_argument("--grid", type=int, default=_DEFAULTS.grid.count, help="points per axis")
+    p4.add_argument("--range", default=GRID_RANGE, help="detuning range lo:hi")
     p4.add_argument("--svg", help="optional SVG heatmap path")
     _add_output_flags(p4)
 
@@ -123,18 +127,18 @@ def build_parser() -> _Parser:
         _add_param_flags(pf, *flags)
         if name != "fig1":  # the single-oscillator rates read no convention
             _add_convention_flags(pf)
-        pf.add_argument("--grid", type=int, default=256 if name == "fig3" else 201,
-                        help="sweep/axis point count")
+        count = _DEFAULTS.grid.count if name == "fig3" else THETA_AXIS.count
+        pf.add_argument("--grid", type=int, default=count, help="sweep/axis point count")
         if name == "fig2":
             pf.add_argument("--temp", choices=("low", "high"), default="low",
                             help="temperature regime (beta*omega = 1 or 0.1)")
-            pf.add_argument("--xi-list", default="0,0.25,0.5,0.75,1")
+            pf.add_argument("--xi-list", default=",".join(map(repr, FIG2_XI)))
         if name == "fig3":
-            pf.add_argument("--cutoff", type=int, default=2)
-            pf.add_argument("--t2", type=float, default=0.0)
+            pf.add_argument("--cutoff", type=int, default=_DEFAULTS.cutoff)
+            pf.add_argument("--t2", type=float, default=_DEFAULTS.t2)
             pf.add_argument("--theta-list", default=None,
                             help="comma-separated theta values")
-            pf.add_argument("--xi-list", default="0,1")
+            pf.add_argument("--xi-list", default=",".join(map(repr, FIG3_XI)))
             pf.add_argument("--svg", action="store_true",
                             help="also render one SVG heatmap per grid")
         _add_output_flags(pf, "output path (fig3: directory)")
@@ -154,14 +158,14 @@ def _config(args) -> RunConfig:
     """The one RunConfig of a subcommand, read from the flags it defines; a
     flag the command lacks keeps its RunConfig default."""
     flags = vars(args)
-    params = _DEFAULTS.with_(**{field: flags[name] for name, (field, _) in PARAM_FLAGS.items()
-                                if name in flags})
+    params = _DEFAULTS.params.with_(**{field: flags[name] for name, (field, _)
+                                       in PARAM_FLAGS.items() if name in flags})
     kw = {"threads": args.threads}
     if "convention" in flags:
         kw["conventions"] = Conventions(args.convention, args.conjugation, args.jump_basis,
                                         args.stat_dephasing == "on")
     if "cutoff" in flags:  # spectrum and fig3 evaluate on a detuning grid
-        lo, hi = parse_range(flags.get("range", "-0.5:0.5"))
+        lo, hi = parse_range(flags.get("range", GRID_RANGE))
         kw.update(cutoff=args.cutoff, t2=args.t2, grid=GridSpec(count=args.grid, lo=lo, hi=hi))
     elif flags.get("range", THETA_RANGE):  # the rest on a theta axis; ep-locate's is optional
         kw["sweep"] = (SweepAxis("theta", *parse_range(flags.get("range", THETA_RANGE)),
@@ -169,8 +173,7 @@ def _config(args) -> RunConfig:
     if "temp" in flags:
         params = params.with_(beta=1.0 if args.temp == "low" else 0.1)
     if "theta_list" in flags:
-        kw["theta_list"] = (_floats(args.theta_list) if args.theta_list
-                            else tuple(np.linspace(0.0, math.pi, 9)))
+        kw["theta_list"] = _floats(args.theta_list) if args.theta_list else FIG3_THETAS
     if "xi_list" in flags:
         kw["xi_list"] = _floats(args.xi_list)
     elif args.command == "dimer-rates":
@@ -229,10 +232,9 @@ def _run(args) -> int:
         if args.svg:
             for theta, xi, g in fig3.grids:
                 name = f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg"
-                diag = g.omega_tau_axis
                 write_grid_svg(g, os.path.join(args.out, name),
                                title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}",
-                               overlays=[(diag, diag)])
+                               overlays=[(g.axis, g.axis)])
         print(f"wrote fig3 outputs under {args.out}", file=sys.stderr)
     return 0
 

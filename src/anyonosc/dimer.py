@@ -1,5 +1,5 @@
 """Two-mode effective dynamics: deformed normal modes, correlated-bath channel
-coefficients, the 2x2 evolution matrix W_eff, its eigen-analysis and the
+coefficients, the 2x2 evolution matrix W_eff with its eigen-analysis and the
 exceptional-point locator.
 
 The W_eff layer is array-valued: ``normal_mode_frequencies``,
@@ -8,14 +8,14 @@ AnyonParams point), ``weff_eigenvalues`` takes entry arrays and
 ``match_branches`` labels whole eigenvalue sequences, all over broadcast
 arrays. ``channel_coefficients`` is the one table of the four bath channels:
 ``dissipative_rates`` sums it, and the Fock-space jump operators read it.
-``build_weff`` and ``eigen_analysis`` are one-point calls of the same code;
-the exceptional-point locator scans and refines on the array gap.
+``build_weff`` and its ``EffectiveMatrix`` are one-point calls of the same
+code; the exceptional-point locator scans and refines on the array gap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,14 @@ DEFAULT_CONJUGATION = "modulus"
 # An exceptional point is declared when the eigenvalue gap drops below this
 # multiple of gamma; sized so desk-scale float noise cannot fake a degeneracy.
 EP_GAP_FACTOR = 1e-6
+EP_COARSE_POINTS = 512  # angles in the locator's coarse scan of the bracket
 # Eigenvector-condition marker for near-defective matrices.
 EP_CONDITION_MARKER = 1e8
 
 
 def normal_mode_frequencies(params: AnyonParams | ParamArrays,
                             convention: str = DEFAULT_FREQUENCY_CONVENTION):
-    """Normal-mode frequencies (omega_plus, omega_minus) of the coupled pair.
+    """Normal-mode frequencies (omega_+, omega_-) of the coupled pair.
 
     convention "appendix" uses the half-angle splitting omega +/- J cos(theta/2)
     derived from the explicit deformed-mode transformation; "maintext" uses
@@ -222,18 +223,31 @@ def _condition(vp, vm) -> np.ndarray:
     return np.divide(smax2, det, out=np.full(det.shape, np.inf), where=det > 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EffectiveMatrix:
-    """W_eff with its eigen-decomposition and mode lifetimes."""
+    """W_eff with its closed-form eigen-analysis, made with the record (so
+    ``dataclasses.replace(w, entries=...)`` analyses the new matrix): right
+    eigenvectors as columns, lifetimes tau = 1/(-Re lambda), near_defective
+    when the eigenvector condition number exceeds EP_CONDITION_MARKER."""
 
     entries: np.ndarray                 # 2x2 complex (A, B; C, D)
-    omega_plus: float
-    omega_minus: float
-    eigenvalues: tuple | None = None            # (lambda_plus, lambda_minus)
-    right_eigenvectors: np.ndarray | None = None  # columns
-    lifetimes: tuple | None = None
-    eigenvector_condition: float | None = None
-    near_defective: bool = False
+    eigenvalues: tuple = field(init=False)             # (lambda_plus, lambda_minus)
+    right_eigenvectors: np.ndarray = field(init=False)
+    lifetimes: tuple = field(init=False)
+    eigenvector_condition: float = field(init=False)
+    near_defective: bool = field(init=False)
+
+    def __post_init__(self):
+        (a, b), (c, d) = self.entries
+        lam = weff_eigenvalues(a, b, c, d)
+        vectors = _eigenvector(a, b, c, d, np.array(lam))
+        cond = float(_condition(vectors[:, 0], vectors[:, 1]))
+        with np.errstate(over="ignore"):  # a subnormal decay rate: lifetime inf
+            lifetimes = tuple((1.0 / -l.real) if l.real < 0.0 else float("inf") for l in lam)
+        for name, value in (("eigenvalues", lam), ("right_eigenvectors", vectors),
+                            ("lifetimes", lifetimes), ("eigenvector_condition", cond),
+                            ("near_defective", cond > EP_CONDITION_MARKER)):
+            object.__setattr__(self, name, value)
 
     @property
     def gap(self) -> float:
@@ -245,35 +259,10 @@ def build_weff(params: AnyonParams,
                frequency_convention: str = DEFAULT_FREQUENCY_CONVENTION,
                conjugation: str = DEFAULT_CONJUGATION,
                stat_dephasing: bool = False) -> EffectiveMatrix:
-    """Assemble the effective evolution matrix at one parameter point and
-    populate its eigen-analysis (``weff_entries``, then ``eigen_analysis``)."""
-    wp, wm = normal_mode_frequencies(params, frequency_convention)
+    """The effective evolution matrix at one parameter point
+    (``weff_entries``), with its eigen-analysis."""
     a, b, c, d = weff_entries(params, frequency_convention, conjugation, stat_dephasing)
-    w = EffectiveMatrix(entries=np.array([[a, b], [c, d]], dtype=complex),
-                        omega_plus=float(wp), omega_minus=float(wm))
-    return eigen_analysis(w)
-
-
-def eigen_analysis(matrix: EffectiveMatrix) -> EffectiveMatrix:
-    """Closed-form eigenvalues/eigenvectors and lifetimes of a 2x2 W_eff.
-
-    Eigenvalues from ``weff_eigenvalues``; lifetimes tau = 1/(-Re lambda).
-    Flags near-defective matrices when the eigenvector condition number
-    exceeds EP_CONDITION_MARKER.
-    """
-    (a, b), (c, d) = matrix.entries
-    lp, lm = weff_eigenvalues(a, b, c, d)
-    vectors = _eigenvector(a, b, c, d, np.array([lp, lm]))
-    cond = float(_condition(vectors[:, 0], vectors[:, 1]))
-    matrix.eigenvalues = (lp, lm)
-    matrix.right_eigenvectors = vectors
-    with np.errstate(over="ignore"):  # a subnormal decay rate: lifetime inf
-        matrix.lifetimes = tuple(
-            (1.0 / -l.real) if l.real < 0.0 else float("inf") for l in (lp, lm)
-        )
-    matrix.eigenvector_condition = cond
-    matrix.near_defective = cond > EP_CONDITION_MARKER
-    return matrix
+    return EffectiveMatrix(np.array([[a, b], [c, d]], dtype=complex))
 
 
 def match_branches(first, second) -> tuple:
@@ -323,14 +312,14 @@ def find_exceptional_point(params: AnyonParams,
                            theta_bracket: tuple | None = None,
                            frequency_convention: str = DEFAULT_FREQUENCY_CONVENTION,
                            conjugation: str = DEFAULT_CONJUGATION,
-                           stat_dephasing: bool = False,
-                           coarse_points: int = 512) -> EPResult:
+                           stat_dephasing: bool = False) -> EPResult:
     """Locate the statistical angle minimizing the eigenvalue gap of W_eff.
 
-    Coarse scan over the bracket followed by golden-section refinement, both
-    on one array gap function (``weff_eigenvalues`` of ``weff_entries``). An EP
-    is declared when the refined gap falls below EP_GAP_FACTOR * gamma; the
-    minimal gap is reported either way. params.theta is ignored. The default
+    Coarse scan of EP_COARSE_POINTS angles over the bracket followed by
+    golden-section refinement, both on one array gap function
+    (``weff_eigenvalues`` of ``weff_entries``). An EP is declared when the
+    refined gap falls below EP_GAP_FACTOR * gamma; the minimal gap is
+    reported either way. params.theta is ignored. The default
     bracket stops short of pi, where the xi = 0 matrix becomes a scalar (a
     normal degeneracy, not an exceptional point).
     """
@@ -345,10 +334,10 @@ def find_exceptional_point(params: AnyonParams,
                                                 frequency_convention, conjugation, stat_dephasing))
         return _modulus(lp - lm)
 
-    grid = np.linspace(lo, hi, coarse_points)
+    grid = np.linspace(lo, hi, EP_COARSE_POINTS)
     k = int(np.argmin(gap_at(grid)))
     a = grid[max(0, k - 1)]
-    b = grid[min(coarse_points - 1, k + 1)]
+    b = grid[min(EP_COARSE_POINTS - 1, k + 1)]
 
     # golden-section refinement; the gap behaves like sqrt|theta - theta*| at a
     # true crossing, still unimodal within one coarse cell

@@ -25,6 +25,7 @@ from .params import AnyonParams
 from .rates import q_bracket, thermal_occupation
 
 JUMP_BASES = ("site", "deformed")
+FIT_RESIDUAL_FLAG = 1e-2  # a larger misfit marks a series fit_decay_rate cannot fit
 
 
 def anyon_ladder_matrix(cutoff: int, theta: float) -> np.ndarray:
@@ -168,8 +169,9 @@ def jump_operators(system: FockSystem, params: AnyonParams,
       first-moment equations reproduce the effective matrix W_eff exactly
       (the Delta q = +1 block contains both W_eff eigenvalues).
     - "site": the literal collective combinations
-      sqrt(gamma nbar (1 +/- xi)) (a1 +/- a2)/sqrt2, kept for comparison (its
-      first moments do not reproduce W_eff away from xi = 0).
+      sqrt(gamma nbar (1 +/- xi)) (a1 +/- a2)/sqrt2, the default of the spectra
+      and the CLI, on which acceptance criteria 7 and 8 run (its first
+      moments do not reproduce W_eff away from xi = 0).
 
     The deformed basis reads ``dimer.channel_coefficients``, the site basis
     the literal scalars sqrt(gamma nbar (1 +/- xi)) of the same channels
@@ -325,12 +327,12 @@ def resolvent_apply(liouv: np.ndarray, omega: float, sign: int,
     return np.linalg.solve(shifted, -np.asarray(vector, dtype=complex))
 
 
-def fit_decay_rate(times: np.ndarray, series: np.ndarray, residual_tol: float = 1e-2):
+def fit_decay_rate(times: np.ndarray, series: np.ndarray):
     """Least-squares fit of A e^{(-rate - i freq) t} to a complex series.
 
     Log-linear fit with unwrapped phase; returns (rate, freq, residual,
     flagged) where residual is the normalized misfit of the reconstructed
-    exponential and flagged is residual > ``residual_tol``, which marks a
+    exponential and flagged is residual > FIT_RESIDUAL_FLAG, which marks a
     non-exponential signal (e.g. the polynomial-times-exponential dynamics
     near an exceptional point).
     """
@@ -346,4 +348,4 @@ def fit_decay_rate(times: np.ndarray, series: np.ndarray, residual_tol: float = 
     rate, freq = -slope.real, -slope.imag
     model = np.exp(intercept) * np.exp(slope * t)
     residual = float(np.linalg.norm(model - s) / np.linalg.norm(s))
-    return rate, freq, residual, residual > residual_tol
+    return rate, freq, residual, residual > FIT_RESIDUAL_FLAG

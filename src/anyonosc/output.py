@@ -185,14 +185,14 @@ def write_outputs(result, config, path: str, timestamp: str | None = None):
 
 def grid_result(grid):
     """Long-format rows (omega_tau, omega_t, re, im) of a 2D spectrum grid,
-    omega_t varying fastest, as one SweepResult with an (N_tau * N_t, 4)
-    array of rows, for every grid CSV (file or stdout). The grid's own
+    omega_t varying fastest, as one SweepResult with an (N * N, 4) array of
+    rows, for every grid CSV (file or stdout). The grid's own
     metadata rides along as the sidecar's ``grid`` block.
     """
     values = grid.values
     rows = np.empty(values.shape + (4,))
-    rows[..., 0] = grid.omega_tau_axis[:, None]
-    rows[..., 1] = grid.omega_t_axis[None, :]
+    rows[..., 0] = grid.axis[:, None]
+    rows[..., 1] = grid.axis[None, :]
     rows[..., 2] = values.real
     rows[..., 3] = values.imag
     return SweepResult(columns=("omega_tau", "omega_t", "re", "im"),
@@ -205,13 +205,14 @@ def grid_result(grid):
 # SVG heatmap emitter (no external assets)
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 90, 40, 55
+_WIDTH, _HEIGHT, _LEVELS = 760, 640, 64  # pixels; colors of the map and its scale bar
 
 
-def _diverging_palette(levels: int):
+def _diverging_palette(count: int):
     # blue -> white -> red, linear in each channel
     colors = []
-    for k in range(levels):
-        t = k / (levels - 1)
+    for k in range(count):
+        t = k / (count - 1)
         if t < 0.5:
             u = t / 0.5
             r, g, b = int(40 + 215 * u), int(60 + 195 * u), 255
@@ -226,15 +227,13 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return np.linspace(lo, hi, n)
 
 
-def svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [omega]",
-                ylabel: str = "omega_t [omega]", overlays=None,
-                width: int = 760, height: int = 640, levels: int = 64) -> str:
-    """Self-contained SVG heatmap of a real-valued grid.
+def svg_heatmap(x_axis, y_axis, z, title: str = "", overlays=None) -> str:
+    """Self-contained SVG heatmap of a real-valued grid over (omega_tau, omega_t).
 
-    Linear diverging color map symmetric about zero; horizontal runs of equal
-    quantized color are merged into single rects to keep files small. Overlay
-    polylines are drawn dashed on top. z is indexed (x_index, y_index)
-    following the spectrum grid convention (values[i, j] = (x_i, y_j)).
+    Linear diverging color map of _LEVELS colors symmetric about zero;
+    horizontal runs of equal quantized color are merged into single rects to
+    keep files small. Overlay polylines are drawn dashed on top. z[i, j] is
+    the value at (x_i, y_j), as in a spectrum grid.
     """
     x_axis = np.asarray(x_axis, float)
     y_axis = np.asarray(y_axis, float)
@@ -245,20 +244,20 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [om
     if nx != x_axis.size or ny != y_axis.size:
         raise ValueError("heatmap axes do not match grid shape")
     vmax = float(np.max(np.abs(z))) or 1.0
-    palette = _diverging_palette(levels)
-    quant = np.clip(((z / vmax) * 0.5 + 0.5) * (levels - 1), 0, levels - 1).round().astype(int)
+    palette = _diverging_palette(_LEVELS)
+    quant = np.clip(((z / vmax) * 0.5 + 0.5) * (_LEVELS - 1), 0, _LEVELS - 1).round().astype(int)
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     cell_w = plot_w / nx
     cell_h = plot_h / ny
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
     # heatmap cells: one rect per run of equal quantized color along x, for
@@ -293,11 +292,11 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [om
                      f'y2="{ypix:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_MARGIN_L - 8}" y="{ypix + 4:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{tv:.3g}</text>')
-    parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{height - 14}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13">{xlabel}</text>')
+    parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_HEIGHT - 14}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="13">omega_tau [omega]</text>')
     parts.append(f'<text x="20" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>')
+                 f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.0f})">omega_t [omega]</text>')
     # overlay polylines (dashed)
     if overlays:
         for xs, ys in overlays:
@@ -312,10 +311,10 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [om
                 parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" '
                              'stroke-width="1.5" stroke-dasharray="6,4"/>')
     # color scale bar
-    bar_x = width - _MARGIN_R + 20
+    bar_x = _WIDTH - _MARGIN_R + 20
     bar_h = plot_h
-    seg = bar_h / levels
-    for k in range(levels):
+    seg = bar_h / _LEVELS
+    for k in range(_LEVELS):
         parts.append(f'<rect x="{bar_x}" y="{_MARGIN_T + bar_h - (k + 1) * seg:.2f}" width="14" '
                      f'height="{seg + 0.5:.2f}" fill="{palette[k]}"/>')
     parts.append(f'<text x="{bar_x + 18}" y="{_MARGIN_T + 8}" font-family="sans-serif" '
@@ -328,8 +327,7 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", xlabel: str = "omega_tau [om
 
 def write_grid_svg(grid, path: str, title: str = "", overlays=None):
     """Render Re(values) of a spectrum grid to a standalone SVG file."""
-    svg = svg_heatmap(grid.omega_tau_axis, grid.omega_t_axis, grid.values.real,
-                      title=title, overlays=overlays)
+    svg = svg_heatmap(grid.axis, grid.axis, grid.values.real, title=title, overlays=overlays)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
     return path

@@ -1,4 +1,4 @@
-"""Shared parameter set and small value types for the anyonic oscillator model.
+"""Shared parameter set for the anyonic oscillator model.
 
 ``AnyonParams`` is one parameter point; ``ParamArrays`` holds the same fields
 as broadcast arrays for the array-valued closed-form layer. Both are checked
@@ -145,19 +145,3 @@ class ParamArrays:
     def z(self) -> np.ndarray:
         """Boltzmann weight z = exp(-beta*omega), always in (0, 1)."""
         return _exp(-self.beta * self.omega)
-
-
-@dataclass(frozen=True)
-class ComplexRate:
-    """A relaxation quantity whose real part is the decay rate and whose
-    imaginary part is a frequency shift inherited from the complex occupation."""
-
-    value: complex
-
-    @property
-    def decay(self) -> float:
-        return self.value.real
-
-    @property
-    def shift(self) -> float:
-        return self.value.imag

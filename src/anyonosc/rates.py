@@ -20,8 +20,10 @@ import math
 
 import numpy as np
 
-from .params import (AnyonParams, ComplexRate, ParameterError, ParamArrays,
-                     BETA_OMEGA_FLOOR, _exp, first_violation)
+from .params import (AnyonParams, ParameterError, ParamArrays, BETA_OMEGA_FLOOR, _exp,
+                     first_violation)
+
+SERIES_TAIL = 1e-14  # phase_average_series stops at the first z^N below this
 
 
 def deformed_commutator_eigenvalue(n: int, theta: float) -> complex:
@@ -100,11 +102,11 @@ def phase_average(theta: float, z: float) -> complex:
     return _divide(1.0 - z, 1.0 - z * np.exp(1j * np.asarray(theta, dtype=float)))
 
 
-def phase_average_series(theta: float, z: float, tol: float = 1e-14) -> complex:
-    """Truncated-series oracle for phase_average: sum e^{i theta n}(1-z)z^n with z^N < tol."""
+def phase_average_series(theta: float, z: float) -> complex:
+    """Truncated-series oracle for phase_average: sum e^{i theta n}(1-z)z^n, z^N < SERIES_TAIL."""
     if z == 0.0:
         return 1.0 + 0.0j
-    nmax = max(1, int(math.ceil(math.log(tol) / math.log(z))))
+    nmax = max(1, int(math.ceil(math.log(SERIES_TAIL) / math.log(z))))
     total = 0.0 + 0.0j
     for n in range(nmax + 1):
         total += cmath.exp(1j * theta * n) * (1.0 - z) * z**n
@@ -130,15 +132,14 @@ def gamma_stat(theta: float, z: float, gamma: float) -> float:
     return (0.5 * gamma * z * one_minus_c * (1.0 + z) / denom)[()]
 
 
-def gamma_full_single(params: AnyonParams | ParamArrays) -> ComplexRate:
+def gamma_full_single(params: AnyonParams | ParamArrays) -> complex:
     """Total phase relaxation rate of a single oscillator.
 
     (gamma/2) * [2 n_theta + 1 + (1 - Re<e^{i theta N}>)], complex in general
-    because n_theta is; the physical decay rate reported to users is the real
-    part. Boson limit: (gamma/2)(2n + 1). ``params`` may be a ParamArrays,
-    and the rate then has its broadcast shape.
+    because n_theta is: the real part is the decay rate reported to users, the
+    imaginary part a frequency shift. Boson limit: (gamma/2)(2n + 1). A
+    ParamArrays gives an array of its broadcast shape, one point a scalar.
     """
     nth = thermal_occupation(params.theta, params.beta, params.omega)
     re_avg = phase_average(params.theta, params.z).real
-    value = 0.5 * params.gamma * (2.0 * nth + 1.0 + (1.0 - re_avg))
-    return ComplexRate(value)
+    return 0.5 * params.gamma * (2.0 * nth + 1.0 + (1.0 - re_avg))

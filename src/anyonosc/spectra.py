@@ -15,6 +15,7 @@ from .fock import FockSystem, build_liouvillian, expm, liouvillian_gather, liouv
 from .params import AnyonParams, ParamArrays
 
 DEFAULT_JUMP_BASIS = "site"  # fig-3 style spectra; logged in grid metadata
+QUADRATURE_STEP = 0.05  # time step of the quadrature oracle
 
 
 def build_dipole(system: FockSystem, conjugation: str = DEFAULT_CONJUGATION) -> np.ndarray:
@@ -64,20 +65,24 @@ class GridSpec:
             return np.linspace(self.lo, self.hi, self.count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumGrid:
     """R(3)(omega_tau, t2, omega_t) on a uniform detuning grid.
 
-    values[i, j] is indexed (omega_tau_i, omega_t_j). metadata records what
-    the run configuration cannot show: the equilibrium state, the splitting
-    the Fock Hamiltonian used, and the axis, sign and prefactor conventions.
+    values[i, j] is indexed (omega_tau = axis_i, omega_t = axis_j); values of
+    another shape are a ValueError. metadata records what the run
+    configuration cannot show: the equilibrium state, the splitting the Fock
+    Hamiltonian used, and the axis, sign and prefactor conventions.
     """
 
-    omega_tau_axis: np.ndarray
-    omega_t_axis: np.ndarray
-    t2: float
+    axis: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n = self.axis.size
+        if np.shape(self.values) != (n, n):
+            raise ValueError(f"values {np.shape(self.values)} do not match a {n}-point axis")
 
 
 def coherence_order(system: FockSystem) -> np.ndarray:
@@ -231,7 +236,7 @@ def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonPara
         "first_interval_axis": "omega_tau",
         "prefactor": "(i/hbar)^3, hbar = 1",
     }
-    return SpectrumGrid(axis.copy(), axis.copy(), t2, values, meta)
+    return SpectrumGrid(axis, values, meta)
 
 
 def response_point(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
@@ -251,25 +256,24 @@ def rephasing_response_quadrature(system: FockSystem, dipole: np.ndarray, params
                                   axis: np.ndarray, t2: float = 0.0,
                                   jump_basis: str = DEFAULT_JUMP_BASIS,
                                   conjugation: str = DEFAULT_CONJUGATION,
-                                  horizon_factor: float = 20.0,
-                                  dt: float = 0.05) -> np.ndarray:
-    """Time-domain oracle for the response: Simpson quadrature of the interval
-    integrals -int_0^T e^{-s i w t} e^{Lt} v dt with T = horizon_factor/gamma,
+                                  horizon_factor: float = 20.0) -> np.ndarray:
+    """Time-domain oracle for the response: Simpson quadrature (step QUADRATURE_STEP)
+    of the interval integrals -int_0^T e^{-s i w t} e^{Lt} v dt, T = horizon_factor/gamma,
     replacing every resolvent solve. Independent of the LU path."""
     axis = np.asarray(axis, dtype=float)
     liouv = build_liouvillian(system, params, jump_basis, conjugation, rotating=True)
     v0 = (system.vacuum_projector() @ dipole).ravel()
     tr_mu = dipole.T.ravel()
     horizon = horizon_factor / params.gamma
-    nsteps = int(round(horizon / dt))
+    nsteps = int(round(horizon / QUADRATURE_STEP))
     if nsteps % 2 == 1:
         nsteps += 1
-    step = expm(liouv * dt)
-    times = np.arange(nsteps + 1) * dt
+    step = expm(liouv * QUADRATURE_STEP)
+    times = np.arange(nsteps + 1) * QUADRATURE_STEP
     simpson = np.ones(nsteps + 1)
     simpson[1:-1:2] = 4.0
     simpson[2:-1:2] = 2.0
-    simpson *= dt / 3.0
+    simpson *= QUADRATURE_STEP / 3.0
 
     def trajectory(vec):
         traj = np.empty((nsteps + 1, vec.size), dtype=complex)
@@ -306,12 +310,8 @@ class LineshapeMetrics:
 
 
 def diagonal_slice(grid: SpectrumGrid):
-    """Values along omega_t = omega_tau. Requires identical square axes."""
-    if grid.values.shape[0] != grid.values.shape[1]:
-        raise ValueError("diagonal slice needs a square grid")
-    if not np.array_equal(grid.omega_tau_axis, grid.omega_t_axis):
-        raise ValueError("diagonal slice needs identical omega_tau and omega_t axes")
-    return grid.omega_tau_axis.copy(), np.diagonal(grid.values).copy()
+    """(axis, values) along omega_t = omega_tau."""
+    return grid.axis.copy(), np.diagonal(grid.values).copy()
 
 
 def lineshape_metrics(detunings: np.ndarray, values: np.ndarray) -> LineshapeMetrics:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
-                    DEFAULT_FREQUENCY_CONVENTION, FREQUENCY_CONVENTIONS,
+                    DEFAULT_FREQUENCY_CONVENTION, EP_GAP_FACTOR, FREQUENCY_CONVENTIONS,
                     _modulus, match_branches, weff_eigenvalues, weff_entries)
 from .fock import JUMP_BASES, FockSystem
 from .output import SweepResult
@@ -47,6 +47,13 @@ class SweepAxis:
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
+
+
+# Preset defaults, read by the CLI's too: every theta sweep's axis, fig2's xi, fig3's panels
+THETA_AXIS = SweepAxis("theta", 0.0, math.pi, 201)
+FIG2_XI = (0.0, 0.25, 0.5, 0.75, 1.0)
+FIG3_THETAS = tuple(np.linspace(0.0, math.pi, 9).tolist())
+FIG3_XI = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -110,60 +117,65 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _require_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+# The keys config_from_dict reads, with values of their JSON types (one item per
+# list), and per echoed type the JSON values accepted in its place.
+_SCHEMA = RunConfig(sweep=(THETA_AXIS,), theta_list=(0.0,), xi_list=(0.0,)).as_dict()
+_JSON_TYPES = {dict: (dict, "a JSON object"), list: (list, "a JSON list"),
+               bool: (bool, "a boolean"), int: (int, "an integer"),
+               float: ((int, float), "a number"), str: (str, "a string"),
+               type(None): ((str, type(None)), "a string or null")}
+
+
+def _check_types(value, like, where: str):
+    """ConfigError naming ``where`` unless ``value`` is of the JSON type of
+    ``like``, its part of ``_SCHEMA`` (a boolean is never a number), with an
+    object's keys among ``like``'s and a list's items each like ``like[0]``."""
+    kinds, name = _JSON_TYPES[type(like)]
+    if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(like, bool):
+        raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
+    if isinstance(like, dict):
+        unknown = set(value) - set(like)
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        for key, item in value.items():
+            _check_types(item, like[key], f"{where}.{key}")
+    elif isinstance(like, list):
+        for i, item in enumerate(value):
+            _check_types(item, like[0], f"{where}[{i}]")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    """Build a RunConfig from a JSON document; unknown keys are hard errors."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _require_keys(doc, {"params", "sweep", "conventions", "output", "compute",
-                        "grid", "t2", "theta_list", "xi_list"}, "config")
-    pdoc = doc.get("params", {})
-    _require_keys(pdoc, set(PARAM_FIELDS), "config.params")
+    """Build a RunConfig from a JSON document over the RunConfig defaults; an
+    unknown key, or a value of another JSON type than the echo's, is an error."""
+    _check_types(doc, _SCHEMA, "config")
+    echo = RunConfig().as_dict()
+    for key, value in doc.items():
+        echo[key] = dict(echo[key], **value) if isinstance(value, dict) else value
     try:
-        params = AnyonParams(theta=float(pdoc.get("theta", 0.0)),
-                             **{k: float(pdoc[k]) for k in PARAM_FIELDS[1:] if k in pdoc})
+        params = AnyonParams(**{k: float(v) for k, v in echo["params"].items()})
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
     axes = []
-    for item in doc.get("sweep", []):
-        _require_keys(item, {"name", "start", "stop", "count"}, "config.sweep[]")
+    for item in echo["sweep"]:
         for key in ("name", "start", "stop", "count"):
             if key not in item:
                 raise ConfigError(f"sweep axis missing {key!r}")
         if item["name"] not in PARAM_FIELDS:
             raise ConfigError(f"sweep axis references unknown parameter {item['name']!r}")
-        axes.append(SweepAxis(item["name"], float(item["start"]), float(item["stop"]),
-                              int(item["count"])))
+        axes.append(SweepAxis(**item))
 
-    cdoc = doc.get("conventions", {})
-    _require_keys(cdoc, {"frequency", "conjugation", "jump_basis", "stat_dephasing"},
-                  "config.conventions")
-    conv = Conventions(**dict(cdoc, stat_dephasing=bool(cdoc.get("stat_dephasing", False))))
-
-    odoc = doc.get("output", {})
-    _require_keys(odoc, {"path"}, "config.output")
-    kdoc = doc.get("compute", {})
-    _require_keys(kdoc, {"threads", "cutoff"}, "config.compute")
-    gdoc = doc.get("grid", {})
-    _require_keys(gdoc, {"count", "lo", "hi"}, "config.grid")
     try:
-        grid = GridSpec(count=int(gdoc.get("count", 256)),
-                        lo=float(gdoc.get("lo", -0.5)), hi=float(gdoc.get("hi", 0.5)))
+        grid = GridSpec(**echo["grid"])
     except ValueError as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
 
-    return RunConfig(params=params, sweep=tuple(axes), conventions=conv,
-                     output_path=odoc.get("path"), threads=int(kdoc.get("threads", 1)),
-                     cutoff=int(kdoc.get("cutoff", 2)), grid=grid,
-                     t2=float(doc.get("t2", 0.0)),
-                     theta_list=tuple(float(x) for x in doc.get("theta_list", [])),
-                     xi_list=tuple(float(x) for x in doc.get("xi_list", [])))
+    return RunConfig(params=params, sweep=tuple(axes),
+                     conventions=Conventions(**echo["conventions"]),
+                     output_path=echo["output"]["path"], threads=echo["compute"]["threads"],
+                     cutoff=echo["compute"]["cutoff"], grid=grid, t2=float(echo["t2"]),
+                     theta_list=tuple(float(x) for x in echo["theta_list"]),
+                     xi_list=tuple(float(x) for x in echo["xi_list"]))
 
 
 def load_config(path: str) -> RunConfig:
@@ -185,8 +197,7 @@ def parse_range(text: str) -> tuple:
 
 
 def _theta_axis(config: RunConfig) -> SweepAxis:
-    axis = next((ax for ax in config.sweep if ax.name == "theta"), None)
-    return SweepAxis("theta", 0.0, math.pi, 201) if axis is None else axis
+    return next((ax for ax in config.sweep if ax.name == "theta"), THETA_AXIS)
 
 
 def _eigenvalues(points: ParamArrays, conv: Conventions) -> tuple:
@@ -202,7 +213,7 @@ def run_fig1(config: RunConfig) -> SweepResult:
     """
     theta = _theta_axis(config).values()
     pts = ParamArrays.over(config.params, theta=theta)
-    full = gamma_full_single(pts).value
+    full = gamma_full_single(pts)
     rows = np.column_stack([theta, gamma_stat(pts.theta, pts.z, pts.gamma),
                             full.real, full.imag])
     return SweepResult(
@@ -220,12 +231,12 @@ def run_fig2(config: RunConfig) -> SweepResult:
     within each xi, the branches continued along theta.
     """
     theta = _theta_axis(config).values()
-    xi = np.array(config.xi_list or (0.0, 0.25, 0.5, 0.75, 1.0), dtype=float)
+    xi = np.array(config.xi_list or FIG2_XI, dtype=float)
     theta, xi = np.meshgrid(theta, xi)
     lp, lm = match_branches(*_eigenvalues(
         ParamArrays.over(config.params, theta=theta, xi=xi), config.conventions))
     gap = _modulus(lp - lm)
-    flag = gap < 1e-6 * config.params.gamma
+    flag = gap < EP_GAP_FACTOR * config.params.gamma
     rows = np.stack([theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag], axis=-1)
     return SweepResult(
         columns=("theta", "xi", "re_lambda_plus", "re_lambda_minus",
@@ -255,10 +266,8 @@ class Fig3Result:
 def run_fig3(config: RunConfig) -> Fig3Result:
     """Rephasing spectra for each (theta, xi), with stacked diagonal slices
     and the bright-mode overlay curves."""
-    if config.cutoff < 2:
-        raise ConfigError("fig3 needs cutoff >= 2")
-    thetas = config.theta_list or tuple(np.linspace(0.0, math.pi, 9))
-    xis = config.xi_list or (0.0, 1.0)
+    thetas = config.theta_list or FIG3_THETAS
+    xis = config.xi_list or FIG3_XI
     conv = config.conventions
     p = config.params
 
@@ -315,7 +324,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     # a field swept twice takes its last axis, as keyword replacement would
     pts = ParamArrays.over(config.params, **dict(zip(names, points.T)))
-    full = gamma_full_single(pts).value
+    full = gamma_full_single(pts)
     lp, lm = _eigenvalues(pts, config.conventions)
     rows = np.column_stack([points, gamma_stat(pts.theta, pts.z, pts.gamma),
                             full.real, full.imag, lp.real, lp.imag, lm.real, lm.imag,

@@ -33,7 +33,7 @@ def test_criterion_01_boson_limit_rate():
     t0 = time.perf_counter()
     p = AnyonParams(theta=0.0, beta=1.0, gamma=0.1)
     want = 0.05 * (2.0 / (math.e - 1.0) + 1.0)
-    got = gamma_full_single(p).value.real
+    got = gamma_full_single(p).real
     closed_ok = abs(got - want) <= 1e-12
 
     system = FockSystem(cutoff=8, theta=0.0, modes=1)

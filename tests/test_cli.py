@@ -607,6 +607,9 @@ class TestCliSpectraNeverBuildTheDenseLiouvillian:
         assert len(read_csv(str(out))[2]) == 16 * 16
 
 
+AXIS = {"name": "xi", "start": -1.0, "stop": 1.0, "count": 3}
+
+
 class TestCliSweepConfig:
     def test_config_file_round(self, capsys, tmp_path):
         cfg = {"params": {"theta": 0.3, "gamma": 0.1},
@@ -668,6 +671,33 @@ class TestCliSweepConfig:
         assert out_csv.read_bytes() == data
         replayed = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert replayed["config_sha256"] == meta["config_sha256"]
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"params": 5}, "config.params"),
+        ({"sweep": [5]}, "config.sweep[0]"),
+        ({"theta_list": 5}, "config.theta_list"),
+        ({"params": {"theta": None}}, "config.params.theta"),
+        ({"conventions": {"stat_dephasing": "false"}}, "config.conventions.stat_dephasing"),
+        ({"conventions": {"frequency": 5}}, "config.conventions.frequency"),
+        ({"sweep": [dict(AXIS, count=4.7)]}, "config.sweep[0].count"),
+        ({"compute": {"threads": 1.9}}, "config.compute.threads"),
+        ({"compute": {"cutoff": True}}, "config.compute.cutoff"),
+        ({"sweep": [dict(AXIS, start="0")]}, "config.sweep[0].start"),
+        ({"sweep": [dict(AXIS, stop=True)]}, "config.sweep[0].stop"),
+        ({"output": {"path": 7}}, "config.output.path"),
+    ], ids=["params-number", "sweep-item-number", "theta-list-number", "theta-null",
+            "stat-dephasing-string", "frequency-number", "count-fraction", "threads-fraction",
+            "cutoff-bool", "start-string", "stop-bool", "path-number"])
+    def test_value_of_another_json_type_is_error(self, capsys, tmp_path, doc, key):
+        # each value must have the JSON type of its default in the echo: no
+        # traceback, no truncation (4.7 -> 4) and no truthiness ("false" -> on)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": [AXIS], **doc}))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path),
+                                    "--out", str(tmp_path / "sweep.csv"))
+        assert code == 1
+        assert err.startswith(f"anyonosc: error: {key} must be ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
 
     def test_unknown_config_key_is_error(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -466,7 +466,7 @@ class TestPropagation:
             series.append(np.trace(a @ vec.reshape(9, 9)))
             vec = step @ vec
         rate, freq, resid, flagged = fit_decay_rate(times, np.array(series))
-        want = gamma_full_single(p).value.real
+        want = gamma_full_single(p).real
         assert rate == pytest.approx(want, rel=1e-3)
         assert freq == pytest.approx(1.0, rel=1e-6)
         assert not flagged

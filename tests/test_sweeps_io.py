@@ -225,7 +225,8 @@ class TestFig3:
         assert "grid" not in out.overlay.metadata
 
     def test_cutoff_validation(self):
-        with pytest.raises(ConfigError):
+        # the pathway's own check, before any panel is computed
+        with pytest.raises(ValueError, match="two-excitation manifold: cutoff >= 2"):
             run_fig3(RunConfig(params=AnyonParams(theta=0.0), cutoff=1))
 
 
