@@ -173,7 +173,7 @@ def _config(args) -> RunConfig:
     if "temp" in flags:
         params = params.with_(beta=1.0 if args.temp == "low" else 0.1)
     if "theta_list" in flags:
-        kw["theta_list"] = _floats(args.theta_list) if args.theta_list else FIG3_THETAS
+        kw["theta_list"] = FIG3_THETAS if args.theta_list is None else _floats(args.theta_list)
     if "xi_list" in flags:
         kw["xi_list"] = _floats(args.xi_list)
     elif args.command == "dimer-rates":

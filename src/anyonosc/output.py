@@ -4,6 +4,7 @@ heatmaps with overlay polylines."""
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -16,9 +17,15 @@ METADATA_REQUIRED_KEYS = ("artifact", "version", "created", "config_sha256",
                           "conventions", "columns", "units", "generator")
 
 
-# Rows formatted per block: enough that the per-block cost vanishes, few enough
-# that one block's Python floats and text stay near a megabyte.
-_BLOCK_ROWS = 4096
+# Values formatted per kernel call in a CSV block: enough that the call's fixed
+# cost (about 0.1 ms) vanishes, few enough that the call's temporaries (about
+# 190 bytes a value) and the block's records and text (about 90 bytes a field,
+# at most 2 * _BLOCK_VALUES fields) stay under two megabytes. A call of fewer
+# than _KERNEL_MIN values goes to `%`: it would save at most about 0.3 ms, and
+# a process writing only such tables (fig3's) paid for the kernel's first use
+# (its tables) with 0.7 MB more peak RSS and slower set-up, for no faster ops.
+_BLOCK_VALUES = 8192
+_KERNEL_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -63,36 +70,271 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _column_fields(column: np.ndarray):
-    """("%s", per-row text) for a column with at most half its values
-    distinct, each distinct bit pattern formatted once (so -0.0 and 0.0 stay
-    apart); ("%.17g", the values) for any other column."""
-    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    if 2 * bits.size > column.size:
-        return "%.17g", column
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return "%s", text[inverse]
+# -- %.17g as array code -----------------------------------------------------
+#
+# format(v, ".17g") prints the 17 significant digits D of |v|, correctly
+# rounded half to even, and the decimal exponent X with
+# |v| ~ D * 10**(X - 16), 10**16 <= D < 10**17. The kernel finds D and X for
+# a whole array: s = |v| * 10**(16 - X) is a double-double product (10**p as
+# hi + lo, |v| * hi exact by Dekker's two-product), within 1e-14 of its exact
+# value. X starts as floor(log10 |v|) and is corrected by floor(s); D is s
+# rounded, and a carry to 10**17 bumps X. Where 10**p is exact (0 <= p <= 22)
+# s is exact and np.rint rounds half to even; elsewhere a value whose s lies
+# within _TIE_MARGIN of a half is left to `%`, as is one whose X is outside
+# [_X_LO, _X_HI].
+#
+# Each value becomes a record of four 64-bit words (32 bytes) whose unused
+# bytes are NUL, byte i of a word being its bits 8i to 8i + 7: word 0 holds the
+# sign, the "0.000" of fixed notation below 1, the first digit and a "." after
+# it; words 1-2 the other 16 digits, where a "." after digit X (fixed notation,
+# 1 <= X <= 15) moves the digits behind it one byte on; word 3 the digit moved
+# out of word 2, "e+DDD" and the separator. The text of a block of records is
+# their little-endian bytes with the NULs deleted (bytes.translate).
+
+_X_LO, _X_HI = -290, 290
+_TIE_MARGIN = 1e-6
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _words(byte_rows):
+    """Words of the last axis (8 bytes) of a byte array, byte i as bits 8i-8i+7."""
+    return np.ascontiguousarray(byte_rows, np.uint8).view("<u8")[..., 0].astype(np.uint64)
+
+
+def _split(a):
+    """Veltkamp's split a = a_h + a_l, each half 26 bits (a_h * b_h exact)."""
+    t = _VELTKAMP * a
+    a_h = t - (t - a)
+    return a_h, a - a_h
+
+
+# The tables below are built on first use (about 1.5 ms in all), so importing
+# the package builds none.
+
+@functools.cache
+def _pow10():
+    """10**p for p = 14 - _X_HI .. 18 - _X_LO (X two beyond the window, where
+    log10 and the carry may put it) as hi = RN(10**p), its split and
+    lo = RN(10**p - hi), from exact integer arithmetic."""
+    hi, lo, big = [], [], 1
+    for _ in range(_X_HI - 14):  # p < 0: 10**p = 1 / big
+        big *= 10
+        num, den = (1 / big).as_integer_ratio()
+        hi.append(num / den)
+        lo.append((den - num * big) / (den * big))
+    hi.reverse()
+    lo.reverse()
+    big = 1
+    for _ in range(19 - _X_LO):  # p >= 0
+        hi.append(float(big))
+        lo.append(float(big - int(hi[-1])))
+        big *= 10
+    hi = np.array(hi)
+    mantissa, exponent = np.frexp(hi)  # split the mantissa: no overflow near 1e308
+    m_h, m_l = _split(mantissa)
+    return hi, np.ldexp(m_h, exponent), np.ldexp(m_l, exponent), np.array(lo)
+
+
+@functools.cache
+def _chunks():
+    """For each 4-digit chunk c: the word of its 4 digit characters, and, as
+    chunk j = 0..3 (digits 1 + 4j .. 4 + 4j of the 17), the index of its last
+    nonzero digit among the 17 (-1 for c = 0)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    text = np.zeros((10 ** 4, 8), np.uint8)
+    text[:, :4] = digits.T + ord("0")
+    last = np.select(digits[::-1] > 0, (3, 2, 1, 0), -1)
+    ends = np.where(last >= 0, last + 1 + 4 * np.arange(4)[:, None], -1)
+    return _words(text), ends.astype(np.int8)
+
+
+@functools.cache
+def _forms():
+    """Word 0 for each (form, last, first digit), and for words 1-2 (digits
+    1-16) the masks of the digits kept before and from the ".", and the "."
+    word, each per (form, last). The form is min(max(X, -5), 17) + 5: forms 0
+    and 22 are scientific notation, forms 1-21 fixed with X = form - 5; last
+    is the index of the last nonzero digit (0 for D = 0)."""
+    form = np.arange(23)[:, None]
+    last = np.arange(17)
+    X = form - 5
+    fixed = (form >= 1) & (form <= 21)
+    whole = fixed & (X >= 0)
+    point = np.where(whole, X, np.where(fixed, -1, 0))  # digit the "." follows
+    point = np.where(last > point, point, -1)  # no fraction, no "."
+    kept = np.maximum(last, np.where(whole, X, 0))  # last digit written
+    # word 0: sign, "0.000", first digit, and the "." when it follows that digit
+    below_one = fixed & (X < 0)
+    head = np.zeros((23, 17, 10, 8), np.uint8)
+    head[..., 1:3] = np.where(below_one, (ord("0"), ord(".")), 0)[:, None, None]
+    head[..., 3:6] = np.where(below_one & (np.arange(3) < -X - 1), ord("0"), 0)[:, None, None]
+    head[..., 6] = np.arange(10) + ord("0")
+    head[..., 7] = np.where(point == 0, ord("."), 0)[..., None]
+    # words 1-2: digit r + 1 in byte r of 16; a "." after digit X moves digits
+    # X + 1.. one byte on (the last into word 3)
+    r = np.arange(16)
+    digit = np.where(r + 1 <= kept[..., None], 0xFF, 0)
+    moves = (r >= point[..., None]) & (point[..., None] >= 1)
+    before = np.where(moves, 0, digit).astype(np.uint8)
+    after = np.where(moves, digit, 0).astype(np.uint8)
+    dot = np.where((r == point[..., None]) & (point[..., None] >= 1), ord("."), 0).astype(np.uint8)
+    masks = [_words(m.reshape(23, 17, 2, 8)).reshape(-1, 2).T.copy() for m in (before, after, dot)]
+    return _words(head).ravel(), *masks
+
+
+@functools.cache
+def _exponents():
+    """Word 3 (before the separator) for each X in the window."""
+    X = np.arange(_X_LO, _X_HI + 1)
+    size = np.abs(X)
+    text = np.zeros((X.size, 8), np.uint8)
+    text[:, 1] = ord("e")
+    text[:, 2] = np.where(X < 0, ord("-"), ord("+"))
+    text[:, 3] = np.where(size >= 100, size // 100 + ord("0"), 0)
+    text[:, 4] = size // 10 % 10 + ord("0")
+    text[:, 5] = size % 10 + ord("0")
+    text[(X >= -4) & (X <= 16)] = 0  # fixed notation
+    return _words(text)
+
+
+_MINUS, _COMMA, _NEWLINE = _words([[ord("-")] + [0] * 7,
+                                   [0] * 6 + [ord(",")] + [0],
+                                   [0] * 6 + [ord("\n")] + [0]])
+
+
+def _scaled(x, X):
+    """(D, floor(s), tie) for s = x * 10**(16 - X): D is s rounded (half to
+    even where 10**p is exact), tie marks an inexact s within _TIE_MARGIN of
+    a half."""
+    k = _X_HI + 2 - X  # row of p = 16 - X, counted from p = 14 - _X_HI
+    hi, hi_h, hi_l, lo = (column[k] for column in _pow10())
+    head = x * hi  # an integer once s >= 10**16 > 2**53
+    x_h, x_l = _split(x)
+    tail = ((x_h * hi_h - head) + x_h * hi_l + x_l * hi_h) + x_l * hi_l + x * lo
+    below = np.floor(tail)
+    tie = (np.abs(tail - below - 0.5) < _TIE_MARGIN) & (lo != 0)
+    whole = head.astype(np.int64)
+    return whole + np.rint(tail).astype(np.int64), whole + below.astype(np.int64), tie
+
+
+def _kernel(values):
+    """(records, left): the record of each value, and the values the kernel
+    leaves to `%` (X outside the window, or a tie it cannot settle)."""
+    x = np.abs(values)
+    zero = x == 0
+    x[zero] = 1.0
+    X = np.floor(np.log10(x)).astype(np.int64)
+    left = (X < _X_LO - 1) | (X > _X_HI + 1)  # log10 may be one off
+    x[left] = 1.0  # a stand-in inside the window
+    X[left] = 0
+    D, floor_s, tie = _scaled(x, X)
+    low = floor_s < 10 ** 16
+    off = np.flatnonzero(low | (floor_s >= 10 ** 17))  # log10 was one off
+    if off.size:
+        X[off] += np.where(low[off], -1, 1)
+        D[off], _, tie[off] = _scaled(x[off], X[off])
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    X[carry] += 1
+    left |= tie | (X < _X_LO) | (X > _X_HI)
+    D[zero] = 0
+    X[zero | left] = 0
+    return _layout(D, X, np.signbit(values)), left
+
+
+def _layout(D, X, negative):
+    """The four-word records of sign, digits D and exponent X."""
+    chunk_text, chunk_last = _chunks()
+    head, before, after, dot = _forms()
+    first, rest = np.divmod(D, 10 ** 16)
+    high, low = np.divmod(rest, 10 ** 8)
+    chunks = np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4)
+    last = np.zeros(D.size, np.int8)
+    for j, chunk in enumerate(chunks):
+        np.maximum(last, chunk_last[j][chunk], out=last)
+    key = (np.clip(X, -5, 17) + 5) * 17 + last
+    records = np.empty((D.size, 4), np.uint64)
+    records[:, 0] = head[key * 10 + first] | negative * _MINUS
+    carried = 0
+    for j in (0, 1):
+        digits = chunk_text[chunks[2 * j]] | chunk_text[chunks[2 * j + 1]] << 32
+        moved = digits & after[j][key]
+        records[:, 1 + j] = (digits & before[j][key]) | moved << 8 | dot[j][key] | carried
+        carried = moved >> 56
+    records[:, 3] = carried | _exponents()[X - _X_LO]
+    return records
+
+
+def _fallback_records(values):
+    """Records from one `%` call: each value a left-justified 24-byte %.17g
+    field (the longest it prints), its padding turned into NULs."""
+    text = ("%-24.17g" * values.size % tuple(values.tolist())).encode("ascii")
+    fields = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    records = np.zeros((values.size, 4), np.uint64)
+    records[:, :3] = _words(np.where(fields == ord(" "), 0, fields).reshape(-1, 3, 8))
+    return records
+
+
+def _records(values):
+    """The record of each value (a 1-D float64 array): the kernel's, or `%`'s
+    for fewer than _KERNEL_MIN values and for each value the kernel leaves."""
+    if values.size < _KERNEL_MIN:
+        return _fallback_records(values)
+    records, left = _kernel(values)
+    if left.any():
+        records[left] = _fallback_records(values[left])
+    return records
+
+
+def _repeats(column):
+    """(distinct values, index of each row's value) for a column with at most
+    half its values distinct (a grid or sweep axis), told apart by bit pattern
+    so -0.0 and 0.0 stay apart; None for any other column."""
+    bits = np.sort(column.view(np.uint64))
+    new = np.empty(bits.size, bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    if 2 * np.count_nonzero(new) > bits.size:
+        return None
+    distinct = bits[new]
+    return distinct.view(np.float64), np.searchsorted(distinct, column.view(np.uint64))
 
 
 def _csv_blocks(result):
-    """The header line, then the rows as text in blocks of ``_BLOCK_ROWS``.
+    """The header line, then the rows as text in equal blocks of at most
+    ``_BLOCK_VALUES`` freshly formatted values and twice as many fields.
 
-    Floats are ``%.17g``; integers up to 2**53 in magnitude are exact in the
-    float64 table and so print as integers."""
+    Every field is the bytes of ``format(v, ".17g")``; integers up to 2**53 in
+    magnitude are exact in the float64 table and so print as integers. The
+    distinct values of every repeated column are formatted in one call, and
+    each block gathers their records."""
     table = result.rows
+    n_rows, width = table.shape
     header = ",".join(_csv_field(f"{c} [{u}]") for c, u in zip(result.columns, result.units))
-    fields = [_column_fields(col) for col in table.T]
-    row = ",".join(fmt for fmt, _ in fields) + "\n"
-    width = len(fields)
+    fresh, distinct, gathers, start = [], [], [], 0
+    for k, column in enumerate(table.T):
+        plan = _repeats(column)
+        if plan is None:
+            fresh.append(k)
+        else:
+            distinct.append(plan[0])
+            gathers.append((k, plan[1] + start))  # rows of the shared records
+            start += plan[0].size
+    shared = _records(np.concatenate(distinct)) if distinct else None
+    separators = np.where(np.arange(width) < width - 1, _COMMA, _NEWLINE)
+    most = max(1, min(_BLOCK_VALUES // max(1, len(fresh)), 2 * _BLOCK_VALUES // width))
+    step = max(1, -(-n_rows // max(1, -(-n_rows // most))))  # equal blocks of <= most rows
 
     def block(lo):
-        hi = min(lo + _BLOCK_ROWS, len(table))
-        flat = [None] * ((hi - lo) * width)
-        for k, (_, col) in enumerate(fields):
-            flat[k::width] = col[lo:hi].tolist()
-        return row * (hi - lo) % tuple(flat)
+        hi = min(lo + step, n_rows)
+        records = np.empty((hi - lo, width, 4), np.uint64)
+        records[:, fresh] = _records(table[lo:hi, fresh].ravel()).reshape(hi - lo, len(fresh), 4)
+        for k, index in gathers:
+            records[:, k] = shared[index[lo:hi]]
+        records[..., 3] |= separators
+        return records.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
 
-    return itertools.chain([header + "\n"], map(block, range(0, len(table), _BLOCK_ROWS)))
+    return itertools.chain([header + "\n"], map(block, range(0, n_rows, step)))
 
 
 def csv_text(result) -> str:

@@ -133,6 +133,12 @@ def _check_types(value, like, where: str):
     kinds, name = _JSON_TYPES[type(like)]
     if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(like, bool):
         raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
+    if isinstance(like, float) and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must be a number within the float range, "
+                              f"got an integer of {len(str(abs(value)))} digits") from None
     if isinstance(like, dict):
         unknown = set(value) - set(like)
         if unknown:

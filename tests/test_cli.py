@@ -426,6 +426,18 @@ class TestCliFigures:
         assert code == 1, err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("fig3", "--grid", "4", "--theta-list", ""),
+        ("fig3", "--grid", "4", "--theta-list", "1", "--xi-list", ""),
+        ("fig2", "--grid", "5", "--xi-list", ""),
+    ], ids=["fig3-theta", "fig3-xi", "fig2-xi"])
+    def test_empty_list_is_a_validation_error(self, capsys, tmp_path, argv):
+        # an omitted list flag keeps its default; an empty one is no list
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1 and "could not convert string to float: ''" in err
+        assert not out.exists() and stdout == ""
+
 
 class TestCliRunConfig:
     # every command builds one RunConfig, and RunConfig and Conventions check
@@ -697,6 +709,22 @@ class TestCliSweepConfig:
                                     "--out", str(tmp_path / "sweep.csv"))
         assert code == 1
         assert err.startswith(f"anyonosc: error: {key} must be ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"params": {"gamma": 10 ** 400}}, "config.params.gamma"),
+        ({"sweep": [dict(AXIS, stop=-10 ** 400)]}, "config.sweep[0].stop"),
+        ({"t2": 10 ** 309}, "config.t2"),
+    ], ids=["params-gamma", "axis-stop", "t2"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_integer_beyond_the_float_range_is_error(self, capsys, tmp_path, doc, key, to_file):
+        # a JSON integer is a number, but float() of this one overflows
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": [AXIS], **doc}))
+        out = ("--out", str(tmp_path / "sweep.csv")) if to_file else ()
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path), *out)
+        assert code == 1
+        assert err.startswith(f"anyonosc: error: {key} must be a number within the float range")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
 
     def test_unknown_config_key_is_error(self, capsys, tmp_path):

@@ -1,20 +1,26 @@
 """Byte identity of the array-level CSV and SVG writers against the
 per-field reference writers they replaced (kept here, verbatim, as the
 reference), plus the checks a result makes on itself, before any writer can
-open a file for it."""
+open a file for it, and the CSV writer's %.17g kernel against
+format(v, ".17g") on every kind of finite double."""
 
 import math
 import os
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anyonosc.output import (_BLOCK_ROWS, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T,
-                             SweepResult, _csv_field, _diverging_palette, _ticks, csv_text,
-                             read_csv, svg_heatmap, write_csv)
+from anyonosc import output
+from anyonosc.output import (_BLOCK_VALUES, _KERNEL_MIN, _MARGIN_B, _MARGIN_L, _MARGIN_R,
+                             _MARGIN_T, _TIE_MARGIN, _X_HI, _X_LO, SweepResult, _csv_field,
+                             _diverging_palette, _fallback_records, _kernel, _records, _ticks,
+                             csv_text, grid_result, read_csv, svg_heatmap, write_csv)
+from anyonosc.sweeps import RunConfig, SweepAxis, run_spectrum, run_sweep
 
 
 def reference_format_number(value) -> str:
@@ -196,8 +202,10 @@ class TestCsvBytes:
     def test_matches_the_per_field_writer(self, made):
         _assert_writes_reference_bytes(*made)
 
-    @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                        2 * _BLOCK_ROWS + 3])
+    # two of the table's four columns are fresh (value, count), so one block
+    # holds up to _BLOCK_VALUES // 2 rows: one block, two, and three
+    @pytest.mark.parametrize("n_rows", [_BLOCK_VALUES // 2 - 1, _BLOCK_VALUES // 2,
+                                        _BLOCK_VALUES // 2 + 1, _BLOCK_VALUES + 3])
     @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
     def test_more_rows_than_one_block(self, n_rows, as_array):
         rng = np.random.default_rng(n_rows)
@@ -240,6 +248,135 @@ class TestCsvBytes:
         assert SweepResult(("a",), ("1",), []).rows.shape == (0, 1)
         with pytest.raises(ValueError, match="columns and units"):
             SweepResult(("a", "b"), ("1",), rows)
+
+
+# -- the %.17g kernel ---------------------------------------------------------
+
+def _texts(records):
+    """The text of each record (little-endian words), its NULs dropped."""
+    return [bytes(r).replace(b"\0", b"").decode("ascii")
+            for r in records.astype("<u8").view(np.uint8).reshape(len(records), -1)]
+
+
+def _may_be_left(value) -> bool:
+    """Whether the kernel may leave ``value`` to `%`: its exponent before or
+    after rounding is outside the window, or its scaled value is near a tie."""
+    exponent = Decimal(value).adjusted()  # exact floor(log10 |value|)
+    printed = Decimal(format(value, ".17g")).adjusted()
+    if not (_X_LO <= exponent <= _X_HI and _X_LO <= printed <= _X_HI):
+        return True
+    scaled = abs(Fraction(value)) * Fraction(10) ** (16 - exponent)
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 2 * _TIE_MARGIN
+
+
+def _assert_formats(values):
+    """The kernel writes format(v, ".17g") for every value it does not leave,
+    leaves only what it may, and every writer path gives the same bytes."""
+    values = np.asarray(values, np.float64)
+    want = [format(v, ".17g") for v in values.tolist()]
+    records, left = _kernel(values)
+    for value, text, wanted, was_left in zip(values.tolist(), _texts(records), want,
+                                              left.tolist()):
+        if was_left:
+            assert _may_be_left(value), value
+        else:
+            assert text == wanted, value
+    assert _texts(_records(values)) == want
+    assert _texts(_fallback_records(values)) == want
+
+
+def _bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+def _neighbours(value):
+    return [np.nextafter(value, -math.inf), value, np.nextafter(value, math.inf)]
+
+
+_EDGE_POWERS = [float(f"1e{k}") for k in (_X_LO - 1, _X_LO, _X_HI, _X_HI + 1)]
+KERNEL_EXAMPLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53 + 2),
+    # 10**k and its neighbours at and beyond the window edges
+    *[v for p in _EDGE_POWERS for v in _neighbours(p)],
+    # exact ties where 10**(16 - X) is not a double: X = -8, -7, -6
+    2.0 ** -25, 3 * 2.0 ** -24, -3 * 2.0 ** -24, 13 * 2.0 ** -24, 11 * 2.0 ** -23,
+    # near-ties: |v| * 10**(16 - X) within 2e-16 of a half, closer than the
+    # double-double product can tell (found by 2-D lattice reduction); the
+    # kernel must leave them to `%`
+    1.5788455701822577e-277, 2.2656426741135463e-256, 1.2416981319696095e-201,
+    8.816224880246141e-145, 4.421976605688792e-92, 1.8506224967095329e-62,
+    # X = 15 half-way values, rounded half to even from an exact product
+    1000000000000000.25, 1000000000000000.75, -1234567890123456.5,
+    # the double nearest 10**k lies below it and rounds up: a carry to X = k
+    1e-14, 1e-79, 1e98, 1e220, 1e-305,
+    # the %g notation switches at X = -5 / -4 and 16 / 17
+    *_neighbours(1e-5), *_neighbours(1e-4), *_neighbours(1e16), *_neighbours(1e17),
+    9.9999999999999995e-05, 99999999999999984.0, 0.1, 1.0 / 3.0, 123.0,
+]
+
+
+def _with_examples(test):
+    for value in KERNEL_EXAMPLES:
+        test = example(_bits(value))(test)
+    return test
+
+
+# 64-bit patterns whose exponent lies inside the kernel's window
+_window_bits = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                         st.integers(0, 1), st.integers(1023 - 960, 1023 + 960),
+                         st.integers(0, 2 ** 52 - 1))
+
+
+class TestKernel:
+    @_with_examples
+    @settings(deadline=None, max_examples=500)
+    @given(st.integers(0, 2 ** 64 - 1))
+    def test_every_finite_double(self, bits):
+        value = float(np.uint64(bits).view(np.float64))
+        assume(math.isfinite(value))
+        _assert_formats([value])
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.one_of(_window_bits, st.integers(0, 2 ** 64 - 1)),
+                    min_size=1, max_size=600))
+    def test_arrays_of_doubles(self, patterns):
+        values = np.array(patterns, np.uint64).view(np.float64)
+        _assert_formats(values[np.isfinite(values)])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        values = np.array([v for p in powers for v in _neighbours(p)])
+        _assert_formats(np.concatenate([values, -values]))
+
+    def test_grid_and_sweep_tables_take_no_fallback(self, monkeypatch):
+        # a correct kernel that left every value to `%` would pass the tests
+        # above; on real tables it leaves nothing, the writer gives it every
+        # value of the columns it formats row by row, and sends `%` only calls
+        # too small for the kernel
+        config = RunConfig(t2=3.5)
+        grid = grid_result(run_spectrum(config, config.params.with_(theta=0.9, xi=0.6)))
+        sweep = run_sweep(RunConfig(sweep=(SweepAxis("theta", 0.0, 3.0, 60),
+                                           SweepAxis("xi", -1.0, 1.0, 70))))
+        sizes = {"kernel": [], "fallback": []}
+
+        def counted(name, function):
+            def call(values):
+                sizes[name].append(values.size)
+                return function(values)
+            return call
+
+        monkeypatch.setattr(output, "_kernel", counted("kernel", _kernel))
+        monkeypatch.setattr(output, "_fallback_records", counted("fallback", _fallback_records))
+        for result in (grid, sweep):
+            assert not _kernel(result.rows.ravel())[1].any()
+            rows = len(result.rows)
+            fresh = sum(rows for column in result.rows.T
+                        if 2 * np.unique(column.view(np.uint64)).size > rows)
+            sizes["kernel"].clear()
+            csv_text(result)
+            assert sum(sizes["kernel"]) >= fresh > 0
+        assert all(size < _KERNEL_MIN for size in sizes["fallback"])
 
 
 # -- SVG ----------------------------------------------------------------------
