@@ -248,8 +248,8 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     # LinAlgError subclasses ValueError, so the compute clause comes first
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"anyonosc: compute error: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
+        print(f"anyonosc: compute error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
     except (ConfigError, ParameterError, ValueError, OSError) as exc:
         print(f"anyonosc: error: {exc}", file=sys.stderr)

@@ -3,14 +3,13 @@ Lindblad superoperator construction, exponential, resolvents and decay fits.
 
 This is the brute-force oracle for the closed-form modules and the engine
 behind the 2D spectra. The Liouvillian is one list of (c, A, B) Kronecker
-terms over d x d factors (``liouvillian_terms``) with two consumers: the
-dense array assembled from the nonzeros of the factors (``_kron_sum``,
-81x81 at the default two-mode cutoff 2 and 2401x2401, 0.3% nonzero, at
-cutoff 6 for the criterion-6 oracle), and a gather of any block L[S, S]
-straight from the factors (``liouvillian_gather``), bit-identical to the
-dense block. The spectra gather only the blocks their pathway touches. The
-two-mode jump operators take their coefficients from the channel table that
-also sets W_eff (``dimer.channel_coefficients``).
+terms over d x d factors (``liouvillian_terms``), summed from the nonzeros
+of the factors (``_kron_sum``) into the dense array: 81x81 at the default
+two-mode cutoff 2, and 2401x2401, 0.3% nonzero, at cutoff 6 for the
+criterion-6 oracle. The spectra sum the same terms with factors restricted
+to the states of at most two quanta, a 36x36 block. The two-mode jump
+operators take their coefficients from the channel table that also sets
+W_eff (``dimer.channel_coefficients``).
 """
 
 from __future__ import annotations
@@ -245,29 +244,6 @@ def build_liouvillian(system: FockSystem, params: AnyonParams,
     products."""
     return _kron_sum(liouvillian_terms(system, params, jump_basis, conjugation, rotating),
                      system.dim)
-
-
-def liouvillian_gather(terms, dim: int):
-    """The function states -> L[states, states] of the generator sum c A (x) B,
-    gathered from the d x d factors without the d^2 x d^2 array.
-
-    Entry (s, t) sums (c A)[s // d, t // d] B[s % d, t % d] in term order
-    from zero, as ``_kron_sum`` does, so a block equals the dense
-    ``_kron_sum(terms, dim)[np.ix_(states, states)]`` bit for bit: a term
-    that vanishes at an entry adds a zero.
-    """
-    scaled = [(coeff * a).ravel() for coeff, a, _ in terms]
-    right = [b.ravel() for _, _, b in terms]
-
-    def block(states: np.ndarray) -> np.ndarray:
-        ket, bra = np.divmod(states, dim)
-        ket, bra = ket[:, None] * dim + ket, bra[:, None] * dim + bra
-        out = np.zeros(ket.shape, dtype=complex)
-        for a, b in zip(scaled, right):
-            out += a[ket] * b[bra]
-        return out
-
-    return block
 
 
 # ---------------------------------------------------------------------------

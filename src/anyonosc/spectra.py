@@ -11,11 +11,14 @@ import numpy as np
 
 from .dimer import (DEFAULT_CONJUGATION, DEFAULT_FREQUENCY_CONVENTION, build_weff,
                     deformed_mode_phase, match_branches, weff_eigenvalues, weff_entries)
-from .fock import FockSystem, build_liouvillian, expm, liouvillian_gather, liouvillian_terms
+from .fock import FockSystem, _kron_sum, build_liouvillian, expm, liouvillian_terms
 from .params import AnyonParams, ParamArrays
 
 DEFAULT_JUMP_BASIS = "site"  # fig-3 style spectra; logged in grid metadata
 QUADRATURE_STEP = 0.05  # time step of the quadrature oracle
+# the most quanta a state of the vacuum rephasing pathway holds: two in the
+# ket after the third dipole (the two-exciton bound), one in the bra
+PATHWAY_QUANTA = 2
 
 
 def build_dipole(system: FockSystem, conjugation: str = DEFAULT_CONJUGATION) -> np.ndarray:
@@ -85,17 +88,6 @@ class SpectrumGrid:
             raise ValueError(f"values {np.shape(self.values)} do not match a {n}-point axis")
 
 
-def coherence_order(system: FockSystem) -> np.ndarray:
-    """Delta q = (ket quanta - bra quanta) of every row-major vectorized state.
-
-    H conserves quanta and every jump lowers ket and bra together, so the
-    Liouvillian is block-diagonal in this label and the dipole on either side
-    shifts it by +/- 1.
-    """
-    q = system.total_quanta
-    return np.repeat(q, system.dim) - np.tile(q, system.dim)
-
-
 def _closure(pattern, support):
     """Sorted indices of the smallest L-invariant set holding ``support``:
     every state reachable from it along the nonzeros ``pattern`` of L."""
@@ -107,30 +99,32 @@ def _closure(pattern, support):
         reach = grown
 
 
-def _reach(system: FockSystem, params: AnyonParams, jump_basis: str, conjugation: str):
-    """The function support -> (R, L[R, R]) of one pathway's rotating-frame
-    Liouvillian: the closure R of the row-major states ``support`` (a boolean
-    mask) and its block, gathered from the d x d factors.
+def _low_liouvillian(system: FockSystem, params: AnyonParams, jump_basis: str,
+                     conjugation: str):
+    """(low, L_low): the states ``low`` of at most PATHWAY_QUANTA quanta and
+    the rotating-frame Liouvillian on their row-major pairs P.
 
-    L maps a manifold pair (n, m) of ket and bra quanta only into (n, m) and
-    (n - 1, m - 1), so the closure lies in the states that share a Delta q
-    with the support and hold at most the support's largest ket quanta at
-    that Delta q. ``_closure`` runs on the nonzeros of their block alone.
+    At any cutoff >= 2, ``low`` is |00>, |01>, |02>, |10>, |11>, |20> in that
+    order and L_low is 36 x 36. Entry (s, t) of sum c A (x) B reads A and B
+    only at the kets and bras of s and t, so the factors restricted to
+    ``low`` give L[P, P] bit for bit: ``_kron_sum`` sums the same products in
+    the same order. The pathway never leaves P, because L maps a manifold
+    pair (n, m) of ket and bra quanta only into (n, m) and (n - 1, m - 1).
     """
-    gather = liouvillian_gather(liouvillian_terms(system, params, jump_basis, conjugation,
-                                                  rotating=True), system.dim)
-    order = coherence_order(system)
-    order -= order.min()
-    ket_q = np.repeat(system.total_quanta, system.dim)
+    low = np.flatnonzero(system.total_quanta <= PATHWAY_QUANTA)
+    sub = np.ix_(low, low)
+    terms = liouvillian_terms(system, params, jump_basis, conjugation, rotating=True)
+    return low, _kron_sum([(c, a[sub], b[sub]) for c, a, b in terms], low.size)
+
+
+def _reach(liouv):
+    """The function support -> (R, L[R, R]): the closure R of the row-major
+    states ``support`` (a boolean mask) under the nonzeros of ``liouv``."""
+    pattern = liouv != 0
 
     def reach(support):
-        support = support.ravel()
-        top = np.full(order.max() + 1, -1)  # largest support ket quanta per Delta q
-        np.maximum.at(top, order[support], ket_q[support])
-        states = np.flatnonzero(ket_q <= top[order])
-        block = gather(states)
-        inner = _closure(block != 0, support[states])
-        return states[inner], block[np.ix_(inner, inner)]
+        inner = _closure(pattern, support.ravel())
+        return inner, liouv[np.ix_(inner, inner)]
 
     return reach
 
@@ -171,15 +165,19 @@ def _pathway(system: FockSystem, mu: np.ndarray, params: AnyonParams, t2: float,
     """values[i, j] of the rephasing pathway at (tau_axis[i], t_axis[j]), after
     the input checks. Each cell depends only on its own two frequencies, so a
     grid cell and a one-point call agree bit for bit."""
-    if system.cutoff < 2:
-        raise ValueError("third-order spectra need the two-excitation manifold: cutoff >= 2")
+    if system.cutoff < PATHWAY_QUANTA:
+        raise ValueError("third-order spectra need the two-excitation manifold: "
+                         f"cutoff >= {PATHWAY_QUANTA}")
     if params.gamma <= 0.0:
         raise ValueError("rephasing response requires gamma > 0 for convergent resolvents")
     if not (math.isfinite(t2) and t2 >= 0.0):
         raise ValueError(f"t2 must be finite and >= 0, got {t2}")
-    reach = _reach(system, params, jump_basis, conjugation)
+    low, liouv = _low_liouvillian(system, params, jump_basis, conjugation)
+    reach = _reach(liouv)
+    sub = np.ix_(low, low)
+    mu = mu[sub]
     # vec(rho0 mu) from the vacuum rho0 and the row vector of rho -> tr(rho mu)
-    v0 = (system.vacuum_projector() @ mu).ravel()
+    v0 = (system.vacuum_projector()[sub] @ mu).ravel()
     tr_mu = mu.T.ravel()
 
     first, l_first = reach(v0 != 0)
@@ -212,14 +210,16 @@ def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonPara
     Each interval is solved on the forward closure R of its right-hand side
     under the nonzeros of L: L[rest, R] == 0, so the solves, the t2
     propagator and the left vectors (s I - L^T)^{-1} tr_mu restrict exactly
-    to L[R, R], one batched solve per interval for all frequencies. The
-    closure is found on a manifold-pair block that holds it (``_reach``), and
-    only that block is gathered from the d x d factors; the d^2 x d^2
-    Liouvillian is never built. The closures hold 2, 5 and 10 states at any
-    cutoff (the last 6 at theta = pi), so a grid does not depend on the
-    cutoff, nor does its cost. The display
-    axes carry the echo convention (both negated relative to the raw
-    transform frequencies) so the photon-echo feature lands at positive
+    to L[R, R], one batched solve per interval for all frequencies. From the
+    vacuum every state holds at most PATHWAY_QUANTA ket quanta and one bra
+    quantum, so the closures lie in the 36 pair states of |00>, |01>, |02>,
+    |10>, |11>, |20>: their block of L is built once from the d x d factors
+    (``_low_liouvillian``) and the d^2 x d^2 Liouvillian never is. The
+    closures hold 2, 5 and 10 states (the last 6 at theta = pi). A larger
+    cutoff changes only the rounding of the d x d factor products, which
+    ``sweeps.run_spectrum`` avoids by building every system at cutoff 2.
+    The display axes carry the echo convention (both negated relative to the
+    raw transform frequencies) so the photon-echo feature lands at positive
     detunings.
     """
     if grid is None:

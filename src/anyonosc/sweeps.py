@@ -16,8 +16,8 @@ from .fock import JUMP_BASES, FockSystem
 from .output import SweepResult
 from .params import AnyonParams, ParamArrays, ParameterError
 from .rates import gamma_full_single, gamma_stat
-from .spectra import (DEFAULT_JUMP_BASIS, GridSpec, SpectrumGrid, bright_mode_overlay,
-                      build_dipole, diagonal_slice, rephasing_response)
+from .spectra import (DEFAULT_JUMP_BASIS, PATHWAY_QUANTA, GridSpec, SpectrumGrid,
+                      bright_mode_overlay, build_dipole, diagonal_slice, rephasing_response)
 
 
 class ConfigError(ValueError):
@@ -254,9 +254,14 @@ def run_fig2(config: RunConfig) -> SweepResult:
 
 def run_spectrum(config: RunConfig, params: AnyonParams) -> SpectrumGrid:
     """The rephasing grid of ``config`` (cutoff, t2, grid, conventions) at the
-    parameter point ``params``, for the spectrum command and every fig3 panel."""
+    parameter point ``params``, for the spectrum command and every fig3 panel.
+
+    No state of the pathway holds more than PATHWAY_QUANTA quanta, so a
+    larger cutoff only adds states it never reaches: the system is built at
+    cutoff min(cutoff, PATHWAY_QUANTA), and every cutoff >= 2 gives the
+    cutoff-2 grid at the cutoff-2 cost."""
     conv = config.conventions
-    system = FockSystem(cutoff=config.cutoff, theta=params.theta, modes=2)
+    system = FockSystem(cutoff=min(config.cutoff, PATHWAY_QUANTA), theta=params.theta, modes=2)
     return rephasing_response(system, build_dipole(system, conv.conjugation), params,
                               t2=config.t2, grid=config.grid, jump_basis=conv.jump_basis,
                               conjugation=conv.conjugation)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import anyonosc
+import anyonosc.fock
+import anyonosc.spectra
 from anyonosc.cli import PARAM_FLAGS, build_parser, main
 from anyonosc.output import read_csv
 
@@ -289,6 +291,31 @@ class TestCliSpectrum:
         code, out, err = run_cli(capsys, "spectrum", "--grid", "4")
         assert code == 2
         assert "compute error" in err
+
+    # numpy's allocation failure carries a message; a bare MemoryError names itself
+    @pytest.mark.parametrize("command,target,error", [
+        ("spectrum", "rephasing_response", MemoryError("Unable to allocate 149. GiB")),
+        ("sweep", "gamma_full_single", MemoryError())], ids=["spectrum", "sweep"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_out_of_memory_is_a_compute_error(self, capsys, monkeypatch, tmp_path, command,
+                                              target, error, to_file):
+        import anyonosc.sweeps
+
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(anyonosc.sweeps, target, exhausted)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": [AXIS]}))
+        written = tmp_path / "out"
+        written.mkdir()
+        argv = (("--config", str(config)) if command == "sweep" else ("--grid", "4"))
+        if to_file:
+            argv += ("--out", str(written / "t.csv"))
+        code, stdout, err = run_cli(capsys, command, *argv)
+        assert code == 2
+        assert f"anyonosc: compute error: {error or 'MemoryError'}" in err
+        assert list(written.iterdir()) == [] and stdout == ""
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
     def test_non_finite_spectrum_is_a_compute_error(self, capsys, monkeypatch, tmp_path,
@@ -607,16 +634,62 @@ class TestCliFlagsSelectSomething:
 
 class TestCliSpectraNeverBuildTheDenseLiouvillian:
     def test_cutoff_six_spectrum_without_kron_sum(self, capsys, monkeypatch, tmp_path):
-        # the dense d^2 x d^2 assembly (2401^2 at cutoff 6) is the oracle's only
-        def refuse(*args, **kwargs):
-            raise AssertionError("the spectra path assembled the dense Liouvillian")
+        # the dense d^2 x d^2 assembly (2401^2 at cutoff 6) is the oracle's
+        # only; the spectra sum one 36 x 36 block of the two-quanta states
+        sizes = []
+        kron_sum = anyonosc.fock._kron_sum
 
-        monkeypatch.setattr(anyonosc.fock, "_kron_sum", refuse)
+        def spy(terms, dim):
+            sizes.append(dim)
+            assert dim <= 6, f"a {dim ** 2}-state Liouvillian assembled on the spectra path"
+            return kron_sum(terms, dim)
+
+        # the name the spectra call, and the one build_liouvillian calls
+        monkeypatch.setattr(anyonosc.spectra, "_kron_sum", spy)
+        monkeypatch.setattr(anyonosc.fock, "_kron_sum", spy)
         out = tmp_path / "grid.csv"
         code, _, err = run_cli(capsys, "spectrum", "--cutoff", "6", "--grid", "16",
                                "--theta", "1.2", "--xi", "0.5", "--t2", "3", "--out", str(out))
         assert code == 0, err
         assert len(read_csv(str(out))[2]) == 16 * 16
+        assert sizes == [6]
+
+    def test_every_cutoff_writes_the_cutoff_two_grid(self, capsys, tmp_path):
+        # a cutoff-12 system would round its 169 x 169 factor products
+        # differently: one ulp off the cutoff-2 grid in this case
+        argv = ("spectrum", "--grid", "16", "--theta", "0.9", "--xi", "0.5", "--t2", "3.5")
+        texts = []
+        for cutoff in ("2", "12"):
+            code, out, err = run_cli(capsys, *argv, "--cutoff", cutoff)
+            assert code == 0, err
+            texts.append(out)
+        assert texts[1] == texts[0]
+        # the sidecar echoes the cutoff asked for
+        out = tmp_path / "grid.csv"
+        assert run_cli(capsys, *argv, "--cutoff", "12", "--out", str(out))[0] == 0
+        assert out.read_text() == texts[0]
+        doc = json.loads((tmp_path / "grid.csv.meta.json").read_text())
+        assert doc["config"]["compute"]["cutoff"] == 12
+
+    @pytest.mark.parametrize("command", ["spectrum", "fig3"])
+    def test_cutoff_forty_builds_no_system_above_cutoff_two(self, capsys, monkeypatch,
+                                                            tmp_path, command):
+        # a cutoff-40 system alone would take gigabytes: the spy refuses it
+        # before anything is allocated
+        built = []
+        init = anyonosc.FockSystem.__init__
+
+        def spy(self, cutoff=2, theta=0.0, modes=2):
+            built.append(cutoff)
+            assert cutoff <= 2, f"a cutoff-{cutoff} FockSystem on the spectrum path"
+            init(self, cutoff, theta, modes)
+
+        monkeypatch.setattr(anyonosc.FockSystem, "__init__", spy)
+        extra = (("--theta-list", "0.9", "--xi-list", "0.5", "--out", str(tmp_path))
+                 if command == "fig3" else ())
+        code, _, err = run_cli(capsys, command, "--cutoff", "40", "--grid", "8", *extra)
+        assert code == 0, err
+        assert built == [2]
 
 
 AXIS = {"name": "xi", "start": -1.0, "stop": 1.0, "count": 3}

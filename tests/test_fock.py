@@ -12,10 +12,14 @@ from anyonosc import (AnyonParams, FockSystem, anyon_ladder_matrix, build_dipole
                       fit_decay_rate, gamma_full_single, normal_mode_frequencies,
                       resolvent_apply)
 from anyonosc.dimer import deformed_mode_phase
-from anyonosc.fock import (JUMP_BASES, expm, jump_operators, liouvillian_gather,
-                           liouvillian_terms)
+from anyonosc.fock import JUMP_BASES, expm, jump_operators, liouvillian_terms
 from anyonosc.rates import thermal_occupation
-from anyonosc.spectra import _closure, coherence_order
+from anyonosc.spectra import _closure, _low_liouvillian
+
+
+def coherence_order(system):
+    """Delta q = ket quanta - bra quanta of every row-major vectorized state."""
+    return np.subtract.outer(system.total_quanta, system.total_quanta).ravel()
 
 
 def dense_kron_liouvillian(system, params, jump_basis, conjugation, rotating):
@@ -331,22 +335,22 @@ class TestLiouvillianAssembly:
            xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
            gamma=st.floats(0.0, 2.0), beta=st.floats(0.05, 20.0),
            cutoff=st.integers(1, 4), jump_basis=st.sampled_from(JUMP_BASES),
-           conjugation=st.sampled_from(("modulus", "analytic")), rotating=st.booleans(),
-           picks=st.lists(st.integers(0, 624), min_size=1, max_size=40))
-    # the subnormal theta of the jump property, on every state of cutoff 1
+           conjugation=st.sampled_from(("modulus", "analytic")))
+    # the subnormal theta of the jump property, at cutoff 1
     @example(theta=2.2250738585e-313, xi=0.0, gamma=2.0, beta=1.0, cutoff=1,
-             jump_basis="site", conjugation="analytic", rotating=True, picks=list(range(16)))
-    def test_block_gather_is_the_dense_block(self, theta, xi, gamma, beta, cutoff, jump_basis,
-                                             conjugation, rotating, picks):
+             jump_basis="site", conjugation="analytic")
+    def test_two_quanta_block_is_the_dense_block(self, theta, xi, gamma, beta, cutoff,
+                                                 jump_basis, conjugation):
         system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
         p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
-        # a random sorted set of row-major states (d^2 = 625 at cutoff 4)
-        states = np.unique(np.array(picks) % system.dim ** 2)
-        gather = liouvillian_gather(liouvillian_terms(system, p, jump_basis, conjugation,
-                                                      rotating), system.dim)
-        got = gather(states)
-        want = build_liouvillian(system, p, jump_basis, conjugation, rotating)[
-            np.ix_(states, states)]
+        low, got = _low_liouvillian(system, p, jump_basis, conjugation)
+        # |00>, |01>, |10>, |11> at cutoff 1; |02> and |20> join from cutoff 2
+        want_low = [0, 1, 2, 3] if cutoff == 1 else [0, 1, 2, cutoff + 1, cutoff + 2,
+                                                      2 * cutoff + 2]
+        assert low.tolist() == want_low
+        pairs = (low[:, None] * system.dim + low).ravel()
+        want = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)[
+            np.ix_(pairs, pairs)]
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("modes", [1, 2])

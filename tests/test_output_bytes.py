@@ -181,19 +181,30 @@ def _results(draw):
     return SweepResult(names, ("1",) * len(names), rows), rows
 
 
+def _assert_same_text(got, want):
+    """got == want for two texts (str or bytes), else a failure naming the
+    first differing offset with a short slice of each: pytest's own diff of
+    two texts of a few hundred KB runs for minutes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(at - 20, 0)
+    pytest.fail(f"texts differ at offset {at} (lengths {len(got)} and {len(want)}): "
+                f"got {got[lo:at + 20]!r}, want {want[lo:at + 20]!r}")
+
+
 def _assert_writes_reference_bytes(res, rows):
     want = reference_csv_text(res, rows)
-    assert csv_text(res) == want
+    _assert_same_text(csv_text(res), want)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
         write_csv(res, path)
         with open(path, "rb") as fh:
-            assert fh.read() == want.encode("utf-8")
-        columns, _, rows = read_csv(path)
+            _assert_same_text(fh.read(), want.encode("utf-8"))
+        columns, _, read_back = read_csv(path)
     assert columns == res.columns
-    got = np.array(rows, dtype=float).reshape(len(res.rows), len(res.columns))
-    want_bits = np.array(rows, dtype=float).reshape(got.shape).view(np.uint64)
-    assert np.array_equal(got.view(np.uint64), want_bits)  # -0.0 stays -0.0
+    got = np.array(read_back, dtype=float).reshape(res.rows.shape)
+    assert np.array_equal(got.view(np.uint64), res.rows.view(np.uint64))  # -0.0 stays -0.0
 
 
 class TestCsvBytes:

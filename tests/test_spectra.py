@@ -9,14 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anyonosc.fock
+import anyonosc.spectra
 from anyonosc import (AnyonParams, FockSystem, GridSpec, bright_mode_overlay,
                       build_dipole, build_liouvillian, build_weff, diagonal_slice,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
 from anyonosc.fock import resolvent_apply
-from anyonosc.spectra import (SpectrumGrid, _ket_dipole, _reach,
-                              bright_branch_detuning, coherence_order,
+from anyonosc.spectra import (PATHWAY_QUANTA, SpectrumGrid, _ket_dipole, _low_liouvillian,
+                              _reach, bright_branch_detuning,
                               rephasing_response_quadrature, response_point)
+
+
+def coherence_order(system):
+    """Delta q = ket quanta - bra quanta of every row-major vectorized state."""
+    return np.subtract.outer(system.total_quanta, system.total_quanta).ravel()
 
 
 def small_grid(theta, xi, n=48, **kw):
@@ -238,7 +244,7 @@ class TestRephasingResponse:
 
 def dipole_superoperators(mu):
     """Ket-side mu (x) 1 and bra-side 1 (x) mu^T on row-major vectorized states,
-    built with np.kron independently of the library's block gather."""
+    built with np.kron independently of the library's two-quanta block."""
     eye = np.eye(mu.shape[0])
     return np.kron(mu, eye), np.kron(eye, mu.T)
 
@@ -295,7 +301,7 @@ class TestBlockSolveEquivalence:
 
 def dense_closure(pattern, support):
     """Sorted states reachable from ``support`` along the nonzeros of the whole
-    d^2 x d^2 pattern: the closure the pathway used before it gathered blocks."""
+    d^2 x d^2 pattern, with no library block code."""
     reach = np.asarray(support, dtype=bool)
     while True:
         grown = reach | pattern[:, reach].any(axis=1)
@@ -315,14 +321,20 @@ def pathway_closures(dip, liouv, rho0):
     return first, mid, last
 
 
-def library_closures(system, dip, p, jump_basis, conjugation, rho0):
-    """R1/R2/R3 and their L blocks as the pathway gathers them, with the
-    ket-side dipole blocks between them."""
-    reach = _reach(system, p, jump_basis, conjugation)
-    first, l_first = reach((rho0 @ dip).ravel() != 0)
-    mid, l_mid, mu_mid = _ket_dipole(reach, dip, first)
-    last, l_last, mu_last = _ket_dipole(reach, dip, mid)
-    return (first, mid, last), (l_first, l_mid, l_last), (mu_mid, mu_last)
+def library_closures(system, dip, p, jump_basis, conjugation):
+    """R1/R2/R3 and their L blocks as the pathway finds them on the pair
+    states of at most two quanta, with the ket-side dipole blocks between
+    them; the closures mapped back to row-major d^2 indices."""
+    low, liouv = _low_liouvillian(system, p, jump_basis, conjugation)
+    reach = _reach(liouv)
+    sub = np.ix_(low, low)
+    mu = dip[sub]
+    first, l_first = reach((system.vacuum_projector()[sub] @ mu).ravel() != 0)
+    mid, l_mid, mu_mid = _ket_dipole(reach, mu, first)
+    last, l_last, mu_last = _ket_dipole(reach, mu, mid)
+    pairs = (low[:, None] * system.dim + low).ravel()
+    return ((pairs[first], pairs[mid], pairs[last]), (l_first, l_mid, l_last),
+            (mu_mid, mu_last))
 
 
 class TestReachableClosure:
@@ -370,19 +382,20 @@ class TestReachableClosure:
            beta=st.floats(0.05, 20.0), cutoff=st.integers(2, 4),
            jump_basis=st.sampled_from(("site", "deformed")),
            conjugation=st.sampled_from(("modulus", "analytic")))
-    def test_manifold_rule_closures_match_the_dense_pattern(self, theta, xi, beta, cutoff,
-                                                            jump_basis, conjugation):
+    def test_two_quanta_closures_match_the_dense_pattern(self, theta, xi, beta, cutoff,
+                                                         jump_basis, conjugation):
         p = AnyonParams(theta=theta, xi=xi, beta=beta)
         system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
         dip = build_dipole(system, conjugation)
         liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
-        rho0 = system.vacuum_projector()
-        want = pathway_closures(dip, liouv, rho0)
-        sets, blocks, mus = library_closures(system, dip, p, jump_basis, conjugation, rho0)
+        want = pathway_closures(dip, liouv, system.vacuum_projector())
+        sets, blocks, mus = library_closures(system, dip, p, jump_basis, conjugation)
         for reach, got, block in zip(want, sets, blocks):
             assert np.array_equal(got, reach)
             assert block.tobytes() == liouv[np.ix_(reach, reach)].tobytes()
-        # the ket-side dipole blocks are gathered from the d x d dipole too
+        # at theta = pi a mode holds at most one quantum: no |20>, |02> kets
+        assert tuple(r.size for r in sets) == (2, 5, 6 if theta == math.pi else 10)
+        # the ket-side dipole blocks come from the restricted d x d dipole too
         mu_left, _ = dipole_superoperators(dip)
         for cols, rows, block in zip(want, want[1:], mus):
             assert np.array_equal(block, mu_left[np.ix_(rows, cols)])
@@ -391,17 +404,25 @@ class TestReachableClosure:
     @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
     def test_pathway_never_assembles_the_dense_liouvillian(self, monkeypatch, jump_basis,
                                                            conjugation):
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense d^2 x d^2 assembly on the spectra path")
+        sizes = []
+
+        def spy(terms, dim):
+            sizes.append(dim)
+            assert dim <= 6, f"a {dim ** 2}-state Liouvillian assembled on the spectra path"
+            return kron_sum(terms, dim)
 
         p = AnyonParams(theta=0.9, xi=0.5, beta=0.5)
         system = FockSystem(cutoff=4, theta=p.theta, modes=2)
         dip = build_dipole(system, conjugation)
         kw = {"jump_basis": jump_basis, "conjugation": conjugation}
-        monkeypatch.setattr(anyonosc.fock, "_kron_sum", refuse)
+        kron_sum = anyonosc.fock._kron_sum
+        # the name the spectra call, and the one build_liouvillian calls
+        monkeypatch.setattr(anyonosc.spectra, "_kron_sum", spy)
+        monkeypatch.setattr(anyonosc.fock, "_kron_sum", spy)
         grid = rephasing_response(system, dip, p, t2=2.0, grid=GridSpec(count=4), **kw)
         point = response_point(system, dip, p, -0.5, 0.5, t2=2.0, **kw)
         assert point == grid.values[0, -1]
+        assert sizes == [2 * (PATHWAY_QUANTA + 1)] * 2  # one 36 x 36 block per call
 
     @pytest.mark.parametrize("theta", [0.0, 0.9, 2.0, math.pi])
     @pytest.mark.parametrize("t2", [0.0, 7.5])
