@@ -216,6 +216,10 @@ def _run(args) -> int:
         _emit(res, args.out, cfg)
 
     elif args.command == "spectrum":
+        if args.svg and args.out and os.path.realpath(args.svg) in (
+                os.path.realpath(args.out), os.path.realpath(args.out + ".meta.json")):
+            raise ConfigError(f"--svg {args.svg} would overwrite the --out CSV {args.out} "
+                              "or its sidecar")
         g = run_spectrum(cfg, params)
         _emit(grid_result(g), args.out, cfg)
         if args.svg:
@@ -233,8 +237,7 @@ def _run(args) -> int:
             for theta, xi, g in fig3.grids:
                 name = f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg"
                 write_grid_svg(g, os.path.join(args.out, name),
-                               title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}",
-                               overlays=[(g.axis, g.axis)])
+                               title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}", diagonal=True)
         print(f"wrote fig3 outputs under {args.out}", file=sys.stderr)
     return 0
 

@@ -192,13 +192,25 @@ def weff_eigenvalues(a, b, c, d) -> tuple:
     return 0.5 * (a + d + root), 0.5 * (a + d - root)
 
 
+def _coupled(b, c):
+    """B or C nonzero: only then can a degeneracy of ((A, B), (C, D)) be exceptional."""
+    return (b != 0) | (c != 0)
+
+
+def ep_flag(gap, b, c, gamma):
+    """The exceptional-point rule: a gap below EP_GAP_FACTOR * gamma in a
+    coupled W_eff. At xi = 0, B = C = 0 exactly, and where the diagonal
+    frequencies cross W_eff is a multiple of the identity: no EP."""
+    return (gap < EP_GAP_FACTOR * gamma) & _coupled(b, c)
+
+
 def _eigenvector(a, b, c, d, lam) -> np.ndarray:
     """Unit right eigenvectors of ((A, B), (C, D)) for ``lam``, the two
     components stacked on a new leading axis.
 
     (W - lam I) v = 0; both candidate rows solve exactly for a 2x2, pick the
-    better-conditioned one (eliminate the larger-residual row). A diagonal
-    matrix gets the canonical basis vector.
+    better-conditioned one (eliminate the larger-residual row). A candidate
+    whose squared norm underflows gets the canonical basis vector.
     """
     top = _modulus(b) + _modulus(a - lam) >= _modulus(c) + _modulus(d - lam)
     v = np.array([np.where(top, b, lam - d), np.where(top, lam - a, c)])
@@ -227,8 +239,9 @@ def _condition(vp, vm) -> np.ndarray:
 class EffectiveMatrix:
     """W_eff with its closed-form eigen-analysis, made with the record (so
     ``dataclasses.replace(w, entries=...)`` analyses the new matrix): right
-    eigenvectors as columns, lifetimes tau = 1/(-Re lambda), near_defective
-    when the eigenvector condition number exceeds EP_CONDITION_MARKER."""
+    eigenvectors as columns (a diagonal matrix's are the basis vectors,
+    condition 1), lifetimes tau = 1/(-Re lambda), near_defective when the
+    eigenvector condition number exceeds EP_CONDITION_MARKER."""
 
     entries: np.ndarray                 # 2x2 complex (A, B; C, D)
     eigenvalues: tuple = field(init=False)             # (lambda_plus, lambda_minus)
@@ -240,7 +253,10 @@ class EffectiveMatrix:
     def __post_init__(self):
         (a, b), (c, d) = self.entries
         lam = weff_eigenvalues(a, b, c, d)
-        vectors = _eigenvector(a, b, c, d, np.array(lam))
+        if _coupled(b, c):
+            vectors = _eigenvector(a, b, c, d, np.array(lam))
+        else:  # diagonal: lambda_+ takes the basis vector of its nearer entry
+            vectors = np.eye(2, dtype=complex)[:, ::1 if abs(a - lam[0]) <= abs(d - lam[0]) else -1]
         cond = float(_condition(vectors[:, 0], vectors[:, 1]))
         with np.errstate(over="ignore"):  # a subnormal decay rate: lifetime inf
             lifetimes = tuple((1.0 / -l.real) if l.real < 0.0 else float("inf") for l in lam)
@@ -317,11 +333,9 @@ def find_exceptional_point(params: AnyonParams,
 
     Coarse scan of EP_COARSE_POINTS angles over the bracket followed by
     golden-section refinement, both on one array gap function
-    (``weff_eigenvalues`` of ``weff_entries``). An EP is declared when the
-    refined gap falls below EP_GAP_FACTOR * gamma; the minimal gap is
-    reported either way. params.theta is ignored. The default
-    bracket stops short of pi, where the xi = 0 matrix becomes a scalar (a
-    normal degeneracy, not an exceptional point).
+    (``weff_eigenvalues`` of ``weff_entries``). An EP is declared by
+    ``ep_flag`` at the refined angle; the minimal gap is reported either
+    way. params.theta is ignored. The default bracket is (0, pi - 0.01).
     """
     if theta_bracket is None:
         theta_bracket = (0.0, math.pi - 0.01)
@@ -355,6 +369,9 @@ def find_exceptional_point(params: AnyonParams,
             d = a + invphi * (b - a)
             fd = gap_at(d)
     theta_star = 0.5 * (a + b)
-    gap = float(gap_at(theta_star))
-    threshold = EP_GAP_FACTOR * params.gamma
-    return EPResult(found=gap < threshold, theta=theta_star, gap=gap, threshold=threshold)
+    a, b, c, d = weff_entries(ParamArrays.over(params, theta=theta_star), frequency_convention,
+                              conjugation, stat_dephasing)
+    lp, lm = weff_eigenvalues(a, b, c, d)
+    gap = float(_modulus(lp - lm))
+    return EPResult(found=bool(ep_flag(gap, b, c, params.gamma)), theta=theta_star, gap=gap,
+                    threshold=EP_GAP_FACTOR * params.gamma)

@@ -1,5 +1,5 @@
 """Serialization: RFC-4180 CSV, JSON metadata sidecars and self-contained SVG
-heatmaps with overlay polylines."""
+heatmaps with an optional diagonal line."""
 
 from __future__ import annotations
 
@@ -465,34 +465,27 @@ def _diverging_palette(count: int):
     return colors
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    return np.linspace(lo, hi, n)
-
-
-def svg_heatmap(x_axis, y_axis, z, title: str = "", overlays=None) -> str:
-    """Self-contained SVG heatmap of a real-valued grid over (omega_tau, omega_t).
+def svg_heatmap(axis, z, title: str = "", diagonal: bool = False) -> str:
+    """Self-contained SVG heatmap of a real-valued square grid, z[i, j] at
+    (omega_tau, omega_t) = (axis_i, axis_j) as in a spectrum grid.
 
     Linear diverging color map of _LEVELS colors symmetric about zero;
     horizontal runs of equal quantized color are merged into single rects to
-    keep files small. Overlay polylines are drawn dashed on top. z[i, j] is
-    the value at (x_i, y_j), as in a spectrum grid.
+    keep files small. ``diagonal`` draws omega_t = omega_tau dashed on top.
     """
-    x_axis = np.asarray(x_axis, float)
-    y_axis = np.asarray(y_axis, float)
+    axis = np.asarray(axis, float)
     z = np.asarray(z, float)
     if not np.isfinite(z).all():
         raise ValueError("heatmap values must be finite")
-    nx, ny = z.shape
-    if nx != x_axis.size or ny != y_axis.size:
-        raise ValueError("heatmap axes do not match grid shape")
+    n = axis.size
     vmax = float(np.max(np.abs(z))) or 1.0
     palette = _diverging_palette(_LEVELS)
     quant = np.clip(((z / vmax) * 0.5 + 0.5) * (_LEVELS - 1), 0, _LEVELS - 1).round().astype(int)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
-    cell_w = plot_w / nx
-    cell_h = plot_h / ny
+    cell_w = plot_w / n
+    cell_h = plot_h / n
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -508,7 +501,7 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", overlays=None) -> str:
     starts = np.ones(rows.shape, bool)
     starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
     j, i = np.nonzero(starts)
-    run = np.diff(j * nx + i, append=nx * ny)
+    run = np.diff(j * n + i, append=n * n)
     rect = ('<rect x="%.2f" y="%.2f" width="%.2f" '
             f'height="{cell_h + 0.5:.2f}" fill="%s"/>')
     parts.extend(rect % cell for cell in zip(
@@ -520,15 +513,15 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", overlays=None) -> str:
     parts.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                  'fill="none" stroke="black" stroke-width="1"/>')
     # ticks and labels
-    for tv in _ticks(x_axis[0], x_axis[-1]):
-        frac = (tv - x_axis[0]) / (x_axis[-1] - x_axis[0])
+    ticks = np.linspace(axis[0], axis[-1], 5)
+    fracs = (ticks - axis[0]) / (axis[-1] - axis[0])
+    for tv, frac in zip(ticks, fracs):
         xpix = _MARGIN_L + frac * plot_w
         parts.append(f'<line x1="{xpix:.1f}" y1="{_MARGIN_T + plot_h}" x2="{xpix:.1f}" '
                      f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
         parts.append(f'<text x="{xpix:.1f}" y="{_MARGIN_T + plot_h + 19}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{tv:.3g}</text>')
-    for tv in _ticks(y_axis[0], y_axis[-1]):
-        frac = (tv - y_axis[0]) / (y_axis[-1] - y_axis[0])
+    for tv, frac in zip(ticks, fracs):
         ypix = _MARGIN_T + plot_h - frac * plot_h
         parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{ypix:.1f}" x2="{_MARGIN_L}" '
                      f'y2="{ypix:.1f}" stroke="black"/>')
@@ -539,19 +532,12 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", overlays=None) -> str:
     parts.append(f'<text x="20" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.0f})">omega_t [omega]</text>')
-    # overlay polylines (dashed)
-    if overlays:
-        for xs, ys in overlays:
-            pts = []
-            for xv, yv in zip(xs, ys):
-                if not (x_axis[0] <= xv <= x_axis[-1] and y_axis[0] <= yv <= y_axis[-1]):
-                    continue
-                fx = (xv - x_axis[0]) / (x_axis[-1] - x_axis[0])
-                fy = (yv - y_axis[0]) / (y_axis[-1] - y_axis[0])
-                pts.append(f"{_MARGIN_L + fx * plot_w:.1f},{_MARGIN_T + plot_h - fy * plot_h:.1f}")
-            if pts:
-                parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" '
-                             'stroke-width="1.5" stroke-dasharray="6,4"/>')
+    if diagonal:  # dashed omega_t = omega_tau
+        frac = (axis - axis[0]) / (axis[-1] - axis[0])
+        xs, ys = (_MARGIN_L + frac * plot_w).tolist(), (_MARGIN_T + plot_h - frac * plot_h).tolist()
+        pts = " ".join("%.1f,%.1f" % xy for xy in zip(xs, ys))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="black" '
+                     'stroke-width="1.5" stroke-dasharray="6,4"/>')
     # color scale bar
     bar_x = _WIDTH - _MARGIN_R + 20
     bar_h = plot_h
@@ -567,9 +553,9 @@ def svg_heatmap(x_axis, y_axis, z, title: str = "", overlays=None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_grid_svg(grid, path: str, title: str = "", overlays=None):
+def write_grid_svg(grid, path: str, title: str = "", diagonal: bool = False):
     """Render Re(values) of a spectrum grid to a standalone SVG file."""
-    svg = svg_heatmap(grid.axis, grid.axis, grid.values.real, title=title, overlays=overlays)
+    svg = svg_heatmap(grid.axis, grid.values.real, title=title, diagonal=diagonal)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
     return path

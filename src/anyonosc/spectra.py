@@ -159,23 +159,20 @@ def _apply(op, vecs):
     return np.einsum("jk,ik->ij", op, vecs)
 
 
-def _pathway(system: FockSystem, mu: np.ndarray, params: AnyonParams, t2: float,
-             tau_axis: np.ndarray, t_axis: np.ndarray, jump_basis: str,
-             conjugation: str) -> np.ndarray:
+def _pathway(params: AnyonParams, t2: float, tau_axis: np.ndarray, t_axis: np.ndarray,
+             jump_basis: str, conjugation: str) -> np.ndarray:
     """values[i, j] of the rephasing pathway at (tau_axis[i], t_axis[j]), after
     the input checks. Each cell depends only on its own two frequencies, so a
     grid cell and a one-point call agree bit for bit."""
-    if system.cutoff < PATHWAY_QUANTA:
-        raise ValueError("third-order spectra need the two-excitation manifold: "
-                         f"cutoff >= {PATHWAY_QUANTA}")
     if params.gamma <= 0.0:
         raise ValueError("rephasing response requires gamma > 0 for convergent resolvents")
     if not (math.isfinite(t2) and t2 >= 0.0):
         raise ValueError(f"t2 must be finite and >= 0, got {t2}")
+    system = FockSystem(cutoff=PATHWAY_QUANTA, theta=params.theta)
     low, liouv = _low_liouvillian(system, params, jump_basis, conjugation)
     reach = _reach(liouv)
     sub = np.ix_(low, low)
-    mu = mu[sub]
+    mu = build_dipole(system, conjugation)[sub]
     # vec(rho0 mu) from the vacuum rho0 and the row vector of rho -> tr(rho mu)
     v0 = (system.vacuum_projector()[sub] @ mu).ravel()
     tr_mu = mu.T.ravel()
@@ -193,8 +190,7 @@ def _pathway(system: FockSystem, mu: np.ndarray, params: AnyonParams, t2: float,
     return _apply(y, z) * (1j) ** 3
 
 
-def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
-                       t2: float = 0.0, grid: GridSpec | None = None,
+def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec | None = None,
                        jump_basis: str = DEFAULT_JUMP_BASIS,
                        conjugation: str = DEFAULT_CONJUGATION) -> SpectrumGrid:
     """Rephasing third-order response on a 2D detuning grid.
@@ -214,18 +210,16 @@ def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonPara
     vacuum every state holds at most PATHWAY_QUANTA ket quanta and one bra
     quantum, so the closures lie in the 36 pair states of |00>, |01>, |02>,
     |10>, |11>, |20>: their block of L is built once from the d x d factors
-    (``_low_liouvillian``) and the d^2 x d^2 Liouvillian never is. The
-    closures hold 2, 5 and 10 states (the last 6 at theta = pi). A larger
-    cutoff changes only the rounding of the d x d factor products, which
-    ``sweeps.run_spectrum`` avoids by building every system at cutoff 2.
-    The display axes carry the echo convention (both negated relative to the
-    raw transform frequencies) so the photon-echo feature lands at positive
-    detunings.
+    (``_low_liouvillian``) of the cutoff-2 system at params.theta, with the
+    dipole of ``conjugation``; the d^2 x d^2 Liouvillian never is. The
+    closures hold 2, 5 and 10 states (6 at theta = pi). The display axes
+    carry the echo convention (both negated relative to the raw transform
+    frequencies) so the photon-echo feature lands at positive detunings.
     """
     if grid is None:
         grid = GridSpec()
     axis = grid.axis()
-    values = _pathway(system, dipole, params, t2, axis, axis, jump_basis, conjugation)
+    values = _pathway(params, t2, axis, axis, jump_basis, conjugation)
     meta = {
         "rho_eq": "vacuum",
         # build_hamiltonian's exchange amplitude is always J cos(theta/2)
@@ -239,16 +233,15 @@ def rephasing_response(system: FockSystem, dipole: np.ndarray, params: AnyonPara
     return SpectrumGrid(axis, values, meta)
 
 
-def response_point(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
-                   omega_tau: float, omega_t: float, t2: float = 0.0,
+def response_point(params: AnyonParams, omega_tau: float, omega_t: float, *, t2: float = 0.0,
                    jump_basis: str = DEFAULT_JUMP_BASIS,
                    conjugation: str = DEFAULT_CONJUGATION) -> complex:
     """Single-point evaluation, bit-identical to the matching grid cell."""
     for name, value in (("omega_tau", omega_tau), ("omega_t", omega_t)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    values = _pathway(system, dipole, params, t2, np.array([float(omega_tau)]),
-                      np.array([float(omega_t)]), jump_basis, conjugation)
+    values = _pathway(params, t2, np.array([float(omega_tau)]), np.array([float(omega_t)]),
+                      jump_basis, conjugation)
     return complex(values[0, 0])
 
 

@@ -10,14 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
-                    DEFAULT_FREQUENCY_CONVENTION, EP_GAP_FACTOR, FREQUENCY_CONVENTIONS,
-                    _modulus, match_branches, weff_eigenvalues, weff_entries)
-from .fock import JUMP_BASES, FockSystem
+                    DEFAULT_FREQUENCY_CONVENTION, FREQUENCY_CONVENTIONS, _modulus, ep_flag,
+                    match_branches, weff_eigenvalues, weff_entries)
+from .fock import JUMP_BASES
 from .output import SweepResult
 from .params import AnyonParams, ParamArrays, ParameterError
 from .rates import gamma_full_single, gamma_stat
 from .spectra import (DEFAULT_JUMP_BASIS, PATHWAY_QUANTA, GridSpec, SpectrumGrid,
-                      bright_mode_overlay, build_dipole, diagonal_slice, rephasing_response)
+                      bright_mode_overlay, diagonal_slice, rephasing_response)
 
 
 class ConfigError(ValueError):
@@ -94,6 +94,9 @@ class RunConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.cutoff < 1:
             raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
+        twice = [ax.name for ax in self.sweep if [a.name for a in self.sweep].count(ax.name) > 1]
+        if twice:
+            raise ConfigError(f"sweep axes name parameter {twice[0]!r} more than once")
 
     def as_dict(self) -> dict:
         """JSON echo with the types config_from_dict reads back (theta=0 and
@@ -206,11 +209,6 @@ def _theta_axis(config: RunConfig) -> SweepAxis:
     return next((ax for ax in config.sweep if ax.name == "theta"), THETA_AXIS)
 
 
-def _eigenvalues(points: ParamArrays, conv: Conventions) -> tuple:
-    return weff_eigenvalues(*weff_entries(points, conv.frequency, conv.conjugation,
-                                          conv.stat_dephasing))
-
-
 def run_fig1(config: RunConfig) -> SweepResult:
     """Single-oscillator rates against the statistical angle.
 
@@ -233,16 +231,18 @@ def run_fig2(config: RunConfig) -> SweepResult:
     """Dimer mode relaxation rates over (theta, xi) with branch continuity.
 
     Columns: theta, xi, Re/Im of both branch-continued eigenvalues, gap and
-    the EP flag (gap below the detection threshold). Rows run over theta
-    within each xi, the branches continued along theta.
+    the EP flag (``dimer.ep_flag``). Rows run over theta within each xi, the
+    branches continued along theta.
     """
     theta = _theta_axis(config).values()
     xi = np.array(config.xi_list or FIG2_XI, dtype=float)
     theta, xi = np.meshgrid(theta, xi)
-    lp, lm = match_branches(*_eigenvalues(
-        ParamArrays.over(config.params, theta=theta, xi=xi), config.conventions))
+    conv = config.conventions
+    a, b, c, d = weff_entries(ParamArrays.over(config.params, theta=theta, xi=xi),
+                              conv.frequency, conv.conjugation, conv.stat_dephasing)
+    lp, lm = match_branches(*weff_eigenvalues(a, b, c, d))
     gap = _modulus(lp - lm)
-    flag = gap < EP_GAP_FACTOR * config.params.gamma
+    flag = ep_flag(gap, b, c, config.params.gamma)
     rows = np.stack([theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag], axis=-1)
     return SweepResult(
         columns=("theta", "xi", "re_lambda_plus", "re_lambda_minus",
@@ -253,18 +253,17 @@ def run_fig2(config: RunConfig) -> SweepResult:
 
 
 def run_spectrum(config: RunConfig, params: AnyonParams) -> SpectrumGrid:
-    """The rephasing grid of ``config`` (cutoff, t2, grid, conventions) at the
+    """The rephasing grid of ``config`` (t2, grid, conventions) at the
     parameter point ``params``, for the spectrum command and every fig3 panel.
 
-    No state of the pathway holds more than PATHWAY_QUANTA quanta, so a
-    larger cutoff only adds states it never reaches: the system is built at
-    cutoff min(cutoff, PATHWAY_QUANTA), and every cutoff >= 2 gives the
-    cutoff-2 grid at the cutoff-2 cost."""
+    The pathway holds at most PATHWAY_QUANTA quanta, so every cutoff from
+    PATHWAY_QUANTA up gives the same grid; a smaller one is refused."""
+    if config.cutoff < PATHWAY_QUANTA:
+        raise ValueError("third-order spectra need the two-excitation manifold: "
+                         f"cutoff >= {PATHWAY_QUANTA}")
     conv = config.conventions
-    system = FockSystem(cutoff=min(config.cutoff, PATHWAY_QUANTA), theta=params.theta, modes=2)
-    return rephasing_response(system, build_dipole(system, conv.conjugation), params,
-                              t2=config.t2, grid=config.grid, jump_basis=conv.jump_basis,
-                              conjugation=conv.conjugation)
+    return rephasing_response(params, t2=config.t2, grid=config.grid,
+                              jump_basis=conv.jump_basis, conjugation=conv.conjugation)
 
 
 @dataclass
@@ -333,10 +332,11 @@ def run_sweep(config: RunConfig) -> SweepResult:
     names = [ax.name for ax in config.sweep]
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    # a field swept twice takes its last axis, as keyword replacement would
     pts = ParamArrays.over(config.params, **dict(zip(names, points.T)))
     full = gamma_full_single(pts)
-    lp, lm = _eigenvalues(pts, config.conventions)
+    conv = config.conventions
+    lp, lm = weff_eigenvalues(*weff_entries(pts, conv.frequency, conv.conjugation,
+                                            conv.stat_dephasing))
     rows = np.column_stack([points, gamma_stat(pts.theta, pts.z, pts.gamma),
                             full.real, full.imag, lp.real, lp.imag, lm.real, lm.imag,
                             _modulus(lp - lm)])

@@ -152,8 +152,7 @@ def test_criterion_06_dimer_oracle_equivalence():
 
 def _slice_metrics(theta, xi, n=128):
     p = AnyonParams(theta=theta, xi=xi)
-    system = FockSystem(cutoff=2, theta=theta, modes=2)
-    grid = rephasing_response(system, build_dipole(system), p, grid=GridSpec(count=n))
+    grid = rephasing_response(p, grid=GridSpec(count=n))
     det, vals = diagonal_slice(grid)
     return grid, det, vals, lineshape_metrics(det, vals)
 
@@ -203,7 +202,7 @@ def test_criterion_09_resolvent_vs_quadrature():
     direct = np.empty_like(quad)
     for i, wt in enumerate(axis):
         for j, wv in enumerate(axis):
-            direct[i, j] = response_point(system, dip, p, float(wt), float(wv))
+            direct[i, j] = response_point(p, float(wt), float(wv))
     rel = float(np.max(np.abs(direct - quad)) / np.max(np.abs(direct)))
     elapsed = time.perf_counter() - t0
     ok = rel <= 1e-3 and elapsed < 60.0

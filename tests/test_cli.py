@@ -95,6 +95,28 @@ class TestCliBasics:
         row = out.strip().split("\n")[1].split(",")
         assert int(row[2]) == 0
 
+    # at xi = 0 W_eff is diagonal, and where its frequencies cross a multiple
+    # of the identity: a zero gap there is a normal degeneracy, not an EP
+    @pytest.mark.parametrize("argv, theta_star, gap", [
+        (("--convention", "maintext"), "1.5707963267948966", "0"),
+        (("--range", "3.0:3.141592653589793"), "3.1415926535897882", "8.8817841970012523e-16"),
+    ], ids=["maintext", "bracket-at-pi"])
+    def test_ep_locate_scalar_point_is_no_ep(self, capsys, argv, theta_star, gap):
+        code, out, err = run_cli(capsys, "ep-locate", *argv)
+        assert code == 0, err
+        row = out.strip().split("\n")[1].split(",")
+        assert row == [theta_star, gap, "0", "9.9999999999999995e-08"]
+
+    def test_fig2_flags_no_scalar_point(self, capsys):
+        code, out, err = run_cli(capsys, "fig2")
+        assert code == 0, err
+        header, *lines = out.strip().split("\n")
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines])
+        assert header.split(",")[-1] == "ep_flag [bool]"
+        scalar = (rows[:, 0] == math.pi) & (rows[:, 1] == 0.0)
+        assert np.count_nonzero(scalar) == 1 and rows[scalar, 6] == 0.0
+        assert not rows[:, 7].any()
+
 
 class TestCliNegativeNumbers:
     # argparse's default reads -1e-05 as a flag ("expected one argument")
@@ -259,6 +281,21 @@ class TestCliSpectrum:
     def test_spectrum_rejects_cutoff_one(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--cutoff", "1", "--grid", "4")
         assert code == 1
+        assert "third-order spectra need the two-excitation manifold: cutoff >= 2" in err
+
+    @pytest.mark.parametrize("out, svg", [("g", "g"), ("g.csv", "g.csv.meta.json"),
+                                          ("g.csv", "./sub/../g.csv")],
+                             ids=["csv", "sidecar", "same-file"])
+    def test_svg_onto_its_own_csv_or_sidecar_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                        out, svg):
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", None)  # no compute
+        code, stdout, err = run_cli(capsys, "spectrum", "--grid", "4", "--out", out,
+                                    "--svg", svg)
+        assert code == 1
+        assert f"anyonosc: error: --svg {svg} would overwrite the --out CSV {out}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"] and stdout == ""
 
     def test_spectrum_odd_grid_is_finite(self, capsys, tmp_path):
         # grid 17 puts detuning 0 on both axes
@@ -655,8 +692,7 @@ class TestCliSpectraNeverBuildTheDenseLiouvillian:
         assert sizes == [6]
 
     def test_every_cutoff_writes_the_cutoff_two_grid(self, capsys, tmp_path):
-        # a cutoff-12 system would round its 169 x 169 factor products
-        # differently: one ulp off the cutoff-2 grid in this case
+        # the spectra build their own cutoff-2 system whatever --cutoff says
         argv = ("spectrum", "--grid", "16", "--theta", "0.9", "--xi", "0.5", "--t2", "3.5")
         texts = []
         for cutoff in ("2", "12"):
@@ -722,6 +758,21 @@ class TestCliSweepConfig:
         assert "config.grid" in err
         assert not out_csv.exists() and not (tmp_path / "sweep.csv.meta.json").exists()
         assert stdout == ""
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_parameter_swept_twice_is_error(self, capsys, tmp_path, to_file):
+        # the first theta axis would be read by nothing: its rows would hold
+        # the values at the second axis's angles
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": [
+            {"name": "theta", "start": 0.0, "stop": 1.0, "count": 2},
+            {"name": "xi", "start": -1.0, "stop": 1.0, "count": 3},
+            {"name": "theta", "start": 0.0, "stop": 3.0, "count": 3}]}))
+        argv = ("--out", str(tmp_path / "sweep.csv")) if to_file else ()
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path), *argv)
+        assert code == 1
+        assert "anyonosc: error: sweep axes name parameter 'theta' more than once" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
 
     def test_key_the_sweep_does_not_read_is_error(self, capsys, tmp_path):
         # t2, grid, theta_list, xi_list and compute.cutoff never reach a sweep's

@@ -197,6 +197,26 @@ class TestEigenAnalysis:
         w = EffectiveMatrix(entries)
         assert multiset_close(w.eigenvalues, np.diag(entries), 1e-15)
         assert not w.near_defective
+        assert w.eigenvector_condition == 1.0
+        for k in range(2):  # each eigenvalue with the basis vector of its entry
+            i = int(np.argmin(np.abs(np.diag(entries) - w.eigenvalues[k])))
+            assert np.array_equal(w.right_eigenvectors[:, k], np.eye(2)[:, i])
+
+    @pytest.mark.parametrize("convention, theta", [("appendix", math.pi),
+                                                   ("maintext", math.pi / 2)])
+    def test_scalar_matrix_is_not_defective(self, convention, theta):
+        # at xi = 0 the +/- channel sums cancel exactly, and where the diagonal
+        # frequencies cross W_eff is a multiple of the identity (under
+        # "maintext" up to one ulp of its diagonal, below the gap's rounding)
+        w = build_weff(AnyonParams(theta=theta, xi=0.0), convention)
+        (a, b), (c, d) = w.entries
+        assert b == 0 and c == 0 and w.gap == 0.0
+        assert (a == d) == (convention == "appendix")
+        want = np.eye(2) if a == d else np.eye(2)[:, ::-1 if abs(a - w.eigenvalues[0]) > abs(
+            d - w.eigenvalues[0]) else 1]
+        assert np.array_equal(w.right_eigenvectors, want)
+        assert w.eigenvector_condition == 1.0
+        assert not w.near_defective
 
     def test_eigenvectors_solve_the_system(self):
         w = build_weff(AnyonParams(theta=1.7, xi=0.7))
@@ -267,6 +287,15 @@ class TestExceptionalPoint:
         assert ep.found
         assert 2.0 < ep.theta < math.pi
         assert ep.gap < 1e-6 * 0.1
+
+    @pytest.mark.parametrize("bracket, convention", [((3.0, math.pi), "appendix"),
+                                                     (None, "maintext")],
+                             ids=["bracket-at-pi", "maintext"])
+    def test_scalar_degeneracy_is_no_ep(self, bracket, convention):
+        # the gap closes where W_eff is a multiple of the identity (B = C = 0)
+        ep = find_exceptional_point(AnyonParams(theta=0.0, xi=0.0), bracket, convention)
+        assert ep.gap < ep.threshold
+        assert not ep.found
 
     def test_no_ep_in_closed_system(self):
         ep = find_exceptional_point(AnyonParams(theta=0.0, xi=1.0, gamma=0.0))

@@ -14,10 +14,11 @@ from anyonosc import (AnyonParams, FockSystem, GridSpec, bright_mode_overlay,
                       build_dipole, build_liouvillian, build_weff, diagonal_slice,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
-from anyonosc.fock import resolvent_apply
-from anyonosc.spectra import (PATHWAY_QUANTA, SpectrumGrid, _ket_dipole, _low_liouvillian,
-                              _reach, bright_branch_detuning,
+from anyonosc.fock import expm, resolvent_apply
+from anyonosc.spectra import (PATHWAY_QUANTA, SpectrumGrid, _apply, _ket_dipole,
+                              _low_liouvillian, _reach, _resolvents, bright_branch_detuning,
                               rephasing_response_quadrature, response_point)
+from anyonosc.sweeps import RunConfig, run_spectrum
 
 
 def coherence_order(system):
@@ -27,9 +28,29 @@ def coherence_order(system):
 
 def small_grid(theta, xi, n=48, **kw):
     p = AnyonParams(theta=theta, xi=xi)
-    system = FockSystem(cutoff=kw.pop("cutoff", 2), theta=theta, modes=2)
-    dip = build_dipole(system)
-    return rephasing_response(system, dip, p, grid=GridSpec(count=n), **kw), system, dip, p
+    return rephasing_response(p, grid=GridSpec(count=n), **kw), p
+
+
+def system_pathway(system, dip, p, t2, axis, jump_basis, conjugation):
+    """The rephasing grid on a caller's system and dipole of any cutoff >= 2:
+    the pathway as it read them before it built its own cutoff-2 pair,
+    verbatim, from the library's block helpers."""
+    low, liouv = _low_liouvillian(system, p, jump_basis, conjugation)
+    reach = _reach(liouv)
+    sub = np.ix_(low, low)
+    mu = dip[sub]
+    v0 = (system.vacuum_projector()[sub] @ mu).ravel()
+    tr_mu = mu.T.ravel()
+    first, l_first = reach(v0 != 0)
+    x = _resolvents(l_first, 1j * axis, -v0[first])
+    mid, l_mid, mu_mid = _ket_dipole(reach, mu, first)
+    z = _apply(mu_mid, x)
+    if t2 > 0.0:
+        z = _apply(expm(l_mid * t2), z)
+    last, l_last, mu_last = _ket_dipole(reach, mu, mid)
+    z = _apply(mu_last, z)
+    y = _resolvents(l_last.T, -1j * axis, -tr_mu[last])
+    return _apply(y, z) * (1j) ** 3
 
 
 class TestDipole:
@@ -92,43 +113,38 @@ class TestDipole:
 
 class TestRephasingResponse:
     def test_cutoff_one_rejected(self):
-        p = AnyonParams(theta=0.0)
-        system = FockSystem(cutoff=2, theta=0.0, modes=2)
-        dip = build_dipole(system)
-        bad = FockSystem(cutoff=1, theta=0.0, modes=2)
-        with pytest.raises(ValueError):
-            rephasing_response(bad, build_dipole(bad), p)
+        # the library builds its own cutoff-2 system; a run configuration
+        # still carries --cutoff, and one without two-quanta states is refused
+        config = RunConfig(cutoff=1, grid=GridSpec(count=4))
+        with pytest.raises(ValueError, match="cutoff >= 2"):
+            run_spectrum(config, AnyonParams(theta=0.0))
 
     def test_gamma_zero_rejected(self):
-        system = FockSystem(cutoff=2, theta=0.0, modes=2)
-        dip = build_dipole(system)
         with pytest.raises(ValueError):
-            rephasing_response(system, dip, AnyonParams(theta=0.0, gamma=0.0))
+            rephasing_response(AnyonParams(theta=0.0, gamma=0.0))
 
     def test_overdamped_washout(self):
-        g1, *_ = small_grid(0.0, 0.0, n=32)
+        g1, _ = small_grid(0.0, 0.0, n=32)
         p = AnyonParams(theta=0.0, xi=0.0, gamma=10.0)
-        system = FockSystem(cutoff=2, theta=0.0, modes=2)
-        dip = build_dipole(system)
-        g2 = rephasing_response(system, dip, p, grid=GridSpec(count=32))
+        g2 = rephasing_response(p, grid=GridSpec(count=32))
         assert np.max(np.abs(g2.values)) < 0.01 * np.max(np.abs(g1.values))
 
     def test_grid_values_match_single_point_evaluations(self):
-        g, system, dip, p = small_grid(0.9, 0.5, n=16)
+        g, p = small_grid(0.9, 0.5, n=16)
         rng = np.random.default_rng(2)
         for _ in range(5):
             i, j = rng.integers(0, 16, size=2)
-            v = response_point(system, dip, p, float(g.axis[i]), float(g.axis[j]))
+            v = response_point(p, float(g.axis[i]), float(g.axis[j]))
             assert v == g.values[i, j]
 
     def test_single_point_at_nearly_equal_frequencies(self):
         # two frequencies 1e-7 apart are two cells, not one
-        _, system, dip, p = small_grid(0.9, 0.5, n=4)
+        p = AnyonParams(theta=0.9, xi=0.5)
         lo, hi = 0.1, 0.1 + 1e-7
-        g = rephasing_response(system, dip, p, grid=GridSpec(count=2, lo=lo, hi=hi))
-        assert response_point(system, dip, p, lo, hi) == g.values[0, 1]
-        assert response_point(system, dip, p, hi, lo) == g.values[1, 0]
-        assert response_point(system, dip, p, lo, lo) == g.values[0, 0]
+        g = rephasing_response(p, grid=GridSpec(count=2, lo=lo, hi=hi))
+        assert response_point(p, lo, hi) == g.values[0, 1]
+        assert response_point(p, hi, lo) == g.values[1, 0]
+        assert response_point(p, lo, lo) == g.values[0, 0]
         assert g.values[0, 1] != g.values[0, 0]
 
     # endpoints, then span and step: -1e308:1e308 overflows hi - lo, and the
@@ -170,10 +186,10 @@ class TestRephasingResponse:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["omega_tau", "omega_t"])
     def test_single_point_rejects_non_finite_frequencies(self, name, bad):
-        _, system, dip, p = small_grid(0.9, 0.5, n=4)
+        p = AnyonParams(theta=0.9, xi=0.5)
         freqs = {"omega_tau": 0.1, "omega_t": 0.2, name: bad}
         with pytest.raises(ValueError, match=name):
-            response_point(system, dip, p, freqs["omega_tau"], freqs["omega_t"])
+            response_point(p, freqs["omega_tau"], freqs["omega_t"])
 
     def test_braided_equals_unbraided_at_boson_point(self):
         system = FockSystem(cutoff=2, theta=0.0, modes=2)
@@ -182,51 +198,49 @@ class TestRephasingResponse:
         plain = a1 + a1.conj().T + a2 + a2.conj().T
         assert np.array_equal(dip, plain)
         p = AnyonParams(theta=0.0, xi=0.0)
-        ga = rephasing_response(system, dip, p, grid=GridSpec(count=16))
-        gb = rephasing_response(system, plain, p, grid=GridSpec(count=16))
-        assert np.array_equal(ga.values, gb.values)
+        grid = GridSpec(count=16)
+        got = rephasing_response(p, grid=grid).values
+        want = system_pathway(system, plain, p, 0.0, grid.axis(), "site", "modulus")
+        assert got.tobytes() == want.tobytes()
 
     def test_cutoff_two_vs_three_agreement(self):
+        # the cutoff lives on the reference side: the dense per-frequency
+        # pathway on the whole L of a cutoff-2 and a cutoff-3 system
         p = AnyonParams(theta=0.9, xi=0.5)
-        vals = {}
+        grid = GridSpec(count=24)
+        got = rephasing_response(p, grid=grid).values
         for cutoff in (2, 3):
             system = FockSystem(cutoff=cutoff, theta=0.9, modes=2)
-            dip = build_dipole(system)
-            g = rephasing_response(system, dip, p, grid=GridSpec(count=24))
-            vals[cutoff] = g.values
-        rel = np.max(np.abs(vals[2] - vals[3])) / np.max(np.abs(vals[3]))
-        assert rel <= 1e-3
+            want = dense_reference(system, build_dipole(system), p, grid.axis(), 0.0, "site",
+                                   "modulus")
+            assert np.max(np.abs(got - want)) <= 1e-3 * np.max(np.abs(want))
 
     def test_metadata_holds_what_the_config_cannot_show(self):
         # parameters, cutoff, t2, conventions and the grid are the run
         # config's echo; the grid keeps only the facts of its own making
-        g, *_ = small_grid(0.4, 0.3, n=8)
+        g, _ = small_grid(0.4, 0.3, n=8)
         assert set(g.metadata) == {"rho_eq", "frequency", "axes", "first_interval_axis",
                                    "prefactor"}
         assert (g.metadata["rho_eq"], g.metadata["frequency"]) == ("vacuum", "appendix")
 
     def test_waiting_time_damps_the_signal(self):
         p = AnyonParams(theta=0.5, xi=0.4)
-        system = FockSystem(cutoff=2, theta=0.5, modes=2)
-        dip = build_dipole(system)
-        g0 = rephasing_response(system, dip, p, t2=0.0, grid=GridSpec(count=12))
-        g1 = rephasing_response(system, dip, p, t2=30.0, grid=GridSpec(count=12))
+        g0 = rephasing_response(p, t2=0.0, grid=GridSpec(count=12))
+        g1 = rephasing_response(p, t2=30.0, grid=GridSpec(count=12))
         assert np.max(np.abs(g1.values)) < np.max(np.abs(g0.values))
 
-    @pytest.mark.parametrize("cutoff", [2, 3])
-    def test_odd_grid_is_finite(self, cutoff):
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    def test_odd_grid_is_finite(self, conjugation):
         # an odd count puts detuning 0 on the axis, where the population
         # block of -L is singular; the pathway never solves in that block
-        g, *_ = small_grid(0.7, 0.5, n=17, cutoff=cutoff)
+        g, _ = small_grid(0.7, 0.5, n=17, conjugation=conjugation)
         assert g.axis[8] == 0.0
         assert np.all(np.isfinite(g.values))
 
     @pytest.mark.parametrize("t2", [-5.0, float("nan"), float("inf")])
     def test_invalid_waiting_time_rejected(self, t2):
-        system = FockSystem(cutoff=2, theta=0.3, modes=2)
         with pytest.raises(ValueError, match="t2"):
-            rephasing_response(system, build_dipole(system), AnyonParams(theta=0.3),
-                               t2=t2, grid=GridSpec(count=4))
+            rephasing_response(AnyonParams(theta=0.3), t2=t2, grid=GridSpec(count=4))
 
     def test_resolvent_vs_quadrature_probe(self):
         p = AnyonParams(theta=0.6, xi=0.5)
@@ -237,7 +251,7 @@ class TestRephasingResponse:
         direct = np.empty_like(quad)
         for i, wt in enumerate(axis):
             for j, wv in enumerate(axis):
-                direct[i, j] = response_point(system, dip, p, float(wt), float(wv))
+                direct[i, j] = response_point(p, float(wt), float(wv))
         rel = np.max(np.abs(direct - quad)) / np.max(np.abs(direct))
         assert rel <= 1e-3
 
@@ -284,7 +298,7 @@ class TestBlockSolveEquivalence:
         system = FockSystem(cutoff=cutoff, theta=p.theta, modes=2)
         dip = build_dipole(system, conjugation)
         grid = GridSpec(count=8, lo=-0.4, hi=0.4)
-        got = rephasing_response(system, dip, p, t2=t2, grid=grid, jump_basis=jump_basis,
+        got = rephasing_response(p, t2=t2, grid=grid, jump_basis=jump_basis,
                                  conjugation=conjugation).values
         want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis, conjugation)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -362,7 +376,7 @@ class TestReachableClosure:
         # the pathway never reaches enter it; this axis (count 4 to 6) also
         # holds no 0 and ends outside [-0.4, 0.4]
         grid = GridSpec(count=count, lo=-0.41, hi=0.45)
-        got = rephasing_response(system, dip, p, t2=t2, grid=grid, jump_basis=jump_basis,
+        got = rephasing_response(p, t2=t2, grid=grid, jump_basis=jump_basis,
                                  conjugation=conjugation).values
         want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis, conjugation)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -412,15 +426,13 @@ class TestReachableClosure:
             return kron_sum(terms, dim)
 
         p = AnyonParams(theta=0.9, xi=0.5, beta=0.5)
-        system = FockSystem(cutoff=4, theta=p.theta, modes=2)
-        dip = build_dipole(system, conjugation)
         kw = {"jump_basis": jump_basis, "conjugation": conjugation}
         kron_sum = anyonosc.fock._kron_sum
         # the name the spectra call, and the one build_liouvillian calls
         monkeypatch.setattr(anyonosc.spectra, "_kron_sum", spy)
         monkeypatch.setattr(anyonosc.fock, "_kron_sum", spy)
-        grid = rephasing_response(system, dip, p, t2=2.0, grid=GridSpec(count=4), **kw)
-        point = response_point(system, dip, p, -0.5, 0.5, t2=2.0, **kw)
+        grid = rephasing_response(p, t2=2.0, grid=GridSpec(count=4), **kw)
+        point = response_point(p, -0.5, 0.5, t2=2.0, **kw)
         assert point == grid.values[0, -1]
         assert sizes == [2 * (PATHWAY_QUANTA + 1)] * 2  # one 36 x 36 block per call
 
@@ -430,15 +442,33 @@ class TestReachableClosure:
     @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
     def test_vacuum_spectrum_does_not_depend_on_cutoff(self, jump_basis, conjugation, t2,
                                                        theta):
+        # the grid of the parameter point alone is, bit for bit, the pathway
+        # on a caller's system and dipole at every cutoff from 2 to 6
         p = AnyonParams(theta=theta, xi=0.5, beta=0.5)
         grid = GridSpec(count=12, lo=-0.5, hi=0.5)
-        values = []
+        got = rephasing_response(p, t2=t2, grid=grid, jump_basis=jump_basis,
+                                 conjugation=conjugation).values.tobytes()
         for cutoff in (2, 3, 4, 5, 6):
             system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
-            values.append(rephasing_response(system, build_dipole(system, conjugation), p,
-                                             t2=t2, grid=grid, jump_basis=jump_basis,
-                                             conjugation=conjugation).values.tobytes())
-        assert values[1:] == values[:1] * 4
+            want = system_pathway(system, build_dipole(system, conjugation), p, t2,
+                                  grid.axis(), jump_basis, conjugation)
+            assert want.tobytes() == got, f"cutoff {cutoff}"
+
+    @pytest.mark.parametrize("theta", [0.9, math.pi])
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
+    def test_dense_reference_does_not_depend_on_cutoff(self, jump_basis, conjugation, theta):
+        # the dense per-frequency pathway on the whole L of each truncation
+        # meets the one grid the parameter point gives
+        p = AnyonParams(theta=theta, xi=0.5, beta=0.5)
+        grid = GridSpec(count=6, lo=-0.5, hi=0.5)
+        got = rephasing_response(p, t2=7.5, grid=grid, jump_basis=jump_basis,
+                                 conjugation=conjugation).values
+        for cutoff in (2, 3, 4, 5, 6):
+            system = FockSystem(cutoff=cutoff, theta=p.theta, modes=2)
+            want = dense_reference(system, build_dipole(system, conjugation), p, grid.axis(),
+                                   7.5, jump_basis, conjugation)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), f"cutoff {cutoff}"
 
 
 class TestDiagonalSlice:
@@ -458,7 +488,7 @@ class TestDiagonalSlice:
     def test_absorptive_profile_in_normal_regime(self):
         # the photon-echo diagonal peak carries >= 80% of the maximal |Re|:
         # an absorptive profile by the dispersiveness metric
-        g, *_ = small_grid(0.0, 0.0, n=128)
+        g, _ = small_grid(0.0, 0.0, n=128)
         det, vals = diagonal_slice(g)
         m = lineshape_metrics(det, vals)
         assert m.dispersiveness < 0.2
@@ -488,7 +518,7 @@ class TestDiagonalSlice:
         assert abs(at[0] - at[1]) < ep.threshold
 
         def peak_and_branches(theta):
-            g, *_ = small_grid(theta, 1.0, n=96, jump_basis="deformed")
+            g, _ = small_grid(theta, 1.0, n=96, jump_basis="deformed")
             det, vals = diagonal_slice(g)
             nus = [-lam.imag - p.omega for lam in build_weff(p.with_(theta=theta)).eigenvalues]
             return det, int(np.argmax(np.abs(vals))), nus
@@ -523,7 +553,7 @@ class TestLineshapeMetrics:
     def test_monotone_dispersiveness_along_correlation(self):
         disps = []
         for xi in (0.0, 0.25, 0.5, 0.75, 1.0):
-            g, *_ = small_grid(math.pi / 2, xi, n=128)
+            g, _ = small_grid(math.pi / 2, xi, n=128)
             det, vals = diagonal_slice(g)
             disps.append(lineshape_metrics(det, vals).dispersiveness)
         assert all(b >= a - 1e-12 for a, b in zip(disps, disps[1:]))

@@ -53,7 +53,8 @@ _run_configs = st.builds(
                      xi=_number(-1.0, 1.0)),
     sweep=st.lists(st.builds(_axis_or_none, st.sampled_from(PARAM_FIELDS),
                              st.tuples(_finite, _finite), st.integers(2, 10_000))
-                   .filter(lambda axis: axis is not None), max_size=3).map(tuple),
+                   .filter(lambda axis: axis is not None), max_size=3,
+                   unique_by=lambda axis: axis.name).map(tuple),
     conventions=_conventions,
     output_path=st.none() | st.text(),
     threads=st.integers(1, 64), cutoff=st.integers(1, 8),
@@ -95,7 +96,15 @@ class TestConfig:
         (lambda: RunConfig(threads=0), "threads must be >= 1, got 0"),
         (lambda: RunConfig(cutoff=0), "cutoff must be >= 1, got 0"),
         (lambda: dataclasses.replace(RunConfig(), threads=-4), "threads must be >= 1"),
-    ], ids=["frequency", "conjugation", "jump-basis", "threads", "cutoff", "replace"])
+        (lambda: RunConfig(sweep=(SweepAxis("xi", -1.0, 1.0, 3), SweepAxis("beta", 1.0, 2.0, 2),
+                                  SweepAxis("xi", 0.0, 1.0, 2))),
+         "sweep axes name parameter 'xi' more than once"),
+        (lambda: config_from_dict({"sweep": [
+            {"name": "theta", "start": 0, "stop": 1, "count": 2},
+            {"name": "theta", "start": 0, "stop": 3, "count": 3}]}),
+         "sweep axes name parameter 'theta' more than once"),
+    ], ids=["frequency", "conjugation", "jump-basis", "threads", "cutoff", "replace",
+            "axis-twice", "axis-twice-json"])
     def test_config_types_check_themselves(self, build, message):
         with pytest.raises(ConfigError, match=message):
             build()
@@ -347,30 +356,24 @@ class TestSvg:
         import xml.etree.ElementTree as ET
         x = np.linspace(-0.5, 0.5, 32)
         z = np.exp(-((x[:, None]) ** 2 + (x[None, :]) ** 2) / 0.02)
-        svg = svg_heatmap(x, x, z, title="test", overlays=[(x, x)])
+        svg = svg_heatmap(x, z, title="test", diagonal=True)
         ET.fromstring(svg)  # parses as XML
         assert "http://" not in svg.replace("http://www.w3.org/2000/svg", "")
         assert "<polyline" in svg
 
     def test_large_grid_under_two_megabytes(self, tmp_path):
-        from anyonosc import AnyonParams, FockSystem, GridSpec, build_dipole, rephasing_response
+        from anyonosc import AnyonParams, GridSpec, rephasing_response
         from anyonosc.output import write_grid_svg
-        p = AnyonParams(theta=1.0, xi=0.5)
-        system = FockSystem(cutoff=2, theta=1.0, modes=2)
-        g = rephasing_response(system, build_dipole(system), p, grid=GridSpec(count=256))
+        g = rephasing_response(AnyonParams(theta=1.0, xi=0.5), grid=GridSpec(count=256))
         path = tmp_path / "grid.svg"
         write_grid_svg(g, str(path), title="Re R3")
         assert path.stat().st_size < 2_000_000
-
-    def test_axis_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            svg_heatmap(np.arange(4), np.arange(5), np.zeros((4, 4)))
 
     def test_non_finite_values_rejected(self):
         z = np.zeros((4, 4))
         z[2, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            svg_heatmap(np.arange(4), np.arange(4), z)
+            svg_heatmap(np.arange(4), z)
 
 
 def _sibling_imports(path):

@@ -205,9 +205,13 @@ def reference_eigen_analysis(matrix: EffectiveMatrix) -> EffectiveMatrix:
     root = np.sqrt(disc)
     lp = 0.5 * (a + d + root)
     lm = 0.5 * (a + d - root)
-    vp = _reference_eigvec(a, b, c, d, lp)
-    vm = _reference_eigvec(a, b, c, d, lm)
-    vmat = np.column_stack([vp, vm])
+    if b == 0 and c == 0:  # diagonal: the basis vectors, lp's of its nearer entry
+        vmat = np.eye(2, dtype=complex)
+        if abs(a - lp) > abs(d - lp):
+            vmat = vmat[:, ::-1]
+    else:
+        vmat = np.column_stack([_reference_eigvec(a, b, c, d, lp),
+                                _reference_eigvec(a, b, c, d, lm)])
     sv = np.linalg.svd(vmat, compute_uv=False)
     cond = float(sv[0] / sv[1]) if sv[1] > 0.0 else float("inf")
     matrix.eigenvalues = (lp, lm)
@@ -297,9 +301,10 @@ def reference_fig2_rows(config):
             pair = w.eigenvalues if prev is None else reference_match_branches(prev, w.eigenvalues)
             prev = pair
             gap = abs(pair[0] - pair[1])
+            (_, b), (c, _) = w.entries  # a diagonal W_eff has no exceptional point
             rows.append((float(theta), float(xi),
                          pair[0].real, pair[1].real, pair[0].imag, pair[1].imag,
-                         gap, int(gap < threshold)))
+                         gap, int(gap < threshold and (b != 0 or c != 0))))
             mats.append(w)
     return rows, mats
 
@@ -363,7 +368,7 @@ _ranges = {"theta": st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)),
 
 @st.composite
 def _axes(draw):
-    names = draw(st.lists(st.sampled_from(sorted(_ranges)), min_size=1, max_size=2))
+    names = draw(st.lists(st.sampled_from(sorted(_ranges)), min_size=1, max_size=2, unique=True))
     axes = []
     for name in names:
         start, stop = draw(_ranges[name])
@@ -487,7 +492,10 @@ class TestValidationPerPoint:
         ("theta", 0.0, 4.0), ("xi", -2.0, 1.0), ("omega", -1.0, 1.0), ("gamma", 0.2, -0.2),
         ("beta", -1.0, 1.0), ("beta", 1e-12, 2e-12), ("coupling_j", -5.0, 5.0)])
     def test_first_offending_point_and_message(self, name, start, stop):
-        axes = (SweepAxis(name, start, stop, 5), SweepAxis("theta", 0.0, 3.5, 4))
+        # a parameter swept twice is a ConfigError: theta's second axis is xi
+        second = SweepAxis("xi", -1.0, 1.5, 4) if name == "theta" else SweepAxis(
+            "theta", 0.0, 3.5, 4)
+        axes = (SweepAxis(name, start, stop, 5), second)
         config = RunConfig(params=AnyonParams(theta=0.0), sweep=axes)
         try:
             reference_sweep_rows(config)
