@@ -216,10 +216,16 @@ def _run(args) -> int:
         _emit(res, args.out, cfg)
 
     elif args.command == "spectrum":
-        if args.svg and args.out and os.path.realpath(args.svg) in (
-                os.path.realpath(args.out), os.path.realpath(args.out + ".meta.json")):
-            raise ConfigError(f"--svg {args.svg} would overwrite the --out CSV {args.out} "
-                              "or its sidecar")
+        if args.svg:  # refused before anything is computed or written
+            if args.out and os.path.realpath(args.svg) in (
+                    os.path.realpath(args.out), os.path.realpath(args.out + ".meta.json")):
+                raise ConfigError(f"--svg {args.svg} would overwrite the --out CSV {args.out} "
+                                  "or its sidecar")
+            if os.path.isdir(args.svg):
+                raise ConfigError(f"--svg {args.svg} is a directory")
+            if not os.path.isdir(os.path.dirname(args.svg) or "."):
+                raise ConfigError(f"--svg {args.svg}: {os.path.dirname(args.svg)} "
+                                  "is not a directory")
         g = run_spectrum(cfg, params)
         _emit(grid_result(g), args.out, cfg)
         if args.svg:
@@ -229,6 +235,11 @@ def _run(args) -> int:
     elif args.command == "fig3":
         if not args.out:
             raise ConfigError("fig3 writes multiple files; --out DIR is required")
+        made = args.out  # the part of --out that exists
+        while not os.path.exists(made):
+            made = os.path.dirname(made) or "."
+        if not os.path.isdir(made):
+            raise ConfigError(f"--out {args.out}: {made} is not a directory")
         fig3 = run_fig3(cfg)
         os.makedirs(args.out, exist_ok=True)
         write_outputs(fig3.slices, cfg, os.path.join(args.out, "fig3_slices.csv"))

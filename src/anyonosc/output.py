@@ -265,13 +265,20 @@ def _layout(D, X, negative):
     return records
 
 
+def _fixed_fields(form, width, values):
+    """The text of each value (a 1-D float64 array) from one `%` call of
+    ``form``, a left-justified field of ``width`` bytes that the text fits,
+    as a (values, width) byte array with the padding turned into NULs."""
+    text = (form * values.size % tuple(values.tolist())).encode("ascii")
+    fields = np.frombuffer(text, np.uint8).reshape(-1, width)
+    return np.where(fields == ord(" "), 0, fields).astype(np.uint8, copy=False)
+
+
 def _fallback_records(values):
-    """Records from one `%` call: each value a left-justified 24-byte %.17g
-    field (the longest it prints), its padding turned into NULs."""
-    text = ("%-24.17g" * values.size % tuple(values.tolist())).encode("ascii")
-    fields = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    """Records from one `%` call: each value a 24-byte %.17g field (the
+    longest it prints)."""
     records = np.zeros((values.size, 4), np.uint64)
-    records[:, :3] = _words(np.where(fields == ord(" "), 0, fields).reshape(-1, 3, 8))
+    records[:, :3] = _words(_fixed_fields("%-24.17g", 24, values).reshape(-1, 3, 8))
     return records
 
 
@@ -450,6 +457,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 90, 40, 55
 _WIDTH, _HEIGHT, _LEVELS = 760, 640, 64  # pixels; colors of the map and its scale bar
 
 
+@functools.cache
 def _diverging_palette(count: int):
     # blue -> white -> red, linear in each channel
     colors = []
@@ -462,26 +470,40 @@ def _diverging_palette(count: int):
             u = (t - 0.5) / 0.5
             r, g, b = 255, int(255 - 195 * u), int(255 - 215 * u)
         colors.append(f"#{r:02x}{g:02x}{b:02x}")
-    return colors
+    return tuple(colors)
+
+
+@functools.cache
+def _fills():
+    """The map's _LEVELS colours "#rrggbb" as a (_LEVELS, 7) byte table."""
+    return np.frombuffer("".join(_diverging_palette(_LEVELS)).encode("ascii"),
+                         np.uint8).reshape(_LEVELS, 7)
 
 
 def svg_heatmap(axis, z, title: str = "", diagonal: bool = False) -> str:
     """Self-contained SVG heatmap of a real-valued square grid, z[i, j] at
-    (omega_tau, omega_t) = (axis_i, axis_j) as in a spectrum grid.
+    (omega_tau, omega_t) = (axis_i, axis_j) as in a spectrum grid; ValueError
+    unless z is finite and n x n on an axis of n >= 2 points.
 
     Linear diverging color map of _LEVELS colors symmetric about zero;
     horizontal runs of equal quantized color are merged into single rects to
     keep files small. ``diagonal`` draws omega_t = omega_tau dashed on top.
+    The title is XML-escaped.
     """
     axis = np.asarray(axis, float)
     z = np.asarray(z, float)
-    if not np.isfinite(z).all():
-        raise ValueError("heatmap values must be finite")
     n = axis.size
-    vmax = float(np.max(np.abs(z))) or 1.0
+    if axis.ndim != 1 or n < 2 or z.shape != (n, n):
+        raise ValueError("heatmap needs an n x n grid on an axis of n >= 2 points, "
+                         f"got grid shape {z.shape} and axis shape {axis.shape}")
+    vmax = float(np.max(np.abs(z)))  # NaN or inf if any value is
+    if not np.isfinite(vmax):
+        raise ValueError("heatmap values must be finite")
+    vmax = vmax or 1.0
     palette = _diverging_palette(_LEVELS)
     quant = np.clip(((z / vmax) * 0.5 + 0.5) * (_LEVELS - 1), 0, _LEVELS - 1).round().astype(int)
 
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     cell_w = plot_w / n
@@ -496,19 +518,34 @@ def svg_heatmap(axis, z, title: str = "", diagonal: bool = False) -> str:
         f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
     # heatmap cells: one rect per run of equal quantized color along x, for
-    # each y row in turn; a run ends where the next one starts (or at its row end)
+    # each y row in turn; a run ends where the next one starts (or at its row
+    # end). A rect's x, y and width depend only on its column, its row and
+    # its length, so each of those 3n numbers is formatted once, into a
+    # NUL-padded 8-byte field; each rect's bytes are gathered from them and
+    # the colour table by index, and the NULs deleted.
     rows = quant.T
     starts = np.ones(rows.shape, bool)
     starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
     j, i = np.nonzero(starts)
     run = np.diff(j * n + i, append=n * n)
-    rect = ('<rect x="%.2f" y="%.2f" width="%.2f" '
-            f'height="{cell_h + 0.5:.2f}" fill="%s"/>')
-    parts.extend(rect % cell for cell in zip(
-        (_MARGIN_L + i * cell_w).tolist(),                 # x pixel of column i, x = first index
-        (_MARGIN_T + plot_h - (j + 1) * cell_h).tolist(),  # y pixel of row j, origin bottom-left
-        (run * cell_w + 0.5).tolist(),
-        np.array(palette, dtype=object)[rows[j, i]].tolist()))
+    c = np.arange(n)
+    numbers = _fixed_fields("%-8.2f", 8, np.concatenate((
+        _MARGIN_L + c * cell_w,                 # x pixel of column c, x = first index
+        _MARGIN_T + plot_h - (c + 1) * cell_h,  # y pixel of row c, origin bottom-left
+        (c + 1) * cell_w + 0.5)))               # width of a run of c + 1 cells
+    m = i.size
+
+    def const(text):  # the same bytes in every rect
+        return np.broadcast_to(np.frombuffer(text.encode("ascii"), np.uint8), (m, len(text)))
+
+    rects = np.concatenate((
+        const('<rect x="'), numbers.take(i, 0), const('" y="'), numbers.take(n + j, 0),
+        const('" width="'), numbers.take(2 * n + run - 1, 0),
+        const(f'" height="{cell_h + 0.5:.2f}" fill="'), _fills().take(rows[j, i], 0),
+        const('"/>\n')),
+        axis=1)
+    rects[-1, -1] = 0  # the last rect's newline is the join's
+    parts.append(rects.tobytes().translate(None, b"\0").decode("ascii"))
     # frame
     parts.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                  'fill="none" stroke="black" stroke-width="1"/>')
@@ -549,8 +586,8 @@ def svg_heatmap(axis, z, title: str = "", diagonal: bool = False) -> str:
                  f'font-size="11">{vmax:.3g}</text>')
     parts.append(f'<text x="{bar_x + 18}" y="{_MARGIN_T + bar_h}" font-family="sans-serif" '
                  f'font-size="11">{-vmax:.3g}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def write_grid_svg(grid, path: str, title: str = "", diagonal: bool = False):

@@ -297,6 +297,24 @@ class TestCliSpectrum:
         assert f"anyonosc: error: --svg {svg} would overwrite the --out CSV {out}" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"] and stdout == ""
 
+    @pytest.mark.parametrize("svg, message", [
+        ("sub", "--svg sub is a directory"),
+        ("missing/x.svg", "--svg missing/x.svg: missing is not a directory"),
+        ("f/x.svg", "--svg f/x.svg: f is not a directory")],
+        ids=["directory", "missing-parent", "file-parent"])
+    def test_svg_that_cannot_be_opened_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                  svg, message):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "f").write_text("")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", None)  # no compute
+        code, stdout, err = run_cli(capsys, "spectrum", "--grid", "4", "--out", "g.csv",
+                                    "--svg", svg)
+        assert code == 1
+        assert f"anyonosc: error: {message}" in err and "wrote" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "sub"] and stdout == ""
+        assert not any((tmp_path / "sub").iterdir())
+
     def test_spectrum_odd_grid_is_finite(self, capsys, tmp_path):
         # grid 17 puts detuning 0 on both axes
         out_csv, out_svg = tmp_path / "g.csv", tmp_path / "g.svg"
@@ -390,6 +408,16 @@ class TestCliSpectrum:
         assert code == 2
         assert "compute error" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["f", "f/sub"], ids=["file", "under-a-file"])
+    def test_fig3_out_onto_a_file_is_refused(self, capsys, tmp_path, monkeypatch, out):
+        (tmp_path / "f").write_text("")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", None)  # no compute
+        code, stdout, err = run_cli(capsys, "fig3", "--grid", "4", "--svg", "--out", out)
+        assert code == 1
+        assert f"anyonosc: error: --out {out}: f is not a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["f"] and stdout == ""
 
     def test_stdout_and_file_csv_are_identical(self, capsys, tmp_path):
         out_csv = tmp_path / "g.csv"

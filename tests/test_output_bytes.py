@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from anyonosc import output
 from anyonosc.output import (_BLOCK_VALUES, _KERNEL_MIN, _MARGIN_B, _MARGIN_L, _MARGIN_R,
                              _MARGIN_T, _TIE_MARGIN, _X_HI, _X_LO, SweepResult, _csv_field,
-                             _diverging_palette, _fallback_records, _kernel, _records,
-                             csv_text, grid_result, read_csv, svg_heatmap, write_csv)
+                             _diverging_palette, _fallback_records, _fixed_fields, _kernel,
+                             _records, csv_text, grid_result, read_csv, svg_heatmap, write_csv)
 from anyonosc.sweeps import RunConfig, SweepAxis, run_spectrum, run_sweep
 
 
@@ -423,3 +423,60 @@ class TestSvgBytes:
         title = f"case {case}"
         want = reference_svg_heatmap(x, x, z, title, overlays=[(x, x)] if diagonal else None)
         assert svg_heatmap(x, z, title, diagonal) == want
+
+    @given(n=st.integers(2, 300),
+           kind=st.sampled_from(["zeros", "constant", "random", "wide", "smooth", "stripes"]),
+           seed=st.integers(0, 2 ** 32 - 1), diagonal=st.booleans())
+    @example(n=2, kind="random", seed=0, diagonal=True)
+    @example(n=3, kind="zeros", seed=0, diagonal=False)
+    @example(n=255, kind="wide", seed=1, diagonal=True)
+    @example(n=300, kind="random", seed=2, diagonal=False)
+    @settings(deadline=None, max_examples=60)
+    def test_matches_the_loop_writer_at_any_size(self, n, kind, seed, diagonal):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(-0.5, 0.5, n)
+        z = {"zeros": lambda: np.zeros((n, n)),
+             "constant": lambda: np.full((n, n), rng.normal()),
+             "random": lambda: rng.normal(size=(n, n)),
+             # values from 1e-300 to 1e300: almost every cell quantizes to the middle
+             "wide": lambda: (rng.choice((-1.0, 1.0), (n, n))
+                              * 10.0 ** rng.uniform(-300, 300, (n, n))),
+             "smooth": lambda: np.sin(rng.uniform(1, 20) * x[:, None]) * np.cos(8 * x[None, :]),
+             "stripes": lambda: np.repeat(rng.normal(size=(n, 1)), n, axis=1)}[kind]()
+        want = reference_svg_heatmap(x, x, z, "t", overlays=[(x, x)] if diagonal else None)
+        assert svg_heatmap(x, z, "t", diagonal) == want
+
+    @pytest.mark.parametrize("n", [240, 256, 272])
+    @pytest.mark.parametrize("t2", [0.0, 3.5])
+    def test_spectrum_grids_match_the_loop_writer(self, n, t2):
+        from anyonosc import AnyonParams, GridSpec, rephasing_response
+        grid = rephasing_response(AnyonParams(theta=1.1, xi=0.6), t2=t2, grid=GridSpec(count=n))
+        x, z = grid.axis, grid.values.real
+        want = reference_svg_heatmap(x, x, z, "Re R3", overlays=[(x, x)])
+        assert svg_heatmap(x, z, "Re R3", True) == want
+
+    def test_file_bytes_are_the_heatmap_text(self, tmp_path):
+        from anyonosc import AnyonParams, GridSpec, rephasing_response
+        grid = rephasing_response(AnyonParams(theta=0.7, xi=-0.3), grid=GridSpec(count=33))
+        path = tmp_path / "g.svg"
+        output.write_grid_svg(grid, str(path), title="Re R3", diagonal=True)
+        assert path.read_bytes() == svg_heatmap(grid.axis, grid.values.real, "Re R3",
+                                                True).encode()
+
+    def test_rect_text_is_formatted_once_per_distinct_number(self, monkeypatch):
+        # the rects' x, y and width go through one fixed-width `%` call of 3n
+        # values however many rects there are
+        calls = []
+
+        def counted(form, width, values):
+            calls.append(values.size)
+            return _fixed_fields(form, width, values)
+
+        monkeypatch.setattr(output, "_fixed_fields", counted)
+        rng = np.random.default_rng(3)
+        x = np.linspace(-0.5, 0.5, 256)
+        for z in (np.zeros((256, 256)), rng.normal(size=(256, 256))):
+            calls.clear()
+            svg = svg_heatmap(x, z)
+            assert calls == [3 * 256]
+        assert svg.count("<rect") > 256 * 200

@@ -375,6 +375,20 @@ class TestSvg:
         with pytest.raises(ValueError, match="finite"):
             svg_heatmap(np.arange(4), z)
 
+    @pytest.mark.parametrize("points, shape", [(4, (6, 6)), (6, (4, 6)), (6, (6,)), (1, (1, 1))],
+                             ids=["grid-wider-than-axis", "not-square", "one-dimensional",
+                                  "one-point"])
+    def test_grid_off_its_axis_rejected(self, points, shape):
+        with pytest.raises(ValueError, match="n x n grid on an axis of n >= 2 points"):
+            svg_heatmap(np.linspace(-0.5, 0.5, points), np.ones(shape))
+
+    def test_title_is_escaped(self):
+        import xml.etree.ElementTree as ET
+        svg = svg_heatmap(np.linspace(-0.5, 0.5, 3), np.eye(3), title="a<b & c>d")
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "a<b & c>d"
+        assert "a&lt;b &amp; c&gt;d" in svg
+
 
 def _sibling_imports(path):
     """The package modules one module imports, at any depth of its code
