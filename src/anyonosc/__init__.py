@@ -12,8 +12,8 @@ from .dimer import (EffectiveMatrix, EPResult, build_weff, channel_coefficients,
                     find_exceptional_point, normal_mode_frequencies)
 from .fock import (FockSystem, anyon_ladder_matrix, build_hamiltonian,
                    build_liouvillian, fit_decay_rate, resolvent_apply)
-from .spectra import (GridSpec, SpectrumGrid, bright_mode_overlay, build_dipole,
-                      diagonal_slice, lineshape_metrics, rephasing_response)
+from .spectra import (GridSpec, SpectrumGrid, build_dipole, diagonal_slice,
+                      lineshape_metrics, rephasing_response)
 from .output import SweepResult
 from .sweeps import (ConfigError, RunConfig, config_from_dict, load_config,
                      run_fig1, run_fig2, run_fig3, run_sweep)
@@ -27,7 +27,7 @@ __all__ = [
     "FockSystem", "anyon_ladder_matrix", "build_hamiltonian", "build_liouvillian",
     "resolvent_apply", "fit_decay_rate",
     "GridSpec", "SpectrumGrid", "build_dipole", "rephasing_response",
-    "diagonal_slice", "lineshape_metrics", "bright_mode_overlay",
+    "diagonal_slice", "lineshape_metrics",
     "RunConfig", "SweepResult", "ConfigError", "config_from_dict", "load_config",
     "run_fig1", "run_fig2", "run_fig3", "run_sweep",
 ]

@@ -189,16 +189,35 @@ def _emit(result, path, config):
         sys.stdout.writelines(_csv_blocks(result))
 
 
+def _check_file(flag, path):
+    """ConfigError, before anything is computed or written, when the file
+    ``path`` could not be opened for writing: it is a directory, or its
+    parent is missing or is not a directory."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path} is a directory")
+    parent = os.path.dirname(path)
+    if not os.path.isdir(parent or "."):
+        raise ConfigError(f"{flag} {path}: {parent} is not a directory")
+
+
+def _svg_name(theta, xi):
+    return f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg"
+
+
 def _run(args) -> int:
     if args.command == "sweep":
         cfg = load_config(args.config)
         cfg = replace(cfg, output_path=args.out or cfg.output_path,
                       threads=cfg.threads if args.threads is None else args.threads)
+        if cfg.output_path:
+            _check_file("--out" if args.out else "output.path", cfg.output_path)
         _emit(run_sweep(cfg), cfg.output_path, cfg)
         return 0
 
     cfg = _config(args)
     params, conv = cfg.params, cfg.conventions
+    if args.out and args.command != "fig3":  # fig3's --out is a directory
+        _check_file("--out", args.out)
     if args.command in ("single-rates", "fig1"):
         _emit(run_fig1(cfg), args.out, cfg)
 
@@ -221,11 +240,7 @@ def _run(args) -> int:
                     os.path.realpath(args.out), os.path.realpath(args.out + ".meta.json")):
                 raise ConfigError(f"--svg {args.svg} would overwrite the --out CSV {args.out} "
                                   "or its sidecar")
-            if os.path.isdir(args.svg):
-                raise ConfigError(f"--svg {args.svg} is a directory")
-            if not os.path.isdir(os.path.dirname(args.svg) or "."):
-                raise ConfigError(f"--svg {args.svg}: {os.path.dirname(args.svg)} "
-                                  "is not a directory")
+            _check_file("--svg", args.svg)
         g = run_spectrum(cfg, params)
         _emit(grid_result(g), args.out, cfg)
         if args.svg:
@@ -240,14 +255,22 @@ def _run(args) -> int:
             made = os.path.dirname(made) or "."
         if not os.path.isdir(made):
             raise ConfigError(f"--out {args.out}: {made} is not a directory")
+        if args.svg:  # one file per panel, in run_fig3's panel order
+            panels = {}
+            for xi in cfg.xi_list:
+                for theta in cfg.theta_list:
+                    name = _svg_name(theta, xi)
+                    if name in panels:
+                        raise ConfigError(f"--svg: panels (theta, xi) = {panels[name]} and "
+                                          f"{(theta, xi)} would both write {name}")
+                    panels[name] = (theta, xi)
         fig3 = run_fig3(cfg)
         os.makedirs(args.out, exist_ok=True)
         write_outputs(fig3.slices, cfg, os.path.join(args.out, "fig3_slices.csv"))
         write_outputs(fig3.overlay, cfg, os.path.join(args.out, "fig3_overlay.csv"))
         if args.svg:
             for theta, xi, g in fig3.grids:
-                name = f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg"
-                write_grid_svg(g, os.path.join(args.out, name),
+                write_grid_svg(g, os.path.join(args.out, _svg_name(theta, xi)),
                                title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}", diagonal=True)
         print(f"wrote fig3 outputs under {args.out}", file=sys.stderr)
     return 0

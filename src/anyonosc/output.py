@@ -7,6 +7,7 @@ import datetime as _dt
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -483,7 +484,8 @@ def _fills():
 def svg_heatmap(axis, z, title: str = "", diagonal: bool = False) -> str:
     """Self-contained SVG heatmap of a real-valued square grid, z[i, j] at
     (omega_tau, omega_t) = (axis_i, axis_j) as in a spectrum grid; ValueError
-    unless z is finite and n x n on an axis of n >= 2 points.
+    unless z is finite and n x n on an axis of n >= 2 points whose span
+    axis[-1] - axis[0] is finite and nonzero (the ticks divide by it).
 
     Linear diverging color map of _LEVELS colors symmetric about zero;
     horizontal runs of equal quantized color are merged into single rects to
@@ -496,6 +498,9 @@ def svg_heatmap(axis, z, title: str = "", diagonal: bool = False) -> str:
     if axis.ndim != 1 or n < 2 or z.shape != (n, n):
         raise ValueError("heatmap needs an n x n grid on an axis of n >= 2 points, "
                          f"got grid shape {z.shape} and axis shape {axis.shape}")
+    span = float(axis[-1]) - float(axis[0])  # Python floats: an overflow is inf, not a warning
+    if not (math.isfinite(span) and span != 0.0):
+        raise ValueError(f"heatmap axis needs a finite, nonzero span, got {axis[0]}:{axis[-1]}")
     vmax = float(np.max(np.abs(z)))  # NaN or inf if any value is
     if not np.isfinite(vmax):
         raise ValueError("heatmap values must be finite")

@@ -1,6 +1,6 @@
 """Third-order rephasing 2D spectra: the braided d x d dipole acting from the
 ket or bra side, frequency grids via resolvent solves, diagonal-slice
-lineshapes and the bright-mode overlay curves."""
+lineshapes and the bright branch's detuning."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimer import (DEFAULT_CONJUGATION, DEFAULT_FREQUENCY_CONVENTION, build_weff,
-                    deformed_mode_phase, match_branches, weff_eigenvalues, weff_entries)
+                    deformed_mode_phase)
 from .fock import FockSystem, _kron_sum, build_liouvillian, expm, liouvillian_terms
-from .params import AnyonParams, ParamArrays
+from .params import AnyonParams
 
 DEFAULT_JUMP_BASIS = "site"  # fig-3 style spectra; logged in grid metadata
 QUADRATURE_STEP = 0.05  # time step of the quadrature oracle
@@ -327,25 +327,6 @@ def lineshape_metrics(detunings: np.ndarray, values: np.ndarray) -> LineshapeMet
     max_re = np.max(np.abs(re))
     disp = float(1.0 - abs(re[i]) / max_re) if max_re > 0 else 0.0
     return LineshapeMetrics(float(detunings[i]), asym, disp)
-
-
-def bright_mode_overlay(theta_grid: np.ndarray, params: AnyonParams,
-                        frequency_convention: str = DEFAULT_FREQUENCY_CONVENTION,
-                        conjugation: str = DEFAULT_CONJUGATION,
-                        stat_dephasing: bool = False) -> np.ndarray:
-    """Branch-continuous oscillation detunings of the effective-matrix modes.
-
-    For each theta: the two eigenvalue imaginary parts of W_eff converted to
-    detunings from the carrier (-Im(lambda) - omega), labelled by continuity
-    along the sweep. Returns an array of rows (theta, nu_first, nu_second,
-    re_first, re_second).
-    """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    pts = ParamArrays.over(params, theta=theta_grid)
-    first, second = match_branches(*weff_eigenvalues(*weff_entries(
-        pts, frequency_convention, conjugation, stat_dephasing)))
-    return np.column_stack([theta_grid, -first.imag - params.omega, -second.imag - params.omega,
-                            first.real, second.real])
 
 
 def bright_branch_detuning(params: AnyonParams,

@@ -17,7 +17,7 @@ from .output import SweepResult
 from .params import AnyonParams, ParamArrays, ParameterError
 from .rates import gamma_full_single, gamma_stat
 from .spectra import (DEFAULT_JUMP_BASIS, PATHWAY_QUANTA, GridSpec, SpectrumGrid,
-                      bright_mode_overlay, diagonal_slice, rephasing_response)
+                      diagonal_slice, rephasing_response)
 
 
 class ConfigError(ValueError):
@@ -227,6 +227,22 @@ def run_fig1(config: RunConfig) -> SweepResult:
     )
 
 
+def _branches(config: RunConfig, thetas, xis) -> np.ndarray:
+    """W_eff eigenvalue pairs on the (xi, theta) grid, labelled along theta.
+
+    Entry [k, i] is the row theta, xi, Re/Im of both branch-continued
+    eigenvalues, gap and the EP flag (``dimer.ep_flag``) at (thetas[i],
+    xis[k]): fig2's columns, and the overlay's source."""
+    theta, xi = np.meshgrid(np.asarray(thetas, float), np.asarray(xis, float))
+    conv = config.conventions
+    a, b, c, d = weff_entries(ParamArrays.over(config.params, theta=theta, xi=xi),
+                              conv.frequency, conv.conjugation, conv.stat_dephasing)
+    lp, lm = match_branches(*weff_eigenvalues(a, b, c, d))
+    gap = _modulus(lp - lm)
+    flag = ep_flag(gap, b, c, config.params.gamma)
+    return np.stack([theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag], axis=-1)
+
+
 def run_fig2(config: RunConfig) -> SweepResult:
     """Dimer mode relaxation rates over (theta, xi) with branch continuity.
 
@@ -234,16 +250,7 @@ def run_fig2(config: RunConfig) -> SweepResult:
     the EP flag (``dimer.ep_flag``). Rows run over theta within each xi, the
     branches continued along theta.
     """
-    theta = _theta_axis(config).values()
-    xi = np.array(config.xi_list or FIG2_XI, dtype=float)
-    theta, xi = np.meshgrid(theta, xi)
-    conv = config.conventions
-    a, b, c, d = weff_entries(ParamArrays.over(config.params, theta=theta, xi=xi),
-                              conv.frequency, conv.conjugation, conv.stat_dephasing)
-    lp, lm = match_branches(*weff_eigenvalues(a, b, c, d))
-    gap = _modulus(lp - lm)
-    flag = ep_flag(gap, b, c, config.params.gamma)
-    rows = np.stack([theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag], axis=-1)
+    rows = _branches(config, _theta_axis(config).values(), config.xi_list or FIG2_XI)
     return SweepResult(
         columns=("theta", "xi", "re_lambda_plus", "re_lambda_minus",
                  "im_lambda_plus", "im_lambda_minus", "gap", "ep_flag"),
@@ -275,10 +282,9 @@ class Fig3Result:
 
 def run_fig3(config: RunConfig) -> Fig3Result:
     """Rephasing spectra for each (theta, xi), with stacked diagonal slices
-    and the bright-mode overlay curves."""
+    and the bright-mode overlay curves (the W_eff branches of ``run_fig2``)."""
     thetas = config.theta_list or FIG3_THETAS
     xis = config.xi_list or FIG3_XI
-    conv = config.conventions
     p = config.params
 
     grids = []
@@ -300,15 +306,15 @@ def run_fig3(config: RunConfig) -> Fig3Result:
         metadata={"generator": "fig3-slices", "grid": g.metadata},
     )
 
-    theta_grid = np.linspace(min(thetas), max(thetas), 201) if len(thetas) > 1 else np.array(thetas)
-    overlay_rows = np.concatenate([
-        np.insert(bright_mode_overlay(theta_grid, p.with_(xi=float(xi)), conv.frequency,
-                                      conv.conjugation, conv.stat_dephasing), 1, xi, axis=1)
-        for xi in xis])
+    # the bright-mode branches: fig2's rows on 201 angles over the panels'
+    # span (the one angle itself when there is one), as carrier detunings
+    theta_grid = np.linspace(min(thetas), max(thetas), 201) if len(thetas) > 1 else thetas
+    theta, xi, re_1, re_2, im_1, im_2 = _branches(config, theta_grid, xis)[..., :6].reshape(-1, 6).T
     overlay = SweepResult(
         columns=("theta", "xi", "nu_branch_1", "nu_branch_2", "re_branch_1", "re_branch_2"),
         units=("rad", "1", "omega", "omega", "omega", "omega"),
-        rows=overlay_rows, metadata={"generator": "fig3-overlay"},
+        rows=np.column_stack([theta, xi, -im_1 - p.omega, -im_2 - p.omega, re_1, re_2]),
+        metadata={"generator": "fig3-overlay"},
     )
     return Fig3Result(grids, slices, overlay)
 

@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -531,6 +533,64 @@ class TestCliFigures:
         assert not out.exists() and stdout == ""
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("computed before the path checks")
+
+
+class TestCliPathsBeforeCompute:
+    # the function each command computes with, as the CLI module names it
+    COMPUTE = {"single-rates": "run_fig1", "fig1": "run_fig1", "dimer-rates": "run_fig2",
+               "fig2": "run_fig2", "ep-locate": "find_exceptional_point",
+               "spectrum": "run_spectrum", "sweep": "run_sweep"}
+
+    @pytest.mark.parametrize("command", sorted(COMPUTE))
+    @pytest.mark.parametrize("out, message", [
+        ("sub", "--out sub is a directory"),
+        ("missing/x.csv", "--out missing/x.csv: missing is not a directory"),
+        ("f/x.csv", "--out f/x.csv: f is not a directory")],
+        ids=["directory", "missing-parent", "file-parent"])
+    def test_out_that_cannot_be_opened_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                  command, out, message):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "f").write_text("")
+        (tmp_path / "run.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, self.COMPUTE[command], _never)
+        config = ("--config", "run.json") if command == "sweep" else ()
+        code, stdout, err = run_cli(capsys, command, *config, "--out", out)
+        assert code == 1
+        assert err == f"anyonosc: error: {message}\n" and stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "run.json", "sub"]
+        assert not any((tmp_path / "sub").iterdir())
+
+    def test_sweep_output_path_from_the_config_is_checked(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "run.json").write_text(json.dumps({"output": {"path": "missing/s.csv"}}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json")
+        assert code == 1 and stdout == ""
+        assert err == "anyonosc: error: output.path missing/s.csv: missing is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_two_fig3_panels_onto_one_svg_are_refused(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(anyonosc.cli, "run_fig3", _never)
+        code, stdout, err = run_cli(capsys, "fig3", "--grid", "8", "--theta-list",
+                                    "1.0001,1.0004", "--xi-list", "0.5", "--svg",
+                                    "--out", str(tmp_path / "f3"))
+        assert code == 1 and stdout == ""
+        assert err == ("anyonosc: error: --svg: panels (theta, xi) = (1.0001, 0.5) and "
+                       "(1.0004, 0.5) would both write fig3_grid_theta1.000_xi0.50.svg\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_panels_that_share_an_svg_name_run_without_svg(self, capsys, tmp_path):
+        out = tmp_path / "f3"
+        code, _, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1.0001,1.0004",
+                               "--xi-list", "0.5", "--out", str(out))
+        assert code == 0, err
+        assert sorted(p.name for p in out.iterdir() if p.suffix == ".csv") == [
+            "fig3_overlay.csv", "fig3_slices.csv"]
+
+
 class TestCliRunConfig:
     # every command builds one RunConfig, and RunConfig and Conventions check
     # themselves: a flag and a config key meet the same rule
@@ -895,3 +955,34 @@ class TestCliSweepConfig:
     def test_missing_file_is_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 1
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def _readme_block(heading, lang):
+    """The first ``lang`` code block after the README line ``heading``."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    rest = text[text.index(f"\n{heading}\n"):]
+    return re.search(rf"^```{lang}\n(.*?)^```", rest, re.S | re.M).group(1)
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    # every line of the CLI section's shell block, with run.json the schema block
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(_readme_block("### Config schema (`sweep --config`)",
+                                                     "json"))
+    lines = _readme_block("## CLI", "sh").splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "anyonosc", line
+        code, stdout, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        named = [argv[k + 1] for k, flag in enumerate(argv[:-1])
+                 if flag in ("--out", "--svg") and not argv[k + 1].startswith("--")]
+        for name in named:  # a file, or fig3's directory, with something in it
+            path = tmp_path / name
+            assert (any(path.iterdir()) if path.is_dir() else path.stat().st_size > 0), line
+        assert named or stdout.count("\n") >= 2, line  # a header and rows on stdout

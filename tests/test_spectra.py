@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import anyonosc.fock
 import anyonosc.spectra
-from anyonosc import (AnyonParams, FockSystem, GridSpec, bright_mode_overlay,
+from anyonosc import (AnyonParams, FockSystem, GridSpec,
                       build_dipole, build_liouvillian, build_weff, diagonal_slice,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
@@ -18,7 +18,7 @@ from anyonosc.fock import expm, resolvent_apply
 from anyonosc.spectra import (PATHWAY_QUANTA, SpectrumGrid, _apply, _ket_dipole,
                               _low_liouvillian, _reach, _resolvents, bright_branch_detuning,
                               rephasing_response_quadrature, response_point)
-from anyonosc.sweeps import RunConfig, run_spectrum
+from anyonosc.sweeps import RunConfig, run_fig3, run_spectrum
 
 
 def coherence_order(system):
@@ -563,23 +563,32 @@ class TestLineshapeMetrics:
             lineshape_metrics(np.array([]), np.array([]))
 
 
+def overlay_rows(theta_list, params):
+    """fig3's overlay rows (theta, xi, nu_1, nu_2, re_1, re_2) at the one xi
+    of ``params``, with two-point spectra for the panels."""
+    config = RunConfig(params=params, grid=GridSpec(count=2), theta_list=tuple(theta_list),
+                       xi_list=(params.xi,))
+    return run_fig3(config).overlay.rows
+
+
 class TestBrightModeOverlay:
     def test_boson_point_frequencies(self):
-        rows = bright_mode_overlay(np.array([0.0]), AnyonParams(theta=0.0, coupling_j=0.2))
-        nus = sorted([rows[0, 1], rows[0, 2]])
+        rows = overlay_rows([0.0], AnyonParams(theta=0.0, coupling_j=0.2))
+        assert rows.shape == (1, 6)
+        nus = sorted([rows[0, 2], rows[0, 3]])
         assert nus == pytest.approx([-0.2, 0.2], abs=1e-12)
 
     def test_no_coalescence_without_correlation(self):
-        thetas = np.linspace(0.0, math.pi - 0.05, 101)
-        rows = bright_mode_overlay(thetas, AnyonParams(theta=0.0, xi=0.0))
-        assert np.min(np.abs(rows[:, 1] - rows[:, 2])) > 1e-3
+        rows = overlay_rows([0.0, math.pi - 0.05], AnyonParams(theta=0.0, xi=0.0))
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, math.pi - 0.05, 201))
+        assert np.min(np.abs(rows[:, 2] - rows[:, 3])) > 1e-3
 
     def test_coalescence_at_the_exceptional_point(self):
         p = AnyonParams(theta=0.0, xi=1.0)
         ep = find_exceptional_point(p)
-        thetas = np.linspace(0.0, math.pi - 0.01, 401)
-        rows = bright_mode_overlay(thetas, p)
-        gaps = np.abs(rows[:, 1] - rows[:, 2])
+        rows = overlay_rows([math.pi - 0.01, 0.0], p)
+        assert np.all(np.diff(rows[:, 0]) > 0)  # the angles run up whatever the panels' order
+        gaps = np.abs(rows[:, 2] - rows[:, 3])
         k = int(np.argmin(gaps))
         assert rows[k, 0] == pytest.approx(ep.theta, abs=0.02)
 

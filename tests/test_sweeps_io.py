@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,16 @@ class TestSvg:
     def test_grid_off_its_axis_rejected(self, points, shape):
         with pytest.raises(ValueError, match="n x n grid on an axis of n >= 2 points"):
             svg_heatmap(np.linspace(-0.5, 0.5, points), np.ones(shape))
+
+    @pytest.mark.parametrize("axis", [np.zeros(3), np.array([0.0, 0.5, np.nan]),
+                                      np.array([-1e308, 0.0, 1e308])],
+                             ids=["zero-span", "nan-end", "span-overflows"])
+    def test_axis_without_a_finite_nonzero_span_rejected(self, axis):
+        # the ticks and the diagonal divide by the span
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite, nonzero span"):
+                svg_heatmap(axis, np.eye(3), diagonal=True)
 
     def test_title_is_escaped(self):
         import xml.etree.ElementTree as ET

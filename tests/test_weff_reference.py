@@ -24,8 +24,9 @@ from anyonosc.dimer import (DEFAULT_CONJUGATION, EP_COARSE_POINTS, EP_CONDITION_
                             dissipative_rates, find_exceptional_point,
                             match_branches, normal_mode_frequencies)
 from anyonosc.params import BETA_OMEGA_FLOOR
-from anyonosc.sweeps import RunConfig, Conventions, SweepAxis, run_fig1, run_fig2, run_sweep
-from anyonosc.spectra import bright_mode_overlay
+from anyonosc.spectra import GridSpec
+from anyonosc.sweeps import (RunConfig, Conventions, SweepAxis, run_fig1, run_fig2, run_fig3,
+                             run_sweep)
 
 ULP = np.finfo(float).eps
 SVD_FLOOR = 0.25 / ULP  # a condition beyond this is sigma_min at LAPACK's round-off
@@ -475,16 +476,26 @@ class TestSweepsAgainstReference:
 
     @pytest.mark.parametrize("fc, cj, sd", CONVENTIONS)
     def test_bright_mode_overlay(self, fc, cj, sd):
-        p = AnyonParams(theta=0.0, xi=0.9)
+        # fig3's overlay: 201 angles over the panels' span, at each panel xi;
+        # at beta = 0.1 and xi = 0.9 the raw (lambda_+, lambda_-) order of
+        # over 100 appendix/modulus angles differs from the labelled one
+        p = AnyonParams(theta=0.0, beta=0.1)
+        xis = (0.9, 0.0)
+        config = RunConfig(params=p, conventions=Conventions(fc, cj, stat_dephasing=sd),
+                           grid=GridSpec(count=2), theta_list=(0.0, math.pi), xi_list=xis)
+        got = run_fig3(config).overlay.rows
         thetas = np.linspace(0.0, math.pi, 201)
-        got = bright_mode_overlay(thetas, p, fc, cj, sd)
-        mats = [reference_build_weff(p.with_(theta=float(t)), fc, cj, sd) for t in thetas]
-        pairs = reference_labels([w.eigenvalues for w in mats])
-        ref = np.array([(t, -a.imag - p.omega, -b.imag - p.omega, a.real, b.real)
-                        for t, (a, b) in zip(thetas, pairs)])
-        bound = np.array([eig_bound(w) for w in mats])[:, None]
-        assert np.array_equal(got[:, 0], ref[:, 0])
-        assert np.all(np.abs(got[:, 1:] - ref[:, 1:]) <= bound)
+        ref, bound = [], []
+        for xi in xis:
+            mats = [reference_build_weff(p.with_(theta=float(t), xi=xi), fc, cj, sd)
+                    for t in thetas]
+            pairs = reference_labels([w.eigenvalues for w in mats])
+            ref += [(t, xi, -a.imag - p.omega, -b.imag - p.omega, a.real, b.real)
+                    for t, (a, b) in zip(thetas, pairs)]
+            bound += [eig_bound(w) for w in mats]
+        ref, bound = np.array(ref), np.array(bound)[:, None]
+        assert np.array_equal(got[:, :2], ref[:, :2])
+        assert np.all(np.abs(got[:, 2:] - ref[:, 2:]) <= bound)
 
 
 class TestValidationPerPoint:
