@@ -200,6 +200,13 @@ def _check_file(flag, path):
         raise ConfigError(f"{flag} {path}: {parent} is not a directory")
 
 
+def _check_csv(flag, path):
+    """``_check_file`` for a CSV path and its ``.meta.json`` sidecar."""
+    _check_file(flag, path)
+    if os.path.isdir(path + ".meta.json"):
+        raise ConfigError(f"{flag} {path}: {path}.meta.json is a directory")
+
+
 def _svg_name(theta, xi):
     return f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg"
 
@@ -210,14 +217,14 @@ def _run(args) -> int:
         cfg = replace(cfg, output_path=args.out or cfg.output_path,
                       threads=cfg.threads if args.threads is None else args.threads)
         if cfg.output_path:
-            _check_file("--out" if args.out else "output.path", cfg.output_path)
+            _check_csv("--out" if args.out else "output.path", cfg.output_path)
         _emit(run_sweep(cfg), cfg.output_path, cfg)
         return 0
 
     cfg = _config(args)
     params, conv = cfg.params, cfg.conventions
     if args.out and args.command != "fig3":  # fig3's --out is a directory
-        _check_file("--out", args.out)
+        _check_csv("--out", args.out)
     if args.command in ("single-rates", "fig1"):
         _emit(run_fig1(cfg), args.out, cfg)
 
@@ -255,6 +262,8 @@ def _run(args) -> int:
             made = os.path.dirname(made) or "."
         if not os.path.isdir(made):
             raise ConfigError(f"--out {args.out}: {made} is not a directory")
+        names = ["fig3_slices.csv", "fig3_overlay.csv"]
+        names += [name + ".meta.json" for name in names]
         if args.svg:  # one file per panel, in run_fig3's panel order
             panels = {}
             for xi in cfg.xi_list:
@@ -264,6 +273,10 @@ def _run(args) -> int:
                         raise ConfigError(f"--svg: panels (theta, xi) = {panels[name]} and "
                                           f"{(theta, xi)} would both write {name}")
                     panels[name] = (theta, xi)
+            names += panels
+        for name in names:
+            if os.path.isdir(os.path.join(args.out, name)):
+                raise ConfigError(f"--out {args.out}: {name} is a directory")
         fig3 = run_fig3(cfg)
         os.makedirs(args.out, exist_ok=True)
         write_outputs(fig3.slices, cfg, os.path.join(args.out, "fig3_slices.csv"))

@@ -563,6 +563,69 @@ class TestCliPathsBeforeCompute:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "run.json", "sub"]
         assert not any((tmp_path / "sub").iterdir())
 
+    @pytest.mark.parametrize("command", sorted(COMPUTE))
+    def test_sidecar_that_is_a_directory_is_refused(self, capsys, tmp_path, monkeypatch, command):
+        (tmp_path / "x.csv.meta.json").mkdir()
+        (tmp_path / "run.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, self.COMPUTE[command], _never)
+        config = ("--config", "run.json") if command == "sweep" else ()
+        code, stdout, err = run_cli(capsys, command, *config, "--out", "x.csv")
+        assert code == 1
+        assert err == "anyonosc: error: --out x.csv: x.csv.meta.json is a directory\n"
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "x.csv.meta.json"]
+        assert not any((tmp_path / "x.csv.meta.json").iterdir())
+
+    def test_sweep_output_path_sidecar_from_the_config_is_checked(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        (tmp_path / "run.json").write_text(json.dumps({"output": {"path": "s.csv"}}))
+        (tmp_path / "s.csv.meta.json").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json")
+        assert code == 1 and stdout == ""
+        assert err == "anyonosc: error: output.path s.csv: s.csv.meta.json is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "s.csv.meta.json"]
+
+    @pytest.mark.parametrize("name, svg", [
+        ("fig3_slices.csv", False), ("fig3_overlay.csv", False),
+        ("fig3_slices.csv.meta.json", False), ("fig3_overlay.csv.meta.json", False),
+        ("fig3_grid_theta1.000_xi0.50.svg", True), ("fig3_grid_theta2.000_xi0.50.svg", True)])
+    def test_fig3_output_that_is_a_directory_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                        name, svg):
+        out = tmp_path / "d"
+        (out / name).mkdir(parents=True)
+        calls = []
+        monkeypatch.setattr(anyonosc.cli, "run_fig3", lambda *args: calls.append(args))
+        code, stdout, err = run_cli(capsys, "fig3", "--grid", "8", "--theta-list", "1.0,2.0",
+                                    "--xi-list", "0.5", *(("--svg",) if svg else ()),
+                                    "--out", str(out))
+        assert code == 1 and stdout == "" and calls == []
+        assert err == f"anyonosc: error: --out {out}: {name} is a directory\n"
+        assert [p.name for p in out.iterdir()] == [name]
+        assert not any((out / name).iterdir())
+
+    def test_fig3_svg_name_that_is_a_directory_runs_without_svg(self, capsys, tmp_path,
+                                                                monkeypatch):
+        out = tmp_path / "d"
+        (out / "fig3_grid_theta1.000_xi0.50.svg").mkdir(parents=True)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return run_fig3(*args)
+
+        run_fig3 = anyonosc.cli.run_fig3
+        monkeypatch.setattr(anyonosc.cli, "run_fig3", spy)
+        code, _, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1.0",
+                               "--xi-list", "0.5", "--out", str(out))
+        assert code == 0, err
+        assert len(calls) == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fig3_grid_theta1.000_xi0.50.svg", "fig3_overlay.csv", "fig3_overlay.csv.meta.json",
+            "fig3_slices.csv", "fig3_slices.csv.meta.json"]
+
     def test_sweep_output_path_from_the_config_is_checked(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "run.json").write_text(json.dumps({"output": {"path": "missing/s.csv"}}))
         monkeypatch.chdir(tmp_path)

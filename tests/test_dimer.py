@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonosc import (AnyonParams, build_weff, channel_coefficients,
+import anyonosc.dimer
+from anyonosc import (AnyonParams, ParamArrays, build_weff, channel_coefficients,
                       find_exceptional_point, gamma_full_single, normal_mode_frequencies)
-from anyonosc.dimer import EffectiveMatrix, match_branches, site_coefficients, weff_entries
+from anyonosc.dimer import (EffectiveMatrix, _mul, dissipative_rates, match_branches,
+                            site_coefficients, weff_entries)
 from anyonosc.rates import gamma_stat, thermal_occupation
 
 
@@ -275,7 +277,73 @@ class TestEigenAnalysis:
             assert abs(np.vdot(anti, vp)) == pytest.approx(abs(np.vdot(sym, vm)), abs=1e-10)
 
 
+def stacked_dissipative_rates(params, conjugation):
+    """The channel sums as four stacked complex products per channel, each
+    rounded by ``_mul``: the form ``dissipative_rates`` must equal bit for bit."""
+    lam_plus, lam_minus, adj_plus, adj_minus = channel_coefficients(params, conjugation)
+    total = 0.0 + 0.0j
+    for k in range(4):  # channel by channel, in order; the four Gamma_ij stacked
+        total = total + _mul(np.array([lam_plus[k], lam_minus[k], lam_plus[k], lam_minus[k]]),
+                             np.array([adj_plus[k], adj_minus[k], adj_minus[k], adj_plus[k]]))
+    return tuple(total)
+
+
+# each field's range, and the values at its edges a draw favours
+_FIELDS = {"theta": (0.0, math.pi, (0.0, math.pi)), "xi": (-1.0, 1.0, (1.0, -1.0, 0.0)),
+           "gamma": (0.0, 2.0, (0.0,)), "beta": (1e-3, 20.0, (1e-3,)),
+           "omega": (0.05, 5.0, (1.0,)), "coupling_j": (-1.0, 1.0, (0.0,))}
+
+
+@st.composite
+def param_arrays(draw):
+    shape = draw(st.sampled_from(((), (1, 1), (2, 3), (4, 2))))
+    size = math.prod(shape)
+    arrays = {}
+    for name, (lo, hi, edges) in _FIELDS.items():
+        value = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+        arrays[name] = np.reshape(draw(st.lists(value, min_size=size, max_size=size)), shape)
+    return ParamArrays(**arrays)
+
+
+class TestDissipativeRates:
+    @settings(deadline=None, max_examples=200)
+    @given(param_arrays(), st.sampled_from(("modulus", "analytic")))
+    def test_equals_the_stacked_products_bit_for_bit(self, params, conjugation):
+        got = dissipative_rates(params, conjugation)
+        want = stacked_dissipative_rates(params, conjugation)
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is type(w) and np.shape(g) == params.theta.shape
+            assert np.array_equal(np.reshape(g, -1).view(np.uint64),
+                                  np.reshape(w, -1).view(np.uint64))
+
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    def test_one_point_equals_the_stacked_products(self, conjugation):
+        p = AnyonParams(theta=math.pi, xi=-1.0, gamma=0.0)
+        got = dissipative_rates(p, conjugation)
+        assert [complex(g) for g in got] == [complex(w) for w in
+                                             stacked_dissipative_rates(p, conjugation)]
+
+
 class TestExceptionalPoint:
+    @pytest.mark.parametrize("bracket", [None, (0.0, math.pi), (0.0, 5.2e-12)],
+                             ids=["default", "zero-to-pi", "narrow"])
+    def test_few_array_calls(self, monkeypatch, bracket):
+        # the coarse scan, the first two probes with the probe trees of both
+        # first outcomes, one call per later EP_PROBE_DEPTH steps and the
+        # refined angle; one call a step would be about 61
+        calls = []
+
+        def counted(*args):
+            calls.append(np.shape(args[0].theta))
+            return weff_entries(*args)
+
+        monkeypatch.setattr(anyonosc.dimer, "weff_entries", counted)
+        find_exceptional_point(AnyonParams(theta=0.0, xi=1.0), bracket)
+        assert len(calls) <= 16
+        tree = 2 ** anyonosc.dimer.EP_PROBE_DEPTH - 1
+        assert calls[:2] == [(512,), (2 + 2 * tree,)] and calls[-1] == ()
+        assert all(shape == (tree,) for shape in calls[2:-1])
+
     def test_no_ep_without_correlation(self):
         ep = find_exceptional_point(AnyonParams(theta=0.0, xi=0.0))
         assert not ep.found

@@ -580,6 +580,14 @@ class TestBranchMatchingFold:
             assert_same_labels(first[row], second[row], list(zip(values[row, 0], values[row, 1])))
 
 
+# locator brackets: the default, inner, touching 0 and pi, and narrow ones whose
+# refinement bracket starts just above the 1e-14 stop (one coarse cell of
+# 1.02e-14 at 5.2e-12, two of it at 2.6e-12), or below it (no step at all)
+_BRACKETS = (None, (0.1, 3.0), (0.0, math.pi), (0.0, 0.4), (2.7, math.pi),
+             (1.0, 1.0 + 2.6e-12), (0.0, 5.2e-12), (math.pi - 5.2e-12, math.pi),
+             (2.0, 2.0 + 1.1e-14))
+
+
 class TestExceptionalPointAgainstReference:
     @pytest.mark.parametrize("kwargs, bracket, conventions", [
         (dict(xi=1.0), None, ("appendix", "modulus", False)),
@@ -599,8 +607,8 @@ class TestExceptionalPointAgainstReference:
         assert abs(got.gap - ref_gap) <= 2.0 * eig_bound(
             reference_build_weff(p.with_(theta=ref_theta), *conventions))
 
-    @settings(deadline=None, max_examples=25)
-    @given(_params, _conventions, st.sampled_from((None, (0.1, 3.0), (0.0, math.pi))))
+    @settings(deadline=None, max_examples=100)
+    @given(_params, _conventions, st.sampled_from(_BRACKETS))
     def test_refines_on_the_one_point_gap(self, p, conventions, bracket):
         # the locator's array gap against a golden section driven by build_weff
         def gap_at(theta):
