@@ -12,13 +12,15 @@ import functools
 import os
 import re
 import sys
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 
 from .dimer import CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS, find_exceptional_point
 from .fock import JUMP_BASES
-from .output import SweepResult, _csv_blocks, grid_result, write_grid_svg, write_outputs
+from .output import (SweepResult, _csv_blocks, grid_result, sidecar_path, write_grid_svg,
+                     write_outputs)
 from .params import ParameterError
 from .spectra import GridSpec
 from .sweeps import (FIG2_XI, FIG3_THETAS, FIG3_XI, THETA_AXIS, ConfigError, Conventions,
@@ -155,8 +157,12 @@ def _floats(text: str) -> tuple:
 
 
 def _config(args) -> RunConfig:
-    """The one RunConfig of a subcommand, read from the flags it defines; a
-    flag the command lacks keeps its RunConfig default."""
+    """The one RunConfig of a subcommand: ``sweep``'s from its --config and overrides, the
+    rest's from the flags it defines (a flag the command lacks keeps its RunConfig default)."""
+    if args.command == "sweep":
+        cfg = load_config(args.config)
+        return replace(cfg, output_path=cfg.output_path if args.out is None else args.out,
+                       threads=cfg.threads if args.threads is None else args.threads)
     flags = vars(args)
     params = _DEFAULTS.params.with_(**{field: flags[name] for name, (field, _)
                                        in PARAM_FLAGS.items() if name in flags})
@@ -189,48 +195,68 @@ def _emit(result, path, config):
         sys.stdout.writelines(_csv_blocks(result))
 
 
-def _check_file(flag, path):
-    """ConfigError, before anything is computed or written, when the file
-    ``path`` could not be opened for writing: it is a directory, or its
-    parent is missing or is not a directory."""
-    if os.path.isdir(path):
-        raise ConfigError(f"{flag} {path} is a directory")
-    parent = os.path.dirname(path)
-    if not os.path.isdir(parent or "."):
-        raise ConfigError(f"{flag} {path}: {parent} is not a directory")
+# A file a command reads or writes, named in a refusal as ``flag value`` (a flag or config
+# key and its value), then ``: name`` unless it is that value, or in a collision as ``source``.
+_File = namedtuple("_File", "flag value path name source", defaults=("", ""))
 
 
-def _check_csv(flag, path):
-    """``_check_file`` for a CSV path and its ``.meta.json`` sidecar."""
-    _check_file(flag, path)
-    if os.path.isdir(path + ".meta.json"):
-        raise ConfigError(f"{flag} {path}: {path}.meta.json is a directory")
+def _files(args, cfg) -> list:
+    """Every file the command reads or writes, where their names are made: ``sweep --config``,
+    ``--out`` (``sweep``: ``output.path``) and its sidecar, ``spectrum --svg``; under fig3's
+    ``--out``, two CSVs, each with its sidecar, then (``--svg``) each panel's SVG in order."""
+    if args.command == "fig3":
+        if not args.out:
+            raise ConfigError("fig3 writes multiple files; --out DIR is required")
+        names = [(name, "") for csv in ("fig3_slices.csv", "fig3_overlay.csv")
+                 for name in (csv, sidecar_path(csv))]
+        names += [(f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg",
+                   f"--svg panel (theta, xi) = {(theta, xi)}")
+                  for xi in cfg.xi_list for theta in cfg.theta_list if args.svg]
+        return [_File("--out", args.out, os.path.join(args.out, name), name, source)
+                for name, source in names]
+    files = [_File("--config", args.config, args.config)] if args.command == "sweep" else []
+    out = cfg.output_path if args.command == "sweep" else args.out
+    flag = "output.path" if args.command == "sweep" and args.out is None else "--out"
+    if out is not None:
+        files += [_File(flag, out, out), _File(flag, out, sidecar_path(out), sidecar_path(out))]
+    if args.command == "spectrum" and args.svg is not None:
+        files.append(_File("--svg", args.svg, args.svg))
+    return files
 
 
-def _svg_name(theta, xi):
-    return f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg"
+def _check(files, mkdirs=False):
+    """The one rule for a command's files, before compute (ConfigError, exit 1): no path
+    is empty or a directory, each one's directory exists (``mkdirs``, for fig3: its existing
+    part is a directory, the rest is made after compute), and no two resolve to one file."""
+    seen = {}
+    for f in files:
+        named = f"{f.flag} {f.value}" + (f": {f.name}" if f.name else "")
+        if not f.path:
+            raise ConfigError(f"{f.flag} is an empty path")
+        if os.path.isdir(f.path):
+            raise ConfigError(f"{named} is a directory")
+        parent = os.path.dirname(f.path) or "."
+        while mkdirs and not os.path.lexists(parent):
+            parent = os.path.dirname(parent) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{f.flag} {f.value}: {parent} is not a directory")
+        real = os.path.realpath(f.path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {f.source or named} both name {real}")
+        seen[real] = f.source or named
 
 
 def _run(args) -> int:
-    if args.command == "sweep":
-        cfg = load_config(args.config)
-        cfg = replace(cfg, output_path=args.out or cfg.output_path,
-                      threads=cfg.threads if args.threads is None else args.threads)
-        if cfg.output_path:
-            _check_csv("--out" if args.out else "output.path", cfg.output_path)
-        _emit(run_sweep(cfg), cfg.output_path, cfg)
-        return 0
-
     cfg = _config(args)
+    files = _files(args, cfg)
+    _check(files, mkdirs=args.command == "fig3")
     params, conv = cfg.params, cfg.conventions
-    if args.out and args.command != "fig3":  # fig3's --out is a directory
-        _check_csv("--out", args.out)
-    if args.command in ("single-rates", "fig1"):
+    if args.command == "sweep":
+        _emit(run_sweep(cfg), cfg.output_path, cfg)
+    elif args.command in ("single-rates", "fig1"):
         _emit(run_fig1(cfg), args.out, cfg)
-
     elif args.command in ("dimer-rates", "fig2"):
         _emit(run_fig2(cfg), args.out, cfg)
-
     elif args.command == "ep-locate":
         bracket = next(((ax.start, ax.stop) for ax in cfg.sweep), None)
         ep = find_exceptional_point(params, bracket, conv.frequency, conv.conjugation,
@@ -240,51 +266,20 @@ def _run(args) -> int:
                           rows=[(ep.theta, ep.gap, int(ep.found), ep.threshold)],
                           metadata={"generator": "ep-locate"})
         _emit(res, args.out, cfg)
-
     elif args.command == "spectrum":
-        if args.svg:  # refused before anything is computed or written
-            if args.out and os.path.realpath(args.svg) in (
-                    os.path.realpath(args.out), os.path.realpath(args.out + ".meta.json")):
-                raise ConfigError(f"--svg {args.svg} would overwrite the --out CSV {args.out} "
-                                  "or its sidecar")
-            _check_file("--svg", args.svg)
         g = run_spectrum(cfg, params)
         _emit(grid_result(g), args.out, cfg)
         if args.svg:
             write_grid_svg(g, args.svg, title=f"Re R3, theta={params.theta:.3f}, xi={params.xi:.2f}")
             print(f"wrote {args.svg}", file=sys.stderr)
-
     elif args.command == "fig3":
-        if not args.out:
-            raise ConfigError("fig3 writes multiple files; --out DIR is required")
-        made = args.out  # the part of --out that exists
-        while not os.path.exists(made):
-            made = os.path.dirname(made) or "."
-        if not os.path.isdir(made):
-            raise ConfigError(f"--out {args.out}: {made} is not a directory")
-        names = ["fig3_slices.csv", "fig3_overlay.csv"]
-        names += [name + ".meta.json" for name in names]
-        if args.svg:  # one file per panel, in run_fig3's panel order
-            panels = {}
-            for xi in cfg.xi_list:
-                for theta in cfg.theta_list:
-                    name = _svg_name(theta, xi)
-                    if name in panels:
-                        raise ConfigError(f"--svg: panels (theta, xi) = {panels[name]} and "
-                                          f"{(theta, xi)} would both write {name}")
-                    panels[name] = (theta, xi)
-            names += panels
-        for name in names:
-            if os.path.isdir(os.path.join(args.out, name)):
-                raise ConfigError(f"--out {args.out}: {name} is a directory")
         fig3 = run_fig3(cfg)
         os.makedirs(args.out, exist_ok=True)
-        write_outputs(fig3.slices, cfg, os.path.join(args.out, "fig3_slices.csv"))
-        write_outputs(fig3.overlay, cfg, os.path.join(args.out, "fig3_overlay.csv"))
-        if args.svg:
-            for theta, xi, g in fig3.grids:
-                write_grid_svg(g, os.path.join(args.out, _svg_name(theta, xi)),
-                               title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}", diagonal=True)
+        slices, _, overlay, _, *svgs = (f.path for f in files)  # no svgs without --svg
+        write_outputs(fig3.slices, cfg, slices)
+        write_outputs(fig3.overlay, cfg, overlay)
+        for (theta, xi, g), svg in zip(fig3.grids, svgs):
+            write_grid_svg(g, svg, title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}", diagonal=True)
         print(f"wrote fig3 outputs under {args.out}", file=sys.stderr)
     return 0
 

@@ -423,14 +423,18 @@ def write_metadata(result, config, path: str, timestamp: str | None = None):
     return path
 
 
+def sidecar_path(path: str) -> str:  # a CSV's metadata sidecar
+    return path + ".meta.json"
+
+
 def write_outputs(result, config, path: str, timestamp: str | None = None):
-    """CSV plus its metadata sidecar (<path>.meta.json); returns written paths.
+    """CSV plus its metadata sidecar (``sidecar_path``); returns written paths.
 
     The only writer of a CSV and its sidecar; a spectrum grid goes through
     ``grid_result`` first.
     """
     return [write_csv(result, path),
-            write_metadata(result, config, path + ".meta.json", timestamp)]
+            write_metadata(result, config, sidecar_path(path), timestamp)]
 
 
 def grid_result(grid):

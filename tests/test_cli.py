@@ -285,18 +285,21 @@ class TestCliSpectrum:
         assert code == 1
         assert "third-order spectra need the two-excitation manifold: cutoff >= 2" in err
 
-    @pytest.mark.parametrize("out, svg", [("g", "g"), ("g.csv", "g.csv.meta.json"),
-                                          ("g.csv", "./sub/../g.csv")],
-                             ids=["csv", "sidecar", "same-file"])
+    @pytest.mark.parametrize("out, svg, first, file", [
+        ("g", "g", "--out g", "g"),
+        ("g.csv", "g.csv.meta.json", "--out g.csv: g.csv.meta.json", "g.csv.meta.json"),
+        ("g.csv", "./sub/../g.csv", "--out g.csv", "g.csv")],
+        ids=["csv", "sidecar", "same-file"])
     def test_svg_onto_its_own_csv_or_sidecar_is_refused(self, capsys, tmp_path, monkeypatch,
-                                                        out, svg):
+                                                        out, svg, first, file):
         (tmp_path / "sub").mkdir()
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", None)  # no compute
         code, stdout, err = run_cli(capsys, "spectrum", "--grid", "4", "--out", out,
                                     "--svg", svg)
         assert code == 1
-        assert f"anyonosc: error: --svg {svg} would overwrite the --out CSV {out}" in err
+        real = os.path.join(os.path.realpath(tmp_path), file)
+        assert err == f"anyonosc: error: {first} and --svg {svg} both name {real}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"] and stdout == ""
 
     @pytest.mark.parametrize("svg, message", [
@@ -641,8 +644,9 @@ class TestCliPathsBeforeCompute:
                                     "1.0001,1.0004", "--xi-list", "0.5", "--svg",
                                     "--out", str(tmp_path / "f3"))
         assert code == 1 and stdout == ""
-        assert err == ("anyonosc: error: --svg: panels (theta, xi) = (1.0001, 0.5) and "
-                       "(1.0004, 0.5) would both write fig3_grid_theta1.000_xi0.50.svg\n")
+        real = os.path.join(os.path.realpath(tmp_path), "f3", "fig3_grid_theta1.000_xi0.50.svg")
+        assert err == ("anyonosc: error: --svg panel (theta, xi) = (1.0001, 0.5) and "
+                       f"--svg panel (theta, xi) = (1.0004, 0.5) both name {real}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_panels_that_share_an_svg_name_run_without_svg(self, capsys, tmp_path):
@@ -652,6 +656,163 @@ class TestCliPathsBeforeCompute:
         assert code == 0, err
         assert sorted(p.name for p in out.iterdir() if p.suffix == ".csv") == [
             "fig3_overlay.csv", "fig3_slices.csv"]
+
+
+    @pytest.mark.parametrize("command", sorted(set(COMPUTE) - {"sweep"}))
+    def test_empty_out_is_refused(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, self.COMPUTE[command], _never)
+        code, stdout, err = run_cli(capsys, command, "--out", "")
+        assert code == 1 and stdout == ""
+        assert err == "anyonosc: error: --out is an empty path\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_svg_is_refused(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, "run_spectrum", _never)
+        code, stdout, err = run_cli(capsys, "spectrum", "--grid", "4", "--out", "g.csv",
+                                    "--svg", "")
+        assert code == 1 and stdout == ""
+        assert err == "anyonosc: error: --svg is an empty path\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_sweep_out_does_not_fall_back_to_the_config(self, capsys, tmp_path,
+                                                              monkeypatch):
+        (tmp_path / "run.json").write_text(json.dumps({"output": {"path": "s.csv"}}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json", "--out", "")
+        assert code == 1 and stdout == ""
+        assert err == "anyonosc: error: --out is an empty path\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_empty_output_path_in_the_config_is_refused(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "run.json").write_text(json.dumps({"output": {"path": ""}}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json")
+        assert code == 1 and stdout == ""
+        assert err == "anyonosc: error: output.path is an empty path\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command", sorted(COMPUTE))
+    def test_sidecar_linked_onto_its_csv_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                    command):
+        (tmp_path / "run.json").write_text("{}")
+        (tmp_path / "g.csv").write_text("kept\n")
+        os.symlink("g.csv", tmp_path / "g.csv.meta.json")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, self.COMPUTE[command], _never)
+        config = ("--config", "run.json") if command == "sweep" else ()
+        code, stdout, err = run_cli(capsys, command, *config, "--out", "g.csv")
+        assert code == 1 and stdout == ""
+        real = os.path.join(os.path.realpath(tmp_path), "g.csv")
+        assert err == ("anyonosc: error: --out g.csv and --out g.csv: g.csv.meta.json "
+                       f"both name {real}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "g.csv.meta.json",
+                                                              "run.json"]
+        assert (tmp_path / "g.csv").read_text() == "kept\n"
+        assert os.readlink(tmp_path / "g.csv.meta.json") == "g.csv"
+
+    def test_fig3_panel_svg_linked_onto_the_slices_is_refused(self, capsys, tmp_path,
+                                                               monkeypatch):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "fig3_slices.csv").write_text("kept\n")
+        os.symlink("fig3_slices.csv", out / "fig3_grid_theta1.000_xi0.50.svg")
+        monkeypatch.setattr(anyonosc.cli, "run_fig3", _never)
+        code, stdout, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1.0",
+                                    "--xi-list", "0.5", "--svg", "--out", str(out))
+        assert code == 1 and stdout == ""
+        real = os.path.join(os.path.realpath(out), "fig3_slices.csv")
+        assert err == (f"anyonosc: error: --out {out}: fig3_slices.csv and "
+                       f"--svg panel (theta, xi) = (1.0, 0.5) both name {real}\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fig3_grid_theta1.000_xi0.50.svg", "fig3_slices.csv"]
+        assert (out / "fig3_slices.csv").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("flags, doc, source", [
+        (("--out", "run.json"), {}, "--out run.json"),
+        (("--out", "./sub/../run.json"), {}, "--out ./sub/../run.json"),
+        ((), {"output": {"path": "run.json"}}, "output.path run.json")],
+        ids=["out", "out-dotdot", "output-path"])
+    def test_sweep_output_onto_its_config_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                     flags, doc, source):
+        doc = dict(doc, sweep=[{"name": "theta", "start": 0, "stop": 1, "count": 3}])
+        text = json.dumps(doc)
+        (tmp_path / "run.json").write_text(text)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json", *flags)
+        assert code == 1 and stdout == ""
+        real = os.path.join(os.path.realpath(tmp_path), "run.json")
+        assert err == f"anyonosc: error: --config run.json and {source} both name {real}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "sub"]
+        assert (tmp_path / "run.json").read_text() == text
+
+
+# argv of each command with every file it writes, and the function it computes
+# with as the CLI module names it; run.json is a two-axis sweep config
+WRITERS = {
+    "single-rates": (("single-rates", "--grid", "5", "--out", "r.csv"), "run_fig1"),
+    "dimer-rates": (("dimer-rates", "--grid", "5", "--out", "d.csv"), "run_fig2"),
+    "ep-locate": (("ep-locate", "--out", "e.csv"), "find_exceptional_point"),
+    "spectrum": (("spectrum", "--grid", "4", "--out", "g.csv"), "run_spectrum"),
+    "spectrum-svg": (("spectrum", "--grid", "4", "--out", "g.csv", "--svg", "g.svg"),
+                     "run_spectrum"),
+    "fig1": (("fig1", "--grid", "5", "--out", "f1.csv"), "run_fig1"),
+    "fig2": (("fig2", "--grid", "5", "--out", "f2.csv"), "run_fig2"),
+    "fig3": (("fig3", "--grid", "4", "--theta-list", "1", "--xi-list", "0.5",
+              "--out", "f3/sub"), "run_fig3"),
+    "fig3-svg": (("fig3", "--grid", "4", "--theta-list", "1,2", "--xi-list", "0,0.5",
+                  "--svg", "--out", "f3"), "run_fig3"),
+    "sweep": (("sweep", "--config", "run.json", "--out", "s.csv"), "run_sweep"),
+    "sweep-output-path": (("sweep", "--config", "run.json"), "run_sweep"),
+}
+SWEEP_CONFIG = {"sweep": [{"name": "theta", "start": 0, "stop": 1, "count": 3},
+                          {"name": "xi", "start": -1, "stop": 1, "count": 2}]}
+
+
+def _written(root):
+    return {os.path.relpath(os.path.join(top, name), root)
+            for top, _, names in os.walk(root) for name in names}
+
+
+class TestCliFileList:
+    # every file a command writes is in the one list its path rule checks
+    @pytest.mark.parametrize("case", sorted(WRITERS))
+    def test_every_written_file_is_listed_and_checked(self, capsys, tmp_path, monkeypatch,
+                                                      case):
+        argv, compute = WRITERS[case]
+        config = dict(SWEEP_CONFIG, output={"path": "s.csv"}) if case.endswith("path") \
+            else SWEEP_CONFIG
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.json").write_text(json.dumps(config))
+        monkeypatch.chdir(run)
+        listed = []
+        check = anyonosc.cli._check
+
+        def spy(files, **kwargs):
+            listed.extend(os.path.normpath(f.path) for f in files)
+            return check(files, **kwargs)
+
+        monkeypatch.setattr(anyonosc.cli, "_check", spy)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        written = _written(run) - {"run.json"}
+        assert written and written == set(listed) - {"run.json"}
+        monkeypatch.setattr(anyonosc.cli, compute, _never)
+        for k, name in enumerate(sorted(written)):
+            fresh = tmp_path / f"fresh{k}"
+            (fresh / name).mkdir(parents=True)
+            (fresh / "run.json").write_text(json.dumps(config))
+            monkeypatch.chdir(fresh)
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 1 and stdout == "", (name, err)
+            assert err.startswith("anyonosc: error: ") and err.endswith(" is a directory\n")
+            assert _written(fresh) == {"run.json"} and not any((fresh / name).iterdir())
 
 
 class TestCliRunConfig:
