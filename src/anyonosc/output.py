@@ -152,10 +152,11 @@ def _chunks():
 @functools.cache
 def _forms():
     """Word 0 for each (form, last, first digit), and for words 1-2 (digits
-    1-16) the masks of the digits kept before and from the ".", and the "."
-    word, each per (form, last). The form is min(max(X, -5), 17) + 5: forms 0
-    and 22 are scientific notation, forms 1-21 fixed with X = form - 5; last
-    is the index of the last nonzero digit (0 for D = 0)."""
+    1-16) one row of six masks per (form, last): the digits kept before the
+    "." in words 1 and 2, those kept from the "." on, and the "." words. The
+    form is min(max(X, -5), 17) + 5: forms 0 and 22 are scientific notation,
+    forms 1-21 fixed with X = form - 5; last is the index of the last nonzero
+    digit (0 for D = 0)."""
     form = np.arange(23)[:, None]
     last = np.arange(17)
     X = form - 5
@@ -179,8 +180,8 @@ def _forms():
     before = np.where(moves, 0, digit).astype(np.uint8)
     after = np.where(moves, digit, 0).astype(np.uint8)
     dot = np.where((r == point[..., None]) & (point[..., None] >= 1), ord("."), 0).astype(np.uint8)
-    masks = [_words(m.reshape(23, 17, 2, 8)).reshape(-1, 2).T.copy() for m in (before, after, dot)]
-    return _words(head).ravel(), *masks
+    masks = [_words(m.reshape(23, 17, 2, 8)).reshape(-1, 2) for m in (before, after, dot)]
+    return _words(head).ravel(), np.concatenate(masks, axis=1)
 
 
 @functools.cache
@@ -246,21 +247,27 @@ def _kernel(values):
 def _layout(D, X, negative):
     """The four-word records of sign, digits D and exponent X."""
     chunk_text, chunk_last = _chunks()
-    head, before, after, dot = _forms()
-    first, rest = np.divmod(D, 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
-    chunks = np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4)
+    head, masks = _forms()
+    first = D // 10 ** 16  # `//` and a multiply-subtract: np.divmod takes 4x as long
+    rest = D - first * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
+    chunks = []
+    for half in (high, low):
+        top = half // 10 ** 4
+        chunks += [top, half - top * 10 ** 4]
     last = np.zeros(D.size, np.int8)
     for j, chunk in enumerate(chunks):
         np.maximum(last, chunk_last[j][chunk], out=last)
     key = (np.clip(X, -5, 17) + 5) * 17 + last
+    mask = masks.take(key, 0)  # one row a value; take: a quarter of the time of masks[key]
     records = np.empty((D.size, 4), np.uint64)
     records[:, 0] = head[key * 10 + first] | negative * _MINUS
     carried = 0
     for j in (0, 1):
         digits = chunk_text[chunks[2 * j]] | chunk_text[chunks[2 * j + 1]] << 32
-        moved = digits & after[j][key]
-        records[:, 1 + j] = (digits & before[j][key]) | moved << 8 | dot[j][key] | carried
+        moved = digits & mask[:, 2 + j]
+        records[:, 1 + j] = (digits & mask[:, j]) | moved << 8 | mask[:, 4 + j] | carried
         carried = moved >> 56
     records[:, 3] = carried | _exponents()[X - _X_LO]
     return records
@@ -295,17 +302,31 @@ def _records(values):
 
 
 def _repeats(column):
-    """(distinct values, index of each row's value) for a column with at most
-    half its values distinct (a grid or sweep axis), told apart by bit pattern
-    so -0.0 and 0.0 stay apart; None for any other column."""
-    bits = np.sort(column.view(np.uint64))
-    new = np.empty(bits.size, bool)
-    new[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    if 2 * np.count_nonzero(new) > bits.size:
+    """(values, index of each row's value) for a column of runs of one bit
+    pattern (an outer axis, a constant column) or whose values, or run
+    values, repeat their first period (an inner or middle axis), when that
+    leaves at most half as many values as rows; None for any other column.
+    Bits are compared, so -0.0 and 0.0 stay apart."""
+    bits = column.view(np.uint64)
+    if bits.size < 2:
         return None
-    distinct = bits[new]
-    return distinct.view(np.float64), np.searchsorted(distinct, column.view(np.uint64))
+    new = np.empty(bits.size, bool)
+    new[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    runs = 2 * np.count_nonzero(new) <= bits.size
+    values = bits[new] if runs else bits
+    period = values.size
+    again = values[1:] == values[0]
+    if again.any():  # the first value recurs: is that a period?
+        p = int(again.argmax()) + 1
+        if np.array_equal(values[p:], values[:-p]):
+            period = p
+    if 2 * period > bits.size:
+        return None
+    index = np.resize(np.arange(period), values.size)
+    if runs:
+        index = np.repeat(index, np.diff(np.flatnonzero(new), append=bits.size))
+    return values[:period].view(np.float64), index
 
 
 def _csv_blocks(result):
@@ -314,33 +335,42 @@ def _csv_blocks(result):
 
     Every field is the bytes of ``format(v, ".17g")``; integers up to 2**53 in
     magnitude are exact in the float64 table and so print as integers. The
-    distinct values of every repeated column are formatted in one call, and
-    each block gathers their records."""
+    values of every repeated column (``_repeats``) are formatted in one call,
+    with their separators, at the head of a pool of records; each block
+    formats its other fields into the rest of the pool, and one gather from
+    it lays out the block's records."""
     table = result.rows
     n_rows, width = table.shape
     header = ",".join(_csv_field(f"{c} [{u}]") for c, u in zip(result.columns, result.units))
-    fresh, distinct, gathers, start = [], [], [], 0
-    for k, column in enumerate(table.T):
-        plan = _repeats(column)
-        if plan is None:
-            fresh.append(k)
-        else:
-            distinct.append(plan[0])
-            gathers.append((k, plan[1] + start))  # rows of the shared records
-            start += plan[0].size
-    shared = _records(np.concatenate(distinct)) if distinct else None
+    plans = [_repeats(column) for column in table.T]
+    shared = [(k, plan) for k, plan in enumerate(plans) if plan is not None]
+    fresh = [k for k, plan in enumerate(plans) if plan is None]
     separators = np.where(np.arange(width) < width - 1, _COMMA, _NEWLINE)
     most = max(1, min(_BLOCK_VALUES // max(1, len(fresh)), 2 * _BLOCK_VALUES // width))
     step = max(1, -(-n_rows // max(1, -(-n_rows // most))))  # equal blocks of <= most rows
+    sizes = [plan[0].size for _, plan in shared]
+    offsets = np.cumsum([0] + sizes)  # the pool row of each shared column's first value
+    n_fresh, start = len(fresh), offsets[-1]  # the pool row of the first fresh record
+    pool = np.empty((start + step * n_fresh, 4), np.uint64)
+    if shared:
+        pool[:start] = _records(np.concatenate([plan[0] for _, plan in shared]))
+        pool[:start, 3] |= np.repeat(separators[[k for k, _ in shared]], sizes)
+    index = np.empty((step, width), np.intp)  # the pool row of each field of a block
+    index[:, fresh] = start + np.arange(step * n_fresh).reshape(step, n_fresh)
+    records = np.empty((step, width, 4), np.uint64)
+    fresh_separators = np.tile(separators[fresh], step)  # word 3 of each fresh field
 
     def block(lo):
         hi = min(lo + step, n_rows)
-        records = np.empty((hi - lo, width, 4), np.uint64)
-        records[:, fresh] = _records(table[lo:hi, fresh].ravel()).reshape(hi - lo, len(fresh), 4)
-        for k, index in gathers:
-            records[:, k] = shared[index[lo:hi]]
-        records[..., 3] |= separators
-        return records.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
+        if n_fresh:
+            words = pool[start:start + (hi - lo) * n_fresh]
+            words[:] = _records(table[lo:hi, fresh].ravel())
+            words[:, 3] |= fresh_separators[:len(words)]
+        for (k, plan), offset in zip(shared, offsets):
+            np.add(plan[1][lo:hi], offset, out=index[:hi - lo, k])
+        # every index is in range; "clip" spares np.take a buffered copy of out
+        out = np.take(pool, index[:hi - lo], axis=0, out=records[:hi - lo], mode="clip")
+        return out.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
 
     return itertools.chain([header + "\n"], map(block, range(0, n_rows, step)))
 

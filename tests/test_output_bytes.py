@@ -19,8 +19,9 @@ from anyonosc import output
 from anyonosc.output import (_BLOCK_VALUES, _KERNEL_MIN, _MARGIN_B, _MARGIN_L, _MARGIN_R,
                              _MARGIN_T, _TIE_MARGIN, _X_HI, _X_LO, SweepResult, _csv_field,
                              _diverging_palette, _fallback_records, _fixed_fields, _kernel,
-                             _records, csv_text, grid_result, read_csv, svg_heatmap, write_csv)
-from anyonosc.sweeps import RunConfig, SweepAxis, run_spectrum, run_sweep
+                             _records, _repeats, csv_text, grid_result, read_csv, svg_heatmap,
+                             write_csv)
+from anyonosc.sweeps import GridSpec, RunConfig, SweepAxis, run_fig2, run_spectrum, run_sweep
 
 
 def reference_format_number(value) -> str:
@@ -259,6 +260,151 @@ class TestCsvBytes:
         assert SweepResult(("a",), ("1",), []).rows.shape == (0, 1)
         with pytest.raises(ValueError, match="columns and units"):
             SweepResult(("a", "b"), ("1",), rows)
+
+
+def _table(columns, n_rows):
+    """A SweepResult of the named 1-D columns, each resized to n_rows."""
+    names = tuple(columns)
+    rows = np.stack([np.resize(np.asarray(columns[c], float), n_rows) for c in names], axis=1)
+    return SweepResult(names, ("1",) * len(names), rows.reshape(n_rows, len(names))), rows
+
+
+def _plans(result):
+    """The names of the columns the writer shares (``_repeats``)."""
+    return [c for c, column in zip(result.columns, result.rows.T) if _repeats(column) is not None]
+
+
+class TestCsvEdges:
+    # the writer shares a column that is runs of one bit pattern or repeats its
+    # first period, and formats every other column fresh: both give the bytes
+    # of the per-field writer
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3])
+    def test_tiny_tables(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        res, rows = _table({"outer": [0.5] * 2 + [-0.0] * 2, "inner": [1.0, 2.0],
+                            "value": rng.normal(size=3), "flag": [1.0]}, n_rows)
+        _assert_writes_reference_bytes(res, rows)
+
+    @pytest.mark.parametrize("as_period", [False, True], ids=["run", "period"])
+    def test_signed_zeros_stay_apart(self, as_period):
+        axis = np.array([0.0, -0.0, 5e-324, -0.0, -2.5])  # 0.0 and -0.0 differ in bits only
+        column = np.tile(axis, 40) if as_period else np.repeat(axis, 40)
+        res, rows = _table({"axis": column, "value": np.arange(200) / 7.0}, 200)
+        assert _plans(res) == ["axis"]
+        plan = _repeats(res.column("axis"))
+        assert plan[0].view(np.uint64).tolist() == axis.view(np.uint64).tolist()
+        _assert_writes_reference_bytes(res, rows)
+
+    def test_constant_column(self):
+        n_rows = 3000
+        res, rows = _table({"c": [-0.0], "v": np.linspace(-3, 3, n_rows), "d": [1e300]}, n_rows)
+        assert _plans(res) == ["c", "d"]
+        assert _repeats(res.column("c"))[0].size == 1
+        _assert_writes_reference_bytes(res, rows)
+
+    def test_few_values_neither_runs_nor_periodic(self):
+        # the old rule shared a column with at most half its values distinct;
+        # this one is now formatted fresh, with the same bytes
+        rng = np.random.default_rng(11)
+        n_rows = 3000
+        pool = rng.choice(np.array([0.1, -0.0, 0.0, 7e-5, 1 / 3]), n_rows)
+        res, rows = _table({"few": pool, "v": rng.normal(size=n_rows)}, n_rows)
+        assert 2 * np.unique(pool).size <= n_rows
+        assert _plans(res) == []
+        _assert_writes_reference_bytes(res, rows)
+
+    def test_first_value_recurs_inside_the_period(self):
+        # the first recurrence of the first value is not the period: the
+        # column is formatted fresh
+        res, rows = _table({"inner": [0.25, 1.0, 0.25, -3.0, 2.0], "v": np.arange(2000) * 0.1},
+                           2000)
+        assert _plans(res) == []
+        _assert_writes_reference_bytes(res, rows)
+
+    def test_runs_whose_values_repeat_a_period(self):
+        # the middle axis of three: runs of the inner count, their values a period
+        middle = np.repeat(np.tile(np.linspace(-1.0, 1.0, 7), 5), 11)
+        res, rows = _table({"outer": np.repeat(np.arange(5.0), 77), "middle": middle,
+                            "inner": np.linspace(0.0, 1.0, 11), "v": np.arange(385) / 3.0}, 385)
+        assert _plans(res) == ["outer", "middle", "inner"]
+        assert _repeats(res.column("middle"))[0].size == 7
+        _assert_writes_reference_bytes(res, rows)
+
+    def test_fresh_columns_apart(self):
+        # fresh, shared, fresh: the fresh fields are not one slice of the table
+        rng = np.random.default_rng(5)
+        n_rows = 3 * _BLOCK_VALUES // 2 + 5
+        res, rows = _table({"a": rng.normal(size=n_rows), "axis": np.repeat(np.arange(9.0), 11),
+                            "b": -rng.exponential(size=n_rows) * 1e-7}, n_rows)
+        assert _plans(res) == ["axis"]
+        _assert_writes_reference_bytes(res, rows)
+
+    # two fresh columns of four: a block holds _BLOCK_VALUES // 2 rows
+    @pytest.mark.parametrize("n_rows", [_BLOCK_VALUES // 2, _BLOCK_VALUES // 2 + 1,
+                                        _BLOCK_VALUES, _BLOCK_VALUES + 1])
+    def test_block_edges(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        res, rows = _table({"outer": np.repeat(np.linspace(-1, 1, 64), 64),
+                            "inner": np.linspace(-1, 1, 64), "re": rng.normal(size=n_rows),
+                            "im": rng.normal(size=n_rows) * 1e-3}, n_rows)
+        assert _plans(res) == ["outer", "inner"]
+        blocks = list(output._csv_blocks(res))
+        assert len(blocks) == 1 + -(-n_rows // (_BLOCK_VALUES // 2))
+        _assert_writes_reference_bytes(res, rows)
+
+    def test_stdout_is_the_file(self, tmp_path, capsys):
+        from anyonosc import cli
+        config = RunConfig(t2=0.5)
+        res = grid_result(run_spectrum(config, config.params.with_(theta=0.7, xi=-0.2)))
+        cli._emit(res, None, config)
+        printed = capsys.readouterr().out
+        path = tmp_path / "g.csv"
+        write_csv(res, str(path))
+        assert path.read_bytes() == printed.encode() == csv_text(res).encode()
+
+
+class TestCsvSharing:
+    # the axes of grids and sweeps are formatted once per value: were they
+    # fresh, the bytes would be the same and the work twice as much
+    def _spy(self, monkeypatch):
+        sizes = {"records": [], "kernel": []}
+
+        def counted(name, function):
+            def call(values):
+                sizes[name].append(values.size)
+                return function(values)
+            return call
+
+        monkeypatch.setattr(output, "_records", counted("records", _records))
+        monkeypatch.setattr(output, "_kernel", counted("kernel", _kernel))
+        return sizes
+
+    def test_grid_axes_are_formatted_once(self, monkeypatch):
+        n = 256
+        config = RunConfig(t2=3.5, grid=GridSpec(count=n))
+        res = grid_result(run_spectrum(config, config.params.with_(theta=0.9, xi=0.6)))
+        sizes = self._spy(monkeypatch)
+        csv_text(res)
+        assert sizes["records"][0] <= 2 * n  # both axes, one call
+        assert sum(sizes["records"][1:]) == sum(sizes["kernel"]) == 2 * n * n
+
+    @pytest.mark.parametrize("which", ["sweep", "fig2"])
+    def test_sweep_axes_are_shared(self, monkeypatch, which):
+        if which == "sweep":
+            res = run_sweep(RunConfig(sweep=(SweepAxis("theta", 0.0, 3.0, 60),
+                                             SweepAxis("xi", -1.0, 1.0, 70))))
+            counts = {"theta": 60, "xi": 70}
+        else:
+            res = run_fig2(RunConfig())
+            counts = {"theta": len(np.unique(res.column("theta"))),
+                      "xi": len(np.unique(res.column("xi")))}
+        for name, count in counts.items():
+            plan = _repeats(res.column(name))
+            assert plan is not None and plan[0].size == count, name
+        sizes = self._spy(monkeypatch)
+        csv_text(res)
+        fresh = len(res.columns) - len(_plans(res))
+        assert sum(sizes["records"][1:]) == len(res.rows) * fresh
 
 
 # -- the %.17g kernel ---------------------------------------------------------

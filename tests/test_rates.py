@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from anyonosc import (AnyonParams, ParameterError, deformed_commutator_eigenvalue,
                       gamma_full_single, gamma_stat, phase_average,
                       thermal_occupation)
+from anyonosc.params import _exp
 from anyonosc.rates import phase_average_series, q_bracket
 
 
@@ -178,3 +179,39 @@ class TestAnyonParams:
         p = AnyonParams(theta=0.5)
         with pytest.raises(ParameterError):
             p.with_(theta=4.0)
+
+
+class TestExp:
+    # params._exp evaluates math.exp once per distinct value; an array of one
+    # value (beta * omega broadcast over theta) takes no sort
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, 2.5, -1e-9, 700.0, -745.0])
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)])
+    def test_broadcast_constant_is_the_scalar_exp(self, value, shape):
+        got = np.asarray(_exp(np.full(shape, value)))
+        assert got.shape == shape
+        want = np.float64(math.exp(value)).view(np.uint64)
+        assert (got.view(np.uint64) == want).all()
+
+    def test_mixed_signed_zeros_and_distinct_values(self):
+        x = np.array([0.0, -0.0, 0.0, -0.0])
+        assert (_exp(x).view(np.uint64) == np.float64(1.0).view(np.uint64)).all()
+        x = np.array([-0.5, 1.25, -0.5, 3.0, 1.25])
+        want = np.array([math.exp(v) for v in x.tolist()])
+        assert (_exp(x).view(np.uint64) == want.view(np.uint64)).all()
+        assert _exp(np.empty((0, 3))).shape == (0, 3)
+
+    def test_locator_sorts_nothing(self, monkeypatch):
+        # at a default ep-locate point every W_eff call holds one beta * omega
+        from anyonosc.dimer import find_exceptional_point
+        from anyonosc.sweeps import RunConfig
+
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        find_exceptional_point(RunConfig().params)
+        assert calls == []
