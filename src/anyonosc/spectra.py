@@ -4,6 +4,7 @@ lineshapes and the bright branch's detuning."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,9 @@ QUADRATURE_STEP = 0.05  # time step of the quadrature oracle
 # the most quanta a state of the vacuum rephasing pathway holds: two in the
 # ket after the third dipole (the two-exciton bound), one in the bra
 PATHWAY_QUANTA = 2
+# the manifold pairs (ket quanta, bra quanta) R1, R2, R3 of the states after
+# each dipole; L keeps or lowers both quanta, so it leaves no union
+_INTERVAL_PAIRS = (((0, 1),), ((0, 0), (1, 1)), ((0, 1), (1, 0), (2, 1)))
 
 
 def build_dipole(system: FockSystem, conjugation: str = DEFAULT_CONJUGATION) -> np.ndarray:
@@ -88,17 +92,6 @@ class SpectrumGrid:
             raise ValueError(f"values {np.shape(self.values)} do not match a {n}-point axis")
 
 
-def _closure(pattern, support):
-    """Sorted indices of the smallest L-invariant set holding ``support``:
-    every state reachable from it along the nonzeros ``pattern`` of L."""
-    reach = np.asarray(support, dtype=bool)
-    while True:
-        grown = reach | pattern[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
-
-
 def _low_liouvillian(system: FockSystem, params: AnyonParams, jump_basis: str,
                      conjugation: str):
     """(low, L_low): the states ``low`` of at most PATHWAY_QUANTA quanta and
@@ -108,8 +101,9 @@ def _low_liouvillian(system: FockSystem, params: AnyonParams, jump_basis: str,
     order and L_low is 36 x 36. Entry (s, t) of sum c A (x) B reads A and B
     only at the kets and bras of s and t, so the factors restricted to
     ``low`` give L[P, P] bit for bit: ``_kron_sum`` sums the same products in
-    the same order. The pathway never leaves P, because L maps a manifold
-    pair (n, m) of ket and bra quanta only into (n, m) and (n - 1, m - 1).
+    the same order. L maps a manifold pair (n, m) of ket and bra quanta only
+    into (n, m) and (n - 1, m - 1), so the pathway's unions of pairs
+    (``_INTERVAL_PAIRS``) never leave P.
     """
     low = np.flatnonzero(system.total_quanta <= PATHWAY_QUANTA)
     sub = np.ix_(low, low)
@@ -117,30 +111,25 @@ def _low_liouvillian(system: FockSystem, params: AnyonParams, jump_basis: str,
     return low, _kron_sum([(c, a[sub], b[sub]) for c, a, b in terms], low.size)
 
 
-def _reach(liouv):
-    """The function support -> (R, L[R, R]): the closure R of the row-major
-    states ``support`` (a boolean mask) under the nonzeros of ``liouv``."""
-    pattern = liouv != 0
+@functools.cache
+def _pair_states(quanta: tuple, pairs: tuple) -> np.ndarray:
+    """Sorted row-major pair states (index ket * n + bra over the n states of
+    ``quanta``) whose manifold pair (ket quanta, bra quanta) is in ``pairs``;
+    cached, so read-only."""
+    q = np.array(quanta)
+    states = np.flatnonzero(sum(np.outer(q == k, q == b) for k, b in pairs))
+    states.flags.writeable = False
+    return states
 
-    def reach(support):
-        inner = _closure(pattern, support.ravel())
-        return inner, liouv[np.ix_(inner, inner)]
 
-    return reach
-
-
-def _ket_dipole(reach, mu, cols):
-    """The closure ``rows`` of what the ket-side dipole mu (x) 1 reaches from
-    the states ``cols``, with L[rows, rows] from ``reach`` and the block
-    (mu (x) 1)[rows, cols]. A row-major state index is ket * d + bra, and mu
+def _ket_dipole(mu, rows, cols):
+    """The block (mu (x) 1)[rows, cols] of the ket-side dipole on row-major
+    pair states, gathered from mu: a state index is ket * n + bra, and mu
     acts on the ket alone."""
-    d = mu.shape[0]
-    support = np.zeros((d, d), dtype=bool)
-    support.flat[cols] = True
-    rows, liouv = reach((mu != 0) @ support)
-    ket_r, bra_r = np.divmod(rows, d)
-    ket_c, bra_c = np.divmod(cols, d)
-    return rows, liouv, np.where(bra_r[:, None] == bra_c, mu[np.ix_(ket_r, ket_c)], 0)
+    n = mu.shape[0]
+    ket_r, bra_r = np.divmod(rows, n)
+    ket_c, bra_c = np.divmod(cols, n)
+    return np.where(bra_r[:, None] == bra_c, mu[np.ix_(ket_r, ket_c)], 0)
 
 
 def _resolvents(block, shifts, rhs):
@@ -170,23 +159,21 @@ def _pathway(params: AnyonParams, t2: float, tau_axis: np.ndarray, t_axis: np.nd
         raise ValueError(f"t2 must be finite and >= 0, got {t2}")
     system = FockSystem(cutoff=PATHWAY_QUANTA, theta=params.theta)
     low, liouv = _low_liouvillian(system, params, jump_basis, conjugation)
-    reach = _reach(liouv)
+    quanta = tuple(system.total_quanta[low].tolist())
+    first, mid, last = (_pair_states(quanta, pairs) for pairs in _INTERVAL_PAIRS)
     sub = np.ix_(low, low)
     mu = build_dipole(system, conjugation)[sub]
     # vec(rho0 mu) from the vacuum rho0 and the row vector of rho -> tr(rho mu)
     v0 = (system.vacuum_projector()[sub] @ mu).ravel()
     tr_mu = mu.T.ravel()
 
-    first, l_first = reach(v0 != 0)
-    x = _resolvents(l_first, 1j * tau_axis, -v0[first])
-    mid, l_mid, mu_mid = _ket_dipole(reach, mu, first)
-    z = _apply(mu_mid, x)
+    x = _resolvents(liouv[np.ix_(first, first)], 1j * tau_axis, -v0[first])
+    z = _apply(_ket_dipole(mu, mid, first), x)
     if t2 > 0.0:
-        z = _apply(expm(l_mid * t2), z)
-    last, l_last, mu_last = _ket_dipole(reach, mu, mid)
-    z = _apply(mu_last, z)
+        z = _apply(expm(liouv[np.ix_(mid, mid)] * t2), z)
+    z = _apply(_ket_dipole(mu, last, mid), z)
     # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
-    y = _resolvents(l_last.T, -1j * t_axis, -tr_mu[last])
+    y = _resolvents(liouv[np.ix_(last, last)].T, -1j * t_axis, -tr_mu[last])
     return _apply(y, z) * (1j) ** 3
 
 
@@ -203,18 +190,19 @@ def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec |
     omega_t (sign +1), bra-side mu, trace, times (i/hbar)^3 with hbar = 1.
     The Liouvillian is built in the rotating frame (carrier omega removed).
 
-    Each interval is solved on the forward closure R of its right-hand side
-    under the nonzeros of L: L[rest, R] == 0, so the solves, the t2
+    Each interval is solved on a union R of manifold pairs (ket quanta, bra
+    quanta): R1 = (0, 1), R2 = (0, 0) + (1, 1) and R3 = (0, 1) + (1, 0) +
+    (2, 1), 2, 5 and 10 states at every theta, taken by label. L keeps or
+    lowers both quanta together, so L[rest, R] == 0 and the solves, the t2
     propagator and the left vectors (s I - L^T)^{-1} tr_mu restrict exactly
-    to L[R, R], one batched solve per interval for all frequencies. From the
-    vacuum every state holds at most PATHWAY_QUANTA ket quanta and one bra
-    quantum, so the closures lie in the 36 pair states of |00>, |01>, |02>,
-    |10>, |11>, |20>: their block of L is built once from the d x d factors
+    to L[R, R], one batched solve per interval for all frequencies. The
+    pairs lie in the 36 pair states of |00>, |01>, |02>, |10>, |11>, |20>:
+    their block of L is built once from the d x d factors
     (``_low_liouvillian``) of the cutoff-2 system at params.theta, with the
     dipole of ``conjugation``; the d^2 x d^2 Liouvillian never is. The
-    closures hold 2, 5 and 10 states (6 at theta = pi). The display axes
-    carry the echo convention (both negated relative to the raw transform
-    frequencies) so the photon-echo feature lands at positive detunings.
+    display axes carry the echo convention (both negated relative to the raw
+    transform frequencies) so the photon-echo feature lands at positive
+    detunings.
     """
     if grid is None:
         grid = GridSpec()

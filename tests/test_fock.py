@@ -14,7 +14,8 @@ from anyonosc import (AnyonParams, FockSystem, anyon_ladder_matrix, build_dipole
 from anyonosc.dimer import deformed_mode_phase
 from anyonosc.fock import JUMP_BASES, expm, jump_operators, liouvillian_terms
 from anyonosc.rates import thermal_occupation
-from anyonosc.spectra import _closure, _low_liouvillian
+from anyonosc.spectra import _low_liouvillian
+from test_spectra import dense_closure
 
 
 def coherence_order(system):
@@ -64,12 +65,14 @@ def reference_jump_operators(system, params, jump_basis, conjugation):
     return pairs
 
 
+def manifold_pairs(system):
+    """(ket quanta, bra quanta) of every row-major vectorized state."""
+    return np.repeat(system.total_quanta, system.dim), np.tile(system.total_quanta, system.dim)
+
+
 def coherence_block_indices(system):
     """Superoperator indices of the (ket quanta - bra quanta = 1) sector."""
-    q = system.total_quanta
-    d = system.dim
-    ket = np.repeat(q, d)
-    bra = np.tile(q, d)
+    ket, bra = manifold_pairs(system)
     return np.where(ket - bra == 1)[0]
 
 
@@ -84,8 +87,8 @@ def population_block(system, params, jump_basis, conjugation, whole):
     mu = build_dipole(system, conjugation)
     mu_left = np.kron(mu, np.eye(system.dim))  # ket-side rho -> mu rho, row-major
     pattern = liouv != 0
-    first = _closure(pattern, (system.vacuum_projector() @ mu).ravel() != 0)
-    mid = _closure(pattern, np.any(mu_left[:, first] != 0, axis=1))
+    first = dense_closure(pattern, (system.vacuum_projector() @ mu).ravel() != 0)
+    mid = dense_closure(pattern, np.any(mu_left[:, first] != 0, axis=1))
     return liouv[np.ix_(mid, mid)]
 
 
@@ -392,6 +395,29 @@ class TestLiouvillianAssembly:
             rows, cols = np.nonzero(liouv)
             assert liouv.shape == (2401, 2401)
             assert np.array_equal(order[rows], order[cols])
+
+    @settings(deadline=None, max_examples=40)
+    @given(theta=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
+           xi=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
+           gamma=st.floats(0.0, 2.0), beta=st.floats(0.05, 20.0),
+           cutoff=st.integers(2, 4), jump_basis=st.sampled_from(JUMP_BASES),
+           conjugation=st.sampled_from(("modulus", "analytic")), rotating=st.booleans())
+    @example(theta=0.0, xi=1.0, gamma=0.1, beta=1.0, cutoff=6, jump_basis="deformed",
+             conjugation="analytic", rotating=False)
+    @example(theta=math.pi, xi=-1.0, gamma=0.7, beta=0.3, cutoff=6, jump_basis="site",
+             conjugation="modulus", rotating=True)
+    def test_generator_keeps_or_lowers_both_quanta(self, theta, xi, gamma, beta, cutoff,
+                                                   jump_basis, conjugation, rotating):
+        # H keeps the quanta and every jump lowers ket and bra together: L
+        # maps the manifold pair (n, m) only into (n, m) and (n - 1, m - 1),
+        # which makes the spectra's labelled blocks exact at every cutoff
+        system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
+        p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
+        liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating)
+        ket, bra = manifold_pairs(system)
+        rows, cols = np.nonzero(liouv)
+        dket, dbra = ket[rows] - ket[cols], bra[rows] - bra[cols]
+        assert np.all((dket == dbra) & ((dket == 0) | (dket == -1)))
 
 
 class TestExpm:

@@ -15,9 +15,10 @@ from anyonosc import (AnyonParams, FockSystem, GridSpec,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
 from anyonosc.fock import expm, resolvent_apply
-from anyonosc.spectra import (PATHWAY_QUANTA, SpectrumGrid, _apply, _ket_dipole,
-                              _low_liouvillian, _reach, _resolvents, bright_branch_detuning,
-                              rephasing_response_quadrature, response_point)
+from anyonosc.spectra import (_INTERVAL_PAIRS, PATHWAY_QUANTA, SpectrumGrid, _apply,
+                              _ket_dipole, _low_liouvillian, _pair_states, _resolvents,
+                              bright_branch_detuning, rephasing_response_quadrature,
+                              response_point)
 from anyonosc.sweeps import RunConfig, run_fig3, run_spectrum
 
 
@@ -31,23 +32,33 @@ def small_grid(theta, xi, n=48, **kw):
     return rephasing_response(p, grid=GridSpec(count=n), **kw), p
 
 
+def library_blocks(system, dip, p, jump_basis, conjugation):
+    """The pathway's pieces from the library's block helpers on a caller's
+    system and dipole of any cutoff >= 2: the states ``low`` of at most two
+    quanta, the dipole on them, R1/R2/R3 by label on their pair states, the
+    blocks L[R, R] and the ket-side dipole blocks (mu (x) 1)[R2, R1] and
+    (mu (x) 1)[R3, R2]."""
+    low, liouv = _low_liouvillian(system, p, jump_basis, conjugation)
+    quanta = tuple(system.total_quanta[low].tolist())
+    sets = [_pair_states(quanta, pairs) for pairs in _INTERVAL_PAIRS]
+    mu = dip[np.ix_(low, low)]
+    blocks = [liouv[np.ix_(r, r)] for r in sets]
+    mus = [_ket_dipole(mu, rows, cols) for cols, rows in zip(sets, sets[1:])]
+    return low, mu, sets, blocks, mus
+
+
 def system_pathway(system, dip, p, t2, axis, jump_basis, conjugation):
     """The rephasing grid on a caller's system and dipole of any cutoff >= 2:
     the pathway as it read them before it built its own cutoff-2 pair,
     verbatim, from the library's block helpers."""
-    low, liouv = _low_liouvillian(system, p, jump_basis, conjugation)
-    reach = _reach(liouv)
-    sub = np.ix_(low, low)
-    mu = dip[sub]
-    v0 = (system.vacuum_projector()[sub] @ mu).ravel()
+    low, mu, (first, _, last), (l_first, l_mid, l_last), (mu_mid, mu_last) = library_blocks(
+        system, dip, p, jump_basis, conjugation)
+    v0 = (system.vacuum_projector()[np.ix_(low, low)] @ mu).ravel()
     tr_mu = mu.T.ravel()
-    first, l_first = reach(v0 != 0)
     x = _resolvents(l_first, 1j * axis, -v0[first])
-    mid, l_mid, mu_mid = _ket_dipole(reach, mu, first)
     z = _apply(mu_mid, x)
     if t2 > 0.0:
         z = _apply(expm(l_mid * t2), z)
-    last, l_last, mu_last = _ket_dipole(reach, mu, mid)
     z = _apply(mu_last, z)
     y = _resolvents(l_last.T, -1j * axis, -tr_mu[last])
     return _apply(y, z) * (1j) ** 3
@@ -303,6 +314,33 @@ class TestBlockSolveEquivalence:
         want = dense_reference(system, dip, p, grid.axis(), t2, jump_basis, conjugation)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("t2", [0.0, 5.0])
+    @pytest.mark.parametrize("count", [15, 16])
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
+    @pytest.mark.parametrize("xi", [-1.0, 0.0, 1.0])
+    def test_fermion_point_matches_dense_reference(self, xi, jump_basis, conjugation, count,
+                                                   t2):
+        # at theta = pi R3 holds four states the pathway never fills; every
+        # grid is finite and meets the dense reference, except where an
+        # undamped coherence at xi = +/-1 sits within ~1e-17 of resonance:
+        # the detuning-0 row and column of an odd grid are rounding noise
+        # there in both the library and the reference
+        p = AnyonParams(theta=math.pi, xi=xi)
+        system = FockSystem(cutoff=2, theta=math.pi, modes=2)
+        grid = GridSpec(count=count)
+        got = rephasing_response(p, t2=t2, grid=grid, jump_basis=jump_basis,
+                                 conjugation=conjugation).values
+        assert np.all(np.isfinite(got))
+        want = dense_reference(system, build_dipole(system, conjugation), p, grid.axis(), t2,
+                               jump_basis, conjugation)
+        keep = np.ones(got.shape, dtype=bool)
+        if abs(xi) == 1.0:
+            resonant = grid.axis() == 0.0
+            assert np.count_nonzero(resonant) == count % 2
+            keep[resonant, :] = keep[:, resonant] = False
+        assert np.max(np.abs(got - want)[keep]) <= 1e-12 * np.max(np.abs(want[keep]))
+
     @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
     def test_liouvillian_is_block_diagonal_in_coherence_order(self, jump_basis):
         system = FockSystem(cutoff=3, theta=1.3, modes=2)
@@ -311,6 +349,45 @@ class TestBlockSolveEquivalence:
         order = coherence_order(system)
         assert np.all(liouv[order[:, None] != order[None, :]] == 0)
         assert np.count_nonzero(np.abs(order) == 1) == 80  # two 40-state blocks
+
+
+def weff_draws(count=40):
+    """Fixed parameter points with theta in [0.3, pi - 0.3]: away from theta = 0,
+    where maintext equals appendix and the statistical dephasing vanishes."""
+    rng = np.random.default_rng(26)
+    return [AnyonParams(theta=float(rng.uniform(0.3, math.pi - 0.3)),
+                        xi=float(rng.uniform(-1.0, 1.0)),
+                        coupling_j=float(rng.uniform(0.05, 0.5)),
+                        gamma=float(rng.uniform(0.01, 0.5)),
+                        beta=float(np.exp(rng.uniform(math.log(0.1), math.log(20.0)))))
+            for _ in range(count)]
+
+
+DEFECT_2 = pytest.mark.xfail(strict=True, reason="ROADMAP defect 2: the Fock route has "
+                             "neither the maintext amplitude nor statistical dephasing")
+
+
+class TestOneExcitonBlock:
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    @pytest.mark.parametrize("frequency_convention, stat_dephasing", [
+        ("appendix", False),
+        pytest.param("appendix", True, marks=DEFECT_2),
+        pytest.param("maintext", False, marks=DEFECT_2),
+        pytest.param("maintext", True, marks=DEFECT_2)])
+    def test_one_exciton_block_holds_weff(self, frequency_convention, stat_dephasing,
+                                          conjugation):
+        # the 2 x 2 (1, 0) manifold-pair block of the deformed-basis L has
+        # W_eff's eigenvalues, shifted by the carrier the rotating frame removes
+        worst = 0.0
+        for p in weff_draws():
+            system = FockSystem(cutoff=2, theta=p.theta, modes=2)
+            low, liouv = _low_liouvillian(system, p, "deformed", conjugation)
+            pair = _pair_states(tuple(system.total_quanta[low].tolist()), ((1, 0),))
+            got = np.linalg.eigvals(liouv[np.ix_(pair, pair)]) - 1j * p.omega
+            want = build_weff(p, frequency_convention, conjugation, stat_dephasing).eigenvalues
+            gap = min(np.max(np.abs(got - want)), np.max(np.abs(got[::-1] - want)))
+            worst = max(worst, gap / np.max(np.abs(want)))
+        assert worst <= 1e-12
 
 
 def dense_closure(pattern, support):
@@ -333,22 +410,6 @@ def pathway_closures(dip, liouv, rho0):
     mid = dense_closure(pattern, np.any(mu_left[:, first] != 0, axis=1))
     last = dense_closure(pattern, np.any(mu_left[:, mid] != 0, axis=1))
     return first, mid, last
-
-
-def library_closures(system, dip, p, jump_basis, conjugation):
-    """R1/R2/R3 and their L blocks as the pathway finds them on the pair
-    states of at most two quanta, with the ket-side dipole blocks between
-    them; the closures mapped back to row-major d^2 indices."""
-    low, liouv = _low_liouvillian(system, p, jump_basis, conjugation)
-    reach = _reach(liouv)
-    sub = np.ix_(low, low)
-    mu = dip[sub]
-    first, l_first = reach((system.vacuum_projector()[sub] @ mu).ravel() != 0)
-    mid, l_mid, mu_mid = _ket_dipole(reach, mu, first)
-    last, l_last, mu_last = _ket_dipole(reach, mu, mid)
-    pairs = (low[:, None] * system.dim + low).ravel()
-    return ((pairs[first], pairs[mid], pairs[last]), (l_first, l_mid, l_last),
-            (mu_mid, mu_last))
 
 
 class TestReachableClosure:
@@ -398,20 +459,31 @@ class TestReachableClosure:
            conjugation=st.sampled_from(("modulus", "analytic")))
     def test_two_quanta_closures_match_the_dense_pattern(self, theta, xi, beta, cutoff,
                                                          jump_basis, conjugation):
+        # the labelled R1/R2/R3 are L-invariant in the whole L and hold its
+        # dense closures, so restricting to them is exact
         p = AnyonParams(theta=theta, xi=xi, beta=beta)
         system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
         dip = build_dipole(system, conjugation)
         liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
         want = pathway_closures(dip, liouv, system.vacuum_projector())
-        sets, blocks, mus = library_closures(system, dip, p, jump_basis, conjugation)
+        low, _, sets, blocks, mus = library_blocks(system, dip, p, jump_basis, conjugation)
+        pairs = (low[:, None] * system.dim + low).ravel()
+        sets = [pairs[r] for r in sets]
         for reach, got, block in zip(want, sets, blocks):
-            assert np.array_equal(got, reach)
-            assert block.tobytes() == liouv[np.ix_(reach, reach)].tobytes()
-        # at theta = pi a mode holds at most one quantum: no |20>, |02> kets
-        assert tuple(r.size for r in sets) == (2, 5, 6 if theta == math.pi else 10)
+            rest = np.setdiff1d(np.arange(liouv.shape[0]), got)
+            assert np.all(liouv[np.ix_(rest, got)] == 0)
+            assert np.all(np.isin(reach, got))
+            assert block.tobytes() == liouv[np.ix_(got, got)].tobytes()
+        assert tuple(r.size for r in sets) == (2, 5, 10)
+        # the closures are the labelled sets, except R3 at theta = pi: a mode
+        # holds at most one quantum there, so no |20>, |02> ket is reached
+        fermion = theta == math.pi
+        assert tuple(r.size for r in want) == (2, 5, 6 if fermion else 10)
+        for reach, got in zip(want[:2] if fermion else want, sets):
+            assert np.array_equal(reach, got)
         # the ket-side dipole blocks come from the restricted d x d dipole too
         mu_left, _ = dipole_superoperators(dip)
-        for cols, rows, block in zip(want, want[1:], mus):
+        for cols, rows, block in zip(sets, sets[1:], mus):
             assert np.array_equal(block, mu_left[np.ix_(rows, cols)])
 
     @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
