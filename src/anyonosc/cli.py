@@ -173,7 +173,8 @@ def _config(args) -> RunConfig:
     if "cutoff" in flags:  # spectrum and fig3 evaluate on a detuning grid
         lo, hi = parse_range(flags.get("range", GRID_RANGE))
         kw.update(cutoff=args.cutoff, t2=args.t2, grid=GridSpec(count=args.grid, lo=lo, hi=hi))
-    elif flags.get("range", THETA_RANGE):  # the rest on a theta axis; ep-locate's is optional
+    elif flags.get("range", THETA_RANGE) is not None:  # the rest on a theta axis; ep-locate's
+        # is optional, and an empty --range is malformed, not absent
         kw["sweep"] = (SweepAxis("theta", *parse_range(flags.get("range", THETA_RANGE)),
                                  flags.get("grid", 2)),)
     if "temp" in flags:

@@ -36,8 +36,8 @@ DEFAULT_CONJUGATION = "modulus"
 # An exceptional point is declared when the eigenvalue gap drops below this
 # multiple of gamma; sized so desk-scale float noise cannot fake a degeneracy.
 EP_GAP_FACTOR = 1e-6
-EP_COARSE_POINTS = 512  # angles in the locator's coarse scan of the bracket
-EP_PROBE_DEPTH = 5  # golden-section steps whose probes the locator evaluates in one call
+EP_COARSE_POINTS = 512  # angles in the locator's first scan, of the whole bracket
+EP_ZOOM_POINTS = 33  # angles in each later scan, of the two cells around the last minimum
 # Eigenvector-condition marker for near-defective matrices.
 EP_CONDITION_MARKER = 1e8
 
@@ -328,30 +328,6 @@ def match_branches(first, second) -> tuple:
     return np.where(swapped, second, first), np.where(swapped, first, second)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_step(a, b, c, d, left):
-    """One golden-section step on the bracket (a, b) with inner points
-    c < d: keep (a, d) when ``left`` (fc < fd), else (c, b). Returns the new
-    (a, b, c, d); the new probe is c when ``left``, else d."""
-    if left:
-        return a, d, d - _INVPHI * (d - a), c
-    return c, b, d, c + _INVPHI * (b - c)
-
-
-def _golden_probes(a, b, c, d, left):
-    """The angles the next EP_PROBE_DEPTH golden-section steps probe, for
-    every outcome of their comparisons, the first step going ``left`` or
-    not: 2**EP_PROBE_DEPTH - 1 angles in heap order, node i followed by
-    2i + 1 after fc < fd and by 2i + 2 otherwise."""
-    tree = [(_golden_step(a, b, c, d, left), left)]
-    while len(tree) < 2 ** EP_PROBE_DEPTH - 1:
-        side = len(tree) % 2 == 1  # odd nodes follow fc < fd
-        tree.append((_golden_step(*tree[(len(tree) - 1) // 2][0], side), side))
-    return np.array([state[2] if side else state[3] for state, side in tree])
-
-
 @dataclass(frozen=True)
 class EPResult:
     found: bool
@@ -367,16 +343,15 @@ def find_exceptional_point(params: AnyonParams,
                            stat_dephasing: bool = False) -> EPResult:
     """Locate the statistical angle minimizing the eigenvalue gap of W_eff.
 
-    Coarse scan of EP_COARSE_POINTS angles over the bracket, then
-    golden-section refinement around the smallest coarse gap to a bracket
-    of 1e-14, both on one array gap function (``weff_eigenvalues`` of
-    ``weff_entries``). Each array call of the refinement evaluates the
-    2**EP_PROBE_DEPTH - 1 = 31 angles its next EP_PROBE_DEPTH steps can
-    probe, and those steps then replay their comparisons on the gaps: the
-    iterates and the result are the same, bit for bit, as with one probe a
-    step, in about 14 array calls instead of about 61 (the scan; the first
-    two probes with the trees of both first outcomes, 64 angles; about 11
-    more trees; the refined angle).
+    One scan, repeated: the array gap (``weff_eigenvalues`` of
+    ``weff_entries``) on EP_COARSE_POINTS angles spanning the bracket, then on
+    EP_ZOOM_POINTS angles spanning the two grid cells around the smallest
+    gap, until they span at most 1e-14. The gap behaves like
+    sqrt|theta - theta*| at an EP, so each scan keeps the crossing and
+    shrinks the cells 16x: 13 array calls for the default bracket (the scan,
+    11 zooms and the refined angle). Where two minima share the zoomed
+    cells, the next scan keeps the one its samples read smaller, which is
+    not always the deeper.
     An EP is declared by ``ep_flag`` at the refined angle; the minimal gap is
     reported either way. params.theta is ignored. The default bracket is
     (0, pi - 0.01).
@@ -393,26 +368,12 @@ def find_exceptional_point(params: AnyonParams,
         return _modulus(lp - lm)
 
     grid = np.linspace(lo, hi, EP_COARSE_POINTS)
-    k = int(np.argmin(gap_at(grid)))
-    a = grid[max(0, k - 1)]
-    b = grid[min(EP_COARSE_POINTS - 1, k + 1)]
-
-    # golden-section refinement; the gap behaves like sqrt|theta - theta*| at a
-    # true crossing, still unimodal within one coarse cell
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    # the first call takes c, d and the probe trees of both first outcomes
-    first = gap_at(np.concatenate([[c, d]] + [_golden_probes(a, b, c, d, left)
-                                              for left in (True, False)]))
-    fc, fd = first[:2]
-    gaps, node = first[2:].reshape(2, -1)[0 if fc < fd else 1], 0
-    while b - a > 1e-14:
-        if node >= len(gaps):
-            gaps, node = gap_at(_golden_probes(a, b, c, d, fc < fd)), 0
-        left = fc < fd
-        a, b, c, d = _golden_step(a, b, c, d, left)
-        fc, fd = (gaps[node], fc) if left else (fd, gaps[node])
-        node = 2 * node + (1 if fc < fd else 2)
+    while True:
+        k = int(np.argmin(gap_at(grid)))
+        a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+        if b - a <= 1e-14:
+            break
+        grid = np.linspace(a, b, EP_ZOOM_POINTS)
     theta_star = 0.5 * (a + b)
     a, b, c, d = weff_entries(ParamArrays.over(params, theta=theta_star), frequency_convention,
                               conjugation, stat_dephasing)

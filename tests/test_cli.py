@@ -100,8 +100,8 @@ class TestCliBasics:
     # at xi = 0 W_eff is diagonal, and where its frequencies cross a multiple
     # of the identity: a zero gap there is a normal degeneracy, not an EP
     @pytest.mark.parametrize("argv, theta_star, gap", [
-        (("--convention", "maintext"), "1.5707963267948966", "0"),
-        (("--range", "3.0:3.141592653589793"), "3.1415926535897882", "8.8817841970012523e-16"),
+        (("--convention", "maintext"), "1.5707963267948961", "0"),
+        (("--range", "3.0:3.141592653589793"), "3.1415926535897891", "8.8817841970012523e-16"),
     ], ids=["maintext", "bracket-at-pi"])
     def test_ep_locate_scalar_point_is_no_ep(self, capsys, argv, theta_star, gap):
         code, out, err = run_cli(capsys, "ep-locate", *argv)
@@ -167,6 +167,18 @@ class TestCliAxisRule:
         assert code == 1, err
         assert "error" in err
         assert not out.is_file() and stdout == ""
+
+    # an empty --range is a malformed range, not the default one
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    @pytest.mark.parametrize("argv", [("ep-locate",), ("dimer-rates", "--grid", "3"),
+                                      ("single-rates", "--grid", "3")],
+                             ids=["ep-locate", "dimer-rates", "single-rates"])
+    def test_empty_range_is_refused(self, capsys, tmp_path, argv, to_file):
+        out = ("--out", str(tmp_path / "out.csv")) if to_file else ()
+        code, stdout, err = run_cli(capsys, *argv, "--range=", *out)
+        assert code == 1, err
+        assert "--range takes lo:hi, got ''" in err
+        assert list(tmp_path.iterdir()) == [] and stdout == ""
 
     # a bad result refuses itself when it is made: nothing reaches a file or stdout
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])

@@ -325,12 +325,12 @@ class TestDissipativeRates:
 
 
 class TestExceptionalPoint:
-    @pytest.mark.parametrize("bracket", [None, (0.0, math.pi), (0.0, 5.2e-12)],
+    @pytest.mark.parametrize("bracket, zooms", [(None, 11), ((0.0, math.pi), 11),
+                                                 ((0.0, 5.2e-12), 1)],
                              ids=["default", "zero-to-pi", "narrow"])
-    def test_few_array_calls(self, monkeypatch, bracket):
-        # the coarse scan, the first two probes with the probe trees of both
-        # first outcomes, one call per later EP_PROBE_DEPTH steps and the
-        # refined angle; one call a step would be about 61
+    def test_few_array_calls(self, monkeypatch, bracket, zooms):
+        # the coarse scan, one call per zoom of two cells into 32 and the
+        # refined angle
         calls = []
 
         def counted(*args):
@@ -339,10 +339,8 @@ class TestExceptionalPoint:
 
         monkeypatch.setattr(anyonosc.dimer, "weff_entries", counted)
         find_exceptional_point(AnyonParams(theta=0.0, xi=1.0), bracket)
-        assert len(calls) <= 16
-        tree = 2 ** anyonosc.dimer.EP_PROBE_DEPTH - 1
-        assert calls[:2] == [(512,), (2 + 2 * tree,)] and calls[-1] == ()
-        assert all(shape == (tree,) for shape in calls[2:-1])
+        assert len(calls) <= 13
+        assert calls == [(512,)] + [(33,)] * zooms + [()]
 
     def test_no_ep_without_correlation(self):
         ep = find_exceptional_point(AnyonParams(theta=0.0, xi=0.0))

@@ -2,10 +2,10 @@
 
 The reference functions below are the previous scalar implementations of the
 rates, the per-point channel objects, W_eff, its eigen-analysis, branch
-matching, the exceptional-point locator and the sweep generators, kept here
-verbatim (renamed, with the old
-``AnyonParams.z``, math.exp(-beta*omega), spelled out) as the oracle for the
-tolerances the README's Conventions section states.
+matching and the sweep generators, kept here verbatim (renamed, with the old
+``AnyonParams.z``, math.exp(-beta*omega), spelled out), and the
+exceptional-point locator's repeated scan one angle at a time, as the oracle
+for the tolerances the README's Conventions section states.
 """
 
 import cmath
@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonosc import AnyonParams, ParameterError
+from anyonosc import AnyonParams, ParamArrays, ParameterError
 from anyonosc.dimer import (DEFAULT_CONJUGATION, EP_COARSE_POINTS, EP_CONDITION_MARKER,
-                            EP_GAP_FACTOR, build_weff, channel_coefficients,
+                            EP_GAP_FACTOR, EP_ZOOM_POINTS, build_weff, channel_coefficients,
                             dissipative_rates, find_exceptional_point,
-                            match_branches, normal_mode_frequencies)
+                            match_branches, normal_mode_frequencies, weff_eigenvalues,
+                            weff_entries)
 from anyonosc.params import BETA_OMEGA_FLOOR
 from anyonosc.spectra import GridSpec
 from anyonosc.sweeps import (RunConfig, Conventions, SweepAxis, run_fig1, run_fig2, run_fig3,
@@ -242,8 +243,9 @@ def reference_labels(pairs):
 
 
 def reference_find_exceptional_point(params, theta_bracket=None, frequency_convention="appendix",
-                                     conjugation="modulus", stat_dephasing=False,
-                                     coarse_points=512):
+                                     conjugation="modulus", stat_dephasing=False):
+    """The locator's repeated scan, one reference_build_weff per angle: 512
+    angles over the bracket, then 33 over the two cells around each minimum."""
     if theta_bracket is None:
         theta_bracket = (0.0, math.pi - 0.01)
     lo, hi = theta_bracket
@@ -252,24 +254,13 @@ def reference_find_exceptional_point(params, theta_bracket=None, frequency_conve
         p = params.with_(theta=theta)
         return reference_build_weff(p, frequency_convention, conjugation, stat_dephasing).gap
 
-    grid = np.linspace(lo, hi, coarse_points)
-    gaps = np.array([gap_at(t) for t in grid])
-    k = int(np.argmin(gaps))
-    a = grid[max(0, k - 1)]
-    b = grid[min(coarse_points - 1, k + 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = gap_at(c), gap_at(d)
-    while b - a > 1e-14:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = gap_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = gap_at(d)
+    grid = np.linspace(lo, hi, 512)
+    while True:
+        k = int(np.argmin([gap_at(t) for t in grid]))
+        a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+        if b - a <= 1e-14:
+            break
+        grid = np.linspace(a, b, 33)
     theta_star = 0.5 * (a + b)
     return theta_star, gap_at(theta_star)
 
@@ -610,27 +601,37 @@ class TestExceptionalPointAgainstReference:
     @settings(deadline=None, max_examples=100)
     @given(_params, _conventions, st.sampled_from(_BRACKETS))
     def test_refines_on_the_one_point_gap(self, p, conventions, bracket):
-        # the locator's array gap against a golden section driven by build_weff
+        # the locator's array gap against the same repeated scan driven by build_weff
         def gap_at(theta):
             return build_weff(p.with_(theta=theta), *conventions).gap
 
         lo, hi = bracket or (0.0, math.pi - 0.01)
         grid = np.linspace(lo, hi, EP_COARSE_POINTS)
-        k = int(np.argmin([gap_at(t) for t in grid]))
-        a, b = grid[max(0, k - 1)], grid[min(EP_COARSE_POINTS - 1, k + 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = gap_at(c), gap_at(d)
-        while b - a > 1e-14:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = gap_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = gap_at(d)
+        while True:
+            k = int(np.argmin([gap_at(t) for t in grid]))
+            a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+            if b - a <= 1e-14:
+                break
+            grid = np.linspace(a, b, EP_ZOOM_POINTS)
         theta_star = 0.5 * (a + b)
         got = find_exceptional_point(p, bracket, *conventions)
         assert got.theta == theta_star
         assert got.gap == gap_at(theta_star)
+
+    # the bound adds 4 ulps of the gap, which at beta * omega ~ 1e-4 is about
+    # 1e4 gamma and rounds in steps of 4e-12 gamma; gamma starts at 0.01 because
+    # the gap is taken at the midpoint of a 1e-14 bracket, which adds the gap's
+    # slope times 5e-15 whatever gamma is (up to 1e-14 measured, down to gamma = 0)
+    @settings(deadline=None, max_examples=200)
+    @given(st.builds(AnyonParams, theta=_theta, xi=_xi, omega=st.floats(0.05, 5.0),
+                     coupling_j=st.floats(-1.0, 1.0), gamma=st.floats(0.01, 2.0),
+                     beta=st.floats(1e-3, 20.0)),
+           _conventions, st.sampled_from(_BRACKETS))
+    def test_gap_is_at_most_the_coarse_minimum(self, p, conventions, bracket):
+        lo, hi = bracket or (0.0, math.pi - 0.01)
+        grid = ParamArrays.over(p, theta=np.linspace(lo, hi, EP_COARSE_POINTS))
+        lp, lm = weff_eigenvalues(*weff_entries(grid, *conventions))
+        got = find_exceptional_point(p, bracket, *conventions)
+        assert lo <= got.theta <= hi
+        coarse = np.min(np.abs(lp - lm))
+        assert got.gap <= coarse + 1e-12 * p.gamma + 4 * ULP * coarse
