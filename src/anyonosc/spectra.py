@@ -1,17 +1,16 @@
 """Third-order rephasing 2D spectra: the braided d x d dipole acting from the
-ket or bra side, frequency grids via resolvent solves, diagonal-slice
-lineshapes and the bright branch's detuning."""
+ket or bra side, frequency grids as the product of two resolvent factors, and
+diagonal-slice lineshapes."""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dimer import (DEFAULT_CONJUGATION, DEFAULT_FREQUENCY_CONVENTION, build_weff,
-                    deformed_mode_phase)
+from .dimer import DEFAULT_CONJUGATION
 from .fock import FockSystem, _kron_sum, build_liouvillian, expm, liouvillian_terms
 from .params import AnyonParams
 
@@ -72,24 +71,37 @@ class GridSpec:
             return np.linspace(self.lo, self.hi, self.count)
 
 
-@dataclass(frozen=True)
 class SpectrumGrid:
     """R(3)(omega_tau, t2, omega_t) on a uniform detuning grid.
 
     values[i, j] is indexed (omega_tau = axis_i, omega_t = axis_j); values of
-    another shape are a ValueError. metadata records what the run
-    configuration cannot show: the equilibrium state, the splitting the Fock
-    Hamiltonian used, and the axis, sign and prefactor conventions.
+    another shape are a ValueError. A pathway grid (``product``) holds the
+    factors x of omega_tau and w of omega_t and forms values = x w^T on first
+    read. metadata records what the run configuration cannot show: the
+    equilibrium state, the splitting the Fock Hamiltonian used, and the axis,
+    sign and prefactor conventions.
     """
 
-    axis: np.ndarray
-    values: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, axis: np.ndarray, values: np.ndarray, metadata: dict | None = None):
+        n = axis.size
+        if np.shape(values) != (n, n):
+            raise ValueError(f"values {np.shape(values)} do not match a {n}-point axis")
+        self.axis, self.metadata = axis, {} if metadata is None else metadata
+        self._values, self._factors = values, None
 
-    def __post_init__(self):
-        n = self.axis.size
-        if np.shape(self.values) != (n, n):
-            raise ValueError(f"values {np.shape(self.values)} do not match a {n}-point axis")
+    @classmethod
+    def product(cls, axis: np.ndarray, x: np.ndarray, w: np.ndarray, metadata: dict):
+        """The grid of the factors x and w, each (axis.size, k), not yet formed."""
+        grid = cls.__new__(cls)
+        grid.axis, grid.metadata, grid._values, grid._factors = axis, metadata, None, (x, w)
+        return grid
+
+    @property
+    def values(self) -> np.ndarray:
+        """The n x n cells; a product grid forms them on first read and keeps them."""
+        if self._values is None:
+            self._values = np.einsum("ik,jk->ij", *self._factors)
+        return self._values
 
 
 def _low_liouvillian(system: FockSystem, params: AnyonParams, jump_basis: str,
@@ -142,17 +154,17 @@ def _resolvents(block, shifts, rhs):
 
 
 def _apply(op, vecs):
-    """op @ v for every row v of ``vecs``. einsum, not BLAS: each cell sums in
-    an order that does not depend on how many rows are stacked, so a grid cell
-    and a single-point evaluation agree bit for bit."""
+    """op @ v for every row v of ``vecs``. einsum, not BLAS: each entry sums in
+    an order that does not depend on how many rows are stacked, so a factor's
+    row, and so a grid cell, has the same bits in a grid and at a single point."""
     return np.einsum("jk,ik->ij", op, vecs)
 
 
 def _pathway(params: AnyonParams, t2: float, tau_axis: np.ndarray, t_axis: np.ndarray,
-             jump_basis: str, conjugation: str) -> np.ndarray:
-    """values[i, j] of the rephasing pathway at (tau_axis[i], t_axis[j]), after
-    the input checks. Each cell depends only on its own two frequencies, so a
-    grid cell and a one-point call agree bit for bit."""
+             jump_basis: str, conjugation: str):
+    """The factors (x, w) of the pathway, after the input checks: the cell at (tau_axis[i],
+    t_axis[j]) is sum_k x[i, k] w[j, k]. Each row of a factor depends only on its own
+    frequency, so a grid cell and a one-point call agree bit for bit."""
     if params.gamma <= 0.0:
         raise ValueError("rephasing response requires gamma > 0 for convergent resolvents")
     if not (math.isfinite(t2) and t2 >= 0.0):
@@ -168,13 +180,13 @@ def _pathway(params: AnyonParams, t2: float, tau_axis: np.ndarray, t_axis: np.nd
     tr_mu = mu.T.ravel()
 
     x = _resolvents(liouv[np.ix_(first, first)], 1j * tau_axis, -v0[first])
-    z = _apply(_ket_dipole(mu, mid, first), x)
+    p = _ket_dipole(mu, mid, first)
     if t2 > 0.0:
-        z = _apply(expm(liouv[np.ix_(mid, mid)] * t2), z)
-    z = _apply(_ket_dipole(mu, last, mid), z)
+        p = expm(liouv[np.ix_(mid, mid)] * t2) @ p
+    p = _ket_dipole(mu, last, mid) @ p
     # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
     y = _resolvents(liouv[np.ix_(last, last)].T, -1j * t_axis, -tr_mu[last])
-    return _apply(y, z) * (1j) ** 3
+    return x, _apply(p.T, y) * (1j) ** 3
 
 
 def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec | None = None,
@@ -184,11 +196,15 @@ def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec |
 
     The pathway starts from the vacuum, the only stationary state of a
     generator whose jumps all lower, as the third-order response formula
-    assumes. Applied right to left exactly in the printed order: bra-side
-    mu, conjugate-interval resolvent at omega_tau (sign -1), ket-side mu,
+    assumes. The printed order, right to left: bra-side mu,
+    conjugate-interval resolvent at omega_tau (sign -1), ket-side mu,
     population propagation over t2, ket-side mu, ket-interval resolvent at
     omega_t (sign +1), bra-side mu, trace, times (i/hbar)^3 with hbar = 1.
     The Liouvillian is built in the rotating frame (carrier omega removed).
+
+    R1 holds 2 states, so the grid has rank <= 2: the (N x 2) R1 solves x at omega_tau
+    times w = (i)^3 P^T y, the R3 left vectors y at omega_t contracted with P = mu_last
+    e^{L t2} mu_mid (10 x 2). The grid keeps x and w; its N^2 cells form on first read.
 
     Each interval is solved on a union R of manifold pairs (ket quanta, bra
     quanta): R1 = (0, 1), R2 = (0, 0) + (1, 1) and R3 = (0, 1) + (1, 0) +
@@ -207,7 +223,7 @@ def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec |
     if grid is None:
         grid = GridSpec()
     axis = grid.axis()
-    values = _pathway(params, t2, axis, axis, jump_basis, conjugation)
+    x, w = _pathway(params, t2, axis, axis, jump_basis, conjugation)
     meta = {
         "rho_eq": "vacuum",
         # build_hamiltonian's exchange amplitude is always J cos(theta/2)
@@ -218,19 +234,20 @@ def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec |
         "first_interval_axis": "omega_tau",
         "prefactor": "(i/hbar)^3, hbar = 1",
     }
-    return SpectrumGrid(axis, values, meta)
+    return SpectrumGrid.product(axis, x, w, meta)
 
 
 def response_point(params: AnyonParams, omega_tau: float, omega_t: float, *, t2: float = 0.0,
                    jump_basis: str = DEFAULT_JUMP_BASIS,
                    conjugation: str = DEFAULT_CONJUGATION) -> complex:
-    """Single-point evaluation, bit-identical to the matching grid cell."""
+    """Single-point evaluation: the 1 x 1 grid of the pathway's factors,
+    bit-identical to the matching grid cell and diagonal entry."""
     for name, value in (("omega_tau", omega_tau), ("omega_t", omega_t)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    values = _pathway(params, t2, np.array([float(omega_tau)]), np.array([float(omega_t)]),
-                      jump_basis, conjugation)
-    return complex(values[0, 0])
+    x, w = _pathway(params, t2, np.array([float(omega_tau)]), np.array([float(omega_t)]),
+                    jump_basis, conjugation)
+    return complex(np.einsum("ik,jk->ij", x, w)[0, 0])
 
 
 def rephasing_response_quadrature(system: FockSystem, dipole: np.ndarray, params: AnyonParams,
@@ -291,8 +308,11 @@ class LineshapeMetrics:
 
 
 def diagonal_slice(grid: SpectrumGrid):
-    """(axis, values) along omega_t = omega_tau."""
-    return grid.axis.copy(), np.diagonal(grid.values).copy()
+    """(axis, values) along omega_t = omega_tau: of a grid not yet formed, the
+    row-wise product of its factors, the same bits, and no other cell."""
+    if grid._values is None:
+        return grid.axis.copy(), np.einsum("ik,ik->i", *grid._factors)
+    return grid.axis.copy(), np.diagonal(grid._values).copy()
 
 
 def lineshape_metrics(detunings: np.ndarray, values: np.ndarray) -> LineshapeMetrics:
@@ -315,23 +335,3 @@ def lineshape_metrics(detunings: np.ndarray, values: np.ndarray) -> LineshapeMet
     max_re = np.max(np.abs(re))
     disp = float(1.0 - abs(re[i]) / max_re) if max_re > 0 else 0.0
     return LineshapeMetrics(float(detunings[i]), asym, disp)
-
-
-def bright_branch_detuning(params: AnyonParams,
-                           frequency_convention: str = DEFAULT_FREQUENCY_CONVENTION,
-                           conjugation: str = DEFAULT_CONJUGATION) -> float:
-    """Detuning of the dipole-dominant ("bright") effective mode.
-
-    The vacuum dipole excitation (|10> + |01>)/sqrt2 has amplitudes
-    ((1 + g)/2, (1 - g)/2) on the deformed modes b~+/- = (a1 +/- g a2)/sqrt2,
-    with the same g = e^{-i theta/2} as the Fock Hamiltonian and jump
-    operators; the bright branch is the eigenvector with the larger overlap
-    against that excitation.
-    """
-    w = build_weff(params, frequency_convention, conjugation)
-    g = deformed_mode_phase(params.theta)
-    bright = np.array([(1.0 + g) / 2.0, (1.0 - g) / 2.0], dtype=complex)
-    bright /= np.linalg.norm(bright)
-    weights = [abs(np.vdot(w.right_eigenvectors[:, k], bright)) for k in range(2)]
-    lam = w.eigenvalues[int(np.argmax(weights))]
-    return -lam.imag - params.omega

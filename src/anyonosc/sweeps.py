@@ -281,8 +281,8 @@ class Fig3Result:
 
 
 def run_fig3(config: RunConfig) -> Fig3Result:
-    """Rephasing spectra for each (theta, xi), with stacked diagonal slices
-    and the bright-mode overlay curves (the W_eff branches of ``run_fig2``)."""
+    """Rephasing spectra for each (theta, xi), stacked diagonal slices read from each
+    grid's factors (no n x n cells), and the bright-mode overlay curves (``run_fig2``'s W_eff)."""
     thetas = config.theta_list or FIG3_THETAS
     xis = config.xi_list or FIG3_XI
     p = config.params

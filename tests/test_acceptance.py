@@ -18,9 +18,10 @@ from anyonosc import (AnyonParams, FockSystem, GridSpec, RunConfig,
                       diagonal_slice, find_exceptional_point,
                       fit_decay_rate, gamma_full_single, gamma_stat,
                       lineshape_metrics, phase_average, rephasing_response)
+from anyonosc.dimer import deformed_mode_phase
 from anyonosc.output import csv_text
 from anyonosc.rates import phase_average_series
-from anyonosc.spectra import bright_branch_detuning, rephasing_response_quadrature, response_point
+from anyonosc.spectra import rephasing_response_quadrature, response_point
 from anyonosc.sweeps import SweepAxis, run_fig1, run_fig2, run_fig3
 
 
@@ -155,6 +156,24 @@ def _slice_metrics(theta, xi, n=128):
     grid = rephasing_response(p, grid=GridSpec(count=n))
     det, vals = diagonal_slice(grid)
     return grid, det, vals, lineshape_metrics(det, vals)
+
+
+def bright_branch_detuning(params):
+    """Detuning of the dipole-dominant ("bright") effective mode.
+
+    The vacuum dipole excitation (|10> + |01>)/sqrt2 has amplitudes
+    ((1 + g)/2, (1 - g)/2) on the deformed modes b~+/- = (a1 +/- g a2)/sqrt2,
+    with the same g = e^{-i theta/2} as the Fock Hamiltonian and jump
+    operators; the bright branch is the eigenvector with the larger overlap
+    against that excitation.
+    """
+    w = build_weff(params)
+    g = deformed_mode_phase(params.theta)
+    bright = np.array([(1.0 + g) / 2.0, (1.0 - g) / 2.0], dtype=complex)
+    bright /= np.linalg.norm(bright)
+    weights = [abs(np.vdot(w.right_eigenvectors[:, k], bright)) for k in range(2)]
+    lam = w.eigenvalues[int(np.argmax(weights))]
+    return -lam.imag - params.omega
 
 
 def test_criterion_07_bright_mode_tracking():

@@ -515,6 +515,34 @@ class TestCliFigures:
         svgs = list(out_dir.glob("*.svg"))
         assert len(svgs) == 2
 
+    @pytest.mark.parametrize("command, svg, grids", [
+        ("fig3", False, 0), ("fig3", True, 4), ("spectrum", False, 1), ("spectrum", True, 1)],
+        ids=["fig3", "fig3-svg", "spectrum", "spectrum-svg"])
+    def test_grids_are_formed_only_where_written(self, capsys, monkeypatch, tmp_path, command,
+                                                 svg, grids):
+        # a grid's n x n cells come from one einsum of its two factors, made
+        # once and only where a command writes them: spectrum's CSV and SVG,
+        # and each fig3 panel's SVG
+        shapes = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            out = einsum(*args, **kwargs)
+            shapes.append(np.shape(out))
+            return out
+
+        monkeypatch.setattr(np, "einsum", spy)
+        if command == "fig3":
+            argv = ["fig3", "--theta-list", "0.5,1.5", "--xi-list", "0,1",
+                    "--out", str(tmp_path / "fig3")] + ["--svg"] * svg
+        else:
+            argv = ["spectrum", "--out", str(tmp_path / "grid.csv")] + \
+                ["--svg", str(tmp_path / "grid.svg")] * svg
+        code, _, err = run_cli(capsys, *argv, "--grid", "24")
+        assert code == 0, err
+        assert (24, 2) in shapes  # the spy sees the factors made
+        assert shapes.count((24, 24)) == grids
+
     def test_fig3_odd_grid(self, capsys, tmp_path):
         out_dir = tmp_path / "fig3"
         code, _, err = run_cli(capsys, "fig3", "--grid", "17", "--theta-list", "0.8",

@@ -1,0 +1,54 @@
+"""tools/compare_outputs.py: one tree against itself, and its file comparison."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+TOOL = os.path.join(ROOT, "tools", "compare_outputs.py")
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_tree_writes_what_it_writes(tool):
+    proc = subprocess.run([sys.executable, TOOL, ROOT, ROOT, "--draws", "4", "--seed", "1"],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    readme, _ = tool.readme_commands(ROOT)
+    assert summary["commands"] == len(readme) + 4
+    # every README line but ep-locate writes a CSV and its sidecar
+    assert summary["files"] >= 2 * (len(readme) - 1)
+    assert summary["files"] == summary["identical_files"]
+    assert summary["stream_mismatches"] == 0
+
+
+def test_differences_are_found_and_measured(tool, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, re, created in ((a, "1", "2026-01-01T00:00:00+00:00"),
+                           (b, "1.0000000000000002", "2030-01-01T00:00:00+00:00")):
+        d.mkdir()
+        (d / "g.csv").write_text(f"re [arb],im [arb]\n{re},-2\n0.5,1\n")
+        (d / "g.csv.meta.json").write_text(f'{{\n  "artifact": "anyonosc",\n'
+                                           f'  "created": "{created}",\n  "version": "0"\n}}\n')
+        (d / "g.svg").write_text("<svg/>\n")
+    (b / "extra.svg").write_text("<svg/>\n")
+    got = tool.compare_command(str(a), str(b), (0, "", "wrote g.csv\n"), (1, "", "wrote g.csv\n"))
+    assert got["streams_differ"] == ["exit"]
+    files = got["files"]
+    assert files["g.csv.meta.json"] == {"identical": True}  # only "created" differs
+    assert files["g.svg"] == {"identical": True}
+    assert files["extra.svg"] == {"identical": False, "only_in": "B"}
+    dev = files["g.csv"]["deviation"]
+    assert dev["re"] == pytest.approx(2.2e-16, rel=0.01) and dev["im"] == 0.0
+    assert dev["re+i im"] == pytest.approx(2.2e-16 / 5 ** 0.5, rel=0.01)
