@@ -74,18 +74,16 @@ class GridSpec:
 class SpectrumGrid:
     """R(3)(omega_tau, t2, omega_t) on a uniform detuning grid.
 
-    values[i, j] is indexed (omega_tau = axis_i, omega_t = axis_j); values of
-    another shape are a ValueError. A pathway grid (``product``) holds the
-    factors x of omega_tau and w of omega_t and forms values = x w^T on first
-    read. metadata records what the run configuration cannot show: the
-    equilibrium state, the splitting the Fock Hamiltonian used, and the axis,
-    sign and prefactor conventions.
+    values[i, j] is indexed (omega_tau = axis_i, omega_t = axis_j). A pathway
+    grid (``product``) holds the factors x of omega_tau and w of omega_t and
+    forms values = x w^T on first read. metadata records what the run
+    configuration cannot show: the equilibrium state, the splitting the Fock
+    Hamiltonian used, and the axis, sign and prefactor conventions.
     """
 
     def __init__(self, axis: np.ndarray, values: np.ndarray, metadata: dict | None = None):
-        n = axis.size
-        if np.shape(values) != (n, n):
-            raise ValueError(f"values {np.shape(values)} do not match a {n}-point axis")
+        if np.shape(values) != (axis.size,) * 2:
+            raise ValueError(f"values {np.shape(values)} do not match a {axis.size}-point axis")
         self.axis, self.metadata = axis, {} if metadata is None else metadata
         self._values, self._factors = values, None
 
@@ -102,6 +100,12 @@ class SpectrumGrid:
         if self._values is None:
             self._values = np.einsum("ik,jk->ij", *self._factors)
         return self._values
+
+    def diagonal(self) -> np.ndarray:
+        """values[i, i]; of a product grid, always the row-wise product of the factors."""
+        if self._factors is not None:
+            return np.einsum("ik,ik->i", *self._factors)
+        return np.diagonal(self._values).copy()
 
 
 def _low_liouvillian(system: FockSystem, params: AnyonParams, jump_basis: str,
@@ -308,11 +312,8 @@ class LineshapeMetrics:
 
 
 def diagonal_slice(grid: SpectrumGrid):
-    """(axis, values) along omega_t = omega_tau: of a grid not yet formed, the
-    row-wise product of its factors, the same bits, and no other cell."""
-    if grid._values is None:
-        return grid.axis.copy(), np.einsum("ik,ik->i", *grid._factors)
-    return grid.axis.copy(), np.diagonal(grid._values).copy()
+    """(axis, values) along omega_t = omega_tau; forms no other cell."""
+    return grid.axis.copy(), grid.diagonal()
 
 
 def lineshape_metrics(detunings: np.ndarray, values: np.ndarray) -> LineshapeMetrics:

@@ -287,8 +287,7 @@ def run_fig3(config: RunConfig) -> Fig3Result:
     xis = config.xi_list or FIG3_XI
     p = config.params
 
-    grids = []
-    slice_rows = []
+    grids, slice_rows = [], []
     for xi in xis:
         for theta in thetas:
             g = run_spectrum(config, p.with_(theta=float(theta), xi=float(xi)))

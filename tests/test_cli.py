@@ -416,8 +416,9 @@ class TestCliSpectrum:
 
         def with_nan(*args, **kwargs):
             grid = original(*args, **kwargs)
-            grid.values[2, 2] = np.inf
-            return grid
+            values = grid.values.copy()
+            values[2, 2] = np.inf
+            return anyonosc.spectra.SpectrumGrid(grid.axis, values, grid.metadata)
 
         monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", with_nan)
         code, _, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1",

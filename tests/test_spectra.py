@@ -171,8 +171,9 @@ class TestRephasingResponse:
         p = AnyonParams(theta=theta, xi=xi, beta=math.exp(log_beta))
         kw = {"t2": t2, "jump_basis": jump_basis, "conjugation": conjugation}
         grid = rephasing_response(p, grid=GridSpec(count=count), **kw)
-        _, diagonal = diagonal_slice(grid)  # before the values are formed
+        _, diagonal = diagonal_slice(grid)  # from the factors, cells formed or not
         assert diagonal.tobytes() == np.diagonal(grid.values).tobytes()
+        assert diagonal_slice(grid)[1].tobytes() == diagonal.tobytes()
         # the 36 x 36 block is a function of the parameter point alone: built
         # once, it leaves every bit and takes a point call from 1.4 to 0.3 ms
         block = _low_liouvillian(FockSystem(cutoff=PATHWAY_QUANTA, theta=theta), p,
@@ -697,5 +698,12 @@ class TestBrightModeOverlay:
         assert rows[k, 0] == pytest.approx(ep.theta, abs=0.02)
 
     def test_bright_branch_at_boson_point_is_upper(self):
-        rows = overlay_rows([0.0], AnyonParams(theta=0.0, xi=0.0, coupling_j=0.2))
-        assert np.min(np.abs(rows[0, 2:4] - 0.2)) <= 1e-12
+        # fig3's slice peaks at the overlay's upper branch, +J, and is dim at -J
+        config = RunConfig(params=AnyonParams(theta=0.0, xi=0.0, coupling_j=0.2),
+                           grid=GridSpec(count=101), theta_list=(0.0,), xi_list=(0.0,))
+        fig3 = run_fig3(config)
+        lower, upper = np.sort(fig3.overlay.rows[0, 2:4])
+        assert upper == pytest.approx(0.2, abs=1e-12)
+        det, mag = fig3.slices.column("detuning"), fig3.slices.column("abs")
+        assert abs(det[np.argmax(mag)] - upper) <= det[1] - det[0]
+        assert mag[np.argmin(np.abs(det - upper))] > 5.0 * mag[np.argmin(np.abs(det - lower))]

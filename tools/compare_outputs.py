@@ -1,6 +1,6 @@
 """Run the same anyonosc commands on two source trees and compare what they write.
 
-    python tools/compare_outputs.py TREE_A TREE_B [--draws N] [--seed S] [--report PATH]
+    python tools/compare_outputs.py TREE_A TREE_B [--draws N] [--seed S]
 
 TREE_A and TREE_B are checkouts of this repository (each with ``src/anyonosc``).
 The commands are every line of TREE_A's README ``## CLI`` block, with its
@@ -13,9 +13,8 @@ Per command it compares the exit code, stdout and stderr; per file written,
 the bytes (a sidecar with its ``created`` line removed). A CSV that differs
 gets the worst relative deviation of each numeric column, max |a - b| / max |a|
 over the rows, and, where it has ``re`` and ``im`` columns, that of re + i im.
-Mismatches are printed one per line; the last line is a JSON summary, and
-``--report`` writes every command's argv and comparison as JSON. The exit
-status is 0 when every stream and file matches, else 1.
+Mismatches are printed one per line; the last line is a JSON summary. The
+exit status is 0 when every stream and file matches, else 1.
 """
 
 from __future__ import annotations
@@ -194,7 +193,6 @@ def main(argv=None) -> int:
     ap.add_argument("tree_b", nargs="?")
     ap.add_argument("--draws", type=int, default=40, help="seeded spectrum/fig3 commands")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--report", help="write every command's comparison here as JSON")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
@@ -211,12 +209,11 @@ def main(argv=None) -> int:
         for label, tree in (("A", args.tree_a), ("B", args.tree_b)):
             os.makedirs(os.path.join(work, label))
             results.append(run_tree(tree, os.path.join(work, label), commands, run_json))
-        report, worst = [], {}
+        worst = {}
         nfiles = identical = mismatched_streams = 0
         for k, (argv, res_a, res_b) in enumerate(zip(commands, *results)):
             entry = compare_command(os.path.join(work, "A", str(k)),
                                     os.path.join(work, "B", str(k)), res_a, res_b)
-            report.append({"argv": argv, **entry})
             line = " ".join(argv)
             if entry["streams_differ"]:
                 mismatched_streams += 1
@@ -235,9 +232,6 @@ def main(argv=None) -> int:
                 print(f"[{k}] {line}: {name} differs" + (f"; {detail}" if detail else ""))
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
     summary = {"commands": len(commands), "files": nfiles, "identical_files": identical,
                "differing_files": nfiles - identical, "stream_mismatches": mismatched_streams,
                "worst_deviation": {col: {"value": v, "command": k}
