@@ -17,15 +17,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dimer import CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS, find_exceptional_point
+from .dimer import CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS
 from .fock import JUMP_BASES
-from .output import (SweepResult, _csv_blocks, grid_result, sidecar_path, write_grid_svg,
-                     write_outputs)
+from .output import _csv_blocks, grid_result, sidecar_path, write_grid_svg, write_outputs
 from .params import ParameterError
 from .spectra import GridSpec
 from .sweeps import (FIG2_XI, FIG3_THETAS, FIG3_XI, THETA_AXIS, ConfigError, Conventions,
-                     RunConfig, SweepAxis, load_config, parse_range, run_fig1, run_fig2,
-                     run_fig3, run_spectrum, run_sweep)
+                     RunConfig, SweepAxis, load_config, parse_range, run_ep_locate, run_fig1,
+                     run_fig2, run_fig3, run_spectrum, run_sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,7 +250,7 @@ def _run(args) -> int:
     cfg = _config(args)
     files = _files(args, cfg)
     _check(files, mkdirs=args.command == "fig3")
-    params, conv = cfg.params, cfg.conventions
+    params = cfg.params
     if args.command == "sweep":
         _emit(run_sweep(cfg), cfg.output_path, cfg)
     elif args.command in ("single-rates", "fig1"):
@@ -259,14 +258,7 @@ def _run(args) -> int:
     elif args.command in ("dimer-rates", "fig2"):
         _emit(run_fig2(cfg), args.out, cfg)
     elif args.command == "ep-locate":
-        bracket = next(((ax.start, ax.stop) for ax in cfg.sweep), None)
-        ep = find_exceptional_point(params, bracket, conv.frequency, conv.conjugation,
-                                    conv.stat_dephasing)
-        res = SweepResult(columns=("theta_star", "gap", "ep_found", "threshold"),
-                          units=("rad", "omega", "bool", "omega"),
-                          rows=[(ep.theta, ep.gap, int(ep.found), ep.threshold)],
-                          metadata={"generator": "ep-locate"})
-        _emit(res, args.out, cfg)
+        _emit(run_ep_locate(cfg), args.out, cfg)
     elif args.command == "spectrum":
         g = run_spectrum(cfg, params)
         _emit(grid_result(g), args.out, cfg)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import AnyonParams, ParamArrays
-from .rates import gamma_stat, thermal_occupation
+from .rates import _complex, gamma_stat, thermal_occupation
 
 FREQUENCY_CONVENTIONS = ("appendix", "maintext")
 CONJUGATION_CONVENTIONS = ("modulus", "analytic")
@@ -75,11 +75,7 @@ def _mul(x, y):
     multiply fuses them (FMA) and differs in the last bit on about 40% of
     inputs."""
     x, y = np.asarray(x), np.asarray(y)
-    real = x.real * y.real - x.imag * y.imag
-    out = np.empty(real.shape, dtype=complex)
-    out.real = real
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out[()]
+    return _complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
 
 
 # channel_coefficients' channel order: emission +/-, absorption +/-
@@ -141,9 +137,7 @@ def _channel_sum(x, y):
     total_re = total_im = 0.0
     for k in range(len(re)):
         total_re, total_im = total_re + re[k], total_im + im[k]
-    total = np.empty(np.shape(total_re), dtype=complex)
-    total.real, total.imag = total_re, total_im
-    return total[()]
+    return _complex(total_re, total_im)
 
 
 def dissipative_rates(params: AnyonParams | ParamArrays,
@@ -196,12 +190,24 @@ def weff_eigenvalues(a, b, c, d) -> tuple:
     lambda_+/- = (A + D +/- sqrt((A-D)^2 + 4BC))/2 with the principal branch.
     A discriminant imaginary part within round-off (1e-12 of |A-D|^2 + 4|BC|)
     is set to +0.0, so the sign of a rounding error cannot pick the branch of
-    the root.
+    the root. A matrix with an entry above 2^500 in modulus is scaled by an exact
+    power of two to below 2^500, its eigenvalues back: the squares stay finite.
     """
+    shift = None
+    largest = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    if np.max(largest) > 2.0 ** 500:
+        shift = np.where(largest > 2.0 ** 500, 500 - np.frexp(largest)[1], 0)
+        a, b, c, d = (_ldexp(z, shift) for z in (a, b, c, d))
     disc = _mul(a - d, a - d) + _mul(4.0 * b, c)
     real = np.abs(disc.imag) <= 1e-12 * (_modulus(a - d) ** 2 + 4.0 * _modulus(_mul(b, c)))
     root = np.sqrt(np.where(real, disc.real, disc))
-    return 0.5 * (a + d + root), 0.5 * (a + d - root)
+    lam = 0.5 * (a + d + root), 0.5 * (a + d - root)
+    return lam if shift is None else tuple(_ldexp(x, -shift) for x in lam)
+
+
+def _ldexp(z, exponent):
+    """z * 2**exponent, exact unless a part leaves the normal range."""
+    return _complex(np.ldexp(np.real(z), exponent), np.ldexp(np.imag(z), exponent))
 
 
 def _coupled(b, c):

@@ -6,8 +6,8 @@ behind the 2D spectra. The Liouvillian is one list of (c, A, B) Kronecker
 terms over d x d factors (``liouvillian_terms``), summed from the nonzeros
 of the factors (``_kron_sum``) into the dense array: 81x81 at the default
 two-mode cutoff 2, and 2401x2401, 0.3% nonzero, at cutoff 6 for the
-criterion-6 oracle. The spectra sum the same terms with factors restricted
-to the states of at most two quanta, a 36x36 block. The two-mode jump
+criterion-6 oracle. The spectra gather the same terms on the pair states
+their pathway touches (``_kron_block``), a 15x15 block. The two-mode jump
 operators take their coefficients from the channel table that also sets
 W_eff (``dimer.channel_coefficients``).
 """
@@ -122,6 +122,16 @@ def _kron_sum(terms, dim: int) -> np.ndarray:
         rows = (ia[:, None] * dim + ib).ravel()
         cols = (ja[:, None] * dim + jb).ravel()
         np.add.at(out, (rows, cols), np.multiply.outer(coeff * a[ia, ja], b[ib, jb]).ravel())
+    return out
+
+
+def _kron_block(terms, kets: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """sum c * kron(A, B) on the row-major pair states (kets[i], bras[i]): entry (i, j)
+    is sum c * A[kets[i], kets[j]] * B[bras[i], bras[j]], the terms added in order. With
+    finite factors, ``_kron_sum``'s entries bit for bit (a product it skips is +-0 here)."""
+    out = np.zeros((kets.size, kets.size), dtype=complex)
+    for coeff, a, b in terms:
+        out += coeff * a[np.ix_(kets, kets)] * b[np.ix_(bras, bras)]
     return out
 
 

@@ -56,6 +56,13 @@ def q_bracket(n: int, theta: float) -> complex:
     return (1.0 - q**n) / (1.0 - q)
 
 
+def _complex(real, imag):
+    """The complex array of two parts of one shape, a scalar when 0-d."""
+    out = np.empty(np.shape(real), dtype=complex)
+    out.real, out.imag = real, imag
+    return out[()]
+
+
 def _divide(a, b):
     """a/b for real a and complex b, divided as CPython divides complex
     numbers (Smith's method, dividing by the scaled denominator where numpy
@@ -66,10 +73,8 @@ def _divide(a, b):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # np.where drops it
         ratio = np.where(wide, bi / br, br / bi)
         denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-        out = np.empty(np.shape(denom), dtype=complex)
-        out.real = np.where(wide, a + 0.0 * ratio, a * ratio + 0.0) / denom
-        out.imag = np.where(wide, 0.0 - a * ratio, 0.0 * ratio - a) / denom
-    return out[()]
+        return _complex(np.where(wide, a + 0.0 * ratio, a * ratio + 0.0) / denom,
+                        np.where(wide, 0.0 - a * ratio, 0.0 * ratio - a) / denom)
 
 
 def thermal_occupation(theta: float, beta: float, omega: float) -> complex:

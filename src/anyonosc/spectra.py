@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimer import DEFAULT_CONJUGATION
-from .fock import FockSystem, _kron_sum, build_liouvillian, expm, liouvillian_terms
+from .fock import FockSystem, _kron_block, build_liouvillian, expm, liouvillian_terms
 from .params import AnyonParams
 
 DEFAULT_JUMP_BASIS = "site"  # fig-3 style spectra; logged in grid metadata
@@ -20,7 +20,7 @@ QUADRATURE_STEP = 0.05  # time step of the quadrature oracle
 # ket after the third dipole (the two-exciton bound), one in the bra
 PATHWAY_QUANTA = 2
 # the manifold pairs (ket quanta, bra quanta) R1, R2, R3 of the states after
-# each dipole; L keeps or lowers both quanta, so it leaves no union
+# each dipole (R1 lies in R3); L keeps or lowers both quanta, so it leaves no union
 _INTERVAL_PAIRS = (((0, 1),), ((0, 0), (1, 1)), ((0, 1), (1, 0), (2, 1)))
 
 
@@ -96,9 +96,10 @@ class SpectrumGrid:
 
     @property
     def values(self) -> np.ndarray:
-        """The n x n cells; a product grid forms them on first read and keeps them."""
+        """The n x n cells; a product grid forms them on first read, read-only."""
         if self._values is None:
             self._values = np.einsum("ik,jk->ij", *self._factors)
+            self._values.flags.writeable = False
         return self._values
 
     def diagonal(self) -> np.ndarray:
@@ -108,44 +109,32 @@ class SpectrumGrid:
         return np.diagonal(self._values).copy()
 
 
-def _low_liouvillian(system: FockSystem, params: AnyonParams, jump_basis: str,
-                     conjugation: str):
-    """(low, L_low): the states ``low`` of at most PATHWAY_QUANTA quanta and
-    the rotating-frame Liouvillian on their row-major pairs P.
-
-    At any cutoff >= 2, ``low`` is |00>, |01>, |02>, |10>, |11>, |20> in that
-    order and L_low is 36 x 36. Entry (s, t) of sum c A (x) B reads A and B
-    only at the kets and bras of s and t, so the factors restricted to
-    ``low`` give L[P, P] bit for bit: ``_kron_sum`` sums the same products in
-    the same order. L maps a manifold pair (n, m) of ket and bra quanta only
-    into (n, m) and (n - 1, m - 1), so the pathway's unions of pairs
-    (``_INTERVAL_PAIRS``) never leave P.
-    """
-    low = np.flatnonzero(system.total_quanta <= PATHWAY_QUANTA)
-    sub = np.ix_(low, low)
-    terms = liouvillian_terms(system, params, jump_basis, conjugation, rotating=True)
-    return low, _kron_sum([(c, a[sub], b[sub]) for c, a, b in terms], low.size)
-
-
 @functools.cache
-def _pair_states(quanta: tuple, pairs: tuple) -> np.ndarray:
-    """Sorted row-major pair states (index ket * n + bra over the n states of
-    ``quanta``) whose manifold pair (ket quanta, bra quanta) is in ``pairs``;
-    cached, so read-only."""
+def _pathway_states(quanta: tuple):
+    """(kets, bras, intervals): the pair states of the manifold pairs in ``_INTERVAL_PAIRS``
+    in row-major order, as ket and bra indices over the states of ``quanta``, and the
+    positions of R1, R2 and R3 among them. Cached, so read-only."""
     q = np.array(quanta)
-    states = np.flatnonzero(sum(np.outer(q == k, q == b) for k, b in pairs))
-    states.flags.writeable = False
-    return states
+    kets, bras = np.nonzero(sum(np.outer(q == k, q == b) for k, b in set().union(*_INTERVAL_PAIRS)))
+    labels = list(zip(q[kets].tolist(), q[bras].tolist()))
+    intervals = tuple(np.flatnonzero([p in pairs for p in labels]) for pairs in _INTERVAL_PAIRS)
+    for states in (kets, bras, *intervals):
+        states.flags.writeable = False
+    return kets, bras, intervals
 
 
-def _ket_dipole(mu, rows, cols):
-    """The block (mu (x) 1)[rows, cols] of the ket-side dipole on row-major
-    pair states, gathered from mu: a state index is ket * n + bra, and mu
-    acts on the ket alone."""
-    n = mu.shape[0]
-    ket_r, bra_r = np.divmod(rows, n)
-    ket_c, bra_c = np.divmod(cols, n)
-    return np.where(bra_r[:, None] == bra_c, mu[np.ix_(ket_r, ket_c)], 0)
+def _pathway_blocks(system, mu, params, jump_basis, conjugation):
+    """On ``system`` (any cutoff) with the d x d dipole ``mu``: the rotating-frame L[R, R]
+    of R1, R2, R3 and the ket-side (mu (x) 1)[R2, R1], [R3, R2], each taken by position
+    from one gather (``_kron_block``) on the pair states of R2 + R3; vec(rho0 mu) on R1,
+    mu[0, bra] (every R1 ket is the vacuum); the row of tr(. mu) on R3, mu[bra, ket]."""
+    kets, bras, (first, mid, last) = _pathway_states(tuple(system.total_quanta.tolist()))
+    terms = liouvillian_terms(system, params, jump_basis, conjugation, rotating=True)
+    liouv = _kron_block(terms, kets, bras)
+    ket_mu = _kron_block([(1.0, mu, np.eye(system.dim))], kets, bras)
+    return ([liouv[np.ix_(r, r)] for r in (first, mid, last)],
+            [ket_mu[np.ix_(mid, first)], ket_mu[np.ix_(last, mid)]],
+            mu[0, bras[first]], mu[bras[last], kets[last]])
 
 
 def _resolvents(block, shifts, rhs):
@@ -174,23 +163,13 @@ def _pathway(params: AnyonParams, t2: float, tau_axis: np.ndarray, t_axis: np.nd
     if not (math.isfinite(t2) and t2 >= 0.0):
         raise ValueError(f"t2 must be finite and >= 0, got {t2}")
     system = FockSystem(cutoff=PATHWAY_QUANTA, theta=params.theta)
-    low, liouv = _low_liouvillian(system, params, jump_basis, conjugation)
-    quanta = tuple(system.total_quanta[low].tolist())
-    first, mid, last = (_pair_states(quanta, pairs) for pairs in _INTERVAL_PAIRS)
-    sub = np.ix_(low, low)
-    mu = build_dipole(system, conjugation)[sub]
-    # vec(rho0 mu) from the vacuum rho0 and the row vector of rho -> tr(rho mu)
-    v0 = (system.vacuum_projector()[sub] @ mu).ravel()
-    tr_mu = mu.T.ravel()
-
-    x = _resolvents(liouv[np.ix_(first, first)], 1j * tau_axis, -v0[first])
-    p = _ket_dipole(mu, mid, first)
-    if t2 > 0.0:
-        p = expm(liouv[np.ix_(mid, mid)] * t2) @ p
-    p = _ket_dipole(mu, last, mid) @ p
+    (l_first, l_mid, l_last), (mu_mid, mu_last), v0, tr_mu = _pathway_blocks(
+        system, build_dipole(system, conjugation), params, jump_basis, conjugation)
+    x = _resolvents(l_first, 1j * tau_axis, -v0)
+    p = expm(l_mid * t2) @ mu_mid if t2 > 0.0 else mu_mid
     # per-column left vectors: y_j = (shifted_j^T)^{-1} (-tr_mu)
-    y = _resolvents(liouv[np.ix_(last, last)].T, -1j * t_axis, -tr_mu[last])
-    return x, _apply(p.T, y) * (1j) ** 3
+    y = _resolvents(l_last.T, -1j * t_axis, -tr_mu)
+    return x, _apply((mu_last @ p).T, y) * (1j) ** 3
 
 
 def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec | None = None,
@@ -211,18 +190,13 @@ def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec |
     e^{L t2} mu_mid (10 x 2). The grid keeps x and w; its N^2 cells form on first read.
 
     Each interval is solved on a union R of manifold pairs (ket quanta, bra
-    quanta): R1 = (0, 1), R2 = (0, 0) + (1, 1) and R3 = (0, 1) + (1, 0) +
-    (2, 1), 2, 5 and 10 states at every theta, taken by label. L keeps or
-    lowers both quanta together, so L[rest, R] == 0 and the solves, the t2
-    propagator and the left vectors (s I - L^T)^{-1} tr_mu restrict exactly
-    to L[R, R], one batched solve per interval for all frequencies. The
-    pairs lie in the 36 pair states of |00>, |01>, |02>, |10>, |11>, |20>:
-    their block of L is built once from the d x d factors
-    (``_low_liouvillian``) of the cutoff-2 system at params.theta, with the
-    dipole of ``conjugation``; the d^2 x d^2 Liouvillian never is. The
-    display axes carry the echo convention (both negated relative to the raw
-    transform frequencies) so the photon-echo feature lands at positive
-    detunings.
+    quanta), 2, 5 and 10 states (``_INTERVAL_PAIRS``). L keeps or lowers both
+    quanta together, so L[rest, R] == 0 and every interval restricts exactly
+    to L[R, R], one batched solve per interval for all frequencies. Its blocks
+    come from one gather of the cutoff-2 Kronecker factors on the 15 pair
+    states of R2 + R3 (``_pathway_blocks``). The display axes carry the
+    echo convention (both negated relative to the raw transform
+    frequencies) so the photon-echo feature lands at positive detunings.
     """
     if grid is None:
         grid = GridSpec()

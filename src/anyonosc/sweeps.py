@@ -11,7 +11,7 @@ import numpy as np
 
 from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
                     DEFAULT_FREQUENCY_CONVENTION, FREQUENCY_CONVENTIONS, _modulus, ep_flag,
-                    match_branches, weff_eigenvalues, weff_entries)
+                    find_exceptional_point, match_branches, weff_eigenvalues, weff_entries)
 from .fock import JUMP_BASES
 from .output import SweepResult
 from .params import AnyonParams, ParamArrays, ParameterError
@@ -257,6 +257,18 @@ def run_fig2(config: RunConfig) -> SweepResult:
         units=("rad", "1", "omega", "omega", "omega", "omega", "omega", "bool"),
         rows=rows.reshape(-1, 8), metadata={"generator": "fig2"},
     )
+
+
+def run_ep_locate(config: RunConfig) -> SweepResult:
+    """``dimer.find_exceptional_point`` as one row, bracketed by the sweep axis if any."""
+    bracket = next(((ax.start, ax.stop) for ax in config.sweep), None)
+    conv = config.conventions
+    ep = find_exceptional_point(config.params, bracket, conv.frequency, conv.conjugation,
+                                conv.stat_dephasing)
+    return SweepResult(columns=("theta_star", "gap", "ep_found", "threshold"),
+                       units=("rad", "omega", "bool", "omega"),
+                       rows=[(ep.theta, ep.gap, int(ep.found), ep.threshold)],
+                       metadata={"generator": "ep-locate"})
 
 
 def run_spectrum(config: RunConfig, params: AnyonParams) -> SpectrumGrid:

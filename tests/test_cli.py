@@ -191,7 +191,7 @@ class TestCliAxisRule:
         import anyonosc.cli
         from anyonosc.dimer import EPResult
 
-        monkeypatch.setattr(anyonosc.cli, "find_exceptional_point",
+        monkeypatch.setattr(anyonosc.sweeps, "find_exceptional_point",
                             lambda *args: EPResult(False, theta, gap, 1e-7))
         argv = ("--out", str(tmp_path / "ep.csv")) if to_file else ()
         got, stdout, err = run_cli(capsys, "ep-locate", *argv)
@@ -222,6 +222,31 @@ class TestCliNonFiniteParameters:
         assert code == 1, err
         assert message in err
         assert not out.exists() and stdout == ""
+
+    # every W_eff entry and both eigenvalues are representable at gamma = 1e300,
+    # though (A - D)^2 is not; at 1.7e308 the entries themselves overflow
+    @pytest.mark.parametrize("argv", [("dimer-rates", "--grid", "5"), ("fig2", "--grid", "5"),
+                                      ("ep-locate",), ("sweep", "--config", "run.json")],
+                             ids=["dimer-rates", "fig2", "ep-locate", "sweep"])
+    @pytest.mark.parametrize("gamma, code", [(1e300, 0), (1.7e308, 2)], ids=["1e300", "1.7e308"])
+    def test_huge_gamma_is_finite_while_the_entries_are(self, capsys, tmp_path, monkeypatch,
+                                                        argv, gamma, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(
+            {"params": {"gamma": gamma}, "sweep": [{"name": "theta", "start": 0, "stop": 3,
+                                                    "count": 5}]}))
+        flags = () if argv[0] == "sweep" else ("--gamma", repr(gamma))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, stdout, err = run_cli(capsys, *argv, *flags)
+        assert got == code, err
+        if code == 0:
+            assert err == "" and caught == []
+            values = [float(v) for line in stdout.strip().split("\n")[1:]
+                      for v in line.split(",")]
+            assert values and all(math.isfinite(v) for v in values)
+        else:
+            assert "non-finite value in result" in err and stdout == ""
 
     def test_zero_temperature_is_accepted(self, capsys):
         code, out, err = run_cli(capsys, "dimer-rates", "--beta", "inf", "--grid", "3")
@@ -397,8 +422,9 @@ class TestCliSpectrum:
 
         def with_nan(*args, **kwargs):
             grid = original(*args, **kwargs)
-            grid.values[1, 2] = np.nan
-            return grid
+            values = grid.values.copy()
+            values[1, 2] = np.nan
+            return anyonosc.spectra.SpectrumGrid(grid.axis, values, grid.metadata)
 
         monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", with_nan)
         out_csv, out_svg = tmp_path / "grid.csv", tmp_path / "grid.svg"
@@ -584,7 +610,7 @@ def _never(*args, **kwargs):
 class TestCliPathsBeforeCompute:
     # the function each command computes with, as the CLI module names it
     COMPUTE = {"single-rates": "run_fig1", "fig1": "run_fig1", "dimer-rates": "run_fig2",
-               "fig2": "run_fig2", "ep-locate": "find_exceptional_point",
+               "fig2": "run_fig2", "ep-locate": "run_ep_locate",
                "spectrum": "run_spectrum", "sweep": "run_sweep"}
 
     @pytest.mark.parametrize("command", sorted(COMPUTE))
@@ -798,7 +824,7 @@ class TestCliPathsBeforeCompute:
 WRITERS = {
     "single-rates": (("single-rates", "--grid", "5", "--out", "r.csv"), "run_fig1"),
     "dimer-rates": (("dimer-rates", "--grid", "5", "--out", "d.csv"), "run_fig2"),
-    "ep-locate": (("ep-locate", "--out", "e.csv"), "find_exceptional_point"),
+    "ep-locate": (("ep-locate", "--out", "e.csv"), "run_ep_locate"),
     "spectrum": (("spectrum", "--grid", "4", "--out", "g.csv"), "run_spectrum"),
     "spectrum-svg": (("spectrum", "--grid", "4", "--out", "g.csv", "--svg", "g.svg"),
                      "run_spectrum"),
@@ -1025,24 +1051,26 @@ class TestCliFlagsSelectSomething:
 class TestCliSpectraNeverBuildTheDenseLiouvillian:
     def test_cutoff_six_spectrum_without_kron_sum(self, capsys, monkeypatch, tmp_path):
         # the dense d^2 x d^2 assembly (2401^2 at cutoff 6) is the oracle's
-        # only; the spectra sum one 36 x 36 block of the two-quanta states
+        # only; the spectra gather L and the dipole on 15 pair states
         sizes = []
-        kron_sum = anyonosc.fock._kron_sum
+        kron_block = anyonosc.fock._kron_block
 
-        def spy(terms, dim):
-            sizes.append(dim)
-            assert dim <= 6, f"a {dim ** 2}-state Liouvillian assembled on the spectra path"
-            return kron_sum(terms, dim)
+        def dense(terms, dim):
+            raise AssertionError(f"a {dim ** 2}-state Liouvillian assembled on the spectra path")
 
-        # the name the spectra call, and the one build_liouvillian calls
-        monkeypatch.setattr(anyonosc.spectra, "_kron_sum", spy)
-        monkeypatch.setattr(anyonosc.fock, "_kron_sum", spy)
+        def spy(terms, kets, bras):
+            sizes.append(kets.size)
+            return kron_block(terms, kets, bras)
+
+        # the dense assembly build_liouvillian calls, and the gather the spectra call
+        monkeypatch.setattr(anyonosc.fock, "_kron_sum", dense)
+        monkeypatch.setattr(anyonosc.spectra, "_kron_block", spy)
         out = tmp_path / "grid.csv"
         code, _, err = run_cli(capsys, "spectrum", "--cutoff", "6", "--grid", "16",
                                "--theta", "1.2", "--xi", "0.5", "--t2", "3", "--out", str(out))
         assert code == 0, err
         assert len(read_csv(str(out))[2]) == 16 * 16
-        assert sizes == [6]
+        assert sizes == [15, 15]
 
     def test_every_cutoff_writes_the_cutoff_two_grid(self, capsys, tmp_path):
         # the spectra build their own cutoff-2 system whatever --cutoff says

@@ -12,7 +12,7 @@ import anyonosc.dimer
 from anyonosc import (AnyonParams, ParamArrays, build_weff, channel_coefficients,
                       find_exceptional_point, gamma_full_single, normal_mode_frequencies)
 from anyonosc.dimer import (EffectiveMatrix, _mul, dissipative_rates, match_branches,
-                            site_coefficients, weff_entries)
+                            site_coefficients, weff_eigenvalues, weff_entries)
 from anyonosc.rates import gamma_stat, thermal_occupation
 
 
@@ -186,6 +186,34 @@ class TestBuildWeff:
                             xi=rng.uniform(-1.0, 1.0))
             w = build_weff(p)
             assert multiset_close(w.eigenvalues, brute_force_eigs(w.entries), 1e-12)
+
+    @pytest.mark.parametrize("stat_dephasing", [False, True])
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    def test_eigenvalues_stay_finite_while_the_entries_are(self, conjugation, stat_dephasing):
+        # at gamma = 1e300, (A - D)^2 and BC pass the float range though every
+        # entry and both eigenvalues are representable; a normal point in the
+        # same array keeps the bits of its own call
+        rng = np.random.default_rng(29)
+        gamma = np.where(np.arange(200) % 2 == 0, 1e300, 0.1)
+        pts = ParamArrays.over(AnyonParams(theta=0.0), theta=rng.uniform(0.0, math.pi, 200),
+                               xi=rng.uniform(-1.0, 1.0, 200), gamma=gamma,
+                               beta=np.exp(rng.uniform(math.log(0.1), math.log(20.0), 200)),
+                               coupling_j=rng.uniform(0.05, 0.5, 200))
+        entries = weff_entries(pts, "appendix", conjugation, stat_dephasing)
+        lp, lm = weff_eigenvalues(*entries)
+        normal = weff_eigenvalues(*(z[1::2] for z in entries))
+        assert lp[1::2].tobytes() == normal[0].tobytes()
+        assert lm[1::2].tobytes() == normal[1].tobytes()
+        for k in range(0, 200, 2):
+            w = np.array([[entries[0][k], entries[1][k]], [entries[2][k], entries[3][k]]])
+            assert np.all(np.isfinite(w)) and np.isfinite(lp[k]) and np.isfinite(lm[k])
+            assert multiset_close((lp[k], lm[k]), np.linalg.eigvals(w),
+                                  1e-12 * np.max(np.abs(w)))
+        # the scaled parts keep their squares: at theta = 0, xi = 0 (B = C = 0)
+        # the +/-J split of the imaginary parts survives real parts of ~1e300
+        lam = weff_eigenvalues(*weff_entries(AnyonParams(theta=0.0, gamma=1e300), "appendix",
+                                             conjugation, stat_dephasing))
+        assert sorted(np.imag(lam)) == pytest.approx([-1.2, -0.8], abs=1e-12)
 
     def test_lifetimes_are_inverse_decay(self):
         w = build_weff(AnyonParams(theta=2.0, xi=0.8))

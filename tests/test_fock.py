@@ -12,9 +12,9 @@ from anyonosc import (AnyonParams, FockSystem, anyon_ladder_matrix, build_dipole
                       fit_decay_rate, gamma_full_single, normal_mode_frequencies,
                       resolvent_apply)
 from anyonosc.dimer import deformed_mode_phase
-from anyonosc.fock import JUMP_BASES, expm, jump_operators, liouvillian_terms
+from anyonosc.fock import JUMP_BASES, _kron_block, expm, jump_operators, liouvillian_terms
 from anyonosc.rates import thermal_occupation
-from anyonosc.spectra import _low_liouvillian
+from anyonosc.spectra import _pathway_blocks, _pathway_states
 from test_spectra import dense_closure
 
 
@@ -346,15 +346,18 @@ class TestLiouvillianAssembly:
                                                  jump_basis, conjugation):
         system = FockSystem(cutoff=cutoff, theta=theta, modes=2)
         p = AnyonParams(theta=theta, xi=xi, gamma=gamma, beta=beta)
-        low, got = _low_liouvillian(system, p, jump_basis, conjugation)
-        # |00>, |01>, |10>, |11> at cutoff 1; |02> and |20> join from cutoff 2
-        want_low = [0, 1, 2, 3] if cutoff == 1 else [0, 1, 2, cutoff + 1, cutoff + 2,
-                                                      2 * cutoff + 2]
-        assert low.tolist() == want_low
-        pairs = (low[:, None] * system.dim + low).ravel()
-        want = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)[
-            np.ix_(pairs, pairs)]
-        assert got.tobytes() == want.tobytes()
+        kets, bras, intervals = _pathway_states(tuple(system.total_quanta.tolist()))
+        # the (2, 1) pairs: the ket |11> at cutoff 1; |02> and |20> join from cutoff 2
+        assert kets.size == (11 if cutoff == 1 else 15)
+        states = kets * system.dim + bras
+        dense = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
+        terms = liouvillian_terms(system, p, jump_basis, conjugation, rotating=True)
+        assert (_kron_block(terms, kets, bras).tobytes()
+                == dense[np.ix_(states, states)].tobytes())
+        blocks, _, _, _ = _pathway_blocks(system, build_dipole(system, conjugation), p,
+                                          jump_basis, conjugation)
+        for block, r in zip(blocks, intervals):
+            assert block.tobytes() == dense[np.ix_(states[r], states[r])].tobytes()
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_unknown_conjugation_rejected(self, modes):

@@ -15,9 +15,8 @@ from anyonosc import (AnyonParams, FockSystem, GridSpec,
                       find_exceptional_point, lineshape_metrics,
                       rephasing_response)
 from anyonosc.fock import expm, resolvent_apply
-from anyonosc.spectra import (_INTERVAL_PAIRS, PATHWAY_QUANTA, SpectrumGrid, _apply,
-                              _ket_dipole, _low_liouvillian, _pair_states, _resolvents,
-                              rephasing_response_quadrature,
+from anyonosc.spectra import (PATHWAY_QUANTA, SpectrumGrid, _apply, _pathway_blocks,
+                              _pathway_states, _resolvents, rephasing_response_quadrature,
                               response_point)
 from anyonosc.sweeps import Conventions, RunConfig, run_fig3, run_spectrum
 
@@ -32,33 +31,24 @@ def small_grid(theta, xi, n=48, **kw):
     return rephasing_response(p, grid=GridSpec(count=n), **kw), p
 
 
-def library_blocks(system, dip, p, jump_basis, conjugation):
-    """The pathway's pieces from the library's block helpers on a caller's
-    system and dipole of any cutoff >= 2: the states ``low`` of at most two
-    quanta, the dipole on them, R1/R2/R3 by label on their pair states, the
-    blocks L[R, R] and the ket-side dipole blocks (mu (x) 1)[R2, R1] and
-    (mu (x) 1)[R3, R2]."""
-    low, liouv = _low_liouvillian(system, p, jump_basis, conjugation)
-    quanta = tuple(system.total_quanta[low].tolist())
-    sets = [_pair_states(quanta, pairs) for pairs in _INTERVAL_PAIRS]
-    mu = dip[np.ix_(low, low)]
-    blocks = [liouv[np.ix_(r, r)] for r in sets]
-    mus = [_ket_dipole(mu, rows, cols) for cols, rows in zip(sets, sets[1:])]
-    return low, mu, sets, blocks, mus
+def interval_states(system):
+    """R1/R2/R3 of the library's labels as row-major pair states of the whole
+    d^2-state space of ``system``."""
+    kets, bras, intervals = _pathway_states(tuple(system.total_quanta.tolist()))
+    states = kets * system.dim + bras
+    return [states[r] for r in intervals]
 
 
 def system_pathway(system, dip, p, t2, axis, jump_basis, conjugation):
     """The rephasing grid on a caller's system and dipole of any cutoff >= 2,
-    from the library's block helpers in the rank-2 order: the R1 solves x,
+    from the library's block helper in the rank-2 order: the R1 solves x,
     P = mu_last e^{L t2} mu_mid, the R3 left vectors y contracted once into
     w = (i)^3 P^T y, and the grid sum_k x[i, k] w[j, k]."""
-    low, mu, (first, _, last), (l_first, l_mid, l_last), (mu_mid, mu_last) = library_blocks(
+    (l_first, l_mid, l_last), (mu_mid, mu_last), v0, tr_mu = _pathway_blocks(
         system, dip, p, jump_basis, conjugation)
-    v0 = (system.vacuum_projector()[np.ix_(low, low)] @ mu).ravel()
-    tr_mu = mu.T.ravel()
-    x = _resolvents(l_first, 1j * axis, -v0[first])
+    x = _resolvents(l_first, 1j * axis, -v0)
     prop = expm(l_mid * t2) @ mu_mid if t2 > 0.0 else mu_mid
-    y = _resolvents(l_last.T, -1j * axis, -tr_mu[last])
+    y = _resolvents(l_last.T, -1j * axis, -tr_mu)
     w = _apply((mu_last @ prop).T, y) * (1j) ** 3
     return np.einsum("ik,jk->ij", x, w)
 
@@ -174,12 +164,13 @@ class TestRephasingResponse:
         _, diagonal = diagonal_slice(grid)  # from the factors, cells formed or not
         assert diagonal.tobytes() == np.diagonal(grid.values).tobytes()
         assert diagonal_slice(grid)[1].tobytes() == diagonal.tobytes()
-        # the 36 x 36 block is a function of the parameter point alone: built
-        # once, it leaves every bit and takes a point call from 1.4 to 0.3 ms
-        block = _low_liouvillian(FockSystem(cutoff=PATHWAY_QUANTA, theta=theta), p,
-                                 jump_basis, conjugation)
+        # the pathway's blocks are a function of the parameter point alone:
+        # gathered once, they leave every bit and speed up the point calls
+        system = FockSystem(cutoff=PATHWAY_QUANTA, theta=theta)
+        blocks = _pathway_blocks(system, build_dipole(system, conjugation), p, jump_basis,
+                                 conjugation)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(anyonosc.spectra, "_low_liouvillian", lambda *args: block)
+            mp.setattr(anyonosc.spectra, "_pathway_blocks", lambda *args: blocks)
             points = [[response_point(p, a, b, **kw) for b in grid.axis] for a in grid.axis]
         assert np.array(points).tobytes() == grid.values.tobytes()
 
@@ -258,6 +249,14 @@ class TestRephasingResponse:
             want = dense_reference(system, build_dipole(system), p, grid.axis(), 0.0, "site",
                                    "modulus")
             assert np.max(np.abs(got - want)) <= 1e-3 * np.max(np.abs(want))
+
+    def test_formed_cells_are_read_only(self):
+        # the diagonal and fig3's slice read the factors, so a write into the
+        # cells would change the grid and not its slice: the cells refuse it
+        g, _ = small_grid(0.4, 0.3, n=8)
+        with pytest.raises(ValueError, match="read-only"):
+            g.values[1, 1] = 0.0
+        assert g.diagonal().tobytes() == np.diagonal(g.values).tobytes()
 
     def test_metadata_holds_what_the_config_cannot_show(self):
         # parameters, cutoff, t2, conventions and the grid are the run
@@ -396,8 +395,9 @@ def weff_draws(count=40):
             for _ in range(count)]
 
 
-DEFECT_2 = pytest.mark.xfail(strict=True, reason="ROADMAP defect 2: the Fock route has "
-                             "neither the maintext amplitude nor statistical dephasing")
+DEFECT_2 = pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason="ROADMAP defect 2: the Fock route has neither the "
+                             "maintext amplitude nor statistical dephasing")
 
 
 class TestOneExcitonBlock:
@@ -414,9 +414,12 @@ class TestOneExcitonBlock:
         worst = 0.0
         for p in weff_draws():
             system = FockSystem(cutoff=2, theta=p.theta, modes=2)
-            low, liouv = _low_liouvillian(system, p, "deformed", conjugation)
-            pair = _pair_states(tuple(system.total_quanta[low].tolist()), ((1, 0),))
-            got = np.linalg.eigvals(liouv[np.ix_(pair, pair)]) - 1j * p.omega
+            (_, _, l_last), _, _, _ = _pathway_blocks(system, build_dipole(system, conjugation),
+                                                     p, "deformed", conjugation)
+            q = system.total_quanta
+            kets, bras, (_, _, last) = _pathway_states(tuple(q.tolist()))
+            pair = (q[kets[last]] == 1) & (q[bras[last]] == 0)
+            got = np.linalg.eigvals(l_last[np.ix_(pair, pair)]) - 1j * p.omega
             want = build_weff(p, frequency_convention, conjugation, stat_dephasing).eigenvalues
             gap = min(np.max(np.abs(got - want)), np.max(np.abs(got[::-1] - want)))
             worst = max(worst, gap / np.max(np.abs(want)))
@@ -499,9 +502,8 @@ class TestReachableClosure:
         dip = build_dipole(system, conjugation)
         liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
         want = pathway_closures(dip, liouv, system.vacuum_projector())
-        low, _, sets, blocks, mus = library_blocks(system, dip, p, jump_basis, conjugation)
-        pairs = (low[:, None] * system.dim + low).ravel()
-        sets = [pairs[r] for r in sets]
+        sets = interval_states(system)
+        blocks, mus, v0, tr_mu = _pathway_blocks(system, dip, p, jump_basis, conjugation)
         for reach, got, block in zip(want, sets, blocks):
             rest = np.setdiff1d(np.arange(liouv.shape[0]), got)
             assert np.all(liouv[np.ix_(rest, got)] == 0)
@@ -514,10 +516,13 @@ class TestReachableClosure:
         assert tuple(r.size for r in want) == (2, 5, 6 if fermion else 10)
         for reach, got in zip(want[:2] if fermion else want, sets):
             assert np.array_equal(reach, got)
-        # the ket-side dipole blocks come from the restricted d x d dipole too
-        mu_left, _ = dipole_superoperators(dip)
+        # the ket-side dipole blocks, the start vector and the trace row come
+        # from the d x d dipole by the same labels
+        mu_left, mu_right = dipole_superoperators(dip)
         for cols, rows, block in zip(sets, sets[1:], mus):
             assert np.array_equal(block, mu_left[np.ix_(rows, cols)])
+        assert np.array_equal(v0, (mu_right @ system.vacuum_projector().ravel())[sets[0]])
+        assert np.array_equal(tr_mu, (np.eye(system.dim).ravel() @ mu_right)[sets[2]])
 
     @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
     @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
@@ -525,21 +530,24 @@ class TestReachableClosure:
                                                            conjugation):
         sizes = []
 
-        def spy(terms, dim):
-            sizes.append(dim)
-            assert dim <= 6, f"a {dim ** 2}-state Liouvillian assembled on the spectra path"
-            return kron_sum(terms, dim)
+        def dense(terms, dim):
+            raise AssertionError(f"a {dim ** 2}-state Liouvillian assembled on the spectra path")
+
+        def spy(terms, kets, bras):
+            sizes.append(kets.size)
+            return kron_block(terms, kets, bras)
 
         p = AnyonParams(theta=0.9, xi=0.5, beta=0.5)
         kw = {"jump_basis": jump_basis, "conjugation": conjugation}
-        kron_sum = anyonosc.fock._kron_sum
-        # the name the spectra call, and the one build_liouvillian calls
-        monkeypatch.setattr(anyonosc.spectra, "_kron_sum", spy)
-        monkeypatch.setattr(anyonosc.fock, "_kron_sum", spy)
+        kron_block = anyonosc.fock._kron_block
+        # the dense assembly build_liouvillian calls, and the gather the spectra call
+        monkeypatch.setattr(anyonosc.fock, "_kron_sum", dense)
+        monkeypatch.setattr(anyonosc.spectra, "_kron_block", spy)
         grid = rephasing_response(p, t2=2.0, grid=GridSpec(count=4), **kw)
         point = response_point(p, -0.5, 0.5, t2=2.0, **kw)
         assert point == grid.values[0, -1]
-        assert sizes == [2 * (PATHWAY_QUANTA + 1)] * 2  # one 36 x 36 block per call
+        # per call, L and the ket-side dipole on the 15 pair states of R2 + R3
+        assert sizes == [15] * 4
 
     @pytest.mark.parametrize("theta", [0.0, 0.9, 2.0, math.pi])
     @pytest.mark.parametrize("t2", [0.0, 7.5])

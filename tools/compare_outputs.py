@@ -4,10 +4,12 @@
 
 TREE_A and TREE_B are checkouts of this repository (each with ``src/anyonosc``).
 The commands are every line of TREE_A's README ``## CLI`` block, with its
-config-schema block as ``run.json``, then ``--draws`` seeded ``spectrum`` and
-``fig3`` calls. Each tree runs all of them through ``anyonosc.cli.main`` in one
-Python process of its own (``PYTHONPATH`` its ``src``, one BLAS thread, no
-bytecode written), each command in an empty directory.
+config-schema block as ``run.json``, then ``--draws`` seeded calls: every fifth
+one of ``fig2``, ``dimer-rates``, ``ep-locate`` or ``single-rates``, the rest
+``spectrum`` and ``fig3``. Each tree runs all of them through
+``anyonosc.cli.main`` in one Python process of its own (``PYTHONPATH`` its
+``src``, one BLAS thread, no bytecode written), each command in an empty
+directory.
 
 Per command it compares the exit code, stdout and stderr; per file written,
 the bytes (a sidecar with its ``created`` line removed). A CSV that differs
@@ -59,13 +61,17 @@ def _f(x: float) -> str:
 
 
 def seeded_commands(draws: int, seed: int) -> list:
-    """``draws`` spectrum and fig3 argv lists, three spectra to one fig3.
+    """``draws`` argv lists: command k is a closed-form one where k % 5 == 4,
+    else fig3 where k % 4 == 3, else spectrum.
 
     theta is 0 or pi on a fifth of draws, else uniform on [0, pi]; xi is -1, 0
     or 1 on 30%, else uniform on [-1, 1]; beta and gamma are log-uniform on
-    [0.05, 20] and [0.01, 2]; J is uniform on [0.05, 0.5]; t2 is 0 on 40%, else
-    uniform on [0, 20]; the grid count is uniform on 2..64 (odd and even),
-    either jump basis and conjugation; a quarter also write SVGs.
+    [0.05, 20] and [0.01, 2]; J is uniform on [0.05, 0.5]; the grid count is
+    uniform on 2..64 (odd and even). A spectrum or fig3 has t2 0 on 40%, else
+    uniform on [0, 20], either jump basis and conjugation, and writes SVGs on a
+    quarter of draws. A closed-form command (``closed_form``) is fig2,
+    dimer-rates, ep-locate or single-rates with omega uniform on [0.5, 2] and
+    the flags it defines.
     """
     rng = random.Random(seed)
 
@@ -75,8 +81,40 @@ def seeded_commands(draws: int, seed: int) -> list:
     def xi():
         return rng.choice((-1.0, 0.0, 1.0)) if rng.random() < 0.3 else rng.uniform(-1.0, 1.0)
 
+    def closed_form():
+        """A fig2, dimer-rates, ep-locate or single-rates argv: every convention
+        drawn; theta ranges lo:hi with 0 <= lo < hi <= pi (fig2 has none, and
+        ep-locate keeps its default bracket on half the draws); fig2 takes
+        either --temp and one to three xi."""
+        command = rng.choice(("fig2", "dimer-rates", "ep-locate", "single-rates"))
+        argv = [command, "--gamma", _f(math.exp(rng.uniform(math.log(0.01), math.log(2.0)))),
+                "--omega", _f(rng.uniform(0.5, 2.0))]
+        if command != "fig2":
+            argv += ["--beta", _f(math.exp(rng.uniform(math.log(0.05), math.log(20.0))))]
+        if command != "single-rates":
+            argv += ["--coupling", _f(rng.uniform(0.05, 0.5)),
+                     "--convention", rng.choice(("appendix", "maintext")),
+                     "--conjugation", rng.choice(("modulus", "analytic")),
+                     "--jump-basis", rng.choice(("site", "deformed")),
+                     "--stat-dephasing", rng.choice(("on", "off"))]
+        if command in ("dimer-rates", "ep-locate"):
+            argv += ["--xi", _f(xi())]
+        if command == "fig2":
+            argv += ["--temp", rng.choice(("low", "high")),
+                     "--xi-list", ",".join(_f(xi()) for _ in range(rng.randint(1, 3)))]
+        if command in ("dimer-rates", "single-rates") or (command == "ep-locate"
+                                                          and rng.random() < 0.5):
+            lo = rng.uniform(0.0, 1.5)
+            argv += [f"--range={_f(lo)}:{_f(rng.uniform(lo + 0.1, math.pi))}"]
+        if command != "ep-locate":
+            argv += ["--grid", str(rng.randint(2, 64))]
+        return argv + ["--out", "rates.csv"]
+
     commands = []
     for k in range(draws):
+        if k % 5 == 4:
+            commands.append(closed_form())
+            continue
         common = ["--beta", _f(math.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
                   "--gamma", _f(math.exp(rng.uniform(math.log(0.01), math.log(2.0)))),
                   "--coupling", _f(rng.uniform(0.05, 0.5)),
@@ -191,7 +229,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree_a", nargs="?")
     ap.add_argument("tree_b", nargs="?")
-    ap.add_argument("--draws", type=int, default=40, help="seeded spectrum/fig3 commands")
+    ap.add_argument("--draws", type=int, default=40, help="seeded commands")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
