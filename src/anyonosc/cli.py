@@ -19,12 +19,11 @@ import numpy as np
 
 from .dimer import CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS
 from .fock import JUMP_BASES
-from .output import _csv_blocks, grid_result, sidecar_path, write_grid_svg, write_outputs
+from .output import _csv_blocks, sidecar_path, write_grid_svg, write_outputs
 from .params import ParameterError
 from .spectra import GridSpec
-from .sweeps import (FIG2_XI, FIG3_THETAS, FIG3_XI, THETA_AXIS, ConfigError, Conventions,
-                     RunConfig, SweepAxis, load_config, parse_range, run_ep_locate, run_fig1,
-                     run_fig2, run_fig3, run_spectrum, run_sweep)
+from .sweeps import (FIG2_XI, FIG3_THETAS, FIG3_XI, GENERATORS, THETA_AXIS, ConfigError,
+                     Conventions, RunConfig, SweepAxis, load_config, parse_range)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,17 +186,15 @@ def _config(args) -> RunConfig:
     return RunConfig(params=params, **kw)
 
 
-def _emit(result, path, config):
-    if path:
-        write_outputs(result, config, path)
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        sys.stdout.writelines(_csv_blocks(result))
-
+# Each command's generators (``sweeps.GENERATORS``), one per CSV in ``_files``' order
+_GENERATED = {"single-rates": ("fig1",), "fig1": ("fig1",), "dimer-rates": ("fig2",),
+              "fig2": ("fig2",), "ep-locate": ("ep-locate",), "spectrum": ("spectrum-grid",),
+              "fig3": ("fig3-slices", "fig3-overlay"), "sweep": ("sweep",)}
 
 # A file a command reads or writes, named in a refusal as ``flag value`` (a flag or config
-# key and its value), then ``: name`` unless it is that value, or in a collision as ``source``.
-_File = namedtuple("_File", "flag value path name source", defaults=("", ""))
+# key and its value), then ``: name`` unless it is that value, or in a collision as ``source``;
+# ``role`` "csv" or "svg" for a file ``_write`` writes by name (a sidecar goes with its CSV).
+_File = namedtuple("_File", "flag value path name source role", defaults=("", "", ""))
 
 
 def _files(args, cfg) -> list:
@@ -207,20 +204,21 @@ def _files(args, cfg) -> list:
     if args.command == "fig3":
         if not args.out:
             raise ConfigError("fig3 writes multiple files; --out DIR is required")
-        names = [(name, "") for csv in ("fig3_slices.csv", "fig3_overlay.csv")
-                 for name in (csv, sidecar_path(csv))]
+        names = [(name, "", role) for csv in ("fig3_slices.csv", "fig3_overlay.csv")
+                 for name, role in ((csv, "csv"), (sidecar_path(csv), ""))]
         names += [(f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg",
-                   f"--svg panel (theta, xi) = {(theta, xi)}")
+                   f"--svg panel (theta, xi) = {(theta, xi)}", "svg")
                   for xi in cfg.xi_list for theta in cfg.theta_list if args.svg]
-        return [_File("--out", args.out, os.path.join(args.out, name), name, source)
-                for name, source in names]
+        return [_File("--out", args.out, os.path.join(args.out, name), name, source, role)
+                for name, source, role in names]
     files = [_File("--config", args.config, args.config)] if args.command == "sweep" else []
     out = cfg.output_path if args.command == "sweep" else args.out
     flag = "output.path" if args.command == "sweep" and args.out is None else "--out"
     if out is not None:
-        files += [_File(flag, out, out), _File(flag, out, sidecar_path(out), sidecar_path(out))]
+        files += [_File(flag, out, out, role="csv"),
+                  _File(flag, out, sidecar_path(out), sidecar_path(out))]
     if args.command == "spectrum" and args.svg is not None:
-        files.append(_File("--svg", args.svg, args.svg))
+        files.append(_File("--svg", args.svg, args.svg, role="svg"))
     return files
 
 
@@ -246,34 +244,37 @@ def _check(files, mkdirs=False):
         seen[real] = f.source or named
 
 
+def _write(config, results, files, under=None):
+    """Result k to the k-th CSV in ``files`` with its sidecar (the one result to stdout when
+    they list none), then the results' panels in order, each to the next listed SVG, each
+    file reported on stderr as it is written. fig3 writes ``under`` its directory, made
+    here and reported once, and its heatmaps draw the diagonal its slices are read along.
+    Empties ``results``: a result's rows are freed once written, before any heatmap."""
+    csvs, svgs = ([f.path for f in files if f.role == role] for role in ("csv", "svg"))
+    panels = [panel for result in results for panel in result.grids]
+    if under is not None:
+        os.makedirs(under, exist_ok=True)
+    if not csvs:
+        sys.stdout.writelines(_csv_blocks(results.pop()))
+    for path in csvs:
+        write_outputs(results.pop(0), config, path)
+        if under is None:
+            print(f"wrote {path}", file=sys.stderr)
+    for (theta, xi, grid), path in zip(panels, svgs):
+        write_grid_svg(grid, path, title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}",
+                       diagonal=under is not None)
+        if under is None:
+            print(f"wrote {path}", file=sys.stderr)
+    if under is not None:
+        print(f"wrote fig3 outputs under {under}", file=sys.stderr)
+
+
 def _run(args) -> int:
     cfg = _config(args)
     files = _files(args, cfg)
-    _check(files, mkdirs=args.command == "fig3")
-    params = cfg.params
-    if args.command == "sweep":
-        _emit(run_sweep(cfg), cfg.output_path, cfg)
-    elif args.command in ("single-rates", "fig1"):
-        _emit(run_fig1(cfg), args.out, cfg)
-    elif args.command in ("dimer-rates", "fig2"):
-        _emit(run_fig2(cfg), args.out, cfg)
-    elif args.command == "ep-locate":
-        _emit(run_ep_locate(cfg), args.out, cfg)
-    elif args.command == "spectrum":
-        g = run_spectrum(cfg, params)
-        _emit(grid_result(g), args.out, cfg)
-        if args.svg:
-            write_grid_svg(g, args.svg, title=f"Re R3, theta={params.theta:.3f}, xi={params.xi:.2f}")
-            print(f"wrote {args.svg}", file=sys.stderr)
-    elif args.command == "fig3":
-        fig3 = run_fig3(cfg)
-        os.makedirs(args.out, exist_ok=True)
-        slices, _, overlay, _, *svgs = (f.path for f in files)  # no svgs without --svg
-        write_outputs(fig3.slices, cfg, slices)
-        write_outputs(fig3.overlay, cfg, overlay)
-        for (theta, xi, g), svg in zip(fig3.grids, svgs):
-            write_grid_svg(g, svg, title=f"Re R3, theta={theta:.3f}, xi={xi:.2f}", diagonal=True)
-        print(f"wrote fig3 outputs under {args.out}", file=sys.stderr)
+    under = args.out if args.command == "fig3" else None
+    _check(files, mkdirs=under is not None)
+    _write(cfg, [GENERATORS[name](cfg) for name in _GENERATED[args.command]], files, under)
     return 0
 
 
@@ -284,7 +285,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _run(args)
+        # an overflow, invalid or divide-by-zero float operation raises FloatingPointError (an
+        # ArithmeticError, exit 2) in place of a numpy warning naming a library source line
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _run(args)
     # LinAlgError subclasses ValueError, so the compute clause comes first
     except (np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         print(f"anyonosc: compute error: {exc or type(exc).__name__}", file=sys.stderr)

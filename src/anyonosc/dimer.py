@@ -193,16 +193,23 @@ def weff_eigenvalues(a, b, c, d) -> tuple:
     the root. A matrix with an entry above 2^500 in modulus is scaled by an exact
     power of two to below 2^500, its eigenvalues back: the squares stay finite.
     """
-    shift = None
-    largest = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-    if np.max(largest) > 2.0 ** 500:
-        shift = np.where(largest > 2.0 ** 500, 500 - np.frexp(largest)[1], 0)
+    shift = _shift(a, b, c, d)
+    if shift is not None:
         a, b, c, d = (_ldexp(z, shift) for z in (a, b, c, d))
     disc = _mul(a - d, a - d) + _mul(4.0 * b, c)
     real = np.abs(disc.imag) <= 1e-12 * (_modulus(a - d) ** 2 + 4.0 * _modulus(_mul(b, c)))
     root = np.sqrt(np.where(real, disc.real, disc))
     lam = 0.5 * (a + d + root), 0.5 * (a + d - root)
     return lam if shift is None else tuple(_ldexp(x, -shift) for x in lam)
+
+
+def _shift(a, b, c, d):
+    """Per matrix ((A, B), (C, D)), the power of two taking an entry above 2^500 in modulus
+    to below 2^500 (0 for a matrix without one); None when no matrix has one."""
+    largest = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    if np.max(largest) > 2.0 ** 500:
+        return np.where(largest > 2.0 ** 500, 500 - np.frexp(largest)[1], 0)
+    return None
 
 
 def _ldexp(z, exponent):
@@ -271,8 +278,10 @@ class EffectiveMatrix:
     def __post_init__(self):
         (a, b), (c, d) = self.entries
         lam = weff_eigenvalues(a, b, c, d)
-        if _coupled(b, c):
-            vectors = _eigenvector(a, b, c, d, np.array(lam))
+        if _coupled(b, c):  # 2^k W has W's eigenvectors: scaled as weff_eigenvalues scales
+            shift = _shift(a, b, c, d)
+            vectors = _eigenvector(*(z if shift is None else _ldexp(z, shift)
+                                     for z in (a, b, c, d, np.array(lam))))
         else:  # diagonal: lambda_+ takes the basis vector of its nearer entry
             vectors = np.eye(2, dtype=complex)[:, ::1 if abs(a - lam[0]) <= abs(d - lam[0]) else -1]
         cond = float(_condition(vectors[:, 0], vectors[:, 1]))

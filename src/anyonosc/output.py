@@ -31,7 +31,8 @@ _KERNEL_MIN = 1024
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One CSV's columns, units and rows, and the generator's metadata.
+    """One CSV's columns, units and rows, the generator's metadata, and the
+    (theta, xi, SpectrumGrid) panels the rows were read from, for the heatmaps.
 
     Checks itself where it is made: ``rows`` (tuples or a 2-D array) becomes
     one read-only float64 (rows, columns) table, with ValueError on a bad row
@@ -43,6 +44,7 @@ class SweepResult:
     units: tuple
     rows: np.ndarray
     metadata: dict = field(default_factory=dict)
+    grids: tuple = ()
 
     def __post_init__(self):
         width = len(self.columns)
@@ -467,11 +469,12 @@ def write_outputs(result, config, path: str, timestamp: str | None = None):
             write_metadata(result, config, sidecar_path(path), timestamp)]
 
 
-def grid_result(grid):
+def grid_result(grid, panel=None):
     """Long-format rows (omega_tau, omega_t, re, im) of a 2D spectrum grid,
     omega_t varying fastest, as one SweepResult with an (N * N, 4) array of
     rows, for every grid CSV (file or stdout). The grid's own
-    metadata rides along as the sidecar's ``grid`` block.
+    metadata rides along as the sidecar's ``grid`` block, and the grid as the
+    result's one panel at ``panel`` = (theta, xi), if given.
     """
     values = grid.values
     rows = np.empty(values.shape + (4,))
@@ -482,7 +485,8 @@ def grid_result(grid):
     return SweepResult(columns=("omega_tau", "omega_t", "re", "im"),
                        units=("omega", "omega", "arb", "arb"),
                        rows=rows.reshape(-1, 4),
-                       metadata={"generator": "spectrum-grid", "grid": grid.metadata})
+                       metadata={"generator": "spectrum-grid", "grid": grid.metadata},
+                       grids=() if panel is None else ((*panel, grid),))
 
 
 # ---------------------------------------------------------------------------

@@ -74,39 +74,31 @@ class GridSpec:
 class SpectrumGrid:
     """R(3)(omega_tau, t2, omega_t) on a uniform detuning grid.
 
-    values[i, j] is indexed (omega_tau = axis_i, omega_t = axis_j). A pathway
-    grid (``product``) holds the factors x of omega_tau and w of omega_t and
-    forms values = x w^T on first read. metadata records what the run
+    values[i, j] is indexed (omega_tau = axis_i, omega_t = axis_j). The grid
+    holds the factors x of omega_tau and w of omega_t, each (axis.size, k),
+    and forms values = x w^T on first read. metadata records what the run
     configuration cannot show: the equilibrium state, the splitting the Fock
     Hamiltonian used, and the axis, sign and prefactor conventions.
     """
 
-    def __init__(self, axis: np.ndarray, values: np.ndarray, metadata: dict | None = None):
-        if np.shape(values) != (axis.size,) * 2:
-            raise ValueError(f"values {np.shape(values)} do not match a {axis.size}-point axis")
+    def __init__(self, axis: np.ndarray, x: np.ndarray, w: np.ndarray,
+                 metadata: dict | None = None):
+        if np.ndim(x) != 2 or np.shape(x) != np.shape(w) or len(x) != axis.size:
+            raise ValueError(f"factors {np.shape(x)} and {np.shape(w)} do not match a "
+                             f"{axis.size}-point axis")
         self.axis, self.metadata = axis, {} if metadata is None else metadata
-        self._values, self._factors = values, None
+        self._factors = x, w
 
-    @classmethod
-    def product(cls, axis: np.ndarray, x: np.ndarray, w: np.ndarray, metadata: dict):
-        """The grid of the factors x and w, each (axis.size, k), not yet formed."""
-        grid = cls.__new__(cls)
-        grid.axis, grid.metadata, grid._values, grid._factors = axis, metadata, None, (x, w)
-        return grid
-
-    @property
+    @functools.cached_property
     def values(self) -> np.ndarray:
-        """The n x n cells; a product grid forms them on first read, read-only."""
-        if self._values is None:
-            self._values = np.einsum("ik,jk->ij", *self._factors)
-            self._values.flags.writeable = False
-        return self._values
+        """The n x n cells, formed on first read, read-only."""
+        values = np.einsum("ik,jk->ij", *self._factors)
+        values.flags.writeable = False
+        return values
 
     def diagonal(self) -> np.ndarray:
-        """values[i, i]; of a product grid, always the row-wise product of the factors."""
-        if self._factors is not None:
-            return np.einsum("ik,ik->i", *self._factors)
-        return np.diagonal(self._values).copy()
+        """values[i, i], always the row-wise product of the factors."""
+        return np.einsum("ik,ik->i", *self._factors)
 
 
 @functools.cache
@@ -212,7 +204,7 @@ def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec |
         "first_interval_axis": "omega_tau",
         "prefactor": "(i/hbar)^3, hbar = 1",
     }
-    return SpectrumGrid.product(axis, x, w, meta)
+    return SpectrumGrid(axis, x, w, meta)
 
 
 def response_point(params: AnyonParams, omega_tau: float, omega_t: float, *, t2: float = 0.0,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
                     DEFAULT_FREQUENCY_CONVENTION, FREQUENCY_CONVENTIONS, _modulus, ep_flag,
                     find_exceptional_point, match_branches, weff_eigenvalues, weff_entries)
 from .fock import JUMP_BASES
-from .output import SweepResult
+from .output import SweepResult, grid_result
 from .params import AnyonParams, ParamArrays, ParameterError
 from .rates import gamma_full_single, gamma_stat
 from .spectra import (DEFAULT_JUMP_BASIS, PATHWAY_QUANTA, GridSpec, SpectrumGrid,
@@ -271,9 +271,9 @@ def run_ep_locate(config: RunConfig) -> SweepResult:
                        metadata={"generator": "ep-locate"})
 
 
-def run_spectrum(config: RunConfig, params: AnyonParams) -> SpectrumGrid:
-    """The rephasing grid of ``config`` (t2, grid, conventions) at the
-    parameter point ``params``, for the spectrum command and every fig3 panel.
+def run_spectrum(config: RunConfig) -> SpectrumGrid:
+    """The rephasing grid of ``config`` (params, t2, grid, conventions), for the
+    spectrum command and every fig3 panel.
 
     The pathway holds at most PATHWAY_QUANTA quanta, so every cutoff from
     PATHWAY_QUANTA up gives the same grid; a smaller one is refused."""
@@ -281,53 +281,50 @@ def run_spectrum(config: RunConfig, params: AnyonParams) -> SpectrumGrid:
         raise ValueError("third-order spectra need the two-excitation manifold: "
                          f"cutoff >= {PATHWAY_QUANTA}")
     conv = config.conventions
-    return rephasing_response(params, t2=config.t2, grid=config.grid,
+    return rephasing_response(config.params, t2=config.t2, grid=config.grid,
                               jump_basis=conv.jump_basis, conjugation=conv.conjugation)
 
 
-@dataclass
-class Fig3Result:
-    grids: list           # [(theta, xi, SpectrumGrid)]
-    slices: SweepResult   # stacked diagonal slices
-    overlay: SweepResult  # bright-mode branch curves
+def _spectrum_grid(config: RunConfig) -> SweepResult:
+    """``run_spectrum``'s grid as rows, holding the grid as its one panel."""
+    return grid_result(run_spectrum(config), panel=(config.params.theta, config.params.xi))
 
 
-def run_fig3(config: RunConfig) -> Fig3Result:
-    """Rephasing spectra for each (theta, xi), stacked diagonal slices read from each
-    grid's factors (no n x n cells), and the bright-mode overlay curves (``run_fig2``'s W_eff)."""
-    thetas = config.theta_list or FIG3_THETAS
-    xis = config.xi_list or FIG3_XI
-    p = config.params
-
-    grids, slice_rows = [], []
-    for xi in xis:
-        for theta in thetas:
-            g = run_spectrum(config, p.with_(theta=float(theta), xi=float(xi)))
-            grids.append((float(theta), float(xi), g))
+def run_fig3(config: RunConfig) -> SweepResult:
+    """Stacked diagonal slices of the rephasing spectra for each (theta, xi), read from
+    each grid's factors (no n x n cells); the result holds the panels' grids."""
+    panels, slice_rows = [], []
+    for xi in config.xi_list or FIG3_XI:
+        for theta in config.theta_list or FIG3_THETAS:
+            g = run_spectrum(replace(config, params=config.params.with_(theta=float(theta),
+                                                                         xi=float(xi))))
+            panels.append((float(theta), float(xi), g))
             det, vals = diagonal_slice(g)
             slice_rows.append(np.column_stack([np.full(det.size, float(theta)),
                                                np.full(det.size, float(xi)), det,
                                                vals.real, vals.imag, _modulus(vals)]))
-
     # every panel's grid block is the same: the slices carry it once
-    slices = SweepResult(
+    return SweepResult(
         columns=("theta", "xi", "detuning", "re", "im", "abs"),
         units=("rad", "1", "omega", "arb", "arb", "arb"),
         rows=np.concatenate(slice_rows),
-        metadata={"generator": "fig3-slices", "grid": g.metadata},
+        metadata={"generator": "fig3-slices", "grid": g.metadata}, grids=tuple(panels),
     )
 
-    # the bright-mode branches: fig2's rows on 201 angles over the panels'
-    # span (the one angle itself when there is one), as carrier detunings
+
+def _fig3_overlay(config: RunConfig) -> SweepResult:
+    """fig3's bright-mode branches: fig2's rows on 201 angles over the panels' span (the
+    one angle itself when there is one), as carrier detunings."""
+    thetas, xis = config.theta_list or FIG3_THETAS, config.xi_list or FIG3_XI
     theta_grid = np.linspace(min(thetas), max(thetas), 201) if len(thetas) > 1 else thetas
     theta, xi, re_1, re_2, im_1, im_2 = _branches(config, theta_grid, xis)[..., :6].reshape(-1, 6).T
-    overlay = SweepResult(
+    omega = config.params.omega
+    return SweepResult(
         columns=("theta", "xi", "nu_branch_1", "nu_branch_2", "re_branch_1", "re_branch_2"),
         units=("rad", "1", "omega", "omega", "omega", "omega"),
-        rows=np.column_stack([theta, xi, -im_1 - p.omega, -im_2 - p.omega, re_1, re_2]),
+        rows=np.column_stack([theta, xi, -im_1 - omega, -im_2 - omega, re_1, re_2]),
         metadata={"generator": "fig3-overlay"},
     )
-    return Fig3Result(grids, slices, overlay)
 
 
 def run_sweep(config: RunConfig) -> SweepResult:
@@ -364,3 +361,10 @@ def run_sweep(config: RunConfig) -> SweepResult:
         ("omega",) * 8
     return SweepResult(columns=cols, units=units, rows=rows,
                        metadata={"generator": "sweep"})
+
+
+# Each sidecar's generator name -> the function that makes that CSV's result from the
+# sidecar's config alone; the CLI computes every command through it.
+GENERATORS = {"fig1": run_fig1, "fig2": run_fig2, "ep-locate": run_ep_locate, "sweep": run_sweep,
+              "spectrum-grid": _spectrum_grid, "fig3-slices": run_fig3,
+              "fig3-overlay": _fig3_overlay}

@@ -22,7 +22,7 @@ from anyonosc.dimer import deformed_mode_phase
 from anyonosc.output import csv_text
 from anyonosc.rates import phase_average_series
 from anyonosc.spectra import rephasing_response_quadrature, response_point
-from anyonosc.sweeps import SweepAxis, run_fig1, run_fig2, run_fig3
+from anyonosc.sweeps import GENERATORS, SweepAxis, run_fig1, run_fig2, run_fig3
 
 
 def report(num, name, ok, detail):
@@ -239,9 +239,8 @@ def test_criterion_10_determinism_across_threads():
                          xi_list=(0.0, 1.0))
         cfg3 = RunConfig(params=AnyonParams(theta=0.0), threads=threads,
                          grid=GridSpec(count=16), theta_list=(0.0, 1.5), xi_list=(0.0,))
-        fig3 = run_fig3(cfg3)
         texts[threads] = (csv_text(run_fig1(cfg1)), csv_text(run_fig2(cfg2)),
-                          csv_text(fig3.slices), csv_text(fig3.overlay))
+                          csv_text(run_fig3(cfg3)), csv_text(GENERATORS["fig3-overlay"](cfg3)))
     elapsed = time.perf_counter() - t0
     ok = texts[1] == texts[8]
     assert report(10, "determinism across threads", ok,

@@ -15,7 +15,8 @@ import anyonosc
 import anyonosc.fock
 import anyonosc.spectra
 from anyonosc.cli import PARAM_FLAGS, build_parser, main
-from anyonosc.output import read_csv
+from anyonosc.output import csv_text, read_csv
+from anyonosc.sweeps import GENERATORS, config_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -245,8 +246,21 @@ class TestCliNonFiniteParameters:
             values = [float(v) for line in stdout.strip().split("\n")[1:]
                       for v in line.split(",")]
             assert values and all(math.isfinite(v) for v in values)
-        else:
-            assert "non-finite value in result" in err and stdout == ""
+        else:  # one line, no numpy warning naming a library source line before it
+            assert err.startswith("anyonosc: compute error: ") and err.count("\n") == 1
+            assert caught == [] and stdout == ""
+
+    @pytest.mark.parametrize("argv", [("dimer-rates", "--gamma", "1.7e308", "--grid", "5"),
+                                      ("spectrum", "--gamma", "1e308", "--grid", "4",
+                                       "--svg", "g.svg")], ids=["dimer-rates", "spectrum"])
+    def test_overflow_is_one_compute_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, *argv, "--out", "out.csv")
+        assert code == 2 and stdout == "" and caught == []
+        assert re.fullmatch(r"anyonosc: compute error: [^\n]+\n", err), err
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_temperature_is_accepted(self, capsys):
         code, out, err = run_cli(capsys, "dimer-rates", "--beta", "inf", "--grid", "3")
@@ -276,11 +290,19 @@ FILE_COMMANDS = {
 }
 
 
+def _assert_regenerates(csvs):
+    """Each CSV's bytes are those its sidecar's generator makes from its sidecar's config alone."""
+    assert csvs
+    for path in csvs:
+        doc = json.loads(path.with_name(path.name + ".meta.json").read_text())
+        result = GENERATORS[doc["generator"]](config_from_dict(doc["config"]))
+        assert path.read_bytes() == csv_text(result).encode(), path
+
+
 class TestCliProvenance:
     @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
     def test_every_sidecar_comes_from_its_config(self, capsys, tmp_path, command):
         from anyonosc.output import validate_metadata
-        from anyonosc.sweeps import config_from_dict
 
         argv = list(FILE_COMMANDS[command])
         if command == "sweep":
@@ -302,6 +324,11 @@ class TestCliProvenance:
                                       path.read_text().split("\n")[0].split(",")]
             if command == "spectrum":
                 assert doc["grid"]["frequency"] == "appendix"
+        _assert_regenerates(csvs)
+
+    def test_the_commands_reach_every_generator(self):
+        assert sorted(GENERATORS) == sorted({name for names in anyonosc.cli._GENERATED.values()
+                                             for name in names})
 
 
 class TestCliSpectrum:
@@ -424,7 +451,8 @@ class TestCliSpectrum:
             grid = original(*args, **kwargs)
             values = grid.values.copy()
             values[1, 2] = np.nan
-            return anyonosc.spectra.SpectrumGrid(grid.axis, values, grid.metadata)
+            return anyonosc.spectra.SpectrumGrid(grid.axis, values, np.eye(grid.axis.size),
+                                                 grid.metadata)
 
         monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", with_nan)
         out_csv, out_svg = tmp_path / "grid.csv", tmp_path / "grid.svg"
@@ -444,7 +472,8 @@ class TestCliSpectrum:
             grid = original(*args, **kwargs)
             values = grid.values.copy()
             values[2, 2] = np.inf
-            return anyonosc.spectra.SpectrumGrid(grid.axis, values, grid.metadata)
+            return anyonosc.spectra.SpectrumGrid(grid.axis, values, np.eye(grid.axis.size),
+                                                 grid.metadata)
 
         monkeypatch.setattr(anyonosc.sweeps, "rephasing_response", with_nan)
         code, _, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1",
@@ -607,11 +636,20 @@ def _never(*args, **kwargs):
     raise AssertionError("computed before the path checks")
 
 
+FIG3 = ("fig3-slices", "fig3-overlay")  # the generators of fig3's two CSVs
+
+
+def _no_compute(monkeypatch, *names, stub=_never):
+    """The generators ``names`` (``sweeps.GENERATORS``, as the CLI reaches them) call ``stub``."""
+    for name in names:
+        monkeypatch.setitem(GENERATORS, name, stub)
+
+
 class TestCliPathsBeforeCompute:
-    # the function each command computes with, as the CLI module names it
-    COMPUTE = {"single-rates": "run_fig1", "fig1": "run_fig1", "dimer-rates": "run_fig2",
-               "fig2": "run_fig2", "ep-locate": "run_ep_locate",
-               "spectrum": "run_spectrum", "sweep": "run_sweep"}
+    # the generator each command computes with
+    COMPUTE = {"single-rates": "fig1", "fig1": "fig1", "dimer-rates": "fig2",
+               "fig2": "fig2", "ep-locate": "ep-locate",
+               "spectrum": "spectrum-grid", "sweep": "sweep"}
 
     @pytest.mark.parametrize("command", sorted(COMPUTE))
     @pytest.mark.parametrize("out, message", [
@@ -625,7 +663,7 @@ class TestCliPathsBeforeCompute:
         (tmp_path / "f").write_text("")
         (tmp_path / "run.json").write_text("{}")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, self.COMPUTE[command], _never)
+        _no_compute(monkeypatch, self.COMPUTE[command])
         config = ("--config", "run.json") if command == "sweep" else ()
         code, stdout, err = run_cli(capsys, command, *config, "--out", out)
         assert code == 1
@@ -638,7 +676,7 @@ class TestCliPathsBeforeCompute:
         (tmp_path / "x.csv.meta.json").mkdir()
         (tmp_path / "run.json").write_text("{}")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, self.COMPUTE[command], _never)
+        _no_compute(monkeypatch, self.COMPUTE[command])
         config = ("--config", "run.json") if command == "sweep" else ()
         code, stdout, err = run_cli(capsys, command, *config, "--out", "x.csv")
         assert code == 1
@@ -652,7 +690,7 @@ class TestCliPathsBeforeCompute:
         (tmp_path / "run.json").write_text(json.dumps({"output": {"path": "s.csv"}}))
         (tmp_path / "s.csv.meta.json").mkdir()
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        _no_compute(monkeypatch, "sweep")
         code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json")
         assert code == 1 and stdout == ""
         assert err == "anyonosc: error: output.path s.csv: s.csv.meta.json is a directory\n"
@@ -667,7 +705,7 @@ class TestCliPathsBeforeCompute:
         out = tmp_path / "d"
         (out / name).mkdir(parents=True)
         calls = []
-        monkeypatch.setattr(anyonosc.cli, "run_fig3", lambda *args: calls.append(args))
+        _no_compute(monkeypatch, *FIG3, stub=lambda *args: calls.append(args))
         code, stdout, err = run_cli(capsys, "fig3", "--grid", "8", "--theta-list", "1.0,2.0",
                                     "--xi-list", "0.5", *(("--svg",) if svg else ()),
                                     "--out", str(out))
@@ -686,8 +724,8 @@ class TestCliPathsBeforeCompute:
             calls.append(args)
             return run_fig3(*args)
 
-        run_fig3 = anyonosc.cli.run_fig3
-        monkeypatch.setattr(anyonosc.cli, "run_fig3", spy)
+        run_fig3 = GENERATORS["fig3-slices"]
+        monkeypatch.setitem(GENERATORS, "fig3-slices", spy)
         code, _, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1.0",
                                "--xi-list", "0.5", "--out", str(out))
         assert code == 0, err
@@ -699,14 +737,14 @@ class TestCliPathsBeforeCompute:
     def test_sweep_output_path_from_the_config_is_checked(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "run.json").write_text(json.dumps({"output": {"path": "missing/s.csv"}}))
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        _no_compute(monkeypatch, "sweep")
         code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json")
         assert code == 1 and stdout == ""
         assert err == "anyonosc: error: output.path missing/s.csv: missing is not a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_two_fig3_panels_onto_one_svg_are_refused(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(anyonosc.cli, "run_fig3", _never)
+        _no_compute(monkeypatch, *FIG3)
         code, stdout, err = run_cli(capsys, "fig3", "--grid", "8", "--theta-list",
                                     "1.0001,1.0004", "--xi-list", "0.5", "--svg",
                                     "--out", str(tmp_path / "f3"))
@@ -728,7 +766,7 @@ class TestCliPathsBeforeCompute:
     @pytest.mark.parametrize("command", sorted(set(COMPUTE) - {"sweep"}))
     def test_empty_out_is_refused(self, capsys, tmp_path, monkeypatch, command):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, self.COMPUTE[command], _never)
+        _no_compute(monkeypatch, self.COMPUTE[command])
         code, stdout, err = run_cli(capsys, command, "--out", "")
         assert code == 1 and stdout == ""
         assert err == "anyonosc: error: --out is an empty path\n"
@@ -736,7 +774,7 @@ class TestCliPathsBeforeCompute:
 
     def test_empty_svg_is_refused(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, "run_spectrum", _never)
+        _no_compute(monkeypatch, "spectrum-grid")
         code, stdout, err = run_cli(capsys, "spectrum", "--grid", "4", "--out", "g.csv",
                                     "--svg", "")
         assert code == 1 and stdout == ""
@@ -747,7 +785,7 @@ class TestCliPathsBeforeCompute:
                                                               monkeypatch):
         (tmp_path / "run.json").write_text(json.dumps({"output": {"path": "s.csv"}}))
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        _no_compute(monkeypatch, "sweep")
         code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json", "--out", "")
         assert code == 1 and stdout == ""
         assert err == "anyonosc: error: --out is an empty path\n"
@@ -756,7 +794,7 @@ class TestCliPathsBeforeCompute:
     def test_empty_output_path_in_the_config_is_refused(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "run.json").write_text(json.dumps({"output": {"path": ""}}))
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        _no_compute(monkeypatch, "sweep")
         code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json")
         assert code == 1 and stdout == ""
         assert err == "anyonosc: error: output.path is an empty path\n"
@@ -769,7 +807,7 @@ class TestCliPathsBeforeCompute:
         (tmp_path / "g.csv").write_text("kept\n")
         os.symlink("g.csv", tmp_path / "g.csv.meta.json")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, self.COMPUTE[command], _never)
+        _no_compute(monkeypatch, self.COMPUTE[command])
         config = ("--config", "run.json") if command == "sweep" else ()
         code, stdout, err = run_cli(capsys, command, *config, "--out", "g.csv")
         assert code == 1 and stdout == ""
@@ -787,7 +825,7 @@ class TestCliPathsBeforeCompute:
         out.mkdir()
         (out / "fig3_slices.csv").write_text("kept\n")
         os.symlink("fig3_slices.csv", out / "fig3_grid_theta1.000_xi0.50.svg")
-        monkeypatch.setattr(anyonosc.cli, "run_fig3", _never)
+        _no_compute(monkeypatch, *FIG3)
         code, stdout, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "1.0",
                                     "--xi-list", "0.5", "--svg", "--out", str(out))
         assert code == 1 and stdout == ""
@@ -810,7 +848,7 @@ class TestCliPathsBeforeCompute:
         (tmp_path / "run.json").write_text(text)
         (tmp_path / "sub").mkdir()
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(anyonosc.cli, "run_sweep", _never)
+        _no_compute(monkeypatch, "sweep")
         code, stdout, err = run_cli(capsys, "sweep", "--config", "run.json", *flags)
         assert code == 1 and stdout == ""
         real = os.path.join(os.path.realpath(tmp_path), "run.json")
@@ -819,23 +857,23 @@ class TestCliPathsBeforeCompute:
         assert (tmp_path / "run.json").read_text() == text
 
 
-# argv of each command with every file it writes, and the function it computes
-# with as the CLI module names it; run.json is a two-axis sweep config
+# argv of each command with every file it writes, and the generators it computes
+# with; run.json is a two-axis sweep config
 WRITERS = {
-    "single-rates": (("single-rates", "--grid", "5", "--out", "r.csv"), "run_fig1"),
-    "dimer-rates": (("dimer-rates", "--grid", "5", "--out", "d.csv"), "run_fig2"),
-    "ep-locate": (("ep-locate", "--out", "e.csv"), "run_ep_locate"),
-    "spectrum": (("spectrum", "--grid", "4", "--out", "g.csv"), "run_spectrum"),
+    "single-rates": (("single-rates", "--grid", "5", "--out", "r.csv"), ("fig1",)),
+    "dimer-rates": (("dimer-rates", "--grid", "5", "--out", "d.csv"), ("fig2",)),
+    "ep-locate": (("ep-locate", "--out", "e.csv"), ("ep-locate",)),
+    "spectrum": (("spectrum", "--grid", "4", "--out", "g.csv"), ("spectrum-grid",)),
     "spectrum-svg": (("spectrum", "--grid", "4", "--out", "g.csv", "--svg", "g.svg"),
-                     "run_spectrum"),
-    "fig1": (("fig1", "--grid", "5", "--out", "f1.csv"), "run_fig1"),
-    "fig2": (("fig2", "--grid", "5", "--out", "f2.csv"), "run_fig2"),
+                     ("spectrum-grid",)),
+    "fig1": (("fig1", "--grid", "5", "--out", "f1.csv"), ("fig1",)),
+    "fig2": (("fig2", "--grid", "5", "--out", "f2.csv"), ("fig2",)),
     "fig3": (("fig3", "--grid", "4", "--theta-list", "1", "--xi-list", "0.5",
-              "--out", "f3/sub"), "run_fig3"),
+              "--out", "f3/sub"), FIG3),
     "fig3-svg": (("fig3", "--grid", "4", "--theta-list", "1,2", "--xi-list", "0,0.5",
-                  "--svg", "--out", "f3"), "run_fig3"),
-    "sweep": (("sweep", "--config", "run.json", "--out", "s.csv"), "run_sweep"),
-    "sweep-output-path": (("sweep", "--config", "run.json"), "run_sweep"),
+                  "--svg", "--out", "f3"), FIG3),
+    "sweep": (("sweep", "--config", "run.json", "--out", "s.csv"), ("sweep",)),
+    "sweep-output-path": (("sweep", "--config", "run.json"), ("sweep",)),
 }
 SWEEP_CONFIG = {"sweep": [{"name": "theta", "start": 0, "stop": 1, "count": 3},
                           {"name": "xi", "start": -1, "stop": 1, "count": 2}]}
@@ -870,7 +908,7 @@ class TestCliFileList:
         assert code == 0, err
         written = _written(run) - {"run.json"}
         assert written and written == set(listed) - {"run.json"}
-        monkeypatch.setattr(anyonosc.cli, compute, _never)
+        _no_compute(monkeypatch, *compute)
         for k, name in enumerate(sorted(written)):
             fresh = tmp_path / f"fresh{k}"
             (fresh / name).mkdir(parents=True)
@@ -912,8 +950,6 @@ class TestCliRunConfig:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] and stdout == ""
 
     def test_ep_locate_range_is_recorded(self, capsys, tmp_path):
-        from anyonosc.sweeps import config_from_dict
-
         docs = {}
         for bracket in ("0:3.1315926535897933", "0.1:1.0"):
             out = tmp_path / f"ep{len(docs)}.csv"
@@ -1279,3 +1315,4 @@ def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
             path = tmp_path / name
             assert (any(path.iterdir()) if path.is_dir() else path.stat().st_size > 0), line
         assert named or stdout.count("\n") >= 2, line  # a header and rows on stdout
+    _assert_regenerates(sorted(tmp_path.rglob("*.csv")))

@@ -222,6 +222,22 @@ class TestBuildWeff:
 
 
 class TestEigenAnalysis:
+    @pytest.mark.parametrize("theta, xi", [(1.0, 0.5), (2.3, -0.9), (0.4, 1.0)])
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    def test_eigenvectors_stay_finite_while_the_entries_are(self, theta, xi, conjugation):
+        # at gamma = 1e300 the squared norms of the unscaled candidates overflow;
+        # the eigenvectors of the scaled matrix are the matrix's own
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = build_weff(AnyonParams(theta=theta, gamma=1e300, xi=xi), conjugation=conjugation)
+        values, vectors = np.linalg.eig(w.entries)
+        for lam, v in zip(w.eigenvalues, w.right_eigenvectors.T):
+            ref = vectors[:, np.argmin(np.abs(values - lam))]
+            phase = np.vdot(ref, v) / abs(np.vdot(ref, v))
+            assert np.max(np.abs(v - phase * ref)) <= 1e-12
+        assert math.isfinite(w.eigenvector_condition) and not w.near_defective
+        assert w.eigenvector_condition == pytest.approx(np.linalg.cond(vectors), rel=1e-9)
+
     def test_diagonal_matrix_is_trivial(self):
         entries = np.diag([-1.2j - 0.1, -0.8j - 0.1])
         w = EffectiveMatrix(entries)

@@ -21,6 +21,7 @@ from anyonosc.output import (_BLOCK_VALUES, _KERNEL_MIN, _MARGIN_B, _MARGIN_L, _
                              _diverging_palette, _fallback_records, _fixed_fields, _kernel,
                              _records, _repeats, csv_text, grid_result, read_csv, svg_heatmap,
                              write_csv)
+from anyonosc.params import AnyonParams
 from anyonosc.sweeps import GridSpec, RunConfig, SweepAxis, run_fig2, run_spectrum, run_sweep
 
 
@@ -354,9 +355,9 @@ class TestCsvEdges:
 
     def test_stdout_is_the_file(self, tmp_path, capsys):
         from anyonosc import cli
-        config = RunConfig(t2=0.5)
-        res = grid_result(run_spectrum(config, config.params.with_(theta=0.7, xi=-0.2)))
-        cli._emit(res, None, config)
+        config = RunConfig(params=AnyonParams(theta=0.7, xi=-0.2), t2=0.5)
+        res = grid_result(run_spectrum(config))
+        cli._write(config, [res], [])
         printed = capsys.readouterr().out
         path = tmp_path / "g.csv"
         write_csv(res, str(path))
@@ -381,8 +382,8 @@ class TestCsvSharing:
 
     def test_grid_axes_are_formatted_once(self, monkeypatch):
         n = 256
-        config = RunConfig(t2=3.5, grid=GridSpec(count=n))
-        res = grid_result(run_spectrum(config, config.params.with_(theta=0.9, xi=0.6)))
+        config = RunConfig(params=AnyonParams(theta=0.9, xi=0.6), t2=3.5, grid=GridSpec(count=n))
+        res = grid_result(run_spectrum(config))
         sizes = self._spy(monkeypatch)
         csv_text(res)
         assert sizes["records"][0] <= 2 * n  # both axes, one call
@@ -511,8 +512,8 @@ class TestKernel:
         # above; on real tables it leaves nothing, the writer gives it every
         # value of the columns it formats row by row, and sends `%` only calls
         # too small for the kernel
-        config = RunConfig(t2=3.5)
-        grid = grid_result(run_spectrum(config, config.params.with_(theta=0.9, xi=0.6)))
+        config = RunConfig(params=AnyonParams(theta=0.9, xi=0.6), t2=3.5)
+        grid = grid_result(run_spectrum(config))
         sweep = run_sweep(RunConfig(sweep=(SweepAxis("theta", 0.0, 3.0, 60),
                                            SweepAxis("xi", -1.0, 1.0, 70))))
         sizes = {"kernel": [], "fallback": []}

@@ -18,7 +18,7 @@ from anyonosc.fock import expm, resolvent_apply
 from anyonosc.spectra import (PATHWAY_QUANTA, SpectrumGrid, _apply, _pathway_blocks,
                               _pathway_states, _resolvents, rephasing_response_quadrature,
                               response_point)
-from anyonosc.sweeps import Conventions, RunConfig, run_fig3, run_spectrum
+from anyonosc.sweeps import GENERATORS, Conventions, RunConfig, run_fig3, run_spectrum
 
 
 def coherence_order(system):
@@ -117,7 +117,7 @@ class TestRephasingResponse:
         # still carries --cutoff, and one without two-quanta states is refused
         config = RunConfig(cutoff=1, grid=GridSpec(count=4))
         with pytest.raises(ValueError, match="cutoff >= 2"):
-            run_spectrum(config, AnyonParams(theta=0.0))
+            run_spectrum(config)
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -179,8 +179,8 @@ class TestRephasingResponse:
                                                                   jump_basis=jump_basis))
         fig3 = run_fig3(config)
         panel = np.diagonal(fig3.grids[0][2].values)
-        assert fig3.slices.column("re").tobytes() == panel.real.tobytes()
-        assert fig3.slices.column("im").tobytes() == panel.imag.tobytes()
+        assert fig3.column("re").tobytes() == panel.real.tobytes()
+        assert fig3.column("im").tobytes() == panel.imag.tobytes()
 
     # endpoints, then span and step: -1e308:1e308 overflows hi - lo, and the
     # last two ranges round neighbouring detunings to one float
@@ -588,7 +588,7 @@ class TestDiagonalSlice:
     def test_symmetric_lorentzian_peaks_at_zero(self):
         axis = np.linspace(-0.5, 0.5, 41)
         lor = 1.0 / (axis**2 + 0.01)
-        grid = SpectrumGrid(axis, np.diag(lor).astype(complex) + 1e-6)
+        grid = SpectrumGrid(axis, np.diag(lor).astype(complex) + 1e-6, np.eye(axis.size))
         det, vals = diagonal_slice(grid)
         m = lineshape_metrics(det, vals)
         assert m.peak_detuning == pytest.approx(0.0, abs=1e-12)
@@ -596,7 +596,7 @@ class TestDiagonalSlice:
     @pytest.mark.parametrize("shape", [(8, 7), (7, 7), (8,), (8, 8, 1)])
     def test_values_off_the_axis_are_refused_when_made(self, shape):
         with pytest.raises(ValueError, match="do not match a 8-point axis"):
-            SpectrumGrid(np.linspace(-0.5, 0.5, 8), np.zeros(shape, complex))
+            SpectrumGrid(np.linspace(-0.5, 0.5, 8), np.zeros(shape, complex), np.eye(8))
 
     def test_absorptive_profile_in_normal_regime(self):
         # the photon-echo diagonal peak carries >= 80% of the maximal |Re|:
@@ -681,7 +681,7 @@ def overlay_rows(theta_list, params):
     of ``params``, with two-point spectra for the panels."""
     config = RunConfig(params=params, grid=GridSpec(count=2), theta_list=tuple(theta_list),
                        xi_list=(params.xi,))
-    return run_fig3(config).overlay.rows
+    return GENERATORS["fig3-overlay"](config).rows
 
 
 class TestBrightModeOverlay:
@@ -709,9 +709,9 @@ class TestBrightModeOverlay:
         # fig3's slice peaks at the overlay's upper branch, +J, and is dim at -J
         config = RunConfig(params=AnyonParams(theta=0.0, xi=0.0, coupling_j=0.2),
                            grid=GridSpec(count=101), theta_list=(0.0,), xi_list=(0.0,))
-        fig3 = run_fig3(config)
-        lower, upper = np.sort(fig3.overlay.rows[0, 2:4])
+        slices = run_fig3(config)
+        lower, upper = np.sort(GENERATORS["fig3-overlay"](config).rows[0, 2:4])
         assert upper == pytest.approx(0.2, abs=1e-12)
-        det, mag = fig3.slices.column("detuning"), fig3.slices.column("abs")
+        det, mag = slices.column("detuning"), slices.column("abs")
         assert abs(det[np.argmax(mag)] - upper) <= det[1] - det[0]
         assert mag[np.argmin(np.abs(det - upper))] > 5.0 * mag[np.argmin(np.abs(det - lower))]

@@ -16,7 +16,7 @@ from anyonosc.output import (csv_text, metadata_document, read_csv,
 from anyonosc.dimer import CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS
 from anyonosc.fock import JUMP_BASES
 from anyonosc.spectra import GridSpec
-from anyonosc.sweeps import (PARAM_FIELDS, Conventions, SweepAxis, parse_range,
+from anyonosc.sweeps import (GENERATORS, PARAM_FIELDS, Conventions, SweepAxis, parse_range,
                              run_fig1, run_fig2, run_fig3, run_sweep)
 
 
@@ -222,17 +222,17 @@ class TestFig3:
     def test_shapes_and_metadata(self):
         cfg = RunConfig(params=AnyonParams(theta=0.0), cutoff=2,
                         grid=GridSpec(count=16), theta_list=(0.0, 1.5), xi_list=(0.0,))
-        out = run_fig3(cfg)
+        out, overlay = run_fig3(cfg), GENERATORS["fig3-overlay"](cfg)
         assert len(out.grids) == 2
-        assert len(out.slices.rows) == 2 * 16
-        assert out.overlay.columns[0] == "theta"
+        assert len(out.rows) == 2 * 16
+        assert overlay.columns[0] == "theta"
         # the grid block holds only what the config echo cannot show, and
         # the slices carry the same block as every panel
         for _, _, g in out.grids:
             assert set(g.metadata) == {"rho_eq", "frequency", "axes", "first_interval_axis",
                                        "prefactor"}
-            assert g.metadata == out.slices.metadata["grid"]
-        assert "grid" not in out.overlay.metadata
+            assert g.metadata == out.metadata["grid"]
+        assert "grid" not in overlay.metadata
 
     def test_cutoff_validation(self):
         # the pathway's own check, before any panel is computed

@@ -26,7 +26,7 @@ from anyonosc.dimer import (DEFAULT_CONJUGATION, EP_COARSE_POINTS, EP_CONDITION_
                             weff_entries)
 from anyonosc.params import BETA_OMEGA_FLOOR
 from anyonosc.spectra import GridSpec
-from anyonosc.sweeps import (RunConfig, Conventions, SweepAxis, run_fig1, run_fig2, run_fig3,
+from anyonosc.sweeps import (GENERATORS, RunConfig, Conventions, SweepAxis, run_fig1, run_fig2,
                              run_sweep)
 
 ULP = np.finfo(float).eps
@@ -474,7 +474,7 @@ class TestSweepsAgainstReference:
         xis = (0.9, 0.0)
         config = RunConfig(params=p, conventions=Conventions(fc, cj, stat_dephasing=sd),
                            grid=GridSpec(count=2), theta_list=(0.0, math.pi), xi_list=xis)
-        got = run_fig3(config).overlay.rows
+        got = GENERATORS["fig3-overlay"](config).rows
         thetas = np.linspace(0.0, math.pi, 201)
         ref, bound = [], []
         for xi in xis:

@@ -5,8 +5,9 @@
 TREE_A and TREE_B are checkouts of this repository (each with ``src/anyonosc``).
 The commands are every line of TREE_A's README ``## CLI`` block, with its
 config-schema block as ``run.json``, then ``--draws`` seeded calls: every fifth
-one of ``fig2``, ``dimer-rates``, ``ep-locate`` or ``single-rates``, the rest
-``spectrum`` and ``fig3``. Each tree runs all of them through
+one of ``fig2``, ``dimer-rates``, ``ep-locate`` or ``single-rates`` (one in ten of
+these at gamma 1e300 or 1.7e308, where the W_eff entries are finite or overflow),
+the rest ``spectrum`` and ``fig3``. Each tree runs all of them through
 ``anyonosc.cli.main`` in one Python process of its own (``PYTHONPATH`` its
 ``src``, one BLAS thread, no bytecode written), each command in an empty
 directory.
@@ -71,7 +72,8 @@ def seeded_commands(draws: int, seed: int) -> list:
     uniform on [0, 20], either jump basis and conjugation, and writes SVGs on a
     quarter of draws. A closed-form command (``closed_form``) is fig2,
     dimer-rates, ep-locate or single-rates with omega uniform on [0.5, 2] and
-    the flags it defines.
+    the flags it defines; every tenth one (k % 50 == 49) takes gamma 1e300 or
+    1.7e308 in place of the drawn one.
     """
     rng = random.Random(seed)
 
@@ -81,14 +83,16 @@ def seeded_commands(draws: int, seed: int) -> list:
     def xi():
         return rng.choice((-1.0, 0.0, 1.0)) if rng.random() < 0.3 else rng.uniform(-1.0, 1.0)
 
-    def closed_form():
-        """A fig2, dimer-rates, ep-locate or single-rates argv: every convention
+    def closed_form(huge):
+        """A fig2, dimer-rates, ep-locate or single-rates argv (gamma 1e300 or
+        1.7e308 if ``huge``, else drawn): every convention
         drawn; theta ranges lo:hi with 0 <= lo < hi <= pi (fig2 has none, and
         ep-locate keeps its default bracket on half the draws); fig2 takes
         either --temp and one to three xi."""
         command = rng.choice(("fig2", "dimer-rates", "ep-locate", "single-rates"))
-        argv = [command, "--gamma", _f(math.exp(rng.uniform(math.log(0.01), math.log(2.0)))),
-                "--omega", _f(rng.uniform(0.5, 2.0))]
+        gamma = (rng.choice((1e300, 1.7e308)) if huge
+                 else math.exp(rng.uniform(math.log(0.01), math.log(2.0))))
+        argv = [command, "--gamma", _f(gamma), "--omega", _f(rng.uniform(0.5, 2.0))]
         if command != "fig2":
             argv += ["--beta", _f(math.exp(rng.uniform(math.log(0.05), math.log(20.0))))]
         if command != "single-rates":
@@ -113,7 +117,7 @@ def seeded_commands(draws: int, seed: int) -> list:
     commands = []
     for k in range(draws):
         if k % 5 == 4:
-            commands.append(closed_form())
+            commands.append(closed_form(huge=k % 50 == 49))
             continue
         common = ["--beta", _f(math.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
                   "--gamma", _f(math.exp(rng.uniform(math.log(0.01), math.log(2.0)))),
