@@ -5,9 +5,12 @@ exceptional-point locator.
 The W_eff layer is array-valued: ``normal_mode_frequencies``,
 ``dissipative_rates`` and ``weff_entries`` take a ``ParamArrays`` (or one
 AnyonParams point), ``weff_eigenvalues`` takes entry arrays and
-``match_branches`` labels whole eigenvalue sequences, all over broadcast
-arrays. ``channel_coefficients`` is the one table of the four bath channels:
-``dissipative_rates`` sums it, and the Fock-space jump operators read it.
+``match_branches`` labels whole eigenvalue sequences. On an open grid each
+result broadcasts to the points' shape and spans only the axes it depends
+on: the frequencies those of theta, omega and J, the channel coefficients
+those of every field but J. ``channel_coefficients`` is the one table of the
+four bath channels: ``dissipative_rates`` sums it, and the Fock-space jump
+operators read it.
 ``build_weff`` and its ``EffectiveMatrix`` are one-point calls of the same
 code; the exceptional-point locator scans and refines on the array gap.
 """
@@ -185,7 +188,7 @@ def _modulus(z):
 
 def weff_eigenvalues(a, b, c, d) -> tuple:
     """Closed-form eigenvalues (lambda_+, lambda_-) of the 2x2 matrices
-    ((A, B), (C, D)) over broadcast entry arrays.
+    ((A, B), (C, D)) over entry arrays that broadcast together.
 
     lambda_+/- = (A + D +/- sqrt((A-D)^2 + 4BC))/2 with the principal branch.
     A discriminant imaginary part within round-off (1e-12 of |A-D|^2 + 4|BC|)

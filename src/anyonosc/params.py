@@ -1,8 +1,8 @@
 """Shared parameter set for the anyonic oscillator model.
 
 ``AnyonParams`` is one parameter point; ``ParamArrays`` holds the same fields
-as broadcast arrays for the array-valued closed-form layer. Both are checked
-by ``check_points``, one rule with one message per parameter.
+as the arrays of an open grid for the array-valued closed-form layer. Both
+are checked by ``check_points``, one rule with one message per parameter.
 """
 
 from __future__ import annotations
@@ -22,10 +22,19 @@ class ParameterError(ValueError):
 BETA_OMEGA_FLOOR = 1e-9
 
 
+def _math_exp(x: float) -> float:
+    """math.exp(x), inf where it overflows, as at x = inf: the occupation
+    1/(e^{beta omega} - e^{i theta}) of a cold bath is then 0."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _exp(x):
-    """e**x elementwise by the C library's exp (the one ``math.exp`` calls),
-    evaluated once per distinct value: once for an array of one value (beta
-    omega broadcast over theta), without a sort.
+    """e**x elementwise by the C library's exp (the one ``math.exp`` calls,
+    inf above its range), evaluated once per distinct value; a one-element
+    array (beta omega where neither is an axis of an open grid) takes no sort.
 
     numpy's own exp differs from it by one ulp on a few percent of inputs,
     and e^{beta omega} - e^{i theta} in the occupation (and 1 - z in the
@@ -33,10 +42,10 @@ def _exp(x):
     point and a one-point call agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 1 or (x.size and (x == x.flat[0]).all()):
-        return np.full(x.shape, math.exp(x.flat[0]))[()]
+    if x.size == 1:
+        return np.full(x.shape, _math_exp(x.flat[0]))[()]
     values, inverse = np.unique(x, return_inverse=True)
-    return np.array([math.exp(v) for v in values.tolist()])[inverse].reshape(x.shape)
+    return np.array([_math_exp(v) for v in values.tolist()])[inverse].reshape(x.shape)
 
 
 def first_violation(bad, *values):
@@ -50,7 +59,7 @@ def first_violation(bad, *values):
 
 
 def check_points(theta, omega, coupling_j, gamma, beta, xi):
-    """Check every parameter point of the broadcast arrays.
+    """Check every parameter point of arrays that broadcast together.
 
     Raises ParameterError for the first offending point in C order, with the
     message of the first rule it breaks, in the order theta, xi, omega,
@@ -116,11 +125,15 @@ class AnyonParams:
 
 @dataclass(frozen=True)
 class ParamArrays:
-    """The AnyonParams fields as float64 arrays of one broadcast shape.
+    """The AnyonParams fields as float64 arrays of an open grid.
 
-    Every closed-form function of ``rates`` and ``dimer`` that reads a
-    parameter set accepts one of these in place of an AnyonParams and
-    returns arrays of the broadcast shape. Construction checks every point.
+    Each field keeps its own extent on one shared number of dimensions (size 1
+    where it is constant, as ``np.ix_`` gives); fields that do not broadcast
+    together are refused as ``np.broadcast_arrays`` refuses them. Every
+    closed-form function of ``rates`` and ``dimer`` that reads a parameter
+    set accepts one of these in place of an AnyonParams and returns arrays
+    that broadcast to the points' shape, each over the axes it depends on.
+    Construction checks every point.
     """
 
     theta: np.ndarray
@@ -132,9 +145,10 @@ class ParamArrays:
 
     def __post_init__(self):
         names = [f.name for f in fields(self)]
-        values = np.broadcast_arrays(*(np.asarray(getattr(self, n), dtype=float) for n in names))
+        values = [np.asarray(getattr(self, n), dtype=float) for n in names]
+        ndim = len(np.broadcast_shapes(*(v.shape for v in values)))
         for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value.reshape((1,) * (ndim - value.ndim) + value.shape))
         check_points(self.theta, self.omega, self.coupling_j, self.gamma, self.beta, self.xi)
 
     @classmethod

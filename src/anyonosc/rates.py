@@ -6,9 +6,10 @@ average and the relaxation rates, with their boson (theta = 0) and fermion
 (theta = pi) limits.
 
 ``thermal_occupation``, ``phase_average``, ``gamma_stat`` and
-``gamma_full_single`` (given a ``ParamArrays``) take broadcast arrays and
-return arrays of the broadcast shape; a scalar call is the same code on 0-d
-values. A range check raises for the first offending point in C order.
+``gamma_full_single`` (given a ``ParamArrays``) take arrays that broadcast
+together and return arrays that broadcast to the points' shape, each over
+the axes of its inputs; a scalar call is the same code on 0-d values. A
+range check raises for the first offending point in C order.
 ``deformed_commutator_eigenvalue``, ``q_bracket`` and
 ``phase_average_series`` take scalars.
 """
@@ -143,7 +144,7 @@ def gamma_full_single(params: AnyonParams | ParamArrays) -> complex:
     (gamma/2) * [2 n_theta + 1 + (1 - Re<e^{i theta N}>)], complex in general
     because n_theta is: the real part is the decay rate reported to users, the
     imaginary part a frequency shift. Boson limit: (gamma/2)(2n + 1). A
-    ParamArrays gives an array of its broadcast shape, one point a scalar.
+    ParamArrays gives an array over the axes it reads, one point a scalar.
     """
     nth = thermal_occupation(params.theta, params.beta, params.omega)
     re_avg = phase_average(params.theta, params.z).real

@@ -227,20 +227,26 @@ def run_fig1(config: RunConfig) -> SweepResult:
     )
 
 
+def _rows(*columns) -> np.ndarray:
+    """The columns broadcast together, stacked on a last axis: one row per point."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
 def _branches(config: RunConfig, thetas, xis) -> np.ndarray:
     """W_eff eigenvalue pairs on the (xi, theta) grid, labelled along theta.
 
     Entry [k, i] is the row theta, xi, Re/Im of both branch-continued
     eigenvalues, gap and the EP flag (``dimer.ep_flag``) at (thetas[i],
-    xis[k]): fig2's columns, and the overlay's source."""
-    theta, xi = np.meshgrid(np.asarray(thetas, float), np.asarray(xis, float))
+    xis[k]): fig2's columns, and the overlay's source, from xi as a column and
+    theta as a row."""
+    theta, xi = np.asarray(thetas, float)[None, :], np.asarray(xis, float)[:, None]
     conv = config.conventions
     a, b, c, d = weff_entries(ParamArrays.over(config.params, theta=theta, xi=xi),
                               conv.frequency, conv.conjugation, conv.stat_dephasing)
     lp, lm = match_branches(*weff_eigenvalues(a, b, c, d))
     gap = _modulus(lp - lm)
     flag = ep_flag(gap, b, c, config.params.gamma)
-    return np.stack([theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag], axis=-1)
+    return _rows(theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag)
 
 
 def run_fig2(config: RunConfig) -> SweepResult:
@@ -331,8 +337,9 @@ def run_sweep(config: RunConfig) -> SweepResult:
     """Generic closed-form sweep over the configured axes.
 
     Rows are the cartesian product of the axes in order; per row the
-    single-oscillator rates and the dimer eigenvalues are evaluated. A config
-    key the sweep does not read must keep its RunConfig default.
+    single-oscillator rates and the dimer eigenvalues are evaluated, each
+    over the open grid's (``np.ix_``) axes it depends on. A config key the
+    sweep does not read must keep its RunConfig default.
     """
     if not config.sweep:
         raise ConfigError("sweep config needs at least one axis")
@@ -342,24 +349,21 @@ def run_sweep(config: RunConfig) -> SweepResult:
               if getattr(config, attr) != getattr(default, attr)]
     if unread:
         raise ConfigError(f"sweep config sets keys a sweep does not read: {unread}")
-    grids = [ax.values() for ax in config.sweep]
+    axes = np.ix_(*(ax.values() for ax in config.sweep))
     names = [ax.name for ax in config.sweep]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts = ParamArrays.over(config.params, **dict(zip(names, points.T)))
+    pts = ParamArrays.over(config.params, **dict(zip(names, axes)))
     full = gamma_full_single(pts)
     conv = config.conventions
     lp, lm = weff_eigenvalues(*weff_entries(pts, conv.frequency, conv.conjugation,
                                             conv.stat_dephasing))
-    rows = np.column_stack([points, gamma_stat(pts.theta, pts.z, pts.gamma),
-                            full.real, full.imag, lp.real, lp.imag, lm.real, lm.imag,
-                            _modulus(lp - lm)])
+    rows = _rows(*axes, gamma_stat(pts.theta, pts.z, pts.gamma), full.real, full.imag,
+                 lp.real, lp.imag, lm.real, lm.imag, _modulus(lp - lm))
     cols = tuple(names) + ("gamma_stat", "re_gamma_full", "im_gamma_full",
                            "re_lambda_plus", "im_lambda_plus",
                            "re_lambda_minus", "im_lambda_minus", "gap")
     units = tuple("rad" if n == "theta" else "1" if n == "xi" else "omega" for n in names) + \
         ("omega",) * 8
-    return SweepResult(columns=cols, units=units, rows=rows,
+    return SweepResult(columns=cols, units=units, rows=rows.reshape(-1, len(cols)),
                        metadata={"generator": "sweep"})
 
 

@@ -278,6 +278,63 @@ class TestCliNonFiniteParameters:
         assert np.all(np.isfinite(beta.z))
 
 
+# Every term that tells a cold bath from beta = inf carries e^{-beta omega} <=
+# e^{-709} ~ 1.2e-308, times rates of order gamma: within this of the beta = inf rows
+COLD_BOUND = 1e-300
+
+
+def _rows_at_zero_temperature(csv_path):
+    """The rows of ``csv_path``'s sidecar config rerun at beta = inf."""
+    doc = json.loads(csv_path.with_name(csv_path.name + ".meta.json").read_text())
+    doc["config"]["params"]["beta"] = math.inf
+    return GENERATORS[doc["generator"]](config_from_dict(doc["config"])).rows
+
+
+def _assert_cold_rows(path, want):
+    rows = np.array(read_csv(str(path))[2])
+    assert rows.size and np.all(np.isfinite(rows))
+    assert rows.shape == np.shape(want)
+    assert np.max(np.abs(rows - want)) <= COLD_BOUND
+
+
+class TestCliColdBath:
+    # e^{beta omega} overflows math.exp from beta omega ~ 709.78 on; it is inf
+    # there, as at beta = inf, where the occupation is 0
+    @pytest.mark.parametrize("beta_omega", [709.0, 710.0, 1e5, 1e300])
+    @pytest.mark.parametrize("argv", [
+        ["dimer-rates", "--xi", "0.5", "--stat-dephasing", "on", "--grid", "5", "--beta"],
+        ["dimer-rates", "--xi", "1.0", "--conjugation", "analytic", "--grid", "5", "--beta"],
+        ["single-rates", "--grid", "5", "--beta"],
+        ["ep-locate", "--xi", "1.0", "--beta"],
+        ["fig2", "--grid", "5", "--xi-list", "0,1", "--omega"],  # --temp low: beta = 1
+        ["spectrum", "--grid", "4", "--theta", "1.0", "--xi", "0.5", "--t2", "2", "--beta"],
+    ], ids=["dimer-rates", "dimer-rates-analytic", "single-rates", "ep-locate", "fig2",
+            "spectrum"])
+    def test_cold_bath_is_the_zero_temperature_limit(self, capsys, tmp_path, argv, beta_omega):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, *argv, repr(beta_omega), "--out", str(out))
+        assert code == 0, err
+        _assert_cold_rows(out, _rows_at_zero_temperature(out))
+
+    def test_sweep_across_the_exp_range(self, capsys, tmp_path):
+        # beta 709, 711, ..., 719 over three angles: each beta's rows are the
+        # beta = inf sweep over the angles
+        theta = {"name": "theta", "start": 0.0, "stop": 3.0, "count": 3}
+        out = tmp_path / "sweep.csv"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "params": {"xi": 0.5}, "conventions": {"stat_dephasing": True},
+            "sweep": [{"name": "beta", "start": 709.0, "stop": 719.0, "count": 6}, theta]}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path), "--out", str(out))
+        assert code == 0, err
+        cold = config_from_dict({"params": {"xi": 0.5, "beta": math.inf},
+                                 "conventions": {"stat_dephasing": True}, "sweep": [theta]})
+        want = np.array(GENERATORS["sweep"](cold).rows)
+        got = np.array(read_csv(str(out))[2])
+        assert np.array_equal(got[:, 0], np.repeat(np.linspace(709.0, 719.0, 6), 3))
+        _assert_cold_rows(out, np.column_stack([got[:, 0], np.tile(want, (6, 1))]))
+
+
 FILE_COMMANDS = {
     "single-rates": ["single-rates", "--grid", "5"],
     "dimer-rates": ["dimer-rates", "--xi", "0.5", "--grid", "5", "--stat-dephasing", "on"],

@@ -52,3 +52,25 @@ def test_differences_are_found_and_measured(tool, tmp_path):
     dev = files["g.csv"]["deviation"]
     assert dev["re"] == pytest.approx(2.2e-16, rel=0.01) and dev["im"] == 0.0
     assert dev["re+i im"] == pytest.approx(2.2e-16 / 5 ** 0.5, rel=0.01)
+
+
+def test_sweep_draws_cover_the_parameters_and_their_refusals(tool):
+    # every fifth draw is a sweep of 1-3 axes over the six parameters, 2-40
+    # points each; about one in ten is refused by the parameter check
+    from anyonosc.params import ParameterError
+    from anyonosc.sweeps import ConfigError, config_from_dict, run_sweep
+
+    sweeps = [json.loads(config) for argv, config in tool.seeded_commands(1000, 3)
+              if argv[0] == "sweep"]
+    assert len(sweeps) == 200
+    axes = [ax for doc in sweeps for ax in doc["sweep"]]
+    assert {ax["name"] for ax in axes} == {"theta", "omega", "coupling_j", "gamma", "beta", "xi"}
+    assert {len(doc["sweep"]) for doc in sweeps} == {1, 2, 3}
+    assert min(ax["count"] for ax in axes) == 2 and max(ax["count"] for ax in axes) == 40
+    refused = 0
+    for doc in sweeps:
+        try:
+            run_sweep(config_from_dict(doc))
+        except (ConfigError, ParameterError):
+            refused += 1
+    assert 0.05 <= refused / len(sweeps) <= 0.2

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anyonosc.dimer
-from anyonosc import (AnyonParams, ParamArrays, build_weff, channel_coefficients,
-                      find_exceptional_point, gamma_full_single, normal_mode_frequencies)
-from anyonosc.dimer import (EffectiveMatrix, _mul, dissipative_rates, match_branches,
-                            site_coefficients, weff_eigenvalues, weff_entries)
-from anyonosc.rates import gamma_stat, thermal_occupation
+from anyonosc import (AnyonParams, ParamArrays, ParameterError, build_weff,
+                      channel_coefficients, find_exceptional_point, gamma_full_single,
+                      normal_mode_frequencies)
+from anyonosc.dimer import (CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS, EffectiveMatrix, _mul,
+                            dissipative_rates, match_branches, site_coefficients,
+                            weff_eigenvalues, weff_entries)
+from anyonosc.rates import gamma_stat, phase_average, thermal_occupation
 
 
 def brute_force_eigs(entries):
@@ -366,6 +369,87 @@ class TestDissipativeRates:
         got = dissipative_rates(p, conjugation)
         assert [complex(g) for g in got] == [complex(w) for w in
                                              stacked_dissipative_rates(p, conjugation)]
+
+
+@st.composite
+def open_grids(draw):
+    """ParamArrays fields as an open grid of 1-3 axes of 1-4 points: each field
+    constant (size 1 everywhere) or along one axis."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    arrays = {}
+    for name, (lo, hi, edges) in _FIELDS.items():
+        axis = draw(st.sampled_from((None,) + tuple(range(len(sizes)))))
+        shape = [size if k == axis else 1 for k, size in enumerate(sizes)]
+        value = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+        n = math.prod(shape)
+        arrays[name] = np.reshape(draw(st.lists(value, min_size=n, max_size=n)), shape)
+    return arrays
+
+
+def _broadcast_out(arrays):
+    return dict(zip(arrays, np.broadcast_arrays(*arrays.values())))
+
+
+def _closed_forms(p, frequency, conjugation, stat_dephasing):
+    entries = weff_entries(p, frequency, conjugation, stat_dephasing)
+    return (thermal_occupation(p.theta, p.beta, p.omega), phase_average(p.theta, p.z),
+            gamma_stat(p.theta, p.z, p.gamma), gamma_full_single(p),
+            *normal_mode_frequencies(p, frequency), *channel_coefficients(p, conjugation),
+            *dissipative_rates(p, conjugation), *entries, *weff_eigenvalues(*entries))
+
+
+# values each field's rule refuses; beta 1e-12 puts beta * omega below the floor
+_INVALID = {"theta": (-0.1, 4.0, math.nan), "xi": (1.5, -2.0, math.nan),
+            "omega": (0.0, -1.0, math.inf, math.nan), "coupling_j": (math.inf, math.nan),
+            "gamma": (-1.0, math.inf, math.nan), "beta": (0.0, -1.0, math.nan, 1e-12)}
+
+
+class TestOpenGrid:
+    # an open grid forms each quantity over the axes it depends on; every
+    # element is the same elementwise expression as on the grid broadcast out
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(open_grids(), st.sampled_from(FREQUENCY_CONVENTIONS),
+           st.sampled_from(CONJUGATION_CONVENTIONS), st.booleans())
+    def test_open_grid_keeps_the_bits_of_the_broadcast_grid(self, arrays, frequency,
+                                                            conjugation, stat_dephasing):
+        conventions = frequency, conjugation, stat_dephasing
+        p = ParamArrays(**arrays)
+        got = _closed_forms(p, *conventions)
+        want = _closed_forms(ParamArrays(**_broadcast_out(arrays)), *conventions)
+        for g, w in zip(got, want, strict=True):
+            g = np.ascontiguousarray(np.broadcast_to(g, np.shape(w)))
+            assert np.array_equal(g.view(np.uint64), np.ascontiguousarray(w).view(np.uint64))
+        assert np.shape(got[0]) == np.broadcast_shapes(p.theta.shape, p.beta.shape,
+                                                       p.omega.shape)
+        assert np.shape(got[4]) == np.broadcast_shapes(p.theta.shape, p.omega.shape,
+                                                       p.coupling_j.shape)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(open_grids(), st.data())
+    def test_invalid_point_raises_the_broadcast_grid_message(self, arrays, data):
+        for _ in range(data.draw(st.integers(1, 2))):
+            name = data.draw(st.sampled_from(sorted(_INVALID)))
+            field = arrays[name].copy()
+            field.flat[data.draw(st.integers(0, field.size - 1))] = \
+                data.draw(st.sampled_from(_INVALID[name]))
+            arrays[name] = field
+        with pytest.raises(ParameterError) as full:
+            ParamArrays(**_broadcast_out(arrays))
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(full.value))}$"):
+            ParamArrays(**arrays)
+
+    def test_fields_that_do_not_broadcast_are_refused_as_numpy_refuses_them(self):
+        fields = dict(theta=np.zeros((2, 1)), omega=1.0, coupling_j=0.2, gamma=np.ones(3),
+                      beta=1.0, xi=np.zeros(4))
+        with pytest.raises(ValueError) as numpy_refusal:
+            np.broadcast_arrays(*fields.values())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(numpy_refusal.value))}$"):
+            ParamArrays(**fields)
+
+    def test_fields_share_one_number_of_dimensions(self):
+        p = ParamArrays.over(AnyonParams(theta=0.0), theta=np.zeros((3, 1)), xi=np.zeros(2))
+        assert [np.shape(getattr(p, f.name)) for f in dataclasses.fields(p)] == \
+            [(3, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 2)]
 
 
 class TestExceptionalPoint:

@@ -182,8 +182,8 @@ class TestAnyonParams:
 
 
 class TestExp:
-    # params._exp evaluates math.exp once per distinct value; an array of one
-    # value (beta * omega broadcast over theta) takes no sort
+    # params._exp evaluates math.exp once per distinct value; a one-element
+    # array (beta * omega where neither is a grid axis) takes no sort
     @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, 2.5, -1e-9, 700.0, -745.0])
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)])
     def test_broadcast_constant_is_the_scalar_exp(self, value, shape):
@@ -199,6 +199,14 @@ class TestExp:
         want = np.array([math.exp(v) for v in x.tolist()])
         assert (_exp(x).view(np.uint64) == want.view(np.uint64)).all()
         assert _exp(np.empty((0, 3))).shape == (0, 3)
+
+    def test_overflow_is_inf_as_at_infinity(self):
+        # math.exp raises OverflowError from about 709.78 on; e^{beta omega} is inf there
+        x = np.array([709.0, 710.0, 1e300, math.inf, 709.0])
+        want = np.array([math.exp(709.0), math.inf, math.inf, math.inf, math.exp(709.0)])
+        assert (_exp(x).view(np.uint64) == want.view(np.uint64)).all()
+        assert _exp(np.full((2, 3), 710.0)).tolist() == [[math.inf] * 3] * 2
+        assert _exp(1e300) == math.inf
 
     def test_locator_sorts_nothing(self, monkeypatch):
         # at a default ep-locate point every W_eff call holds one beta * omega

@@ -7,6 +7,8 @@ The commands are every line of TREE_A's README ``## CLI`` block, with its
 config-schema block as ``run.json``, then ``--draws`` seeded calls: every fifth
 one of ``fig2``, ``dimer-rates``, ``ep-locate`` or ``single-rates`` (one in ten of
 these at gamma 1e300 or 1.7e308, where the W_eff entries are finite or overflow),
+every fifth a ``sweep --config`` of its own drawn ``run.json`` (1-3 axes over
+the six parameters, one in ten holding a point the parameter check refuses),
 the rest ``spectrum`` and ``fig3``. Each tree runs all of them through
 ``anyonosc.cli.main`` in one Python process of its own (``PYTHONPATH`` its
 ``src``, one BLAS thread, no bytecode written), each command in an empty
@@ -61,9 +63,18 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
+SWEEP_RANGES = {"theta": (0.0, math.pi), "xi": (-1.0, 1.0), "omega": (0.5, 2.0),
+                "coupling_j": (-0.5, 0.5), "gamma": (0.01, 2.0), "beta": (0.05, 20.0)}
+# per checked parameter, an axis end the check refuses (beta's puts beta*omega
+# below the floor)
+SWEEP_INVALID = {"theta": (-0.2, 3.5), "xi": (-1.5, 1.25), "omega": (-0.5, 0.0),
+                 "gamma": (-0.1, -1.0), "beta": (1e-12, 0.0)}
+
+
 def seeded_commands(draws: int, seed: int) -> list:
-    """``draws`` argv lists: command k is a closed-form one where k % 5 == 4,
-    else fig3 where k % 4 == 3, else spectrum.
+    """``draws`` (argv, run.json text or None) pairs: command k is a
+    closed-form one where k % 5 == 4, a sweep where k % 5 == 2, else fig3
+    where k % 4 == 3, else spectrum.
 
     theta is 0 or pi on a fifth of draws, else uniform on [0, pi]; xi is -1, 0
     or 1 on 30%, else uniform on [-1, 1]; beta and gamma are log-uniform on
@@ -73,7 +84,7 @@ def seeded_commands(draws: int, seed: int) -> list:
     quarter of draws. A closed-form command (``closed_form``) is fig2,
     dimer-rates, ep-locate or single-rates with omega uniform on [0.5, 2] and
     the flags it defines; every tenth one (k % 50 == 49) takes gamma 1e300 or
-    1.7e308 in place of the drawn one.
+    1.7e308 in place of the drawn one. A sweep (``sweep``) draws its run.json.
     """
     rng = random.Random(seed)
 
@@ -114,10 +125,40 @@ def seeded_commands(draws: int, seed: int) -> list:
             argv += ["--grid", str(rng.randint(2, 64))]
         return argv + ["--out", "rates.csv"]
 
+    def sweep():
+        """A sweep argv and its run.json: base params and 1-3 distinct axes
+        drawn over SWEEP_RANGES (gamma and beta log-uniform, either direction),
+        2-40 points each, every convention drawn; on one draw in ten one axis
+        ends at a SWEEP_INVALID value. A quarter write to stdout."""
+        def draw(name):
+            lo, hi = SWEEP_RANGES[name]
+            if name in ("gamma", "beta"):
+                return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            return rng.uniform(lo, hi)
+
+        names = rng.sample(sorted(SWEEP_RANGES), rng.randint(1, 3))
+        axes = [{"name": name, "start": draw(name), "stop": draw(name),
+                 "count": rng.randint(2, 40)} for name in names]
+        if rng.random() < 0.1:
+            bad = rng.choice(sorted(SWEEP_INVALID))
+            axis = next((ax for ax in axes if ax["name"] == bad), axes[0])
+            axis["name"] = bad
+            axis[rng.choice(("start", "stop"))] = rng.choice(SWEEP_INVALID[bad])
+        doc = {"params": {name: draw(name) for name in SWEEP_RANGES}, "sweep": axes,
+               "conventions": {"frequency": rng.choice(("appendix", "maintext")),
+                               "conjugation": rng.choice(("modulus", "analytic")),
+                               "jump_basis": rng.choice(("site", "deformed")),
+                               "stat_dephasing": rng.random() < 0.5}}
+        argv = ["sweep", "--config", "run.json"]
+        return argv + ["--out", "sweep.csv"] * (rng.random() >= 0.25), json.dumps(doc)
+
     commands = []
     for k in range(draws):
         if k % 5 == 4:
-            commands.append(closed_form(huge=k % 50 == 49))
+            commands.append((closed_form(huge=k % 50 == 49), None))
+            continue
+        if k % 5 == 2:
+            commands.append(sweep())
             continue
         common = ["--beta", _f(math.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
                   "--gamma", _f(math.exp(rng.uniform(math.log(0.01), math.log(2.0)))),
@@ -131,21 +172,22 @@ def seeded_commands(draws: int, seed: int) -> list:
             thetas = ",".join(_f(theta()) for _ in range(rng.randint(1, 3)))
             xis = ",".join(_f(xi()) for _ in range(rng.randint(1, 2)))
             argv = ["fig3", "--theta-list", thetas, "--xi-list", xis, *common, "--out", "fig3"]
-            commands.append(argv + ["--svg"] * svg)
+            commands.append((argv + ["--svg"] * svg, None))
         else:
             argv = ["spectrum", "--theta", _f(theta()), "--xi", _f(xi()), *common,
                     "--out", "grid.csv"]
-            commands.append(argv + ["--svg", "grid.svg"] * svg)
+            commands.append((argv + ["--svg", "grid.svg"] * svg, None))
     return commands
 
 
-def run_tree(tree: str, workdir: str, commands: list, run_json: str) -> list:
-    """Run ``commands`` on ``tree`` in a child process; [(code, stdout, stderr)]."""
+def run_tree(tree: str, workdir: str, commands: list) -> list:
+    """Run the (argv, run.json text or None) ``commands`` on ``tree`` in a
+    child process; [(code, stdout, stderr)]."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", workdir],
-                          input=json.dumps({"commands": commands, "run_json": run_json}),
+                          input=json.dumps(commands),
                           env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: child exited {proc.returncode}\n{proc.stderr}")
@@ -153,17 +195,17 @@ def run_tree(tree: str, workdir: str, commands: list, run_json: str) -> list:
 
 
 def child(workdir: str):
-    """Child side: each command through ``cli.main`` in ``workdir/<k>``."""
+    """Child side: each command through ``cli.main`` in ``workdir/<k>``, with
+    its run.json there if it has one."""
     from anyonosc.cli import main
 
-    job = json.load(sys.stdin)
     results = []
-    for k, argv in enumerate(job["commands"]):
+    for k, (argv, run_json) in enumerate(json.load(sys.stdin)):
         here = os.path.join(workdir, str(k))
         os.makedirs(here)
-        if "--config" in argv:
+        if run_json is not None:
             with open(os.path.join(here, "run.json"), "w", encoding="utf-8") as fh:
-                fh.write(job["run_json"])
+                fh.write(run_json)
         out, err = io.StringIO(), io.StringIO()
         os.chdir(here)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -244,19 +286,21 @@ def main(argv=None) -> int:
         ap.error("TREE_A and TREE_B are required")
 
     readme, run_json = readme_commands(args.tree_a)
-    commands = readme + seeded_commands(args.draws, args.seed)
+    commands = [(argv, run_json if "--config" in argv else None) for argv in readme]
+    commands += seeded_commands(args.draws, args.seed)
     work = tempfile.mkdtemp(prefix="compare-outputs-")
     try:
         results = []
         for label, tree in (("A", args.tree_a), ("B", args.tree_b)):
             os.makedirs(os.path.join(work, label))
-            results.append(run_tree(tree, os.path.join(work, label), commands, run_json))
+            results.append(run_tree(tree, os.path.join(work, label), commands))
         worst = {}
         nfiles = identical = mismatched_streams = 0
-        for k, (argv, res_a, res_b) in enumerate(zip(commands, *results)):
+        for k, ((argv, config), res_a, res_b) in enumerate(zip(commands, *results)):
             entry = compare_command(os.path.join(work, "A", str(k)),
                                     os.path.join(work, "B", str(k)), res_a, res_b)
-            line = " ".join(argv)
+            line = " ".join(argv) + (f" (run.json {json.dumps(json.loads(config))})"
+                                     if config else "")
             if entry["streams_differ"]:
                 mismatched_streams += 1
                 print(f"[{k}] {line}: {', '.join(entry['streams_differ'])} differ")
