@@ -8,7 +8,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,39 +29,57 @@ _BLOCK_VALUES = 8192
 _KERNEL_MIN = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepResult:
-    """One CSV's columns, units and rows, the generator's metadata, and the
-    (theta, xi, SpectrumGrid) panels the rows were read from, for the heatmaps.
+    """One CSV's columns and units, one float64 array per column, the
+    generator's metadata, and the (theta, xi, SpectrumGrid) panels the rows
+    were read from, for the heatmaps.
 
-    Checks itself where it is made: ``rows`` (tuples or a 2-D array) becomes
-    one read-only float64 (rows, columns) table, with ValueError on a bad row
-    width and FloatingPointError on a non-finite value, so a writer never
-    opens a file for a bad result.
+    The column arrays (``arrays``) broadcast together to the result's grid
+    ``shape``, one row per grid point in C order: each column stays at the
+    extent its generator computed it over (an open grid). A table, ``rows``
+    (tuples or a 2-D array), is the one-axis case, one array per table
+    column. Checks itself where it is made, with ValueError on a bad row width
+    or arrays that do not broadcast together and FloatingPointError on a
+    non-finite value, so a writer never opens a file for a bad result.
+    ``rows``, the (rows, columns) table, is formed on first read, read-only.
     """
 
     columns: tuple
     units: tuple
-    rows: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    grids: tuple = ()
+    arrays: tuple
+    shape: tuple
+    metadata: dict
+    grids: tuple
 
-    def __post_init__(self):
-        width = len(self.columns)
-        if len(self.units) != width:
+    def __init__(self, columns, units, rows=None, metadata=None, grids=(), *, arrays=None):
+        if len(units) != len(columns):
             raise ValueError("columns and units length mismatch")
-        try:
-            table = np.asarray(self.rows, dtype=float).view()
-        except ValueError as exc:  # ragged rows
-            raise ValueError(f"row width mismatch: {exc}") from None
-        if table.size == 0:
-            table = table.reshape(0, width)
-        if table.shape != (len(self.rows), width):
+        if arrays is None:
+            try:
+                table = np.asarray(rows, dtype=float)
+            except ValueError as exc:  # ragged rows
+                raise ValueError(f"row width mismatch: {exc}") from None
+            if table.size == 0:
+                table = table.reshape(0, len(columns))
+            if table.shape != (len(rows), len(columns)):
+                raise ValueError("row width mismatch")
+            arrays = table.T
+        elif len(arrays) != len(columns):
             raise ValueError("row width mismatch")
-        if not np.isfinite(table).all():
-            raise FloatingPointError("non-finite value in result")
+        arrays = tuple(np.asarray(a, dtype=float).view() for a in arrays)
+        for a in arrays:
+            if not np.isfinite(a).all():
+                raise FloatingPointError("non-finite value in result")
+            a.flags.writeable = False
+        vars(self).update(columns=columns, units=units, arrays=arrays, metadata=metadata or {},
+                          grids=grids, shape=np.broadcast_shapes(*(a.shape for a in arrays)))
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        table = np.stack(np.broadcast_arrays(*self.arrays), axis=-1).reshape(-1, len(self.columns))
         table.flags.writeable = False
-        object.__setattr__(self, "rows", table)
+        return table
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
@@ -303,60 +321,35 @@ def _records(values):
     return records
 
 
-def _repeats(column):
-    """(values, index of each row's value) for a column of runs of one bit
-    pattern (an outer axis, a constant column) or whose values, or run
-    values, repeat their first period (an inner or middle axis), when that
-    leaves at most half as many values as rows; None for any other column.
-    Bits are compared, so -0.0 and 0.0 stay apart."""
-    bits = column.view(np.uint64)
-    if bits.size < 2:
-        return None
-    new = np.empty(bits.size, bool)
-    new[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    runs = 2 * np.count_nonzero(new) <= bits.size
-    values = bits[new] if runs else bits
-    period = values.size
-    again = values[1:] == values[0]
-    if again.any():  # the first value recurs: is that a period?
-        p = int(again.argmax()) + 1
-        if np.array_equal(values[p:], values[:-p]):
-            period = p
-    if 2 * period > bits.size:
-        return None
-    index = np.resize(np.arange(period), values.size)
-    if runs:
-        index = np.repeat(index, np.diff(np.flatnonzero(new), append=bits.size))
-    return values[:period].view(np.float64), index
-
-
 def _csv_blocks(result):
     """The header line, then the rows as text in equal blocks of at most
     ``_BLOCK_VALUES`` freshly formatted values and twice as many fields.
 
     Every field is the bytes of ``format(v, ".17g")``; integers up to 2**53 in
-    magnitude are exact in the float64 table and so print as integers. The
-    values of every repeated column (``_repeats``) are formatted in one call,
-    with their separators, at the head of a pool of records; each block
-    formats its other fields into the rest of the pool, and one gather from
+    magnitude are exact in float64 and so print as integers. A column held at
+    a smaller extent than the row count is shared: its values are formatted
+    once, with their separators, at the head of a pool of records, and each
+    row reads its value by the column's broadcast index. Each block formats
+    the other columns' fields into the rest of the pool, and one gather from
     it lays out the block's records."""
-    table = result.rows
-    n_rows, width = table.shape
+    n_rows, width = math.prod(result.shape), len(result.columns)
     header = ",".join(_csv_field(f"{c} [{u}]") for c, u in zip(result.columns, result.units))
-    plans = [_repeats(column) for column in table.T]
-    shared = [(k, plan) for k, plan in enumerate(plans) if plan is not None]
-    fresh = [k for k, plan in enumerate(plans) if plan is None]
+    shared = [k for k, a in enumerate(result.arrays) if a.size < n_rows]
+    fresh = [k for k, a in enumerate(result.arrays) if a.size >= n_rows]
     separators = np.where(np.arange(width) < width - 1, _COMMA, _NEWLINE)
     most = max(1, min(_BLOCK_VALUES // max(1, len(fresh)), 2 * _BLOCK_VALUES // width))
     step = max(1, -(-n_rows // max(1, -(-n_rows // most))))  # equal blocks of <= most rows
-    sizes = [plan[0].size for _, plan in shared]
+    sizes = [result.arrays[k].size for k in shared]
     offsets = np.cumsum([0] + sizes)  # the pool row of each shared column's first value
     n_fresh, start = len(fresh), offsets[-1]  # the pool row of the first fresh record
     pool = np.empty((start + step * n_fresh, 4), np.uint64)
     if shared:
-        pool[:start] = _records(np.concatenate([plan[0] for _, plan in shared]))
-        pool[:start, 3] |= np.repeat(separators[[k for k, _ in shared]], sizes)
+        pool[:start] = _records(np.concatenate([result.arrays[k].ravel() for k in shared]))
+        pool[:start, 3] |= np.repeat(separators[shared], sizes)
+    gathers = [np.broadcast_to(np.arange(offset, offset + size).reshape(result.arrays[k].shape),
+                               result.shape).ravel()  # the pool row of each row's value
+               for k, offset, size in zip(shared, offsets, sizes)]
+    columns = [result.arrays[k].ravel() for k in fresh]
     index = np.empty((step, width), np.intp)  # the pool row of each field of a block
     index[:, fresh] = start + np.arange(step * n_fresh).reshape(step, n_fresh)
     records = np.empty((step, width, 4), np.uint64)
@@ -366,10 +359,10 @@ def _csv_blocks(result):
         hi = min(lo + step, n_rows)
         if n_fresh:
             words = pool[start:start + (hi - lo) * n_fresh]
-            words[:] = _records(table[lo:hi, fresh].ravel())
+            words[:] = _records(np.stack([column[lo:hi] for column in columns], axis=1).ravel())
             words[:, 3] |= fresh_separators[:len(words)]
-        for (k, plan), offset in zip(shared, offsets):
-            np.add(plan[1][lo:hi], offset, out=index[:hi - lo, k])
+        for k, gather in zip(shared, gathers):
+            index[:hi - lo, k] = gather[lo:hi]
         # every index is in range; "clip" spares np.take a buffered copy of out
         out = np.take(pool, index[:hi - lo], axis=0, out=records[:hi - lo], mode="clip")
         return out.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
@@ -471,20 +464,15 @@ def write_outputs(result, config, path: str, timestamp: str | None = None):
 
 def grid_result(grid, panel=None):
     """Long-format rows (omega_tau, omega_t, re, im) of a 2D spectrum grid,
-    omega_t varying fastest, as one SweepResult with an (N * N, 4) array of
-    rows, for every grid CSV (file or stdout). The grid's own
-    metadata rides along as the sidecar's ``grid`` block, and the grid as the
-    result's one panel at ``panel`` = (theta, xi), if given.
+    omega_t varying fastest, as one SweepResult on the (N, N) grid (omega_tau
+    a column, omega_t a row), for every grid CSV (file or stdout). The grid's
+    own metadata rides along as the sidecar's ``grid`` block, and the grid as
+    the result's one panel at ``panel`` = (theta, xi), if given.
     """
     values = grid.values
-    rows = np.empty(values.shape + (4,))
-    rows[..., 0] = grid.axis[:, None]
-    rows[..., 1] = grid.axis[None, :]
-    rows[..., 2] = values.real
-    rows[..., 3] = values.imag
     return SweepResult(columns=("omega_tau", "omega_t", "re", "im"),
                        units=("omega", "omega", "arb", "arb"),
-                       rows=rows.reshape(-1, 4),
+                       arrays=(grid.axis[:, None], grid.axis[None, :], values.real, values.imag),
                        metadata={"generator": "spectrum-grid", "grid": grid.metadata},
                        grids=() if panel is None else ((*panel, grid),))
 
@@ -633,9 +621,20 @@ def svg_heatmap(axis, z, title: str = "", diagonal: bool = False) -> str:
     return "\n".join(parts)
 
 
+# A cell's Re within _NOISE_ULPS * eps * max |grid| of 0 is rounding noise of
+# the grid's sum of pathway terms, not a signal: it is drawn as exactly 0.
+_NOISE_ULPS = 64
+
+
 def write_grid_svg(grid, path: str, title: str = "", diagonal: bool = False):
-    """Render Re(values) of a spectrum grid to a standalone SVG file."""
-    svg = svg_heatmap(grid.axis, grid.values.real, title=title, diagonal=diagonal)
+    """Render Re(values) of a spectrum grid to a standalone SVG file, each
+    Re that is rounding noise (``_NOISE_ULPS``) drawn as 0: a grid whose real
+    part is all noise is one colour, and no cell takes its colour from the
+    sign of the noise."""
+    values = grid.values
+    noise = _NOISE_ULPS * np.finfo(float).eps * np.max(np.abs(values))
+    re = np.where(np.abs(values.real) <= noise, 0.0, values.real)
+    svg = svg_heatmap(grid.axis, re, title=title, diagonal=diagonal)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
     return path

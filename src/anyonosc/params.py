@@ -31,6 +31,13 @@ def _math_exp(x: float) -> float:
         return math.inf
 
 
+def _beta_omega(beta, omega):
+    """beta * omega, inf where the product overflows, as at beta = inf: a bath
+    too cold for a double is the zero-temperature one."""
+    with np.errstate(over="ignore"):
+        return np.multiply(beta, omega)[()]
+
+
 def _exp(x):
     """e**x elementwise by the C library's exp (the one ``math.exp`` calls,
     inf above its range), evaluated once per distinct value; a one-element
@@ -67,7 +74,7 @@ def check_points(theta, omega, coupling_j, gamma, beta, xi):
     one AnyonParams per point would raise. NaN breaks every rule, +/-inf those
     of omega, coupling_j and gamma; beta = inf (zero temperature) is allowed.
     """
-    bw = beta * omega
+    bw = _beta_omega(beta, omega)
     # written to hold for Python floats and arrays alike; NaN fails the ranges
     rules = ((theta < 0.0) | (theta > math.pi) | (theta != theta),
              (xi < -1.0) | (xi > 1.0) | (xi != xi),
@@ -116,7 +123,7 @@ class AnyonParams:
     @property
     def z(self) -> float:
         """Boltzmann weight z = exp(-beta*omega), always in (0, 1)."""
-        return _exp(-self.beta * self.omega)
+        return _exp(-_beta_omega(self.beta, self.omega))
 
     def with_(self, **kw) -> "AnyonParams":
         """Copy with selected fields replaced (validation re-runs)."""
@@ -159,4 +166,4 @@ class ParamArrays:
     @property
     def z(self) -> np.ndarray:
         """Boltzmann weight z = exp(-beta*omega), always in (0, 1)."""
-        return _exp(-self.beta * self.omega)
+        return _exp(-_beta_omega(self.beta, self.omega))

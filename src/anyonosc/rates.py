@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .params import (AnyonParams, ParameterError, ParamArrays, BETA_OMEGA_FLOOR, _exp,
-                     first_violation)
+from .params import (AnyonParams, ParameterError, ParamArrays, BETA_OMEGA_FLOOR, _beta_omega,
+                     _exp, first_violation)
 
 SERIES_TAIL = 1e-14  # phase_average_series stops at the first z^N below this
 
@@ -85,7 +85,7 @@ def thermal_occupation(theta: float, beta: float, omega: float) -> complex:
     Raises ParameterError when beta*omega is below the configured floor,
     where the expression approaches its theta -> 0 pole.
     """
-    bw = np.multiply(beta, omega)
+    bw = _beta_omega(beta, omega)
     low = first_violation(bw < BETA_OMEGA_FLOOR, bw)
     if low is not None:
         raise ParameterError(f"beta*omega = {low[0]:g} below floor {BETA_OMEGA_FLOOR:g}")

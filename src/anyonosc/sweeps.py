@@ -218,27 +218,20 @@ def run_fig1(config: RunConfig) -> SweepResult:
     theta = _theta_axis(config).values()
     pts = ParamArrays.over(config.params, theta=theta)
     full = gamma_full_single(pts)
-    rows = np.column_stack([theta, gamma_stat(pts.theta, pts.z, pts.gamma),
-                            full.real, full.imag])
     return SweepResult(
         columns=("theta", "gamma_stat", "re_gamma_full", "im_gamma_full"),
         units=("rad", "omega", "omega", "omega"),
-        rows=rows, metadata={"generator": "fig1"},
+        arrays=(theta, gamma_stat(pts.theta, pts.z, pts.gamma), full.real, full.imag),
+        metadata={"generator": "fig1"},
     )
 
 
-def _rows(*columns) -> np.ndarray:
-    """The columns broadcast together, stacked on a last axis: one row per point."""
-    return np.stack(np.broadcast_arrays(*columns), axis=-1)
-
-
-def _branches(config: RunConfig, thetas, xis) -> np.ndarray:
+def _branches(config: RunConfig, thetas, xis) -> tuple:
     """W_eff eigenvalue pairs on the (xi, theta) grid, labelled along theta.
 
-    Entry [k, i] is the row theta, xi, Re/Im of both branch-continued
-    eigenvalues, gap and the EP flag (``dimer.ep_flag``) at (thetas[i],
-    xis[k]): fig2's columns, and the overlay's source, from xi as a column and
-    theta as a row."""
+    The arrays theta (a row), xi (a column), Re/Im of both branch-continued
+    eigenvalues, gap and the EP flag (``dimer.ep_flag``), element [k, i] at
+    (thetas[i], xis[k]): fig2's columns, and the overlay's source."""
     theta, xi = np.asarray(thetas, float)[None, :], np.asarray(xis, float)[:, None]
     conv = config.conventions
     a, b, c, d = weff_entries(ParamArrays.over(config.params, theta=theta, xi=xi),
@@ -246,7 +239,7 @@ def _branches(config: RunConfig, thetas, xis) -> np.ndarray:
     lp, lm = match_branches(*weff_eigenvalues(a, b, c, d))
     gap = _modulus(lp - lm)
     flag = ep_flag(gap, b, c, config.params.gamma)
-    return _rows(theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag)
+    return theta, xi, lp.real, lm.real, lp.imag, lm.imag, gap, flag
 
 
 def run_fig2(config: RunConfig) -> SweepResult:
@@ -256,12 +249,12 @@ def run_fig2(config: RunConfig) -> SweepResult:
     the EP flag (``dimer.ep_flag``). Rows run over theta within each xi, the
     branches continued along theta.
     """
-    rows = _branches(config, _theta_axis(config).values(), config.xi_list or FIG2_XI)
     return SweepResult(
         columns=("theta", "xi", "re_lambda_plus", "re_lambda_minus",
                  "im_lambda_plus", "im_lambda_minus", "gap", "ep_flag"),
         units=("rad", "1", "omega", "omega", "omega", "omega", "omega", "bool"),
-        rows=rows.reshape(-1, 8), metadata={"generator": "fig2"},
+        arrays=_branches(config, _theta_axis(config).values(), config.xi_list or FIG2_XI),
+        metadata={"generator": "fig2"},
     )
 
 
@@ -298,23 +291,21 @@ def _spectrum_grid(config: RunConfig) -> SweepResult:
 
 def run_fig3(config: RunConfig) -> SweepResult:
     """Stacked diagonal slices of the rephasing spectra for each (theta, xi), read from
-    each grid's factors (no n x n cells); the result holds the panels' grids."""
-    panels, slice_rows = [], []
-    for xi in config.xi_list or FIG3_XI:
-        for theta in config.theta_list or FIG3_THETAS:
-            g = run_spectrum(replace(config, params=config.params.with_(theta=float(theta),
-                                                                         xi=float(xi))))
-            panels.append((float(theta), float(xi), g))
-            det, vals = diagonal_slice(g)
-            slice_rows.append(np.column_stack([np.full(det.size, float(theta)),
-                                               np.full(det.size, float(xi)), det,
-                                               vals.real, vals.imag, _modulus(vals)]))
-    # every panel's grid block is the same: the slices carry it once
+    each grid's factors (no n x n cells), on the (panel, detuning) grid; the result
+    holds the panels' grids."""
+    panels = [(float(theta), float(xi)) for xi in config.xi_list or FIG3_XI
+              for theta in config.theta_list or FIG3_THETAS]
+    grids = [run_spectrum(replace(config, params=config.params.with_(theta=theta, xi=xi)))
+             for theta, xi in panels]
+    theta, xi = np.array(panels).T[..., None]
+    vals = np.stack([diagonal_slice(g)[1] for g in grids])
+    # every panel's grid block, and so its detunings, is the same: the slices carry it once
     return SweepResult(
         columns=("theta", "xi", "detuning", "re", "im", "abs"),
         units=("rad", "1", "omega", "arb", "arb", "arb"),
-        rows=np.concatenate(slice_rows),
-        metadata={"generator": "fig3-slices", "grid": g.metadata}, grids=tuple(panels),
+        arrays=(theta, xi, grids[0].axis[None, :], vals.real, vals.imag, _modulus(vals)),
+        metadata={"generator": "fig3-slices", "grid": grids[-1].metadata},
+        grids=tuple((*panel, g) for panel, g in zip(panels, grids)),
     )
 
 
@@ -323,12 +314,12 @@ def _fig3_overlay(config: RunConfig) -> SweepResult:
     one angle itself when there is one), as carrier detunings."""
     thetas, xis = config.theta_list or FIG3_THETAS, config.xi_list or FIG3_XI
     theta_grid = np.linspace(min(thetas), max(thetas), 201) if len(thetas) > 1 else thetas
-    theta, xi, re_1, re_2, im_1, im_2 = _branches(config, theta_grid, xis)[..., :6].reshape(-1, 6).T
+    theta, xi, re_1, re_2, im_1, im_2 = _branches(config, theta_grid, xis)[:6]
     omega = config.params.omega
     return SweepResult(
         columns=("theta", "xi", "nu_branch_1", "nu_branch_2", "re_branch_1", "re_branch_2"),
         units=("rad", "1", "omega", "omega", "omega", "omega"),
-        rows=np.column_stack([theta, xi, -im_1 - omega, -im_2 - omega, re_1, re_2]),
+        arrays=(theta, xi, -im_1 - omega, -im_2 - omega, re_1, re_2),
         metadata={"generator": "fig3-overlay"},
     )
 
@@ -356,15 +347,14 @@ def run_sweep(config: RunConfig) -> SweepResult:
     conv = config.conventions
     lp, lm = weff_eigenvalues(*weff_entries(pts, conv.frequency, conv.conjugation,
                                             conv.stat_dephasing))
-    rows = _rows(*axes, gamma_stat(pts.theta, pts.z, pts.gamma), full.real, full.imag,
-                 lp.real, lp.imag, lm.real, lm.imag, _modulus(lp - lm))
+    arrays = (*axes, gamma_stat(pts.theta, pts.z, pts.gamma), full.real, full.imag,
+              lp.real, lp.imag, lm.real, lm.imag, _modulus(lp - lm))
     cols = tuple(names) + ("gamma_stat", "re_gamma_full", "im_gamma_full",
                            "re_lambda_plus", "im_lambda_plus",
                            "re_lambda_minus", "im_lambda_minus", "gap")
     units = tuple("rad" if n == "theta" else "1" if n == "xi" else "omega" for n in names) + \
         ("omega",) * 8
-    return SweepResult(columns=cols, units=units, rows=rows.reshape(-1, len(cols)),
-                       metadata={"generator": "sweep"})
+    return SweepResult(columns=cols, units=units, arrays=arrays, metadata={"generator": "sweep"})
 
 
 # Each sidecar's generator name -> the function that makes that CSV's result from the

@@ -334,6 +334,19 @@ class TestCliColdBath:
         assert np.array_equal(got[:, 0], np.repeat(np.linspace(709.0, 719.0, 6), 3))
         _assert_cold_rows(out, np.column_stack([got[:, 0], np.tile(want, (6, 1))]))
 
+    # beta * omega itself beyond the float range: the product is inf, as at beta = inf
+    @pytest.mark.parametrize("argv", [
+        ["dimer-rates", "--beta", "1e200", "--omega", "1e200", "--grid", "3"],
+        ["dimer-rates", "--beta", "1e300", "--omega", "1e10", "--grid", "3"],
+        ["single-rates", "--beta", "1e200", "--omega", "1e200", "--grid", "3"],
+        ["spectrum", "--beta", "1e200", "--omega", "1e200", "--grid", "4"],
+    ], ids=["dimer-rates", "dimer-rates-beta", "single-rates", "spectrum"])
+    def test_product_beyond_the_float_range(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+        _assert_cold_rows(out, _rows_at_zero_temperature(out))
+
 
 FILE_COMMANDS = {
     "single-rates": ["single-rates", "--grid", "5"],

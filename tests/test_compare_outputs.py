@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -74,3 +75,31 @@ def test_sweep_draws_cover_the_parameters_and_their_refusals(tool):
         except (ConfigError, ParameterError):
             refused += 1
     assert 0.05 <= refused / len(sweeps) <= 0.2
+
+
+def test_a_heatmap_that_differs_counts_its_changed_fills(tool, tmp_path):
+    from anyonosc.output import svg_heatmap
+    rng = np.random.default_rng(4)
+    n = 9
+    axis = np.linspace(-0.5, 0.5, n)
+    z = rng.normal(size=(n, n))
+    z[:, 0] = 0.0  # runs of equal colour along each row
+    moved = z.copy()
+    moved[2, 3] = -moved[2, 3]  # a sign flip: a large step
+    moved[5, 6] += 1e-3 * np.max(np.abs(z))  # at most one level
+    assert np.array_equal(tool.heatmap_levels(svg_heatmap(axis, z).encode()).T,
+                          np.clip(((z / np.max(np.abs(z))) * 0.5 + 0.5) * 63, 0, 63)
+                          .round().astype(int))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, grid in ((a, z), (b, moved)):
+        d.mkdir()
+        (d / "g.svg").write_text(svg_heatmap(axis, grid, "t"))
+    fills = tool.compare_command(str(a), str(b), (0, "", ""), (0, "", ""))["files"]["g.svg"]
+    levels = [tool.heatmap_levels((d / "g.svg").read_bytes()) for d in (a, b)]
+    step = np.abs(levels[0] - levels[1])
+    assert fills == {"identical": False, "fills": {
+        "cells": n * n, "changed": int(np.count_nonzero(step)), "largest_step": int(step.max())}}
+    assert 1 <= fills["fills"]["changed"] <= 2 and fills["fills"]["largest_step"] >= 2
+    (b / "g.svg").write_text(svg_heatmap(np.linspace(-0.5, 0.5, 4), np.ones((4, 4))))
+    got = tool.compare_command(str(a), str(b), (0, "", ""), (0, "", ""))["files"]["g.svg"]
+    assert got["fills"] == {"cells": "(9, 9) != (4, 4)"}

@@ -4,7 +4,9 @@ reference), plus the checks a result makes on itself, before any writer can
 open a file for it, and the CSV writer's %.17g kernel against
 format(v, ".17g") on every kind of finite double."""
 
+import json
 import math
+import re
 import os
 import tempfile
 from decimal import Decimal
@@ -19,10 +21,10 @@ from anyonosc import output
 from anyonosc.output import (_BLOCK_VALUES, _KERNEL_MIN, _MARGIN_B, _MARGIN_L, _MARGIN_R,
                              _MARGIN_T, _TIE_MARGIN, _X_HI, _X_LO, SweepResult, _csv_field,
                              _diverging_palette, _fallback_records, _fixed_fields, _kernel,
-                             _records, _repeats, csv_text, grid_result, read_csv, svg_heatmap,
-                             write_csv)
+                             _records, csv_text, grid_result, read_csv, svg_heatmap, write_csv)
 from anyonosc.params import AnyonParams
-from anyonosc.sweeps import GridSpec, RunConfig, SweepAxis, run_fig2, run_spectrum, run_sweep
+from anyonosc.sweeps import (GENERATORS, GridSpec, RunConfig, SweepAxis, run_fig2, run_fig3,
+                             run_spectrum, run_sweep)
 
 
 def reference_format_number(value) -> str:
@@ -215,10 +217,12 @@ class TestCsvBytes:
     def test_matches_the_per_field_writer(self, made):
         _assert_writes_reference_bytes(*made)
 
-    # two of the table's four columns are fresh (value, count), so one block
-    # holds up to _BLOCK_VALUES // 2 rows: one block, two, and three
-    @pytest.mark.parametrize("n_rows", [_BLOCK_VALUES // 2 - 1, _BLOCK_VALUES // 2,
-                                        _BLOCK_VALUES // 2 + 1, _BLOCK_VALUES + 3])
+    # every column of a table is fresh, so one block holds up to
+    # _BLOCK_VALUES // 4 rows of these four: one block to five
+    @pytest.mark.parametrize("n_rows", [_BLOCK_VALUES // 4 - 1, _BLOCK_VALUES // 4,
+                                        _BLOCK_VALUES // 4 + 1, _BLOCK_VALUES // 2 - 1,
+                                        _BLOCK_VALUES // 2, _BLOCK_VALUES // 2 + 1,
+                                        _BLOCK_VALUES + 3])
     @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
     def test_more_rows_than_one_block(self, n_rows, as_array):
         rng = np.random.default_rng(n_rows)
@@ -270,15 +274,44 @@ def _table(columns, n_rows):
     return SweepResult(names, ("1",) * len(names), rows.reshape(n_rows, len(names))), rows
 
 
-def _plans(result):
-    """The names of the columns the writer shares (``_repeats``)."""
-    return [c for c, column in zip(result.columns, result.rows.T) if _repeats(column) is not None]
+def _grid(columns):
+    """A SweepResult of the named arrays on their open grid, and its rows,
+    broadcast here independently of the result."""
+    names = tuple(columns)
+    arrays = [np.asarray(columns[c], float) for c in names]
+    rows = np.stack(np.broadcast_arrays(*arrays), axis=-1).reshape(-1, len(names))
+    return SweepResult(names, ("1",) * len(names), arrays=arrays), rows
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got, float).view(np.uint64),
+                          np.asarray(want, float).view(np.uint64))
+
+
+def _assert_formatted(monkeypatch, res, rows, shared):
+    """``csv_text(res)`` formats, in one first ``_records`` call, the values of
+    ``shared`` (column name -> the values it is held at, in column order)
+    once each, and then the fields of every other column of ``rows`` once per
+    row, row by row; -0.0 and 0.0 count apart."""
+    calls = []
+
+    def spy(values):
+        calls.append(values.copy())
+        return _records(values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(output, "_records", spy)
+        csv_text(res)
+    if shared:
+        assert _same_bits(calls.pop(0), np.concatenate([np.ravel(v) for v in shared.values()]))
+    fresh = [k for k, name in enumerate(res.columns) if name not in shared]
+    assert _same_bits(np.concatenate(calls) if calls else [], rows[:, fresh].ravel())
 
 
 class TestCsvEdges:
-    # the writer shares a column that is runs of one bit pattern or repeats its
-    # first period, and formats every other column fresh: both give the bytes
-    # of the per-field writer
+    # the writer shares a column held at a smaller extent than the row count
+    # and formats every other column fresh: both give the bytes of the
+    # per-field writer
     @pytest.mark.parametrize("n_rows", [0, 1, 2, 3])
     def test_tiny_tables(self, n_rows):
         rng = np.random.default_rng(n_rows)
@@ -287,68 +320,71 @@ class TestCsvEdges:
         _assert_writes_reference_bytes(res, rows)
 
     @pytest.mark.parametrize("as_period", [False, True], ids=["run", "period"])
-    def test_signed_zeros_stay_apart(self, as_period):
+    def test_signed_zeros_stay_apart(self, monkeypatch, as_period):
         axis = np.array([0.0, -0.0, 5e-324, -0.0, -2.5])  # 0.0 and -0.0 differ in bits only
-        column = np.tile(axis, 40) if as_period else np.repeat(axis, 40)
-        res, rows = _table({"axis": column, "value": np.arange(200) / 7.0}, 200)
-        assert _plans(res) == ["axis"]
-        plan = _repeats(res.column("axis"))
-        assert plan[0].view(np.uint64).tolist() == axis.view(np.uint64).tolist()
+        shape = (40, 5) if as_period else (5, 40)  # an inner or an outer axis
+        res, rows = _grid({"axis": axis.reshape((1, 5) if as_period else (5, 1)),
+                           "value": (np.arange(200) / 7.0).reshape(shape)})
+        _assert_formatted(monkeypatch, res, rows, {"axis": axis})
         _assert_writes_reference_bytes(res, rows)
 
-    def test_constant_column(self):
+    def test_constant_column(self, monkeypatch):
         n_rows = 3000
-        res, rows = _table({"c": [-0.0], "v": np.linspace(-3, 3, n_rows), "d": [1e300]}, n_rows)
-        assert _plans(res) == ["c", "d"]
-        assert _repeats(res.column("c"))[0].size == 1
+        res, rows = _grid({"c": [-0.0], "v": np.linspace(-3, 3, n_rows), "d": [1e300]})
+        assert len(rows) == n_rows
+        _assert_formatted(monkeypatch, res, rows, {"c": [-0.0], "d": [1e300]})
         _assert_writes_reference_bytes(res, rows)
 
-    def test_few_values_neither_runs_nor_periodic(self):
-        # the old rule shared a column with at most half its values distinct;
-        # this one is now formatted fresh, with the same bytes
+    def test_few_values_neither_runs_nor_periodic(self, monkeypatch):
+        # a table column is formatted fresh, however few values it holds:
+        # only a column's shape shares it
         rng = np.random.default_rng(11)
         n_rows = 3000
         pool = rng.choice(np.array([0.1, -0.0, 0.0, 7e-5, 1 / 3]), n_rows)
         res, rows = _table({"few": pool, "v": rng.normal(size=n_rows)}, n_rows)
         assert 2 * np.unique(pool).size <= n_rows
-        assert _plans(res) == []
+        _assert_formatted(monkeypatch, res, rows, {})
         _assert_writes_reference_bytes(res, rows)
 
-    def test_first_value_recurs_inside_the_period(self):
-        # the first recurrence of the first value is not the period: the
-        # column is formatted fresh
+    def test_first_value_recurs_inside_the_period(self, monkeypatch):
+        # a table column that repeats a period is still one value per row
         res, rows = _table({"inner": [0.25, 1.0, 0.25, -3.0, 2.0], "v": np.arange(2000) * 0.1},
                            2000)
-        assert _plans(res) == []
+        _assert_formatted(monkeypatch, res, rows, {})
         _assert_writes_reference_bytes(res, rows)
 
-    def test_runs_whose_values_repeat_a_period(self):
-        # the middle axis of three: runs of the inner count, their values a period
-        middle = np.repeat(np.tile(np.linspace(-1.0, 1.0, 7), 5), 11)
-        res, rows = _table({"outer": np.repeat(np.arange(5.0), 77), "middle": middle,
-                            "inner": np.linspace(0.0, 1.0, 11), "v": np.arange(385) / 3.0}, 385)
-        assert _plans(res) == ["outer", "middle", "inner"]
-        assert _repeats(res.column("middle"))[0].size == 7
+    def test_runs_whose_values_repeat_a_period(self, monkeypatch):
+        # the middle axis of three: each axis is formatted its count of values
+        outer, middle, inner = np.arange(5.0), np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 1.0, 11)
+        res, rows = _grid({"outer": outer[:, None, None], "middle": middle[None, :, None],
+                           "inner": inner[None, None, :],
+                           "v": (np.arange(385) / 3.0).reshape(5, 7, 11)})
+        _assert_formatted(monkeypatch, res, rows,
+                          {"outer": outer, "middle": middle, "inner": inner})
         _assert_writes_reference_bytes(res, rows)
 
-    def test_fresh_columns_apart(self):
+    def test_fresh_columns_apart(self, monkeypatch):
         # fresh, shared, fresh: the fresh fields are not one slice of the table
         rng = np.random.default_rng(5)
-        n_rows = 3 * _BLOCK_VALUES // 2 + 5
-        res, rows = _table({"a": rng.normal(size=n_rows), "axis": np.repeat(np.arange(9.0), 11),
-                            "b": -rng.exponential(size=n_rows) * 1e-7}, n_rows)
-        assert _plans(res) == ["axis"]
+        shape = (125, 9, 11)  # 12,375 rows: four blocks
+        axis = np.arange(9.0)
+        res, rows = _grid({"a": rng.normal(size=shape), "axis": axis[None, :, None],
+                           "b": -rng.exponential(size=shape) * 1e-7})
+        _assert_formatted(monkeypatch, res, rows, {"axis": axis})
+        assert len(list(output._csv_blocks(res))) == 1 + 4
         _assert_writes_reference_bytes(res, rows)
 
     # two fresh columns of four: a block holds _BLOCK_VALUES // 2 rows
     @pytest.mark.parametrize("n_rows", [_BLOCK_VALUES // 2, _BLOCK_VALUES // 2 + 1,
                                         _BLOCK_VALUES, _BLOCK_VALUES + 1])
-    def test_block_edges(self, n_rows):
+    def test_block_edges(self, monkeypatch, n_rows):
         rng = np.random.default_rng(n_rows)
-        res, rows = _table({"outer": np.repeat(np.linspace(-1, 1, 64), 64),
-                            "inner": np.linspace(-1, 1, 64), "re": rng.normal(size=n_rows),
-                            "im": rng.normal(size=n_rows) * 1e-3}, n_rows)
-        assert _plans(res) == ["outer", "inner"]
+        n_outer = next(d for d in range(64, 0, -1) if n_rows % d == 0)
+        outer, inner = np.linspace(-1, 1, n_outer), np.linspace(-1, 1, n_rows // n_outer)
+        shape = (outer.size, inner.size)
+        res, rows = _grid({"outer": outer[:, None], "inner": inner[None, :],
+                           "re": rng.normal(size=shape), "im": rng.normal(size=shape) * 1e-3})
+        _assert_formatted(monkeypatch, res, rows, {"outer": outer, "inner": inner})
         blocks = list(output._csv_blocks(res))
         assert len(blocks) == 1 + -(-n_rows // (_BLOCK_VALUES // 2))
         _assert_writes_reference_bytes(res, rows)
@@ -364,48 +400,74 @@ class TestCsvEdges:
         assert path.read_bytes() == printed.encode() == csv_text(res).encode()
 
 
+# one small config per generator, for the properties over all of them
+GENERATOR_CONFIGS = {
+    "fig1": RunConfig(),
+    "fig2": RunConfig(),
+    "ep-locate": RunConfig(params=AnyonParams(theta=0.0, xi=1.0)),
+    "sweep": RunConfig(sweep=(SweepAxis("beta", 0.5, 4.0, 3), SweepAxis("theta", 0.0, 3.0, 7),
+                              SweepAxis("xi", -1.0, 1.0, 5))),
+    "spectrum-grid": RunConfig(params=AnyonParams(theta=0.9, xi=0.6), grid=GridSpec(count=24)),
+    "fig3-slices": RunConfig(grid=GridSpec(count=16), theta_list=(0.0, 1.5, 3.0),
+                             xi_list=(0.0, 1.0)),
+    "fig3-overlay": RunConfig(theta_list=(0.0, 1.5, 3.0), xi_list=(0.0, 1.0)),
+}
+
+
 class TestCsvSharing:
     # the axes of grids and sweeps are formatted once per value: were they
-    # fresh, the bytes would be the same and the work twice as much
-    def _spy(self, monkeypatch):
-        sizes = {"records": [], "kernel": []}
-
-        def counted(name, function):
-            def call(values):
-                sizes[name].append(values.size)
-                return function(values)
-            return call
-
-        monkeypatch.setattr(output, "_records", counted("records", _records))
-        monkeypatch.setattr(output, "_kernel", counted("kernel", _kernel))
-        return sizes
-
+    # fresh, the bytes would be the same and the work more
     def test_grid_axes_are_formatted_once(self, monkeypatch):
         n = 256
         config = RunConfig(params=AnyonParams(theta=0.9, xi=0.6), t2=3.5, grid=GridSpec(count=n))
-        res = grid_result(run_spectrum(config))
-        sizes = self._spy(monkeypatch)
+        grid = run_spectrum(config)
+        res = grid_result(grid)
+        rows = np.stack(np.broadcast_arrays(grid.axis[:, None], grid.axis[None, :],
+                                            grid.values.real, grid.values.imag), -1).reshape(-1, 4)
+        _assert_formatted(monkeypatch, res, rows, {"omega_tau": grid.axis, "omega_t": grid.axis})
+        kernel = []
+        monkeypatch.setattr(output, "_kernel", lambda values: kernel.append(values.size)
+                            or _kernel(values))
         csv_text(res)
-        assert sizes["records"][0] <= 2 * n  # both axes, one call
-        assert sum(sizes["records"][1:]) == sum(sizes["kernel"]) == 2 * n * n
+        assert sum(kernel) == 2 * n * n  # re and im, every value through the kernel
 
     @pytest.mark.parametrize("which", ["sweep", "fig2"])
     def test_sweep_axes_are_shared(self, monkeypatch, which):
         if which == "sweep":
+            theta, xi = np.linspace(0.0, 3.0, 60), np.linspace(-1.0, 1.0, 70)
             res = run_sweep(RunConfig(sweep=(SweepAxis("theta", 0.0, 3.0, 60),
                                              SweepAxis("xi", -1.0, 1.0, 70))))
-            counts = {"theta": 60, "xi": 70}
+            # the single-oscillator rates depend on theta alone
+            shared = {"theta": theta, "xi": xi,
+                      **{name: res.arrays[res.columns.index(name)]
+                         for name in ("gamma_stat", "re_gamma_full", "im_gamma_full")}}
+            assert [res.arrays[res.columns.index(name)].size for name in shared] == \
+                [60, 70, 60, 60, 60]
         else:
             res = run_fig2(RunConfig())
-            counts = {"theta": len(np.unique(res.column("theta"))),
-                      "xi": len(np.unique(res.column("xi")))}
-        for name, count in counts.items():
-            plan = _repeats(res.column(name))
-            assert plan is not None and plan[0].size == count, name
-        sizes = self._spy(monkeypatch)
-        csv_text(res)
-        fresh = len(res.columns) - len(_plans(res))
-        assert sum(sizes["records"][1:]) == len(res.rows) * fresh
+            theta, xi = np.linspace(0.0, math.pi, 201), np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+            shared = {"theta": theta, "xi": xi}  # ep_flag, over both axes, is fresh
+        _assert_formatted(monkeypatch, res, np.array(res.rows), shared)
+
+    def test_fig3_panels_are_formatted_once(self, monkeypatch):
+        config = GENERATOR_CONFIGS["fig3-slices"]
+        res = run_fig3(config)
+        panels = [(theta, xi) for xi in config.xi_list for theta in config.theta_list]
+        theta, xi = np.array(panels).T
+        _assert_formatted(monkeypatch, res, np.array(res.rows),
+                          {"theta": theta, "xi": xi, "detuning": config.grid.axis()})
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_a_result_writes_its_rows_as_a_table(self, monkeypatch, name):
+        # the shape rule changes which values are formatted once, never a byte;
+        # a column is shared exactly when its array holds fewer values than rows
+        assert set(GENERATOR_CONFIGS) == set(GENERATORS)
+        res = GENERATORS[name](GENERATOR_CONFIGS[name])
+        table = SweepResult(res.columns, res.units, res.rows)
+        assert csv_text(res) == csv_text(table)
+        shared = {c: a for c, a in zip(res.columns, res.arrays) if a.size < len(res.rows)}
+        _assert_formatted(monkeypatch, res, np.array(res.rows), shared)
+        _assert_formatted(monkeypatch, table, np.array(res.rows), {})
 
 
 # -- the %.17g kernel ---------------------------------------------------------
@@ -627,3 +689,61 @@ class TestSvgBytes:
             svg = svg_heatmap(x, z)
             assert calls == [3 * 256]
         assert svg.count("<rect") > 256 * 200
+
+
+class TestSvgNoise:
+    # write_grid_svg draws Re as 0 where |Re| <= _NOISE_ULPS * eps * max |grid|
+    FOUND = ["spectrum", "--theta", "3.141592653589793", "--xi", "-1",
+             "--beta", "1.0273116113264862", "--gamma", "0.014859402524455678",
+             "--coupling", "0.4115848532310565", "--t2", "14.759656645152145", "--grid", "20",
+             "--jump-basis", "deformed"]
+
+    def test_a_grid_of_rounding_noise_draws_as_one_colour(self, tmp_path, capsys):
+        from anyonosc import cli
+        from anyonosc.sweeps import config_from_dict
+        path, csv = tmp_path / "g.svg", tmp_path / "g.csv"
+        assert cli.main(self.FOUND + ["--svg", str(path), "--out", str(csv)]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "g.csv.meta.json").read_text())
+        grid = run_spectrum(config_from_dict(doc["config"]))
+        real, scale = grid.values.real, np.max(np.abs(grid.values))
+        # the real part is noise of both signs, below one ulp of the grid's scale
+        assert (real > 0).any() and (real < 0).any()
+        assert np.max(np.abs(real)) <= np.finfo(float).eps * scale
+        want = svg_heatmap(grid.axis, np.zeros_like(real), "Re R3, theta=3.142, xi=-1.00")
+        assert path.read_text() == want
+        cell_h = (640 - _MARGIN_T - _MARGIN_B) / 20 + 0.5  # a heatmap cell's rect, not the bar's
+        fills = re.findall(rf'height="{cell_h:.2f}" fill="(#[0-9a-f]{{6}})"', want)
+        assert len(fills) == 20 and len(set(fills)) == 1  # one rect a row, one colour
+
+    def test_noise_cells_take_no_colour_from_their_sign(self, tmp_path):
+        from anyonosc.spectra import SpectrumGrid
+        rng = np.random.default_rng(7)
+        n = 12
+        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        scale = np.max(np.abs(values))
+        noise = output._NOISE_ULPS * np.finfo(float).eps * scale
+        cells = rng.random((n, n)) < 0.3
+        values.real[cells] = rng.choice((-1.0, 1.0), cells.sum()) * noise * rng.random(cells.sum())
+        values.real[0, 0] = -noise  # at the bound: noise
+        values.real[0, 1] = -np.nextafter(noise, np.inf)  # beyond it: drawn as it is
+        # x w^T with w the identity: the grid is these values exactly
+        grid = SpectrumGrid(np.linspace(-0.5, 0.5, n), values, np.eye(n, dtype=complex))
+        assert np.array_equal(grid.values, values)
+        path = tmp_path / "g.svg"
+        output.write_grid_svg(grid, str(path), "t")
+        cleaned = np.where(cells, 0.0, values.real)
+        cleaned[0, 0] = 0.0
+        assert cleaned[0, 1] < 0.0
+        assert path.read_text() == svg_heatmap(grid.axis, cleaned, "t")
+        assert path.read_text() != svg_heatmap(grid.axis, values.real, "t")
+
+    def test_a_generic_grid_draws_as_before(self, tmp_path):
+        # no |Re| lies near the bound: the bytes are those of Re itself
+        config = RunConfig(params=AnyonParams(theta=1.1, xi=0.3), grid=GridSpec(count=256))
+        grid = run_spectrum(config)
+        ratio = np.min(np.abs(grid.values.real)) / np.max(np.abs(grid.values))
+        assert ratio > 4e-6
+        path = tmp_path / "g.svg"
+        output.write_grid_svg(grid, str(path), "Re R3", True)
+        assert path.read_text() == svg_heatmap(grid.axis, grid.values.real, "Re R3", True)

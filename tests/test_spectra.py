@@ -584,6 +584,72 @@ class TestReachableClosure:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), f"cutoff {cutoff}"
 
 
+def rephasing_diagrams(system, p, times, jump_basis, conjugation, rotating=True):
+    """The three phase-matched rephasing diagrams on the dense L in the time
+    domain, and a bound on each: with mu_- = a1 + a2, mu_+ its raising partner
+    (``FockSystem.dagger``) and G(t) = e^{L t},
+    R = i^3 tr(mu_- G(t3) [mu_+, .] G(t2) [mu_+, .] G(t1) (-rho0 mu_-)), split by the side
+    (ket mu_+ rho or bra -rho mu_+) of its second and third interactions: the
+    ground-state bleach (bra, ket), stimulated emission (ket, bra) and
+    excited-state absorption (ket, ket); the fourth (bra, bra) raises the
+    vacuum's bra and is 0. The bound, the product of the Frobenius norms along
+    the way, is the scale a diagram's rounding is relative to, decayed or not."""
+    liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=rotating)
+    lower = system.lowering[0] + system.lowering[1]
+    upper = system.dagger(0, conjugation) + system.dagger(1, conjugation)
+    eye = np.eye(system.dim)
+    ket, bra = np.kron(upper, eye), -np.kron(eye, upper.T)
+    g1, g2, g3 = (expm(liouv * t) for t in times)
+    start = g1 @ (-(system.vacuum_projector() @ lower)).ravel()
+    read = lower.T.ravel() @ g3  # tr(mu_- rho) on row-major vec(rho)
+    diagrams = [(1j) ** 3 * (read @ (last @ (g2 @ (second @ start))))
+                for second, last in ((bra, ket), (ket, bra), (ket, ket))]
+    scale = math.prod(np.linalg.norm(m) for m in (lower, lower, upper, upper, g1, g2, g3))
+    return diagrams, scale
+
+
+class TestBosonCancellation:
+    # At theta = 0 the model is linearly coupled bosons whose jumps only
+    # lower: its dynamics is quadratic, and a harmonic system has no
+    # third-order signal, so the three diagrams cancel (Mukamel 1995; Hamm &
+    # Zanni 2011, ch. 4). The cancellation needs the two-quanta states, the
+    # sqrt(2) ladder entries, the dipole and every jump term at once; the
+    # deformed ladder lifts it for theta > 0.
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(xi=st.floats(-1.0, 1.0), log_beta=st.floats(math.log(0.1), math.log(20.0)),
+           gamma=st.floats(0.01, 2.0), coupling_j=st.floats(-1.0, 1.0),
+           times=st.tuples(*[st.floats(0.0, 10.0)] * 3), cutoff=st.integers(2, 3),
+           jump_basis=st.sampled_from(("site", "deformed")),
+           conjugation=st.sampled_from(("modulus", "analytic")), rotating=st.booleans())
+    def test_bosons_have_no_rephasing_signal(self, xi, log_beta, gamma, coupling_j, times,
+                                             cutoff, jump_basis, conjugation, rotating):
+        # a bound relative to max |diagram| fails where every diagram has
+        # decayed (their rounding stays relative to the propagators): the
+        # bound is the scale
+        p = AnyonParams(theta=0.0, xi=xi, beta=math.exp(log_beta), gamma=gamma,
+                        coupling_j=coupling_j)
+        diagrams, scale = rephasing_diagrams(FockSystem(cutoff, 0.0), p, times, jump_basis,
+                                             conjugation, rotating)
+        assert abs(sum(diagrams)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
+    def test_statistics_lift_the_cancellation(self, jump_basis, conjugation):
+        # at one undecayed point: theta = 0 cancels against the largest
+        # diagram, theta = pi/2 leaves 0.60-0.68 of it, at cutoffs 2 and 3 alike
+        times = (1.3, 0.7, 2.1)
+        for theta, lo, hi in ((0.0, 0.0, 1e-12), (math.pi / 2, 0.60, 0.68)):
+            p = AnyonParams(theta=theta, xi=0.3, beta=2.0)
+            signals = []
+            for cutoff in (2, 3):
+                diagrams, _ = rephasing_diagrams(FockSystem(cutoff, theta), p, times, jump_basis,
+                                                 conjugation)
+                signals.append(sum(diagrams))
+                largest = max(map(abs, diagrams))
+                assert lo <= abs(signals[-1]) / largest <= hi, (theta, cutoff)
+                assert abs(signals[-1] - signals[0]) <= 1e-13 * largest, (theta, cutoff)
+
+
 class TestDiagonalSlice:
     def test_symmetric_lorentzian_peaks_at_zero(self):
         axis = np.linspace(-0.5, 0.5, 41)

@@ -18,6 +18,8 @@ Per command it compares the exit code, stdout and stderr; per file written,
 the bytes (a sidecar with its ``created`` line removed). A CSV that differs
 gets the worst relative deviation of each numeric column, max |a - b| / max |a|
 over the rows, and, where it has ``re`` and ``im`` columns, that of re + i im.
+An SVG heatmap that differs gets the number of its cells whose fill changed and
+the largest step between their palette levels (read from its colour bar).
 Mismatches are printed one per line; the last line is a JSON summary. The
 exit status is 0 when every stream and file matches, else 1.
 """
@@ -251,6 +253,38 @@ def csv_deviations(a: bytes, b: bytes) -> dict:
     return dev
 
 
+RECT = re.compile(rb'<rect x="([0-9.]+)" y="([0-9.]+)" width="([0-9.]+)" '
+                  rb'height="[0-9.]+" fill="([^"]+)"')
+
+
+def heatmap_levels(svg: bytes) -> np.ndarray:
+    """The palette level of each cell of a heatmap SVG, (row, column) as drawn:
+    a cell rect's run length is its width less the 0.5 overlap over the frame's
+    width / n, and the palette is the colour bar (its rects are 14 wide)."""
+    rects = RECT.findall(svg)
+    frame = next(float(width) for _, _, width, fill in rects if fill == b"none")
+    bar = [fill for _, _, width, fill in rects if width == b"14"]
+    cells = [(y, float(width), fill) for _, y, width, fill in rects
+             if fill.startswith(b"#") and width != b"14"]
+    n = len({y for y, _, _ in cells})
+    levels = [bar.index(fill) for _, width, fill in cells
+              for _ in range(round((width - 0.5) * n / frame))]
+    return np.array(levels).reshape(n, n)
+
+
+def svg_fill_changes(a: bytes, b: bytes) -> dict:
+    """How many heatmap cells changed fill, and the largest palette-level step."""
+    try:
+        levels_a, levels_b = heatmap_levels(a), heatmap_levels(b)
+    except (StopIteration, ValueError) as exc:
+        return {"cells": f"not a heatmap ({exc})"}
+    if levels_a.shape != levels_b.shape:
+        return {"cells": f"{levels_a.shape} != {levels_b.shape}"}
+    step = np.abs(levels_a - levels_b)
+    return {"cells": levels_a.size, "changed": int(np.count_nonzero(step)),
+            "largest_step": int(step.max())}
+
+
 def compare_command(dir_a: str, dir_b: str, res_a, res_b) -> dict:
     """Streams and files of one command on both trees."""
     streams = [name for name, x, y in zip(("exit", "stdout", "stderr"), res_a, res_b) if x != y]
@@ -267,6 +301,8 @@ def compare_command(dir_a: str, dir_b: str, res_a, res_b) -> dict:
         entry = {"identical": a == b}
         if a != b and name.endswith(".csv"):
             entry["deviation"] = csv_deviations(a, b)
+        if a != b and name.endswith(".svg"):
+            entry["fills"] = svg_fill_changes(a, b)
         files[name] = entry
     return {"streams_differ": streams, "files": files}
 
@@ -315,6 +351,12 @@ def main(argv=None) -> int:
                         worst[col] = (value, k)
                 detail = ", ".join(f"{c} {v:.2g}" if isinstance(v, float) else f"{c}: {v}"
                                    for c, v in dev.items())
+                fills = f.get("fills", {})
+                if "changed" in fills:
+                    detail = (f"{fills['changed']} of {fills['cells']} cell fills changed, "
+                              f"largest step {fills['largest_step']} levels")
+                elif fills:
+                    detail = f"cells: {fills['cells']}"
                 print(f"[{k}] {line}: {name} differs" + (f"; {detail}" if detail else ""))
     finally:
         shutil.rmtree(work, ignore_errors=True)
