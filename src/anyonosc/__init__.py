@@ -5,7 +5,7 @@ Liouvillian oracle."""
 
 __version__ = "0.1.0"
 
-from .params import AnyonParams, ParamArrays, ParameterError
+from .params import AnyonParams, ParameterError
 from .rates import (deformed_commutator_eigenvalue, gamma_full_single,
                     gamma_stat, phase_average, thermal_occupation)
 from .dimer import (EffectiveMatrix, EPResult, build_weff, channel_coefficients,
@@ -19,7 +19,7 @@ from .sweeps import (ConfigError, RunConfig, config_from_dict, load_config,
                      run_fig1, run_fig2, run_fig3, run_sweep)
 
 __all__ = [
-    "AnyonParams", "ParamArrays", "ParameterError",
+    "AnyonParams", "ParameterError",
     "deformed_commutator_eigenvalue", "thermal_occupation", "phase_average",
     "gamma_stat", "gamma_full_single",
     "EffectiveMatrix", "EPResult", "normal_mode_frequencies",

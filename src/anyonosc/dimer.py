@@ -3,16 +3,15 @@ coefficients, the 2x2 evolution matrix W_eff with its eigen-analysis and the
 exceptional-point locator.
 
 The W_eff layer is array-valued: ``normal_mode_frequencies``,
-``dissipative_rates`` and ``weff_entries`` take a ``ParamArrays`` (or one
-AnyonParams point), ``weff_eigenvalues`` takes entry arrays and
-``match_branches`` labels whole eigenvalue sequences. On an open grid each
-result broadcasts to the points' shape and spans only the axes it depends
-on: the frequencies those of theta, omega and J, the channel coefficients
-those of every field but J. ``channel_coefficients`` is the one table of the
-four bath channels: ``dissipative_rates`` sums it, and the Fock-space jump
-operators read it.
-``build_weff`` and its ``EffectiveMatrix`` are one-point calls of the same
-code; the exceptional-point locator scans and refines on the array gap.
+``dissipative_rates`` and ``weff_entries`` take an AnyonParams point or open
+grid, ``weff_eigenvalues`` takes entry arrays and ``match_branches`` labels
+whole eigenvalue sequences. On an open grid each result broadcasts to the
+points' shape and spans only the axes it depends on: the frequencies those
+of theta, omega and J, the channel coefficients those of every field but J.
+``channel_coefficients`` is the one table of the four bath channels:
+``dissipative_rates`` sums it, and the Fock-space jump operators read it.
+``build_weff`` and the exceptional-point locator take one point: the first
+runs the same code on it, the second scans and refines on the array gap.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import AnyonParams, ParamArrays
+from .params import AnyonParams
 from .rates import _complex, gamma_stat, thermal_occupation
 
 FREQUENCY_CONVENTIONS = ("appendix", "maintext")
@@ -45,7 +44,7 @@ EP_ZOOM_POINTS = 33  # angles in each later scan, of the two cells around the la
 EP_CONDITION_MARKER = 1e8
 
 
-def normal_mode_frequencies(params: AnyonParams | ParamArrays,
+def normal_mode_frequencies(params: AnyonParams,
                             convention: str = DEFAULT_FREQUENCY_CONVENTION):
     """Normal-mode frequencies (omega_+, omega_-) of the coupled pair.
 
@@ -85,7 +84,7 @@ def _mul(x, y):
 _CHANNEL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _channel_factors(params: AnyonParams | ParamArrays) -> tuple:
+def _channel_factors(params: AnyonParams) -> tuple:
     """(pref, root, sign) of the four channels on a leading axis:
     sqrt(gamma nbar) on the principal branch, sqrt(1 +/- xi) and +/-1."""
     nth = thermal_occupation(params.theta, params.beta, params.omega)
@@ -95,7 +94,7 @@ def _channel_factors(params: AnyonParams | ParamArrays) -> tuple:
     return pref, np.sqrt(np.maximum(0.0, 1.0 + sign * params.xi)), sign
 
 
-def channel_coefficients(params: AnyonParams | ParamArrays,
+def channel_coefficients(params: AnyonParams,
                          conjugation: str = DEFAULT_CONJUGATION) -> tuple:
     """The four Lindblad channels (emission +/-, absorption +/-) over the
     deformed mode basis, on a leading axis of the parameter arrays, as
@@ -120,7 +119,7 @@ def channel_coefficients(params: AnyonParams | ParamArrays,
     return lam_plus, lam_minus, lam_plus, _mul(sign * pref * weight, np.conj(phase))
 
 
-def site_coefficients(params: AnyonParams | ParamArrays) -> np.ndarray:
+def site_coefficients(params: AnyonParams) -> np.ndarray:
     """sqrt(gamma nbar (1 +/- xi)) of the four channels of
     ``channel_coefficients``, the scalars of the site-basis jumps.
 
@@ -143,7 +142,7 @@ def _channel_sum(x, y):
     return _complex(total_re, total_im)
 
 
-def dissipative_rates(params: AnyonParams | ParamArrays,
+def dissipative_rates(params: AnyonParams,
                       conjugation: str = DEFAULT_CONJUGATION) -> tuple:
     """(Gamma_++, Gamma_--, Gamma_+-, Gamma_-+) over the parameter arrays.
 
@@ -156,7 +155,7 @@ def dissipative_rates(params: AnyonParams | ParamArrays,
             _channel_sum(lam_plus, adj_minus), _channel_sum(lam_minus, adj_plus))
 
 
-def weff_entries(params: AnyonParams | ParamArrays,
+def weff_entries(params: AnyonParams,
                  frequency_convention: str = DEFAULT_FREQUENCY_CONVENTION,
                  conjugation: str = DEFAULT_CONJUGATION,
                  stat_dephasing: bool = False) -> tuple:
@@ -307,6 +306,7 @@ def build_weff(params: AnyonParams,
                stat_dephasing: bool = False) -> EffectiveMatrix:
     """The effective evolution matrix at one parameter point
     (``weff_entries``), with its eigen-analysis."""
+    params.require_point("build_weff")
     a, b, c, d = weff_entries(params, frequency_convention, conjugation, stat_dephasing)
     return EffectiveMatrix(np.array([[a, b], [c, d]], dtype=complex))
 
@@ -374,6 +374,7 @@ def find_exceptional_point(params: AnyonParams,
     reported either way. params.theta is ignored. The default bracket is
     (0, pi - 0.01).
     """
+    params.require_point("find_exceptional_point")
     if theta_bracket is None:
         theta_bracket = (0.0, math.pi - 0.01)
     lo, hi = theta_bracket
@@ -381,8 +382,8 @@ def find_exceptional_point(params: AnyonParams,
         raise ValueError(f"theta bracket must satisfy 0 <= lo < hi <= pi, got {theta_bracket}")
 
     def gap_at(theta):
-        lp, lm = weff_eigenvalues(*weff_entries(ParamArrays.over(params, theta=theta),
-                                                frequency_convention, conjugation, stat_dephasing))
+        lp, lm = weff_eigenvalues(*weff_entries(params.with_(theta=theta), frequency_convention,
+                                                conjugation, stat_dephasing))
         return _modulus(lp - lm)
 
     grid = np.linspace(lo, hi, EP_COARSE_POINTS)
@@ -393,7 +394,7 @@ def find_exceptional_point(params: AnyonParams,
             break
         grid = np.linspace(a, b, EP_ZOOM_POINTS)
     theta_star = 0.5 * (a + b)
-    a, b, c, d = weff_entries(ParamArrays.over(params, theta=theta_star), frequency_convention,
+    a, b, c, d = weff_entries(params.with_(theta=theta_star), frequency_convention,
                               conjugation, stat_dephasing)
     lp, lm = weff_eigenvalues(a, b, c, d)
     gap = float(_modulus(lp - lm))

@@ -252,6 +252,7 @@ def build_liouvillian(system: FockSystem, params: AnyonParams,
     """The dense d^2 x d^2 generator of ``liouvillian_terms``, assembled from
     the nonzeros of its Kronecker factors, never from dense Kronecker
     products."""
+    params.require_point("build_liouvillian")
     return _kron_sum(liouvillian_terms(system, params, jump_basis, conjugation, rotating),
                      system.dim)
 

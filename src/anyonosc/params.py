@@ -1,8 +1,10 @@
 """Shared parameter set for the anyonic oscillator model.
 
-``AnyonParams`` is one parameter point; ``ParamArrays`` holds the same fields
-as the arrays of an open grid for the array-valued closed-form layer. Both
-are checked by ``check_points``, one rule with one message per parameter.
+``AnyonParams`` is the one parameter record: a point when every field is a
+scalar, the float64 arrays of an open grid when any field is an array, for
+the array-valued closed-form layer. Either is checked by ``check_points``,
+one rule with one message per parameter; ``require_point`` refuses a grid
+where only a point is meaningful.
 """
 
 from __future__ import annotations
@@ -108,6 +110,15 @@ class AnyonParams:
     gamma      bath coupling rate, in units of omega
     beta       inverse temperature, so beta*omega is dimensionless
     xi         bath correlation in [-1, 1]
+
+    A record of scalars is one point. When any field is an array, every
+    field becomes a float64 array of an open grid: each keeps its own extent
+    on one shared number of dimensions (size 1 where it is constant, as
+    ``np.ix_`` gives), and fields that do not broadcast together are refused
+    as ``np.broadcast_arrays`` refuses them. Every closed-form function of
+    ``rates`` and ``dimer`` that reads a parameter set then returns arrays
+    that broadcast to the points' shape, each over the axes it depends on.
+    Construction checks every point.
     """
 
     theta: float
@@ -118,52 +129,30 @@ class AnyonParams:
     xi: float = 0.0
 
     def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        values = [getattr(self, n) for n in names]
+        if not all(np.isscalar(v) for v in values):
+            values = [np.asarray(v, dtype=float) for v in values]
+            ndim = len(np.broadcast_shapes(*(v.shape for v in values)))
+            for name, value in zip(names, values):
+                object.__setattr__(self, name,
+                                   value.reshape((1,) * (ndim - value.ndim) + value.shape))
         check_points(self.theta, self.omega, self.coupling_j, self.gamma, self.beta, self.xi)
 
     @property
-    def z(self) -> float:
+    def z(self):
         """Boltzmann weight z = exp(-beta*omega), always in (0, 1)."""
         return _exp(-_beta_omega(self.beta, self.omega))
 
     def with_(self, **kw) -> "AnyonParams":
-        """Copy with selected fields replaced (validation re-runs)."""
+        """Copy with selected fields replaced (validation re-runs); an array
+        field makes the copy an open grid."""
         return replace(self, **kw)
 
-
-@dataclass(frozen=True)
-class ParamArrays:
-    """The AnyonParams fields as float64 arrays of an open grid.
-
-    Each field keeps its own extent on one shared number of dimensions (size 1
-    where it is constant, as ``np.ix_`` gives); fields that do not broadcast
-    together are refused as ``np.broadcast_arrays`` refuses them. Every
-    closed-form function of ``rates`` and ``dimer`` that reads a parameter
-    set accepts one of these in place of an AnyonParams and returns arrays
-    that broadcast to the points' shape, each over the axes it depends on.
-    Construction checks every point.
-    """
-
-    theta: np.ndarray
-    omega: np.ndarray
-    coupling_j: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        names = [f.name for f in fields(self)]
-        values = [np.asarray(getattr(self, n), dtype=float) for n in names]
-        ndim = len(np.broadcast_shapes(*(v.shape for v in values)))
-        for name, value in zip(names, values):
-            object.__setattr__(self, name, value.reshape((1,) * (ndim - value.ndim) + value.shape))
-        check_points(self.theta, self.omega, self.coupling_j, self.gamma, self.beta, self.xi)
-
-    @classmethod
-    def over(cls, base: AnyonParams, **arrays) -> "ParamArrays":
-        """``base`` with the named fields replaced by arrays."""
-        return cls(**{f.name: arrays.get(f.name, getattr(base, f.name)) for f in fields(cls)})
-
-    @property
-    def z(self) -> np.ndarray:
-        """Boltzmann weight z = exp(-beta*omega), always in (0, 1)."""
-        return _exp(-_beta_omega(self.beta, self.omega))
+    def require_point(self, caller: str) -> None:
+        """Raise ValueError unless this record is one point (a grid of shape ()),
+        naming ``caller``, which takes nothing else."""
+        shape = np.broadcast_shapes(*(np.shape(getattr(self, f.name)) for f in fields(self)))
+        if shape:
+            raise ValueError(f"{caller} takes one parameter point, "
+                             f"got an open grid of shape {shape}")

@@ -5,10 +5,10 @@ spectrum, the generalized (complex) thermal occupation, the statistical phase
 average and the relaxation rates, with their boson (theta = 0) and fermion
 (theta = pi) limits.
 
-``thermal_occupation``, ``phase_average``, ``gamma_stat`` and
-``gamma_full_single`` (given a ``ParamArrays``) take arrays that broadcast
-together and return arrays that broadcast to the points' shape, each over
-the axes of its inputs; a scalar call is the same code on 0-d values. A
+``thermal_occupation``, ``phase_average`` and ``gamma_stat`` take arrays
+that broadcast together, and ``gamma_full_single`` an AnyonParams point or
+open grid; each returns arrays that broadcast to the points' shape, over the
+axes of its inputs, and a scalar call is the same code on 0-d values. A
 range check raises for the first offending point in C order.
 ``deformed_commutator_eigenvalue``, ``q_bracket`` and
 ``phase_average_series`` take scalars.
@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .params import (AnyonParams, ParameterError, ParamArrays, BETA_OMEGA_FLOOR, _beta_omega,
-                     _exp, first_violation)
+from .params import (AnyonParams, ParameterError, BETA_OMEGA_FLOOR, _beta_omega, _exp,
+                     first_violation)
 
 SERIES_TAIL = 1e-14  # phase_average_series stops at the first z^N below this
 
@@ -138,13 +138,13 @@ def gamma_stat(theta: float, z: float, gamma: float) -> float:
     return (0.5 * gamma * z * one_minus_c * (1.0 + z) / denom)[()]
 
 
-def gamma_full_single(params: AnyonParams | ParamArrays) -> complex:
+def gamma_full_single(params: AnyonParams) -> complex:
     """Total phase relaxation rate of a single oscillator.
 
     (gamma/2) * [2 n_theta + 1 + (1 - Re<e^{i theta N}>)], complex in general
     because n_theta is: the real part is the decay rate reported to users, the
-    imaginary part a frequency shift. Boson limit: (gamma/2)(2n + 1). A
-    ParamArrays gives an array over the axes it reads, one point a scalar.
+    imaginary part a frequency shift. Boson limit: (gamma/2)(2n + 1). An
+    open grid gives an array over the axes it reads, one point a scalar.
     """
     nth = thermal_occupation(params.theta, params.beta, params.omega)
     re_avg = phase_average(params.theta, params.z).real

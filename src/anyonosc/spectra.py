@@ -190,6 +190,7 @@ def rephasing_response(params: AnyonParams, *, t2: float = 0.0, grid: GridSpec |
     echo convention (both negated relative to the raw transform
     frequencies) so the photon-echo feature lands at positive detunings.
     """
+    params.require_point("rephasing_response")
     if grid is None:
         grid = GridSpec()
     axis = grid.axis()
@@ -212,6 +213,7 @@ def response_point(params: AnyonParams, omega_tau: float, omega_t: float, *, t2:
                    conjugation: str = DEFAULT_CONJUGATION) -> complex:
     """Single-point evaluation: the 1 x 1 grid of the pathway's factors,
     bit-identical to the matching grid cell and diagonal entry."""
+    params.require_point("response_point")
     for name, value in (("omega_tau", omega_tau), ("omega_t", omega_t)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

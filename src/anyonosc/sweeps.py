@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .dimer import (CONJUGATION_CONVENTIONS, DEFAULT_CONJUGATION,
                     find_exceptional_point, match_branches, weff_eigenvalues, weff_entries)
 from .fock import JUMP_BASES
 from .output import SweepResult, grid_result
-from .params import AnyonParams, ParamArrays, ParameterError
+from .params import AnyonParams, ParameterError
 from .rates import gamma_full_single, gamma_stat
 from .spectra import (DEFAULT_JUMP_BASIS, PATHWAY_QUANTA, GridSpec, SpectrumGrid,
                       diagonal_slice, rephasing_response)
@@ -24,7 +24,7 @@ class ConfigError(ValueError):
     """Raised on malformed run configuration (unknown keys are hard errors)."""
 
 
-PARAM_FIELDS = ("theta", "omega", "coupling_j", "gamma", "beta", "xi")
+PARAM_FIELDS = tuple(f.name for f in fields(AnyonParams))
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def run_fig1(config: RunConfig) -> SweepResult:
     beta and gamma.
     """
     theta = _theta_axis(config).values()
-    pts = ParamArrays.over(config.params, theta=theta)
+    pts = config.params.with_(theta=theta)
     full = gamma_full_single(pts)
     return SweepResult(
         columns=("theta", "gamma_stat", "re_gamma_full", "im_gamma_full"),
@@ -234,8 +234,8 @@ def _branches(config: RunConfig, thetas, xis) -> tuple:
     (thetas[i], xis[k]): fig2's columns, and the overlay's source."""
     theta, xi = np.asarray(thetas, float)[None, :], np.asarray(xis, float)[:, None]
     conv = config.conventions
-    a, b, c, d = weff_entries(ParamArrays.over(config.params, theta=theta, xi=xi),
-                              conv.frequency, conv.conjugation, conv.stat_dephasing)
+    a, b, c, d = weff_entries(config.params.with_(theta=theta, xi=xi), conv.frequency,
+                              conv.conjugation, conv.stat_dephasing)
     lp, lm = match_branches(*weff_eigenvalues(a, b, c, d))
     gap = _modulus(lp - lm)
     flag = ep_flag(gap, b, c, config.params.gamma)
@@ -342,7 +342,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
         raise ConfigError(f"sweep config sets keys a sweep does not read: {unread}")
     axes = np.ix_(*(ax.values() for ax in config.sweep))
     names = [ax.name for ax in config.sweep]
-    pts = ParamArrays.over(config.params, **dict(zip(names, axes)))
+    pts = config.params.with_(**dict(zip(names, axes)))
     full = gamma_full_single(pts)
     conv = config.conventions
     lp, lm = weff_eigenvalues(*weff_entries(pts, conv.frequency, conv.conjugation,

@@ -270,11 +270,11 @@ class TestCliNonFiniteParameters:
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_param_arrays_reject_one_non_finite_point(self):
-        from anyonosc import AnyonParams, ParamArrays, ParameterError
+        from anyonosc import AnyonParams, ParameterError
         base = AnyonParams(theta=0.5)
         with pytest.raises(ParameterError, match=r"coupling_j must be finite, got inf"):
-            ParamArrays.over(base, coupling_j=np.array([0.1, 0.2, math.inf, math.nan]))
-        beta = ParamArrays.over(base, beta=np.array([1.0, math.inf]))
+            base.with_(coupling_j=np.array([0.1, 0.2, math.inf, math.nan]))
+        beta = base.with_(beta=np.array([1.0, math.inf]))
         assert np.all(np.isfinite(beta.z))
 
 

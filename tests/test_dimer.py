@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anyonosc.dimer
-from anyonosc import (AnyonParams, ParamArrays, ParameterError, build_weff,
+from anyonosc import (AnyonParams, ParameterError, build_weff,
                       channel_coefficients, find_exceptional_point, gamma_full_single,
                       normal_mode_frequencies)
 from anyonosc.dimer import (CONJUGATION_CONVENTIONS, FREQUENCY_CONVENTIONS, EffectiveMatrix, _mul,
@@ -198,10 +198,11 @@ class TestBuildWeff:
         # same array keeps the bits of its own call
         rng = np.random.default_rng(29)
         gamma = np.where(np.arange(200) % 2 == 0, 1e300, 0.1)
-        pts = ParamArrays.over(AnyonParams(theta=0.0), theta=rng.uniform(0.0, math.pi, 200),
-                               xi=rng.uniform(-1.0, 1.0, 200), gamma=gamma,
-                               beta=np.exp(rng.uniform(math.log(0.1), math.log(20.0), 200)),
-                               coupling_j=rng.uniform(0.05, 0.5, 200))
+        pts = AnyonParams(theta=0.0).with_(theta=rng.uniform(0.0, math.pi, 200),
+                                           xi=rng.uniform(-1.0, 1.0, 200), gamma=gamma,
+                                           beta=np.exp(rng.uniform(math.log(0.1),
+                                                                   math.log(20.0), 200)),
+                                           coupling_j=rng.uniform(0.05, 0.5, 200))
         entries = weff_entries(pts, "appendix", conjugation, stat_dephasing)
         lp, lm = weff_eigenvalues(*entries)
         normal = weff_eigenvalues(*(z[1::2] for z in entries))
@@ -349,7 +350,7 @@ def param_arrays(draw):
     for name, (lo, hi, edges) in _FIELDS.items():
         value = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
         arrays[name] = np.reshape(draw(st.lists(value, min_size=size, max_size=size)), shape)
-    return ParamArrays(**arrays)
+    return AnyonParams(**arrays)
 
 
 class TestDissipativeRates:
@@ -373,7 +374,7 @@ class TestDissipativeRates:
 
 @st.composite
 def open_grids(draw):
-    """ParamArrays fields as an open grid of 1-3 axes of 1-4 points: each field
+    """AnyonParams fields as an open grid of 1-3 axes of 1-4 points: each field
     constant (size 1 everywhere) or along one axis."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     arrays = {}
@@ -413,9 +414,9 @@ class TestOpenGrid:
     def test_open_grid_keeps_the_bits_of_the_broadcast_grid(self, arrays, frequency,
                                                             conjugation, stat_dephasing):
         conventions = frequency, conjugation, stat_dephasing
-        p = ParamArrays(**arrays)
+        p = AnyonParams(**arrays)
         got = _closed_forms(p, *conventions)
-        want = _closed_forms(ParamArrays(**_broadcast_out(arrays)), *conventions)
+        want = _closed_forms(AnyonParams(**_broadcast_out(arrays)), *conventions)
         for g, w in zip(got, want, strict=True):
             g = np.ascontiguousarray(np.broadcast_to(g, np.shape(w)))
             assert np.array_equal(g.view(np.uint64), np.ascontiguousarray(w).view(np.uint64))
@@ -434,9 +435,9 @@ class TestOpenGrid:
                 data.draw(st.sampled_from(_INVALID[name]))
             arrays[name] = field
         with pytest.raises(ParameterError) as full:
-            ParamArrays(**_broadcast_out(arrays))
+            AnyonParams(**_broadcast_out(arrays))
         with pytest.raises(ParameterError, match=f"^{re.escape(str(full.value))}$"):
-            ParamArrays(**arrays)
+            AnyonParams(**arrays)
 
     def test_fields_that_do_not_broadcast_are_refused_as_numpy_refuses_them(self):
         fields = dict(theta=np.zeros((2, 1)), omega=1.0, coupling_j=0.2, gamma=np.ones(3),
@@ -444,10 +445,10 @@ class TestOpenGrid:
         with pytest.raises(ValueError) as numpy_refusal:
             np.broadcast_arrays(*fields.values())
         with pytest.raises(ValueError, match=f"^{re.escape(str(numpy_refusal.value))}$"):
-            ParamArrays(**fields)
+            AnyonParams(**fields)
 
     def test_fields_share_one_number_of_dimensions(self):
-        p = ParamArrays.over(AnyonParams(theta=0.0), theta=np.zeros((3, 1)), xi=np.zeros(2))
+        p = AnyonParams(theta=0.0).with_(theta=np.zeros((3, 1)), xi=np.zeros(2))
         assert [np.shape(getattr(p, f.name)) for f in dataclasses.fields(p)] == \
             [(3, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 2)]
 

@@ -24,7 +24,7 @@ def test_star_import_resolves_every_exported_name():
 
 
 @pytest.mark.parametrize("name", ["DensityState", "propagate", "steady_state", "ComplexRate",
-                                  "eigen_analysis", "bright_mode_overlay"])
+                                  "eigen_analysis", "bright_mode_overlay", "ParamArrays"])
 def test_removed_names_are_not_exported(name):
     assert name not in anyonosc.__all__
     assert not hasattr(anyonosc, name)

@@ -608,6 +608,38 @@ def rephasing_diagrams(system, p, times, jump_basis, conjugation, rotating=True)
     return diagrams, scale
 
 
+# detunings of the frequency-domain diagrams: off 0, +/-J and +/-3J for the
+# drawn J's, where a mode undamped at xi = +/-1 makes a coherence resonant
+RESOLVENT_DETUNINGS = np.array([-0.83, -0.29, 0.37, 0.91])
+
+
+def resolvent_diagrams(system, p, detunings, t2, jump_basis, conjugation):
+    """The three diagrams of ``rephasing_diagrams`` with both coherence
+    intervals in the frequency domain, element [k, i, j] at (omega_tau, omega_t)
+    = (detunings[i], detunings[j]): the first interval solved by
+    fock.resolvent_apply at sign -1, the third at sign +1 through its left
+    vector (tr(mu_- R v) = (R^T-solve of tr(mu_- .)) . v), and the population
+    interval e^{L t2} (fock.expm; the identity at t2 = 0). Each interval is
+    restricted to its coherence order Delta q = -1, 0, +1, exactly: L keeps
+    the ket and bra quanta's difference."""
+    liouv = build_liouvillian(system, p, jump_basis, conjugation, rotating=True)
+    lower = system.lowering[0] + system.lowering[1]
+    upper = system.dagger(0, conjugation) + system.dagger(1, conjugation)
+    eye = np.eye(system.dim)
+    ket, bra = np.kron(upper, eye), -np.kron(eye, upper.T)
+    q = coherence_order(system)
+    first, mid, last = (np.flatnonzero(q == k) for k in (-1, 0, 1))
+    start = (-(system.vacuum_projector() @ lower)).ravel()[first]
+    read = lower.T.ravel()[last]
+    x = np.array([resolvent_apply(liouv[np.ix_(first, first)], w, -1, start) for w in detunings])
+    y = np.array([resolvent_apply(liouv[np.ix_(last, last)].T, w, +1, read) for w in detunings])
+    prop = expm(liouv[np.ix_(mid, mid)] * t2) if t2 > 0.0 else np.eye(mid.size)
+    return np.array([(1j) ** 3 * y @ (last_op[np.ix_(last, mid)] @ prop
+                                      @ second_op[np.ix_(mid, first)] @ x.T)
+                     for second_op, last_op in ((bra, ket), (ket, bra), (ket, ket))]
+                    ).transpose(0, 2, 1)
+
+
 class TestBosonCancellation:
     # At theta = 0 the model is linearly coupled bosons whose jumps only
     # lower: its dynamics is quadratic, and a harmonic system has no
@@ -631,6 +663,26 @@ class TestBosonCancellation:
         diagrams, scale = rephasing_diagrams(FockSystem(cutoff, 0.0), p, times, jump_basis,
                                              conjugation, rotating)
         assert abs(sum(diagrams)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("positive_t2", [False, True], ids=["t2-zero", "t2-positive"])
+    @pytest.mark.parametrize("cutoff", [2, 3, 4])
+    @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
+    @pytest.mark.parametrize("jump_basis", ["site", "deformed"])
+    @settings(derandomize=True, deadline=None, max_examples=5)
+    @given(xi=st.floats(-1.0, 1.0), log_beta=st.floats(math.log(0.1), math.log(20.0)),
+           gamma=st.floats(0.01, 2.0), coupling_j=st.floats(-1.0, 1.0),
+           t2=st.floats(0.1, 10.0))
+    def test_bosons_have_no_rephasing_signal_in_frequency(self, jump_basis, conjugation, cutoff,
+                                                          positive_t2, xi, log_beta, gamma,
+                                                          coupling_j, t2):
+        # the same cancellation cell by cell on a detuning grid: a resolvent
+        # is a transform of the decays, and the ground-state bleach does not
+        # decay over t2, so the largest diagram of a cell is its scale
+        p = AnyonParams(theta=0.0, xi=xi, beta=math.exp(log_beta), gamma=gamma,
+                        coupling_j=coupling_j)
+        diagrams = resolvent_diagrams(FockSystem(cutoff, 0.0), p, RESOLVENT_DETUNINGS,
+                                      t2 if positive_t2 else 0.0, jump_basis, conjugation)
+        assert np.all(np.abs(diagrams.sum(axis=0)) <= 1e-12 * np.max(np.abs(diagrams), axis=0))
 
     @pytest.mark.parametrize("conjugation", ["modulus", "analytic"])
     @pytest.mark.parametrize("jump_basis", ["site", "deformed"])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonosc import AnyonParams, ParamArrays, ParameterError
+from anyonosc import AnyonParams, ParameterError
 from anyonosc.dimer import (DEFAULT_CONJUGATION, EP_COARSE_POINTS, EP_CONDITION_MARKER,
                             EP_GAP_FACTOR, EP_ZOOM_POINTS, build_weff, channel_coefficients,
                             dissipative_rates, find_exceptional_point,
@@ -629,7 +629,7 @@ class TestExceptionalPointAgainstReference:
            _conventions, st.sampled_from(_BRACKETS))
     def test_gap_is_at_most_the_coarse_minimum(self, p, conventions, bracket):
         lo, hi = bracket or (0.0, math.pi - 0.01)
-        grid = ParamArrays.over(p, theta=np.linspace(lo, hi, EP_COARSE_POINTS))
+        grid = p.with_(theta=np.linspace(lo, hi, EP_COARSE_POINTS))
         lp, lm = weff_eigenvalues(*weff_entries(grid, *conventions))
         got = find_exceptional_point(p, bracket, *conventions)
         assert lo <= got.theta <= hi
