@@ -23,7 +23,7 @@ from .output import _csv_blocks, sidecar_path, write_grid_svg, write_outputs
 from .params import ParameterError
 from .spectra import GridSpec
 from .sweeps import (FIG2_XI, FIG3_THETAS, FIG3_XI, GENERATORS, THETA_AXIS, ConfigError,
-                     Conventions, RunConfig, SweepAxis, load_config, parse_range)
+                     Conventions, RunConfig, SweepAxis, fig3_panels, load_config, parse_range)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,7 +35,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):  # argparse defaults to exit code 2; we use 1
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        # and one prefix: a subcommand's parser would name itself "anyonosc <command>"
+        self.exit(1, f"anyonosc: error: {message}\n")
 
 
 # flag -> (AnyonParams field, help); a command defines only the flags its
@@ -168,7 +169,7 @@ def _config(args) -> RunConfig:
     if "convention" in flags:
         kw["conventions"] = Conventions(args.convention, args.conjugation, args.jump_basis,
                                         args.stat_dephasing == "on")
-    if "cutoff" in flags:  # spectrum and fig3 evaluate on a detuning grid
+    if args.command in ("spectrum", "fig3"):  # they evaluate on a detuning grid
         lo, hi = parse_range(flags.get("range", GRID_RANGE))
         kw.update(cutoff=args.cutoff, t2=args.t2, grid=GridSpec(count=args.grid, lo=lo, hi=hi))
     elif flags.get("range", THETA_RANGE) is not None:  # the rest on a theta axis; ep-locate's
@@ -208,7 +209,7 @@ def _files(args, cfg) -> list:
                  for name, role in ((csv, "csv"), (sidecar_path(csv), ""))]
         names += [(f"fig3_grid_theta{theta:.3f}_xi{xi:.2f}.svg",
                    f"--svg panel (theta, xi) = {(theta, xi)}", "svg")
-                  for xi in cfg.xi_list for theta in cfg.theta_list if args.svg]
+                  for theta, xi in fig3_panels(cfg) if args.svg]
         return [_File("--out", args.out, os.path.join(args.out, name), name, source, role)
                 for name, source, role in names]
     files = [_File("--config", args.config, args.config)] if args.command == "sweep" else []

@@ -130,8 +130,9 @@ def _kron_block(terms, kets: np.ndarray, bras: np.ndarray) -> np.ndarray:
     is sum c * A[kets[i], kets[j]] * B[bras[i], bras[j]], the terms added in order. With
     finite factors, ``_kron_sum``'s entries bit for bit (a product it skips is +-0 here)."""
     out = np.zeros((kets.size, kets.size), dtype=complex)
+    ket_pairs, bra_pairs = np.ix_(kets, kets), np.ix_(bras, bras)
     for coeff, a, b in terms:
-        out += coeff * a[np.ix_(kets, kets)] * b[np.ix_(bras, bras)]
+        out += coeff * a[ket_pairs] * b[bra_pairs]
     return out
 
 

@@ -8,7 +8,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ _BLOCK_VALUES = 8192
 _KERNEL_MIN = 1024
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, kw_only=True)
 class SweepResult:
     """One CSV's columns and units, one float64 array per column, the
     generator's metadata, and the (theta, xi, SpectrumGrid) panels the rows
@@ -37,43 +37,32 @@ class SweepResult:
 
     The column arrays (``arrays``) broadcast together to the result's grid
     ``shape``, one row per grid point in C order: each column stays at the
-    extent its generator computed it over (an open grid). A table, ``rows``
-    (tuples or a 2-D array), is the one-axis case, one array per table
-    column. Checks itself where it is made, with ValueError on a bad row width
-    or arrays that do not broadcast together and FloatingPointError on a
-    non-finite value, so a writer never opens a file for a bad result.
-    ``rows``, the (rows, columns) table, is formed on first read, read-only.
+    extent its generator computed it over (an open grid). Every field is
+    passed by keyword. Checks itself where it is made, with ValueError on
+    counts of columns, units and arrays that differ or arrays that do not
+    broadcast together and FloatingPointError on a non-finite value, so a
+    writer never opens a file for a bad result. ``rows``, the (rows, columns)
+    table, is formed on first read, read-only.
     """
 
     columns: tuple
     units: tuple
     arrays: tuple
-    shape: tuple
-    metadata: dict
-    grids: tuple
+    metadata: dict = field(default_factory=dict)
+    grids: tuple = ()
+    shape: tuple = field(init=False)
 
-    def __init__(self, columns, units, rows=None, metadata=None, grids=(), *, arrays=None):
-        if len(units) != len(columns):
-            raise ValueError("columns and units length mismatch")
-        if arrays is None:
-            try:
-                table = np.asarray(rows, dtype=float)
-            except ValueError as exc:  # ragged rows
-                raise ValueError(f"row width mismatch: {exc}") from None
-            if table.size == 0:
-                table = table.reshape(0, len(columns))
-            if table.shape != (len(rows), len(columns)):
-                raise ValueError("row width mismatch")
-            arrays = table.T
-        elif len(arrays) != len(columns):
-            raise ValueError("row width mismatch")
-        arrays = tuple(np.asarray(a, dtype=float).view() for a in arrays)
+    def __post_init__(self):
+        if not len(self.columns) == len(self.units) == len(self.arrays):
+            raise ValueError(f"{len(self.columns)} columns, {len(self.units)} units and "
+                             f"{len(self.arrays)} arrays: one unit and one array per column")
+        arrays = tuple(np.asarray(a, dtype=float).view() for a in self.arrays)
         for a in arrays:
             if not np.isfinite(a).all():
                 raise FloatingPointError("non-finite value in result")
             a.flags.writeable = False
-        vars(self).update(columns=columns, units=units, arrays=arrays, metadata=metadata or {},
-                          grids=grids, shape=np.broadcast_shapes(*(a.shape for a in arrays)))
+        object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "shape", np.broadcast_shapes(*(a.shape for a in arrays)))
 
     @functools.cached_property
     def rows(self) -> np.ndarray:

@@ -266,7 +266,7 @@ def run_ep_locate(config: RunConfig) -> SweepResult:
                                 conv.stat_dephasing)
     return SweepResult(columns=("theta_star", "gap", "ep_found", "threshold"),
                        units=("rad", "omega", "bool", "omega"),
-                       rows=[(ep.theta, ep.gap, int(ep.found), ep.threshold)],
+                       arrays=(ep.theta, ep.gap, int(ep.found), ep.threshold),
                        metadata={"generator": "ep-locate"})
 
 
@@ -289,12 +289,18 @@ def _spectrum_grid(config: RunConfig) -> SweepResult:
     return grid_result(run_spectrum(config), panel=(config.params.theta, config.params.xi))
 
 
+def fig3_panels(config: RunConfig) -> list:
+    """fig3's (theta, xi) panels in order: xi outer, theta inner, the one order of its
+    slices' rows, its result's grids and the CLI's heatmap files."""
+    return [(float(theta), float(xi)) for xi in config.xi_list or FIG3_XI
+            for theta in config.theta_list or FIG3_THETAS]
+
+
 def run_fig3(config: RunConfig) -> SweepResult:
     """Stacked diagonal slices of the rephasing spectra for each (theta, xi), read from
     each grid's factors (no n x n cells), on the (panel, detuning) grid; the result
     holds the panels' grids."""
-    panels = [(float(theta), float(xi)) for xi in config.xi_list or FIG3_XI
-              for theta in config.theta_list or FIG3_THETAS]
+    panels = fig3_panels(config)
     grids = [run_spectrum(replace(config, params=config.params.with_(theta=theta, xi=xi)))
              for theta, xi in panels]
     theta, xi = np.array(panels).T[..., None]

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,10 +8,13 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anyonosc
 import anyonosc.fock
@@ -81,6 +86,11 @@ class TestCliBasics:
     def test_unknown_flag_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "single-rates", "--bogus", "1")
         assert code == 1
+
+    def test_a_subcommand_parse_error_has_the_one_prefix(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--grid", "nan")
+        assert (code, out) == (1, "")
+        assert err == "anyonosc: error: argument --grid: invalid int value: 'nan'\n"
 
     def test_ep_locate(self, capsys):
         code, out, err = run_cli(capsys, "ep-locate", "--xi", "1.0")
@@ -185,8 +195,8 @@ class TestCliAxisRule:
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
     @pytest.mark.parametrize("theta, gap, code, message", [
         (math.nan, math.nan, 2, "compute error"),
-        ((1.0, 2.0), 0.0, 1, "row width mismatch"),
-    ], ids=["non-finite", "ragged"])
+        ((1.0, 2.0), (0.0, 1.0, 2.0), 1, "cannot be broadcast"),
+    ], ids=["non-finite", "unbroadcastable"])
     def test_bad_ep_result_is_refused_before_writing(self, capsys, monkeypatch, tmp_path,
                                                      to_file, theta, gap, code, message):
         import anyonosc.cli
@@ -640,6 +650,19 @@ class TestCliFigures:
         assert (out_dir / "fig3_overlay.csv").exists()
         svgs = list(out_dir.glob("*.svg"))
         assert len(svgs) == 2
+
+    def test_fig3_heatmap_files_name_their_panels(self, capsys, tmp_path):
+        # each panel's SVG file is named after the (theta, xi) its heatmap's title draws
+        out_dir = tmp_path / "fig3"
+        code, _, err = run_cli(capsys, "fig3", "--grid", "4", "--theta-list", "0.5,1,2.25",
+                               "--xi-list", "-0.5,1", "--svg", "--out", str(out_dir))
+        assert code == 0, err
+        names = sorted(path.name for path in out_dir.glob("*.svg"))
+        assert names == sorted(f"fig3_grid_theta{theta}_xi{xi}.svg" for theta in
+                               ("0.500", "1.000", "2.250") for xi in ("-0.50", "1.00"))
+        for name in names:
+            theta, xi = re.fullmatch(r"fig3_grid_theta(.+)_xi(.+)\.svg", name).groups()
+            assert f">Re R3, theta={theta}, xi={xi}</text>" in (out_dir / name).read_text()
 
     @pytest.mark.parametrize("command, svg, grids", [
         ("fig3", False, 0), ("fig3", True, 4), ("spectrum", False, 1), ("spectrum", True, 1)],
@@ -1386,3 +1409,188 @@ def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
             assert (any(path.iterdir()) if path.is_dir() else path.stat().st_size > 0), line
         assert named or stdout.count("\n") >= 2, line  # a header and rows on stdout
     _assert_regenerates(sorted(tmp_path.rglob("*.csv")))
+
+
+# -- the CLI contract, one property over every command ---------------------------------
+#
+# Each argv takes some of its command's own flags (read from the parser), each with a
+# typical value, and at most one of them an edge value instead; a sweep's run.json is
+# drawn the same way. The contract: exit 0, 1 or 2; a refusal is one stderr line and
+# writes nothing; a success writes CSVs that re-read finite and sidecars that validate
+# and regenerate their CSV.
+
+_EDGES = ("0", "5e-324", "-5e-324", "1e300", "1.7e308", "inf", "-inf", "nan", "")
+_JSON_EDGES = (0.0, 5e-324, -5e-324, 1e300, 1.7e308, math.inf, -math.inf, math.nan, "")
+# each parameter's typical values
+_TYPICAL = {"theta": (0.0, math.pi), "xi": (-1.0, 1.0), "beta": (0.05, 20.0),
+            "gamma": (0.0, 1.0), "coupling_j": (-2.0, 2.0), "omega": (0.1, 3.0)}
+
+
+def _plain(typical, *edges):
+    """(typical values, edge values) of a flag, as argv strings."""
+    return typical, st.sampled_from(_EDGES + edges)
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _range(lo, hi):
+    side = _number(lo, hi)
+    return (st.tuples(side, side).map(lambda d: ":".join(sorted(d, key=float))),
+            st.one_of(st.sampled_from(_EDGES),
+                      st.tuples(st.sampled_from(_EDGES), side).map(":".join),
+                      st.tuples(side, st.sampled_from(_EDGES)).map(":".join)))
+
+
+def _listed(lo, hi):
+    """1-3 values; an edge list holds one edge value among typical ones."""
+    item = _number(lo, hi)
+    return (st.lists(item, min_size=1, max_size=3).map(",".join),
+            st.tuples(st.lists(item, max_size=2), st.sampled_from(_EDGES), st.integers(0, 2))
+            .map(lambda d: ",".join(d[0][:d[2]] + [d[1]] + d[0][d[2]:])))
+
+
+_CONTRACT_FLAGS = {
+    **{f"--{flag}": _plain(_number(*_TYPICAL[field])) for flag, (field, _) in PARAM_FLAGS.items()},
+    "--t2": _plain(_number(0.0, 5.0)),
+    "--grid": _plain(st.integers(2, 16).map(str)), "--cutoff": _plain(st.integers(2, 4).map(str)),
+    "--threads": _plain(st.integers(1, 4).map(str)),
+    "--convention": _plain(st.sampled_from(("appendix", "maintext"))),
+    "--conjugation": _plain(st.sampled_from(("modulus", "analytic"))),
+    "--jump-basis": _plain(st.sampled_from(("site", "deformed"))),
+    "--stat-dephasing": _plain(st.sampled_from(("on", "off"))),
+    "--temp": _plain(st.sampled_from(("low", "high"))),
+    "--theta-list": _listed(*_TYPICAL["theta"]), "--xi-list": _listed(*_TYPICAL["xi"]),
+    "--config": _plain(st.just("run.json"), "missing.json"),
+    "--range": _range(*_TYPICAL["theta"]), "--out": _plain(st.just("out.csv"), "missing/out.csv"),
+    "--svg": _plain(st.just("g.svg"), "out.csv", "missing/g.svg"),
+}
+# by command: spectrum's range is a detuning range, fig3's --out a directory
+_COMMAND_FLAGS = {"spectrum": {"--range": _range(-5.0, 5.0)},
+                  "fig3": {"--out": _plain(st.sampled_from(("fig3", "f3/sub")))}}
+# flags every argv of a command passes: a grid of at most 16 points, fig3's lists of
+# 1-3 values (its defaults make 18 panels of 256 points) and directory, sweep's config
+_ALWAYS = {"fig3": ("--grid", "--theta-list", "--xi-list", "--out")}
+
+
+def _axis(name):
+    return st.tuples(st.floats(*_TYPICAL[name]), st.floats(*_TYPICAL[name]),
+                     st.integers(2, 16)).map(lambda d: {"name": name, "start": min(d[:2]),
+                                                        "stop": max(d[:2]), "count": d[2]})
+
+
+_typical_sweep_configs = st.fixed_dictionaries(
+    {"sweep": st.lists(st.sampled_from(sorted(_TYPICAL)).flatmap(_axis), min_size=1,
+                       max_size=2, unique_by=lambda axis: axis["name"])},
+    optional={"params": st.fixed_dictionaries({}, optional={name: st.floats(*bounds)
+                                                            for name, bounds in _TYPICAL.items()}),
+              "conventions": st.fixed_dictionaries({}, optional={
+                  "frequency": st.sampled_from(("appendix", "maintext")),
+                  "conjugation": st.sampled_from(("modulus", "analytic")),
+                  "jump_basis": st.sampled_from(("site", "deformed")),
+                  "stat_dephasing": st.booleans()}),
+              "output": st.fixed_dictionaries({"path": st.sampled_from(("s.csv", None))}),
+              "compute": st.fixed_dictionaries({"threads": st.integers(1, 4)})})
+
+
+def _leaves(doc):
+    """(container, key) of every value in ``doc`` that is no object or list."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value)
+        else:
+            yield doc, key
+
+
+@st.composite
+def _contract_runs(draw, command):
+    """(argv, the sweep config written to run.json or None) of ``command``."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {**_CONTRACT_FLAGS, **_COMMAND_FLAGS.get(command, {})}
+    argv, valued = [command], {}
+    for action in sub.choices[command]._actions:
+        flag = action.option_strings[0]
+        if flag == "-h" or not (flag in _ALWAYS.get(command, ("--config", "--grid")) or
+                                draw(st.booleans())):
+            continue
+        if action.nargs == 0:  # a switch
+            argv.append(flag)
+        else:
+            valued[flag] = flags[flag]
+    edge = draw(st.sampled_from(sorted(valued))) if valued and draw(st.booleans()) else None
+    argv += [f"{flag}={draw(values[flag == edge])}" for flag, values in valued.items()]
+    if command != "sweep":
+        return argv, None
+    config = draw(_typical_sweep_configs)
+    if edge is None and draw(st.booleans()):
+        container, key = draw(st.sampled_from(list(_leaves(config))))
+        container[key] = draw(st.sampled_from(_JSON_EDGES))
+    return argv, config
+
+
+def _assert_csv(path, text):
+    """``text``, written to ``path``, re-reads through ``read_csv`` with finite values."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    columns, _, rows = read_csv(path)
+    assert columns and rows and all(len(row) == len(columns) for row in rows)
+    assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
+def _run_in(root, argv):
+    """``main(argv)`` with ``root`` as the working directory: (exit code, stdout, stderr)."""
+    here, out, err = os.getcwd(), io.StringIO(), io.StringIO()
+    try:
+        os.chdir(root)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(here)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("command", sorted(anyonosc.cli._GENERATED))
+    def test_every_argv_keeps_the_cli_contract(self, command):
+        from anyonosc.output import validate_metadata
+
+        @settings(derandomize=True, deadline=None, max_examples=60)
+        @given(_contract_runs(command))
+        def check(run):
+            argv, config = run
+            with tempfile.TemporaryDirectory() as scratch:
+                root = os.path.join(scratch, "run")
+                os.mkdir(root)
+                if config is not None:
+                    with open(os.path.join(root, "run.json"), "w", encoding="utf-8") as fh:
+                        json.dump(config, fh)
+                before = _written(root)
+                code, out, err = _run_in(root, argv)
+                assert code in (0, 1, 2), (argv, config, code, err)
+                if code:
+                    assert err.startswith("anyonosc:") and err.count("\n") == 1, (argv, err)
+                    assert err.endswith("\n") and out == "", (argv, err)
+                    assert _written(root) == before, argv
+                    return
+                written = _written(root) - before
+                for name in written:
+                    path = os.path.join(root, name)
+                    if name.endswith(".meta.json"):
+                        assert name[:-len(".meta.json")] in written, (argv, name)
+                        continue
+                    with open(path, encoding="utf-8") as fh:
+                        text = fh.read()
+                    if text.startswith(("<?xml", "<svg")):
+                        assert text.rstrip().endswith("</svg>"), (argv, name)
+                        continue
+                    _assert_csv(os.path.join(scratch, "reread.csv"), text)
+                    with open(path + ".meta.json", encoding="utf-8") as fh:
+                        doc = validate_metadata(json.load(fh))
+                    result = GENERATORS[doc["generator"]](config_from_dict(doc["config"]))
+                    assert text == csv_text(result), (argv, name)
+                if out:
+                    _assert_csv(os.path.join(scratch, "stdout.csv"), out)
+                assert out or any(name.endswith(".meta.json") for name in written), argv
+
+        check()

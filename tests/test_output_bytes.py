@@ -38,7 +38,7 @@ def reference_csv_text(result, rows) -> str:
     """CSV body with a header naming columns and units, RFC-4180, LF endings.
 
     ``rows`` are the values as the generator made them (ints, bools, numpy
-    scalars), before SweepResult holds them as one float64 table."""
+    scalars), before SweepResult holds them as float64 arrays."""
     header = [f"{c} [{u}]" for c, u in zip(result.columns, result.units)]
     lines = [",".join(_csv_field(h) for h in header)]
     for row in rows:
@@ -180,9 +180,10 @@ def _results(draw):
         columns.append(values)
     names = tuple(f"c{k}" for k in range(len(columns)))
     rows = list(zip(*columns)) if n_rows else []
-    if draw(st.booleans()):
+    if draw(st.booleans()):  # the columns as drawn, or those of a float table
         rows = np.array(rows, dtype=float).reshape(n_rows, len(columns))
-    return SweepResult(names, ("1",) * len(names), rows), rows
+        columns = rows.T
+    return SweepResult(columns=names, units=("1",) * len(names), arrays=columns), rows
 
 
 def _assert_same_text(got, want):
@@ -217,14 +218,13 @@ class TestCsvBytes:
     def test_matches_the_per_field_writer(self, made):
         _assert_writes_reference_bytes(*made)
 
-    # every column of a table is fresh, so one block holds up to
+    # every column at full extent is fresh, so one block holds up to
     # _BLOCK_VALUES // 4 rows of these four: one block to five
     @pytest.mark.parametrize("n_rows", [_BLOCK_VALUES // 4 - 1, _BLOCK_VALUES // 4,
                                         _BLOCK_VALUES // 4 + 1, _BLOCK_VALUES // 2 - 1,
                                         _BLOCK_VALUES // 2, _BLOCK_VALUES // 2 + 1,
                                         _BLOCK_VALUES + 3])
-    @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
-    def test_more_rows_than_one_block(self, n_rows, as_array):
+    def test_more_rows_than_one_block(self, n_rows):
         rng = np.random.default_rng(n_rows)
         axis = np.linspace(-0.5, 0.5, 17)  # holds 0.0; add a -0.0 too
         axis[3] = -0.0
@@ -233,45 +233,54 @@ class TestCsvBytes:
         unique[::97] = rng.choice(SPECIAL, unique[::97].size)
         ints = rng.integers(-2 ** 53, 2 ** 53, n_rows, endpoint=True).tolist()
         flags = (rng.random(n_rows) < 0.5).tolist()
-        rows = list(zip(repeated.tolist(), unique.tolist(), ints, flags))
-        if as_array:
-            rows = np.array(rows, dtype=float)
+        columns = (repeated, unique, ints, flags)
         _assert_writes_reference_bytes(
-            SweepResult(("axis", "value", "count", "flag"), ("1", "1", "1", "bool"), rows),
-            rows)
+            SweepResult(columns=("axis", "value", "count", "flag"), units=("1", "1", "1", "bool"),
+                        arrays=columns),
+            list(zip(*columns)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
-    def test_non_finite_is_refused_where_the_result_is_made(self, bad, as_array):
-        rows = [(0.0, 1.0), (1.0, bad)]
+    @pytest.mark.parametrize("form", [list, np.array, lambda column: column[-1]],
+                             ids=["lists", "arrays", "scalars"])
+    def test_non_finite_is_refused_where_the_result_is_made(self, bad, form):
         with pytest.raises(FloatingPointError, match="non-finite"):
-            SweepResult(("a", "b"), ("1", "1"), np.array(rows) if as_array else rows)
+            SweepResult(columns=("a", "b"), units=("1", "1"),
+                        arrays=(form([0.0, 1.0]), form([1.0, bad])))
 
-    @pytest.mark.parametrize("rows", [[(0.0, 1.0, 2.0)], [(0.0, 1.0), (1.0,)],
-                                      np.zeros((3, 3)), np.zeros(4)],
-                             ids=["wide", "ragged", "wide-array", "flat-array"])
-    def test_bad_row_width_is_refused_where_the_result_is_made(self, rows):
-        with pytest.raises(ValueError, match="row width"):
-            SweepResult(("a", "b"), ("1", "1"), rows)
+    @pytest.mark.parametrize("units, arrays, message", [
+        (("1", "1"), ([0.0], [1.0], [2.0]), "one unit and one array per column"),
+        (("1", "1"), (np.zeros(3),), "one unit and one array per column"),
+        (("1",), ([0.0], [1.0]), "one unit and one array per column"),
+        (("1", "1"), (np.zeros(2), np.zeros(3)), "cannot be broadcast"),
+        (("1", "1"), (np.zeros((2, 1)), np.zeros((1, 3, 2))), "cannot be broadcast"),
+    ], ids=["more-arrays", "fewer-arrays", "fewer-units", "lengths", "open-grid"])
+    def test_bad_arrays_are_refused_where_the_result_is_made(self, units, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            SweepResult(columns=("a", "b"), units=units, arrays=arrays)
+
+    def test_a_positional_table_is_refused(self):
+        # read as (columns, units, arrays), this table would be written transposed
+        with pytest.raises(TypeError):
+            SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0), (5.0, 2.0)])
 
     def test_a_result_is_one_read_only_table(self):
         rows = np.array([[0.0, 1.0], [2.0, 3.0]])
-        res = SweepResult(("a", "b"), ("1", "1"), rows)
+        res = SweepResult(columns=("a", "b"), units=("1", "1"), arrays=rows.T)
         with pytest.raises(ValueError, match="read-only"):
             res.rows[0, 0] = math.nan
+        with pytest.raises(ValueError, match="read-only"):
+            res.arrays[0][0] = math.nan
         assert rows.flags.writeable  # the caller's array keeps its flags
         assert res.rows.dtype == np.float64 and res.rows.shape == (2, 2)
-        assert np.array_equal(res.column("b"), [1.0, 3.0])
-        assert SweepResult(("a",), ("1",), []).rows.shape == (0, 1)
-        with pytest.raises(ValueError, match="columns and units"):
-            SweepResult(("a", "b"), ("1",), rows)
+        assert np.array_equal(res.rows, rows) and np.array_equal(res.column("b"), [1.0, 3.0])
+        assert SweepResult(columns=("a",), units=("1",), arrays=([],)).rows.shape == (0, 1)
 
 
 def _table(columns, n_rows):
     """A SweepResult of the named 1-D columns, each resized to n_rows."""
     names = tuple(columns)
     rows = np.stack([np.resize(np.asarray(columns[c], float), n_rows) for c in names], axis=1)
-    return SweepResult(names, ("1",) * len(names), rows.reshape(n_rows, len(names))), rows
+    return SweepResult(columns=names, units=("1",) * len(names), arrays=rows.T), rows
 
 
 def _grid(columns):
@@ -280,7 +289,7 @@ def _grid(columns):
     names = tuple(columns)
     arrays = [np.asarray(columns[c], float) for c in names]
     rows = np.stack(np.broadcast_arrays(*arrays), axis=-1).reshape(-1, len(names))
-    return SweepResult(names, ("1",) * len(names), arrays=arrays), rows
+    return SweepResult(columns=names, units=("1",) * len(names), arrays=arrays), rows
 
 
 def _same_bits(got, want):
@@ -463,7 +472,7 @@ class TestCsvSharing:
         # a column is shared exactly when its array holds fewer values than rows
         assert set(GENERATOR_CONFIGS) == set(GENERATORS)
         res = GENERATORS[name](GENERATOR_CONFIGS[name])
-        table = SweepResult(res.columns, res.units, res.rows)
+        table = SweepResult(columns=res.columns, units=res.units, arrays=res.rows.T)
         assert csv_text(res) == csv_text(table)
         shared = {c: a for c, a in zip(res.columns, res.arrays) if a.size < len(res.rows)}
         _assert_formatted(monkeypatch, res, np.array(res.rows), shared)

@@ -164,12 +164,14 @@ class TestFig1:
         # the writer's checks happen where a result is made
         from anyonosc.sweeps import SweepResult
         with pytest.raises(FloatingPointError):
-            SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0), (1.0, float("nan"))])
-        with pytest.raises(ValueError, match="row width"):
-            SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0, 2.0)])
-        res = SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0)])
+            SweepResult(columns=("a", "b"), units=("1", "1"), arrays=([0.0, 1.0], [1.0, math.nan]))
+        with pytest.raises(ValueError, match="one array per column"):
+            SweepResult(columns=("a", "b"), units=("1", "1"), arrays=([0.0], [1.0], [2.0]))
+        res = SweepResult(columns=("a", "b"), units=("1", "1"), arrays=(0.0, 1.0))
         with pytest.raises(dataclasses.FrozenInstanceError):
             res.rows = [(0.0, 1.0, 2.0)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.arrays = ([0.0], [1.0])
 
     def test_closed_form_sweep_is_fast(self):
         import time
@@ -291,7 +293,7 @@ class TestCsvRoundTrip:
     def test_quoting(self, tmp_path):
         from anyonosc.sweeps import SweepResult
         res = SweepResult(columns=('weird,"name', "b"), units=("u,1", "u2"),
-                          rows=[(1.0, 2.0)], metadata={})
+                          arrays=(1.0, 2.0), metadata={})
         path = tmp_path / "q.csv"
         write_csv(res, str(path))
         cols, units, rows = read_csv(str(path))
