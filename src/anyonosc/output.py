@@ -8,7 +8,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -29,34 +29,43 @@ _BLOCK_VALUES = 8192
 _KERNEL_MIN = 1024
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class SweepResult:
     """One CSV's columns and units, one float64 array per column, the
     generator's metadata, and the (theta, xi, SpectrumGrid) panels the rows
     were read from, for the heatmaps.
 
-    The column arrays (``arrays``) broadcast together to the result's grid
-    ``shape``, one row per grid point in C order: each column stays at the
-    extent its generator computed it over (an open grid). Every field is
-    passed by keyword. Checks itself where it is made, with ValueError on
-    counts of columns, units and arrays that differ or arrays that do not
-    broadcast together and FloatingPointError on a non-finite value, so a
-    writer never opens a file for a bad result. ``rows``, the (rows, columns)
-    table, is formed on first read, read-only.
+    The column arrays (``arrays``, by keyword) broadcast together to the
+    result's grid ``shape``, one row per grid point in C order: each column
+    stays at the extent its generator computed it over (an open grid).
+    ``SweepResult(columns, units, table, metadata)``, a (rows, columns) table
+    passed positionally, is read as ``arrays=table.T``; the package builds
+    none, perfbench's self-tests do. Checks itself where it is made, with
+    ValueError on counts of columns, units and arrays that differ, rows of
+    the wrong width or arrays that do not broadcast together and
+    FloatingPointError on a non-finite value, so a writer never opens a file
+    for a bad result. ``rows``, the (rows, columns) table, is formed on first
+    read, read-only.
     """
 
     columns: tuple
     units: tuple
-    arrays: tuple
+    table: InitVar[object] = None
     metadata: dict = field(default_factory=dict)
+    _: KW_ONLY
+    arrays: tuple = None
     grids: tuple = ()
     shape: tuple = field(init=False)
 
-    def __post_init__(self):
-        if not len(self.columns) == len(self.units) == len(self.arrays):
+    def __post_init__(self, table):
+        if (table is None) == (self.arrays is None):
+            raise TypeError("pass the columns either as arrays= or as one positional table")
+        arrays = self.arrays if table is None else np.reshape(  # numpy refuses a bad width
+            np.asarray(table, dtype=float), (len(table), len(self.columns))).T
+        if not len(self.columns) == len(self.units) == len(arrays):
             raise ValueError(f"{len(self.columns)} columns, {len(self.units)} units and "
-                             f"{len(self.arrays)} arrays: one unit and one array per column")
-        arrays = tuple(np.asarray(a, dtype=float).view() for a in self.arrays)
+                             f"{len(arrays)} arrays: one unit and one array per column")
+        arrays = tuple(np.asarray(a, dtype=float).view() for a in arrays)
         for a in arrays:
             if not np.isfinite(a).all():
                 raise FloatingPointError("non-finite value in result")

@@ -224,7 +224,8 @@ class TestCsvBytes:
                                         _BLOCK_VALUES // 4 + 1, _BLOCK_VALUES // 2 - 1,
                                         _BLOCK_VALUES // 2, _BLOCK_VALUES // 2 + 1,
                                         _BLOCK_VALUES + 3])
-    def test_more_rows_than_one_block(self, n_rows):
+    @pytest.mark.parametrize("as_table", [False, True], ids=["columns", "tuples"])
+    def test_more_rows_than_one_block(self, n_rows, as_table):
         rng = np.random.default_rng(n_rows)
         axis = np.linspace(-0.5, 0.5, 17)  # holds 0.0; add a -0.0 too
         axis[3] = -0.0
@@ -234,10 +235,11 @@ class TestCsvBytes:
         ints = rng.integers(-2 ** 53, 2 ** 53, n_rows, endpoint=True).tolist()
         flags = (rng.random(n_rows) < 0.5).tolist()
         columns = (repeated, unique, ints, flags)
+        names, units = ("axis", "value", "count", "flag"), ("1", "1", "1", "bool")
+        rows = list(zip(repeated.tolist(), unique.tolist(), ints, flags))
         _assert_writes_reference_bytes(
-            SweepResult(columns=("axis", "value", "count", "flag"), units=("1", "1", "1", "bool"),
-                        arrays=columns),
-            list(zip(*columns)))
+            SweepResult(names, units, rows) if as_table
+            else SweepResult(columns=names, units=units, arrays=columns), rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("form", [list, np.array, lambda column: column[-1]],
@@ -258,10 +260,33 @@ class TestCsvBytes:
         with pytest.raises(ValueError, match=message):
             SweepResult(columns=("a", "b"), units=units, arrays=arrays)
 
-    def test_a_positional_table_is_refused(self):
-        # read as (columns, units, arrays), this table would be written transposed
+    @pytest.mark.parametrize("table", [[(0.0, 1.0), (5.0, 2.0)], np.array([[0.0, 1.0], [5.0, 2.0]])],
+                             ids=["tuples", "array"])
+    def test_a_positional_table_is_read_as_rows(self, table):
+        # perfbench's self-tests build (columns, units, table, metadata)
+        res = SweepResult(("a", "b"), ("1", "1"), table, {"generator": "fake"})
+        assert res.metadata == {"generator": "fake"} and res.shape == (2,)
+        _assert_writes_reference_bytes(res, [(0.0, 1.0), (5.0, 2.0)])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0), (5.0, math.nan)])
+
+    @pytest.mark.parametrize("rows", [[(0.0, 1.0, 2.0)], [(0.0, 1.0), (1.0,)],
+                                      np.zeros((3, 3)), np.zeros(4)],
+                             ids=["wide", "ragged", "wide-array", "flat-array"])
+    def test_bad_row_width_is_refused_where_the_result_is_made(self, rows):
+        with pytest.raises(ValueError, match="cannot reshape|inhomogeneous"):
+            SweepResult(("a", "b"), ("1", "1"), rows)
+
+    @pytest.mark.parametrize("call", [
+        lambda: SweepResult(("a",), ("1",), [(0.0,)], arrays=([0.0],)),
+        lambda: SweepResult(columns=("a",), units=("1",)),
+        lambda: SweepResult(("a",), ("1",), [(0.0,)], {}, ()),
+    ], ids=["table-and-arrays", "neither", "positional-grids"])
+    def test_a_result_takes_a_table_or_arrays_by_keyword(self, call):
+        # no positional arrays: read as (columns, units, arrays), a table
+        # would be written transposed
         with pytest.raises(TypeError):
-            SweepResult(("a", "b"), ("1", "1"), [(0.0, 1.0), (5.0, 2.0)])
+            call()
 
     def test_a_result_is_one_read_only_table(self):
         rows = np.array([[0.0, 1.0], [2.0, 3.0]])
